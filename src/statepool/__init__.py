@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatchError,
     ImpossibleConditioningError,
     IncompatibleAssignmentsError,
+    InvalidParameterError,
     NonHermitianPoolingProductError,
     NotPSDError,
     PriorSupportError,
@@ -59,6 +60,7 @@ from .regions import (
 )
 from .scenario import (
     AgentPipeline,
+    Channel,
     KrausChannel,
     ScenarioConfig,
     ScenarioResult,

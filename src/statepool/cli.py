@@ -4,9 +4,9 @@ Subcommands: compat-classical, compat-quantum, pool-classical,
 pool-quantum, suffstat, scenario-run, scenario-batch, randgen.
 
 Exit codes: 0 success, 1 domain error (incompatible states, non-Hermitian
-pooling product, ...) with a machine-readable {"error": ...} payload,
-2 malformed input.  All numeric output uses 17 significant digits and
-carries no timestamps, so identical invocations are byte-identical.
+pooling product, ...) with a machine-readable {"error": ...} payload, 2
+malformed input or an out-of-range argument.  Numeric output has 17
+significant digits and no timestamps, so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .compatibility import (
     classical_compatible,
     quantum_compatible,
 )
-from .errors import StatePoolError
+from .errors import InvalidParameterError, StatePoolError
 from .io import MalformedInputError
 from .linalg import DEFAULT_HERM_TOL, DEFAULT_RANK_TOL, Subspace
 from .pooling import classical_pool, minimal_sufficient_statistic, quantum_pool
@@ -210,7 +210,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.fn(args)
-    except MalformedInputError as exc:
+    except (MalformedInputError, InvalidParameterError) as exc:
         sys.stdout.write(io.dumps({"error": "malformed_input", "message": str(exc)}))
         return 2
     except StatePoolError as exc:

@@ -52,9 +52,6 @@ class ProbabilityDistribution:
     def support(self, tol: float = SUPPORT_TOL):
         return {o for o, p in zip(self.outcomes, self.probs) if p > tol}
 
-    def __getitem__(self, outcome) -> float:
-        return float(self.probs[self.outcomes.index(outcome)])
-
     @classmethod
     def uniform(cls, outcomes) -> "ProbabilityDistribution":
         outcomes = tuple(outcomes)

@@ -9,6 +9,10 @@ class StatePoolError(ValueError):
     """Base class for all domain errors raised by this package."""
 
 
+class InvalidParameterError(StatePoolError):
+    """A size, strength or option argument is outside its documented range."""
+
+
 class DimensionMismatchError(StatePoolError):
     """Operands act on incompatible spaces."""
 

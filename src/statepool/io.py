@@ -14,7 +14,7 @@ import numpy as np
 
 from .compatibility import ProbabilityDistribution
 from .pooling import PoolingReport
-from .regions import HybridState, JointState, RegionLabel
+from .regions import HybridState
 from .scenario import (
     AgentPipeline,
     KrausChannel,
@@ -105,26 +105,6 @@ def distribution_from_json(obj) -> ProbabilityDistribution:
         return ProbabilityDistribution(tuple(obj["outcomes"]), np.asarray(obj["probs"], float))
     except (ValueError, TypeError) as exc:
         raise MalformedInputError(str(exc)) from exc
-
-
-def joint_state_to_json(s: JointState) -> dict:
-    return {
-        "regions": [{"name": r.name, "dim": r.dim, "kind": r.kind} for r in s.regions],
-        "normalized": s.normalized,
-        "matrix": matrix_to_json(s.op),
-    }
-
-
-def joint_state_from_json(obj) -> JointState:
-    try:
-        regions = tuple(
-            RegionLabel(r["name"], int(r["dim"]), r.get("kind", "quantum"))
-            for r in obj["regions"]
-        )
-        return JointState(regions, matrix_from_json(obj["matrix"]),
-                          normalized=bool(obj.get("normalized", True)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError(f"bad joint state: {exc}") from exc
 
 
 def hybrid_to_json(h: HybridState) -> dict:

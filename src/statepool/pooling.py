@@ -10,7 +10,7 @@ symmetrized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,21 +49,6 @@ class PoolingReport:
     precondition_checked: bool = False
     precondition_residual: float | None = None
 
-    def to_dict(self) -> dict:
-        if isinstance(self.pooled, ProbabilityDistribution):
-            pooled = {"outcomes": list(self.pooled.outcomes),
-                      "probs": [float(p) for p in self.pooled.probs]}
-        else:
-            pooled = np.asarray(self.pooled)
-        return {
-            "pooled": pooled,
-            "normalization_c": self.normalization_c,
-            "hermiticity_residual": self.hermiticity_residual,
-            "min_eigenvalue": self.min_eigenvalue,
-            "precondition_checked": self.precondition_checked,
-            "precondition_residual": self.precondition_residual,
-        }
-
 
 @dataclass(frozen=True)
 class SufficientStatistic:
@@ -80,12 +65,6 @@ class SufficientStatistic:
             raise ValueError("classes must partition the outcome set")
         object.__setattr__(self, "source_outcomes", outcomes)
         object.__setattr__(self, "classes", classes)
-
-    def class_of(self, outcome):
-        for i, c in enumerate(self.classes):
-            if outcome in c:
-                return i
-        raise KeyError(f"unknown outcome {outcome!r}")
 
 
 def classical_pool(
@@ -170,27 +149,19 @@ def quantum_pool(
 
 def _proportionality_classes(vectors, norm_of, tol):
     """Group keys by proportionality of their vectors; zero vectors form their own class."""
-    keys = list(vectors)
-    classes = []
-    reps = []  # normalized representative per class, or None for the zero class
-    for k in keys:
-        v = vectors[k]
+    classes = []  # (normalized representative, or None for the zero class; keys)
+    for k, v in vectors.items():
         n = norm_of(v)
         rep = None if n <= tol else v / n
-        placed = False
-        for i, r in enumerate(reps):
-            if rep is None and r is None:
-                classes[i].add(k)
-                placed = True
+        for r, keys in classes:
+            if (r is None and rep is None) or (
+                r is not None and rep is not None and max_norm(rep - r) <= tol
+            ):
+                keys.add(k)
                 break
-            if rep is not None and r is not None and max_norm(rep - r) <= tol:
-                classes[i].add(k)
-                placed = True
-                break
-        if not placed:
-            classes.append({k})
-            reps.append(rep)
-    return classes
+        else:
+            classes.append((rep, {k}))
+    return [keys for _, keys in classes]
 
 
 def minimal_sufficient_statistic(

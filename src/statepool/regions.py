@@ -91,12 +91,6 @@ class JointState:
     def dims(self):
         return [r.dim for r in self.regions]
 
-    def region_index(self, name: str) -> int:
-        for i, r in enumerate(self.regions):
-            if r.name == name:
-                return i
-        raise KeyError(f"unknown region {name!r}")
-
 
 @dataclass(frozen=True)
 class ConditionalState:

@@ -11,11 +11,12 @@ and non-Hermitian pooling products are reported outcomes, never exceptions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .compatibility import CompatibilityVerdict, quantum_compatible
-from .errors import DimensionMismatchError, StatePoolError
+from .errors import DimensionMismatchError, InvalidParameterError, StatePoolError
 from .linalg import (
     DEFAULT_HERM_TOL,
     DEFAULT_RANK_TOL,
@@ -26,8 +27,22 @@ from .linalg import (
 from .pooling import PoolingReport, quantum_pool
 
 
+class Channel:
+    """One pipeline step: a CPTP map from dim_in x dim_in to dim_out x dim_out matrices.
+
+    ``apply`` returns (M + M†)/2 for M = ``_map(rho)`` unless a subclass overrides
+    it; ``kraus_ops`` is a Kraus decomposition of the same map (JSON export).
+    """
+
+    dim_in = dim_out = property(lambda self: self.dim)  # square channels define ``dim``
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        out = self._map(rho)
+        return (out + out.conj().T) / 2
+
+
 @dataclass(frozen=True)
-class KrausChannel:
+class KrausChannel(Channel):
     """CPTP map as a finite Kraus decomposition: rho -> sum K rho K†."""
 
     kraus_ops: tuple
@@ -39,25 +54,21 @@ class KrausChannel:
         d_out, d_in = ops[0].shape
         if any(k.shape != (d_out, d_in) for k in ops):
             raise DimensionMismatchError("Kraus operators have inconsistent shapes")
-        comp = sum(k.conj().T @ k for k in ops)
-        if max_norm(comp - np.eye(d_in)) > 1e-10:
-            raise ValueError(
-                f"Kraus operators violate trace preservation (residual {max_norm(comp - np.eye(d_in)):.3e})"
-            )
+        residual = max_norm(sum(k.conj().T @ k for k in ops) - np.eye(d_in))
+        if residual > 1e-10:
+            raise ValueError(f"Kraus operators violate trace preservation (residual {residual:.3e})")
         object.__setattr__(self, "kraus_ops", ops)
 
-    @property
-    def dim_in(self) -> int:
-        return self.kraus_ops[0].shape[1]
+    dim_in = property(lambda self: self.kraus_ops[0].shape[1])
+    dim_out = property(lambda self: self.kraus_ops[0].shape[0])
 
-    @property
-    def dim_out(self) -> int:
-        return self.kraus_ops[0].shape[0]
+    def _map(self, r):
+        return sum(k @ r @ k.conj().T for k in self.kraus_ops)
 
 
 @dataclass(frozen=True)
-class UnitaryDynamics:
-    """Closed evolution rho -> U rho U†."""
+class UnitaryDynamics(Channel):
+    """Closed evolution rho -> U rho U†, exact: the output is not symmetrized."""
 
     u: np.ndarray = field(repr=False)
 
@@ -71,6 +82,86 @@ class UnitaryDynamics:
     def dim(self) -> int:
         return self.u.shape[0]
 
+    @property
+    def kraus_ops(self) -> tuple:
+        return (self.u,)
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        return self.u @ rho @ self.u.conj().T
+
+
+@dataclass(frozen=True)
+class _ClosedForm(Channel):
+    """Channel on C^dim applied in closed form; its Kraus list is built on first read.
+
+    ``_map`` adds the floating-point terms of the sum over ``kraus_ops`` in its
+    order, without the exact zeros, so a JSON round trip keeps every bit.
+    """
+
+    dim: int
+
+    @cached_property
+    def kraus_ops(self) -> tuple:
+        return tuple(np.asarray(k, dtype=complex) for k in self._kraus())
+
+
+@dataclass(frozen=True)
+class DepolarizingChannel(_ClosedForm):
+    """rho -> (1-p) rho + p Tr(rho) I/d; Kraus: sqrt(1-p) I, then sqrt(p/d) |i><j|."""
+
+    strength: float
+
+    def _map(self, r):
+        s, c = np.sqrt(1.0 - self.strength), np.sqrt(self.strength / self.dim)
+        out = 0.0 + (s * r) * s
+        diag = np.diagonal(out).copy()
+        for term in (c * np.diagonal(r)) * c:  # |i><j| adds c rho_jj c to entry (i, i)
+            diag += term
+        np.fill_diagonal(out, diag)
+        return out
+
+    def _kraus(self):
+        p, d, e = self.strength, self.dim, np.eye(self.dim)
+        yield np.sqrt(1.0 - p) * e
+        for i in range(d):
+            for j in range(d):
+                yield np.sqrt(p / d) * np.outer(e[:, i], e[j, :])
+
+
+@dataclass(frozen=True)
+class DephasingChannel(_ClosedForm):
+    """rho -> (1-p) rho + p diag(rho); Kraus: sqrt(1-p) I, then sqrt(p) |i><i|."""
+
+    strength: float
+
+    def _map(self, r):
+        s, q = np.sqrt(1.0 - self.strength), np.sqrt(self.strength)
+        out = 0.0 + (s * r) * s
+        np.fill_diagonal(out, np.diagonal(out) + (q * np.diagonal(r)) * q)
+        return out
+
+    def _kraus(self):
+        p, e = self.strength, np.eye(self.dim)
+        yield np.sqrt(1.0 - p) * e
+        for i in range(self.dim):
+            yield np.sqrt(p) * np.diag(e[i])
+
+
+@dataclass(frozen=True)
+class ReplacementChannel(_ClosedForm):
+    """rho -> Tr(rho) |t><t|; Kraus: |t><i|."""
+
+    target: int
+
+    def _map(self, r):
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[self.target, self.target] = np.cumsum(np.diagonal(r))[-1]  # in index order
+        return out
+
+    def _kraus(self):
+        e = np.eye(self.dim)
+        return (np.outer(e[:, self.target], e[i, :]) for i in range(self.dim))
+
 
 @dataclass(frozen=True)
 class AgentPipeline:
@@ -81,25 +172,19 @@ class AgentPipeline:
 
     def __post_init__(self):
         steps = tuple(self.steps)
-        for s in steps:
-            if not isinstance(s, (UnitaryDynamics, KrausChannel)):
-                raise TypeError(f"pipeline step must be a unitary or a channel, got {type(s)}")
         d = None
         for s in steps:
-            d_in = s.dim if isinstance(s, UnitaryDynamics) else s.dim_in
-            d_out = s.dim if isinstance(s, UnitaryDynamics) else s.dim_out
-            if d is not None and d_in != d:
+            if not isinstance(s, Channel):
+                raise TypeError(f"pipeline step must be a unitary or a channel, got {type(s)}")
+            if d is not None and s.dim_in != d:
                 raise DimensionMismatchError(
-                    f"pipeline {self.name!r}: step input dim {d_in} != previous output dim {d}"
+                    f"pipeline {self.name!r}: step input dim {s.dim_in} != previous output dim {d}"
                 )
-            d = d_out
+            d = s.dim_out
         object.__setattr__(self, "steps", steps)
 
     def output_dim(self, input_dim: int) -> int:
-        d = input_dim
-        for s in self.steps:
-            d = s.dim if isinstance(s, UnitaryDynamics) else s.dim_out
-        return d
+        return self.steps[-1].dim_out if self.steps else input_dim
 
 
 @dataclass(frozen=True)
@@ -145,30 +230,27 @@ class ScenarioResult:
     pooling_error: dict | None = None
 
 
-def apply_channel(ch: KrausChannel, rho) -> np.ndarray:
-    """sum K rho K†; preserves trace and positivity."""
-    r = as_matrix(rho)
+def _step(ch: Channel, r: np.ndarray) -> np.ndarray:
     if r.shape[0] != ch.dim_in:
-        raise DimensionMismatchError(
-            f"channel input dim {ch.dim_in} != state dim {r.shape[0]}"
-        )
-    out = sum(k @ r @ k.conj().T for k in ch.kraus_ops)
-    return (out + out.conj().T) / 2
+        raise DimensionMismatchError(f"channel input dim {ch.dim_in} != state dim {r.shape[0]}")
+    return ch.apply(r)
+
+
+def apply_channel(ch: Channel, rho) -> np.ndarray:
+    """One channel applied to ``rho``; preserves trace and positivity."""
+    return _step(ch, as_matrix(rho))
 
 
 def evolve(u: UnitaryDynamics, rho) -> np.ndarray:
     """U rho U†; preserves the spectrum."""
-    r = as_matrix(rho)
-    if r.shape[0] != u.dim:
-        raise DimensionMismatchError(f"unitary dim {u.dim} != state dim {r.shape[0]}")
-    return u.u @ r @ u.u.conj().T
+    return _step(u, as_matrix(rho))
 
 
 def run_pipeline(p: AgentPipeline, prior) -> np.ndarray:
     """Left-to-right composition of the pipeline's steps applied to the prior."""
     rho = as_matrix(prior)
     for s in p.steps:
-        rho = evolve(s, rho) if isinstance(s, UnitaryDynamics) else apply_channel(s, rho)
+        rho = _step(s, rho)
     return rho
 
 
@@ -185,14 +267,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     pooling = None
     pooling_error = None
     if verdict.compatible:
-        pool_prior = cfg.prior
-        if cfg.pool_against_evolved:
-            pool_prior = evolve(cfg.evolved_by, cfg.prior)
+        pool_prior = evolve(cfg.evolved_by, cfg.prior) if cfg.pool_against_evolved else cfg.prior
         try:
-            pooling = quantum_pool(
-                pool_prior, sigma1, sigma2,
-                rank_tol=cfg.rank_tol, herm_tol=cfg.herm_tol,
-            )
+            pooling = quantum_pool(pool_prior, sigma1, sigma2,
+                                   rank_tol=cfg.rank_tol, herm_tol=cfg.herm_tol)
         except StatePoolError as exc:
             pooling_error = {"error": type(exc).__name__, "message": str(exc)}
             if hasattr(exc, "residual"):
@@ -222,37 +300,26 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def depolarizing_channel(dim: int, strength: float) -> KrausChannel:
+def _unit_interval(x, what: str = "strength") -> float:
+    p = float(x)
+    if not 0.0 <= p <= 1.0:  # also rejects NaN
+        raise InvalidParameterError(f"{what} {p} outside [0, 1]")
+    return p
+
+
+def depolarizing_channel(dim: int, strength: float) -> DepolarizingChannel:
     """Convex mixture of identity and full depolarization with weight ``strength``."""
-    p = float(strength)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"strength {p} outside [0, 1]")
-    ops = [np.sqrt(1.0 - p) * np.eye(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            ops.append(np.sqrt(p / dim) * np.outer(np.eye(dim)[:, i], np.eye(dim)[j, :]))
-    return KrausChannel(tuple(ops))
+    return DepolarizingChannel(dim, _unit_interval(strength))
 
 
-def dephasing_channel(dim: int, strength: float) -> KrausChannel:
+def dephasing_channel(dim: int, strength: float) -> DephasingChannel:
     """Convex mixture of identity and full dephasing in the computational basis."""
-    p = float(strength)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"strength {p} outside [0, 1]")
-    ops = [np.sqrt(1.0 - p) * np.eye(dim)]
-    for i in range(dim):
-        proj = np.zeros((dim, dim))
-        proj[i, i] = 1.0
-        ops.append(np.sqrt(p) * proj)
-    return KrausChannel(tuple(ops))
+    return DephasingChannel(dim, _unit_interval(strength))
 
 
-def replacement_channel(dim: int, target_index: int) -> KrausChannel:
+def replacement_channel(dim: int, target_index: int) -> ReplacementChannel:
     """Channel replacing every input with the basis state |target_index>."""
-    ops = tuple(
-        np.outer(np.eye(dim)[:, target_index], np.eye(dim)[i, :]) for i in range(dim)
-    )
-    return KrausChannel(ops)
+    return ReplacementChannel(dim, range(dim)[target_index])
 
 
 def random_instance(dim: int, seed, noise_strength: float = 0.5) -> ScenarioConfig:
@@ -263,38 +330,27 @@ def random_instance(dim: int, seed, noise_strength: float = 0.5) -> ScenarioConf
     with the given noise weight.  Same seed, bit-identical config.
     """
     if dim < 2:
-        raise ValueError(f"dim {dim} < 2")
+        raise InvalidParameterError(f"dim {dim} < 2")
+    p = _unit_interval(noise_strength, "noise_strength")
     rng = np.random.default_rng(seed)
     prior = random_density(dim, rng)
     u1 = UnitaryDynamics(haar_unitary(dim, rng))
     u2 = UnitaryDynamics(haar_unitary(dim, rng))
-    steps1 = [u1] + ([dephasing_channel(dim, noise_strength)] if noise_strength > 0 else [])
-    steps2 = [u2] + ([depolarizing_channel(dim, noise_strength)] if noise_strength > 0 else [])
-    return ScenarioConfig(
-        prior=prior,
-        pipelines=(
-            AgentPipeline("Wanda", tuple(steps1)),
-            AgentPipeline("Theo", tuple(steps2)),
-        ),
-        seed=seed if isinstance(seed, int) else 0,
-    )
+    wanda = (u1, dephasing_channel(dim, p)) if p > 0 else (u1,)
+    theo = (u2, depolarizing_channel(dim, p)) if p > 0 else (u2,)
+    pipelines = (AgentPipeline("Wanda", wanda), AgentPipeline("Theo", theo))
+    return ScenarioConfig(prior, pipelines, seed=seed if isinstance(seed, int) else 0)
 
 
 def adversarial_instance(dim: int, seed) -> ScenarioConfig:
     """Engineered incompatible scenario: the pipelines replace every input
     with orthogonal pure states, so the posteriors' supports are disjoint."""
     if dim < 2:
-        raise ValueError(f"dim {dim} < 2")
-    rng = np.random.default_rng(seed)
-    prior = random_density(dim, rng)
-    return ScenarioConfig(
-        prior=prior,
-        pipelines=(
-            AgentPipeline("Wanda", (replacement_channel(dim, 0),)),
-            AgentPipeline("Theo", (replacement_channel(dim, 1),)),
-        ),
-        seed=seed if isinstance(seed, int) else 0,
-    )
+        raise InvalidParameterError(f"dim {dim} < 2")
+    prior = random_density(dim, np.random.default_rng(seed))
+    pipelines = (AgentPipeline("Wanda", (replacement_channel(dim, 0),)),
+                 AgentPipeline("Theo", (replacement_channel(dim, 1),)))
+    return ScenarioConfig(prior, pipelines, seed=seed if isinstance(seed, int) else 0)
 
 
 def batch_report(dims, count: int, noise_grid, seed: int, generator: str = "random"):
@@ -305,9 +361,9 @@ def batch_report(dims, count: int, noise_grid, seed: int, generator: str = "rand
     Returns a list of row dicts.
     """
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise InvalidParameterError("count must be >= 1")
     if generator not in ("random", "adversarial"):
-        raise ValueError(f"unknown generator {generator!r}")
+        raise InvalidParameterError(f"unknown generator {generator!r}")
     rows = []
     for dim in dims:
         for gi, noise in enumerate(noise_grid):
@@ -316,10 +372,8 @@ def batch_report(dims, count: int, noise_grid, seed: int, generator: str = "rand
             residuals = []
             for i in range(count):
                 child_seed = [int(seed), int(dim), gi, i]
-                if generator == "adversarial":
-                    cfg = adversarial_instance(dim, child_seed)
-                else:
-                    cfg = random_instance(dim, child_seed, noise)
+                cfg = (adversarial_instance(dim, child_seed) if generator == "adversarial"
+                       else random_instance(dim, child_seed, noise))
                 res = run_scenario(cfg)
                 if res.verdict.compatible:
                     n_compat += 1
@@ -334,8 +388,6 @@ def batch_report(dims, count: int, noise_grid, seed: int, generator: str = "rand
                 "count": int(count),
                 "frac_compatible": n_compat / count,
                 "frac_hermitian_pooling": n_herm / count,
-                "mean_hermiticity_residual": (
-                    float(np.mean(residuals)) if residuals else 0.0
-                ),
+                "mean_hermiticity_residual": float(np.mean(residuals)) if residuals else 0.0,
             })
     return rows

@@ -1,0 +1,204 @@
+"""Closed-form noise channels, their lazy Kraus view, and the channel protocol."""
+
+import numpy as np
+import pytest
+
+from statepool.errors import DimensionMismatchError, InvalidParameterError
+from statepool.linalg import max_norm
+from statepool.scenario import (
+    AgentPipeline,
+    Channel,
+    KrausChannel,
+    UnitaryDynamics,
+    apply_channel,
+    batch_report,
+    dephasing_channel,
+    depolarizing_channel,
+    random_instance,
+    replacement_channel,
+    run_pipeline,
+)
+
+from oracles import rand_density, rand_unitary
+
+DIMS = (2, 3, 8)
+STRENGTHS = (0.0, 0.3, 1.0)
+
+
+# Kraus lists exactly as the explicit-list constructors built them before the
+# channels were applied in closed form; JSON export must keep emitting these.
+
+
+def explicit_depolarizing(dim, p):
+    ops = [np.sqrt(1.0 - p) * np.eye(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            ops.append(np.sqrt(p / dim) * np.outer(np.eye(dim)[:, i], np.eye(dim)[j, :]))
+    return [np.asarray(k, dtype=complex) for k in ops]
+
+
+def explicit_dephasing(dim, p):
+    ops = [np.sqrt(1.0 - p) * np.eye(dim)]
+    for i in range(dim):
+        proj = np.zeros((dim, dim))
+        proj[i, i] = 1.0
+        ops.append(np.sqrt(p) * proj)
+    return [np.asarray(k, dtype=complex) for k in ops]
+
+
+def explicit_replacement(dim, t):
+    return [np.asarray(np.outer(np.eye(dim)[:, t], np.eye(dim)[i, :]), dtype=complex)
+            for i in range(dim)]
+
+
+def textbook(kind, dim, x, r):
+    """The channel's defining formula, symmetrized like every channel output."""
+    tr = np.trace(r)
+    if kind == "depolarizing":
+        out = (1 - x) * r + x * tr * np.eye(dim) / dim
+    elif kind == "dephasing":
+        out = (1 - x) * r + x * np.diag(np.diag(r))
+    else:
+        out = np.zeros((dim, dim), complex)
+        out[x, x] = tr
+    return (out + out.conj().T) / 2
+
+
+CASES = (
+    [("depolarizing", d, p) for d in DIMS for p in STRENGTHS]
+    + [("dephasing", d, p) for d in DIMS for p in STRENGTHS]
+    + [("replacement", d, t) for d in DIMS for t in (0, d - 1)]
+)
+BUILD = {
+    "depolarizing": (depolarizing_channel, explicit_depolarizing),
+    "dephasing": (dephasing_channel, explicit_dephasing),
+    "replacement": (replacement_channel, explicit_replacement),
+}
+
+
+def inputs(dim, seed):
+    """A density matrix, a PSD matrix of trace 2.5 and a non-Hermitian matrix."""
+    rng = np.random.default_rng(seed)
+    rho = rand_density(rng, dim)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return rho, 2.5 * rand_density(rng, dim), g
+
+
+@pytest.mark.parametrize("kind,dim,x", CASES)
+def test_closed_form_matches_kraus_sum_and_formula(kind, dim, x):
+    ch = BUILD[kind][0](dim, x)
+    kraus = KrausChannel(tuple(BUILD[kind][1](dim, x)))
+    for r in inputs(dim, seed=dim):
+        got = apply_channel(ch, r)
+        assert max_norm(got - apply_channel(kraus, r)) <= 1e-12
+        assert max_norm(got - textbook(kind, dim, x, r)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,dim,x", CASES)
+def test_lazy_kraus_view_equals_explicit_list(kind, dim, x):
+    ch = BUILD[kind][0](dim, x)
+    want = BUILD[kind][1](dim, x)
+    assert len(ch.kraus_ops) == len(want)
+    for got, ref in zip(ch.kraus_ops, want):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("kind,dim,x", CASES)
+def test_closed_form_repeats_the_kraus_sum_bit_for_bit(kind, dim, x):
+    # The closed forms add the Kraus sum's nonzero terms in its order, which
+    # is what lets a config survive a JSON round trip with every bit intact.
+    ch = BUILD[kind][0](dim, x)
+    kraus = KrausChannel(ch.kraus_ops)
+    for r in inputs(dim, seed=100 + dim):
+        assert np.array_equal(ch.apply(r), kraus.apply(r))
+
+
+def test_kraus_view_is_built_only_when_read():
+    ch = depolarizing_channel(4, 0.5)
+    apply_channel(ch, np.eye(4) / 4)
+    assert "kraus_ops" not in vars(ch)
+    assert len(ch.kraus_ops) == 17
+    assert ch.kraus_ops is ch.kraus_ops  # cached after the first read
+
+
+def test_running_a_random_instance_builds_no_kraus_list():
+    cfg = random_instance(8, 3, 0.5)
+    for p in cfg.pipelines:
+        run_pipeline(p, cfg.prior)
+    for p in cfg.pipelines:
+        assert all("kraus_ops" not in vars(s) for s in p.steps)
+
+
+def test_unitary_step_is_exact_and_not_symmetrized():
+    rng = np.random.default_rng(12)
+    u = rand_unitary(rng, 3)
+    rho = rand_density(rng, 3)
+    step = UnitaryDynamics(u)
+    assert np.array_equal(run_pipeline(AgentPipeline("U", (step,)), rho), u @ rho @ u.conj().T)
+    assert step.dim_in == step.dim_out == 3
+    assert len(step.kraus_ops) == 1 and np.array_equal(step.kraus_ops[0], u)
+
+
+def test_pipeline_accepts_any_channel_subclass():
+    class BitFlip(Channel):
+        dim = 2
+
+        def _map(self, r):
+            return r[::-1, ::-1]
+
+    rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    out = run_pipeline(AgentPipeline("F", (BitFlip(), dephasing_channel(2, 1.0))), rho)
+    assert max_norm(out - np.diag([0.3, 0.7])) < 1e-15
+
+
+def test_pipeline_rejects_non_channels():
+    with pytest.raises(TypeError):
+        AgentPipeline("bad", (np.eye(2),))
+
+
+def test_first_step_input_dim_checked():
+    p = AgentPipeline("W", (depolarizing_channel(3, 0.5),))
+    with pytest.raises(DimensionMismatchError, match="input dim 3"):
+        run_pipeline(p, np.eye(2) / 2)
+
+
+@pytest.mark.parametrize("strength", [-0.1, 1.5, float("nan"), float("inf")])
+@pytest.mark.parametrize("ctor", [depolarizing_channel, dephasing_channel])
+def test_strength_validated(ctor, strength):
+    with pytest.raises(ValueError, match="outside"):
+        ctor(3, strength)
+
+
+def test_replacement_target_validated():
+    with pytest.raises(IndexError):
+        replacement_channel(2, 2)
+
+
+@pytest.mark.parametrize("noise", [-0.5, 1.5, float("nan"), float("inf")])
+def test_random_instance_rejects_bad_noise(noise):
+    with pytest.raises(InvalidParameterError, match="noise_strength"):
+        random_instance(2, 0, noise)
+
+
+def test_batch_report_rejects_bad_dim_and_noise():
+    with pytest.raises(InvalidParameterError, match="dim 1"):
+        batch_report([2, 1], 1, [0.0], 0)
+    with pytest.raises(InvalidParameterError, match="noise_strength"):
+        batch_report([2], 1, [0.5, 2.0], 0)
+
+
+def test_golden_batch_report():
+    # Taken from the explicit-Kraus-list implementation, seed 7.
+    want = [
+        (2, 0.0, 1.0, 0.0, 0.8607399525596557),
+        (2, 0.5, 1.0, 0.0, 0.5412415122721382),
+        (3, 0.0, 1.0, 0.0, 0.8876786483830547),
+        (3, 0.5, 1.0, 0.0, 0.5425177912460837),
+    ]
+    rows = batch_report([2, 3], 5, [0.0, 0.5], 7)
+    assert len(rows) == len(want)
+    for row, (dim, noise, compat, herm, resid) in zip(rows, want):
+        assert (row["dim"], row["noise"], row["count"]) == (dim, noise, 5)
+        assert row["frac_compatible"] == compat
+        assert row["frac_hermitian_pooling"] == herm
+        assert row["mean_hermiticity_residual"] == pytest.approx(resid, rel=1e-12)

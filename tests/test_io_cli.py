@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -156,6 +157,27 @@ class TestCli:
         _, out1 = run_cli(capsys, "randgen", "--dim", "2", "--seed", "9")
         _, out2 = run_cli(capsys, "randgen", "--dim", "2", "--seed", "9")
         assert out1 == out2
+
+    def test_randgen_golden_bytes(self, capsys):
+        # Output of the explicit-Kraus-list implementation: the closed-form
+        # channels must export exactly the same Kraus lists.
+        code, out = run_cli(capsys, "randgen", "--dim", "4", "--noise", "0.5", "--seed", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1b9534e6ba43ef311b0a5605e27d3114efa17152c91121f48c399d2476771e46"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ("scenario-batch", "--count", "0"),
+        ("scenario-batch", "--dim", "1"),
+        ("randgen", "--dim", "1"),
+        ("randgen", "--noise", "2"),
+        ("randgen", "--noise", "-0.5"),
+    ])
+    def test_out_of_range_argument_exit_2(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "malformed_input"
 
     def test_malformed_input_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
