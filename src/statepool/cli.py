@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -49,44 +50,38 @@ def _write(payload, path: str) -> None:
             fh.write(text)
 
 
-def _verdict_payload(verdict) -> dict:
+def _write_verdict(verdict, path: str) -> int:
     out = {"compatible": verdict.compatible,
            "intersection_rank": verdict.intersection_rank(),
            "diagnostics": verdict.diagnostics}
     if not isinstance(verdict.intersection, Subspace):
         out["shared_outcomes"] = list(verdict.intersection)
-    return out
+    _write(out, path)
+    return 0 if verdict.compatible else 1
+
+
+def _read_all(decode, *paths):
+    return [decode(_read_json(p)) for p in paths]
 
 
 def _cmd_compat_classical(args) -> int:
-    q1 = io.distribution_from_json(_read_json(args.q1))
-    q2 = io.distribution_from_json(_read_json(args.q2))
-    verdict = classical_compatible(q1, q2)
-    _write(_verdict_payload(verdict), args.output)
-    return 0 if verdict.compatible else 1
+    q1, q2 = _read_all(io.distribution_from_json, args.q1, args.q2)
+    return _write_verdict(classical_compatible(q1, q2), args.output)
 
 
 def _cmd_compat_quantum(args) -> int:
-    s1 = io.matrix_from_json(_read_json(args.s1))
-    s2 = io.matrix_from_json(_read_json(args.s2))
-    verdict = quantum_compatible(s1, s2, rank_tol=args.rank_tol)
-    _write(_verdict_payload(verdict), args.output)
-    return 0 if verdict.compatible else 1
+    s1, s2 = _read_all(io.matrix_from_json, args.s1, args.s2)
+    return _write_verdict(quantum_compatible(s1, s2, rank_tol=args.rank_tol), args.output)
 
 
 def _cmd_pool_classical(args) -> int:
-    prior = io.distribution_from_json(_read_json(args.prior))
-    q1 = io.distribution_from_json(_read_json(args.q1))
-    q2 = io.distribution_from_json(_read_json(args.q2))
-    report = classical_pool(prior, q1, q2)
-    _write(io.pooling_report_to_json(report), args.output)
+    prior, q1, q2 = _read_all(io.distribution_from_json, args.prior, args.q1, args.q2)
+    _write(io.pooling_report_to_json(classical_pool(prior, q1, q2)), args.output)
     return 0
 
 
 def _cmd_pool_quantum(args) -> int:
-    prior = io.matrix_from_json(_read_json(args.prior))
-    s1 = io.matrix_from_json(_read_json(args.s1))
-    s2 = io.matrix_from_json(_read_json(args.s2))
+    prior, s1, s2 = _read_all(io.matrix_from_json, args.prior, args.s1, args.s2)
     report = quantum_pool(prior, s1, s2, rank_tol=args.rank_tol, herm_tol=args.herm_tol)
     _write(io.pooling_report_to_json(report), args.output)
     return 0
@@ -109,27 +104,15 @@ def _cmd_suffstat(args) -> int:
 
 def _cmd_scenario_run(args) -> int:
     cfg = io.scenario_config_from_json(_read_json(args.config))
-    if args.rank_tol is not None or args.herm_tol is not None:
-        from dataclasses import replace
-
-        cfg = replace(
-            cfg,
-            rank_tol=args.rank_tol if args.rank_tol is not None else cfg.rank_tol,
-            herm_tol=args.herm_tol if args.herm_tol is not None else cfg.herm_tol,
-        )
-    res = run_scenario(cfg)
+    overrides = {k: getattr(args, k) for k in ("rank_tol", "herm_tol")
+                 if getattr(args, k) is not None}
+    res = run_scenario(replace(cfg, **overrides) if overrides else cfg)
     _write(io.scenario_result_to_json(res), args.output)
     return 0
 
 
 def _cmd_scenario_batch(args) -> int:
-    rows = batch_report(
-        dims=args.dim,
-        count=args.count,
-        noise_grid=args.noise,
-        seed=args.seed,
-        generator=args.generator,
-    )
+    rows = batch_report(args.dim, args.count, args.noise, args.seed, args.generator)
     _write({"seed": args.seed, "generator": args.generator, "rows": rows}, args.output)
     return 0
 

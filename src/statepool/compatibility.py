@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidParameterError
 from .linalg import (
     DEFAULT_RANK_TOL,
     Subspace,
@@ -111,16 +111,13 @@ def classical_compatible(
     """Support-overlap decision: compatible iff some outcome has positive
     probability under both assignments."""
     if q1.outcomes != q2.outcomes:
-        raise ValueError("distributions are over different outcome sets")
+        raise InvalidParameterError("distributions are over different outcome sets")
     shared = sorted(
         q1.support(support_tol) & q2.support(support_tol),
         key=q1.outcomes.index,
     )
-    ok = bool(shared)
-    msg = (
-        f"shared support {shared}" if ok else "supports are disjoint"
-    )
-    return CompatibilityVerdict(ok, tuple(shared), msg)
+    msg = f"shared support {shared}" if shared else "supports are disjoint"
+    return CompatibilityVerdict(bool(shared), tuple(shared), msg)
 
 
 def quantum_compatible(s1, s2, rank_tol: float = DEFAULT_RANK_TOL) -> CompatibilityVerdict:
@@ -129,16 +126,15 @@ def quantum_compatible(s1, s2, rank_tol: float = DEFAULT_RANK_TOL) -> Compatibil
     a, b = as_matrix(s1), as_matrix(s2)
     if a.shape != b.shape:
         raise DimensionMismatchError("states have different dims")
-    inter = subspace_intersection(
-        support_projector(a, rank_tol), support_projector(b, rank_tol)
-    )
-    ok = not inter.is_empty
-    msg = (
-        f"support intersection has rank {inter.rank}"
-        if ok
-        else "supports intersect only at the origin"
-    )
-    return CompatibilityVerdict(ok, inter, msg)
+    return _support_verdict(support_projector(a, rank_tol), support_projector(b, rank_tol))
+
+
+def _support_verdict(p: Subspace, q: Subspace) -> CompatibilityVerdict:
+    """The quantum verdict from two supports already in hand."""
+    inter = subspace_intersection(p, q)
+    if inter.is_empty:
+        return CompatibilityVerdict(False, inter, "supports intersect only at the origin")
+    return CompatibilityVerdict(True, inter, f"support intersection has rank {inter.rank}")
 
 
 def verify_objective_classical(

@@ -134,12 +134,9 @@ def hybrid_from_json(obj) -> HybridState:
 
 
 def pooling_report_to_json(r: PoolingReport) -> dict:
-    if isinstance(r.pooled, ProbabilityDistribution):
-        pooled = distribution_to_json(r.pooled)
-    else:
-        pooled = matrix_to_json(r.pooled)
+    classical = isinstance(r.pooled, ProbabilityDistribution)
     out = {
-        "pooled": pooled,
+        "pooled": distribution_to_json(r.pooled) if classical else matrix_to_json(r.pooled),
         "normalization_c": float(r.normalization_c),
         "hermiticity_residual": float(r.hermiticity_residual),
         "min_eigenvalue": float(r.min_eigenvalue),
@@ -212,7 +209,7 @@ def scenario_config_from_json(obj) -> ScenarioConfig:
 
 
 def scenario_result_to_json(res: ScenarioResult) -> dict:
-    out = {
+    return {
         "sigma1": matrix_to_json(res.sigma1),
         "sigma2": matrix_to_json(res.sigma2),
         "compatible": res.verdict.compatible,
@@ -221,4 +218,3 @@ def scenario_result_to_json(res: ScenarioResult) -> dict:
         "pooling": pooling_report_to_json(res.pooling) if res.pooling else None,
         "pooling_error": res.pooling_error,
     }
-    return out

@@ -15,8 +15,14 @@ Conventions
 * ``tensor(a, b)`` is the Kronecker product with the LEFT factor as the
   FIRST region: index ``i*dim(b) + j`` of the product corresponds to basis
   state ``|i>|j>``.
-* Rank decisions use a relative threshold ``rank_tol * max|eigenvalue|``
-  with default ``rank_tol = 1e-10``.
+* One ``eigh`` per operator: support, pseudo-inverse, PSD test and PSD
+  square root all derive from one ``Spectrum``.  Its rank cut, written once
+  in ``Spectrum.of``, keeps ``|w| > rank_tol * max|w|`` (``rank_tol = 1e-10``
+  by default); PSD means ``min w >= -tol * max(max|w|, 1)``, and eigenvalues
+  between that floor and zero are clamped to zero.
+* Subspaces intersect along their principal angles: the singular values of
+  ``B1† B2`` are their cosines, and directions with ``cos >= 1 - tol`` are
+  shared, the criterion ``eig(P + Q) >= 2 - tol`` on an r1 x r2 matrix.
 """
 
 from __future__ import annotations
@@ -53,11 +59,8 @@ def hermitize(m, tol: float | None = None) -> np.ndarray:
     ``tol`` is absolute on the max-norm of M - M†; ``None`` skips the check.
     """
     a = as_matrix(m)
-    if tol is not None and max_norm(a - a.conj().T) > tol:
-        raise ValueError(
-            f"matrix is not Hermitian within tolerance {tol:g} "
-            f"(residual {max_norm(a - a.conj().T):.3e})"
-        )
+    if tol is not None and (r := max_norm(a - a.conj().T)) > tol:
+        raise ValueError(f"matrix is not Hermitian within tolerance {tol:g} (residual {r:.3e})")
     return (a + a.conj().T) / 2
 
 
@@ -67,10 +70,8 @@ def herm_eig(m):
 
 
 def is_psd(m, tol: float = DEFAULT_RANK_TOL) -> bool:
-    """Whether the symmetrization of ``m`` has eigenvalues >= -tol * scale."""
-    w = np.linalg.eigvalsh(hermitize(m))
-    scale = max(float(np.max(np.abs(w))), 1.0) if w.size else 1.0
-    return bool(w.size == 0 or w.min() >= -tol * scale)
+    """Whether the symmetrization of ``m`` has eigenvalues >= -tol * max(max|w|, 1)."""
+    return Spectrum.of(m).is_psd(tol)
 
 
 def check_density(rho, tol: float = 1e-8) -> np.ndarray:
@@ -80,16 +81,13 @@ def check_density(rho, tol: float = 1e-8) -> np.ndarray:
     to zero.  Raises NotPSDError / ValueError on genuine violations.
     """
     h = hermitize(rho, tol=tol)
-    w, v = np.linalg.eigh(h)
-    scale = max(float(np.max(np.abs(w))), 1.0)
-    if w.min() < -tol * scale:
-        raise NotPSDError(f"density operator has eigenvalue {w.min():.3e} < 0")
+    s = Spectrum.of(h)  # symmetrizing the Hermitian h again is exact
+    if not s.is_psd(tol):
+        raise NotPSDError(f"density operator has eigenvalue {s.w.min():.3e} < 0")
     tr = float(np.real(np.trace(h)))
     if abs(tr - 1.0) > tol:
         raise ValueError(f"density operator has trace {tr!r}, expected 1")
-    if w.min() >= 0.0:
-        return h
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+    return h if s.w.min() >= 0.0 else s.psd_function(lambda w: w)
 
 
 def tensor(*ops) -> np.ndarray:
@@ -165,22 +163,15 @@ def sqrt_psd(h, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     Eigenvalues in [-tol*scale, 0) are clamped to zero; anything more
     negative raises NotPSDError.
     """
-    w, v = herm_eig(h)
-    scale = max(float(np.max(np.abs(w))), 1.0) if w.size else 1.0
-    if w.size and w.min() < -tol * scale:
-        raise NotPSDError(f"not PSD: eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    s = Spectrum.of(h)
+    if not s.is_psd(tol):
+        raise NotPSDError(f"not PSD: eigenvalue {s.w.min():.3e}")
+    return s.psd_function(np.sqrt)
 
 
 def pseudo_inverse(h, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Moore-Penrose inverse of a Hermitian operator, restricted to its support."""
-    w, v = herm_eig(h)
-    if w.size == 0:
-        return np.zeros_like(np.asarray(h, dtype=complex))
-    cut = rank_tol * float(np.max(np.abs(w)))
-    inv = np.where(np.abs(w) > cut, 1.0 / np.where(np.abs(w) > cut, w, 1.0), 0.0)
-    return (v * inv) @ v.conj().T
+    return Spectrum.of(h, rank_tol).pinv()
 
 
 @dataclass(frozen=True)
@@ -224,30 +215,67 @@ class Subspace:
         return cls(ambient_dim, np.eye(ambient_dim))
 
 
+@dataclass(frozen=True)
+class Spectrum:
+    """One eigendecomposition of a symmetrized operator: eigenvalues ``w``
+    (ascending), eigenvector columns ``v``, and the rank cut: |w| > ``cut``
+    spans the support."""
+
+    w: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
+    cut: float
+
+    @classmethod
+    def of(cls, m, rank_tol: float = DEFAULT_RANK_TOL) -> "Spectrum":
+        w, v = herm_eig(m)
+        return cls(w, v, rank_tol * float(np.max(np.abs(w))) if w.size else 0.0)
+
+    @property
+    def kept(self) -> np.ndarray:
+        """Mask of the eigenvalues inside the support."""
+        return np.abs(self.w) > self.cut
+
+    def support(self) -> Subspace:
+        """Span of the kept eigenvectors; the zero operator yields the empty subspace."""
+        return Subspace(self.v.shape[0], self.v[:, self.kept])
+
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose inverse: 1/w on the support, 0 off it."""
+        kept = self.kept
+        inv = np.where(kept, 1.0 / np.where(kept, self.w, 1.0), 0.0)
+        return (self.v * inv) @ self.v.conj().T
+
+    def is_psd(self, tol: float) -> bool:
+        w = self.w
+        return bool(w.size == 0 or w.min() >= -tol * max(float(np.max(np.abs(w))), 1.0))
+
+    def psd_function(self, f) -> np.ndarray:
+        """f applied to the eigenvalues clamped at zero (callers check ``is_psd`` first)."""
+        return (self.v * f(np.clip(self.w, 0.0, None))) @ self.v.conj().T
+
+
 def support_projector(h, rank_tol: float = DEFAULT_RANK_TOL) -> Subspace:
     """Span of eigenvectors with |eigenvalue| > rank_tol * max|eigenvalue|.
 
     The zero operator yields the empty subspace.
     """
-    w, v = herm_eig(h)
-    dim = v.shape[0]
-    if w.size == 0 or np.max(np.abs(w)) == 0.0:
-        return Subspace.empty(dim)
-    mask = np.abs(w) > rank_tol * float(np.max(np.abs(w)))
-    return Subspace(dim, v[:, mask])
+    return Spectrum.of(h, rank_tol).support()
 
 
 def subspace_intersection(p: Subspace, q: Subspace, tol: float = 1e-8) -> Subspace:
-    """Geometric intersection of two subspaces.
+    """Geometric intersection of two subspaces, from their principal angles.
 
-    Computed from a single eigendecomposition of P + Q (sum of the two
-    orthogonal projectors): the intersection is spanned by eigenvectors
-    with eigenvalue within ``tol`` of 2.
+    The singular values of Bp† Bq are the cosines of the principal angles;
+    directions with cos >= 1 - tol are shared.  A full subspace meets any
+    other subspace in that subspace, with no decomposition.
     """
     if p.ambient_dim != q.ambient_dim:
         raise DimensionMismatchError(
             f"ambient dims differ: {p.ambient_dim} vs {q.ambient_dim}"
         )
-    w, v = np.linalg.eigh(p.projector() + q.projector())
-    mask = w >= 2.0 - tol
-    return Subspace(p.ambient_dim, v[:, mask])
+    if p.rank == p.ambient_dim or q.is_empty:
+        return q
+    if q.rank == q.ambient_dim or p.is_empty:
+        return p
+    u, cos, _ = np.linalg.svd(p.basis.conj().T @ q.basis, full_matrices=False)
+    return Subspace(p.ambient_dim, p.basis @ u[:, cos >= 1.0 - tol])

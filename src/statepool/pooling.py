@@ -14,26 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compatibility import (
-    SUPPORT_TOL,
-    ProbabilityDistribution,
-    quantum_compatible,
-)
+from .compatibility import SUPPORT_TOL, ProbabilityDistribution, _support_verdict
 from .errors import (
     DimensionMismatchError,
     IncompatibleAssignmentsError,
+    InvalidParameterError,
     NonHermitianPoolingProductError,
     NotPSDError,
     PriorSupportError,
 )
-from .linalg import (
-    DEFAULT_HERM_TOL,
-    DEFAULT_RANK_TOL,
-    as_matrix,
-    max_norm,
-    pseudo_inverse,
-    support_projector,
-)
+from .linalg import DEFAULT_HERM_TOL, DEFAULT_RANK_TOL, Spectrum, as_matrix, max_norm
 
 PROPORTIONALITY_TOL = 1e-9  # max-norm after trace normalization
 
@@ -81,7 +71,7 @@ def classical_pool(
     (Bayesian updating cannot resurrect zero-prior outcomes).
     """
     if not (prior.outcomes == q1.outcomes == q2.outcomes):
-        raise ValueError("distributions are over different outcome sets")
+        raise InvalidParameterError("distributions are over different outcome sets")
     overlap = q1.support(support_tol) & q2.support(support_tol)
     if not overlap:
         raise IncompatibleAssignmentsError("agents incompatible, no pooled state")
@@ -114,20 +104,30 @@ def quantum_pool(
     tolerance ``herm_tol``, the pooled state is (T + T†)/(2 Tr T) with
     c = 1/Tr(T); otherwise NonHermitianPoolingProductError carries the
     residual, signalling a failed conditional-independence precondition.
+    Inputs that are themselves not Hermitian within ``herm_tol`` (on the
+    same relative scale) raise InvalidParameterError.
     """
-    rho = as_matrix(prior)
-    a, b = as_matrix(s1), as_matrix(s2)
+    rho, a, b = (as_matrix(m) for m in (prior, s1, s2))
     if not (rho.shape == a.shape == b.shape):
         raise DimensionMismatchError("prior and posteriors have differing dims")
-    prior_supp = support_projector(rho, rank_tol)
-    for name, sigma in (("s1", a), ("s2", b)):
-        supp = support_projector(sigma, rank_tol)
-        proj = prior_supp.projector()
+    for name, m in (("prior", rho), ("s1", a), ("s2", b)):
+        residual = max_norm(m - m.conj().T)
+        if residual > herm_tol * max(max_norm(m), 1.0):
+            raise InvalidParameterError(f"{name} is not Hermitian (residual {residual:.3e})")
+    supp1, supp2 = (Spectrum.of(m, rank_tol).support() for m in (a, b))
+    return _pool(Spectrum.of(rho, rank_tol), a, b, supp1, supp2, None, herm_tol, psd_tol)
+
+
+def _pool(prior_spectrum, a, b, supp1, supp2, verdict, herm_tol, psd_tol=1e-8) -> PoolingReport:
+    """``quantum_pool`` from the prior's spectrum and the posteriors' supports;
+    ``verdict`` is their compatibility when the caller has decided it, else None."""
+    proj = prior_spectrum.support().projector()
+    for name, supp in (("s1", supp1), ("s2", supp2)):
         if max_norm(proj @ supp.projector() @ proj - supp.projector()) > 1e-8:
             raise PriorSupportError(f"support of {name} escapes the prior's support")
-    if not quantum_compatible(a, b, rank_tol).compatible:
+    if not (verdict or _support_verdict(supp1, supp2)).compatible:
         raise IncompatibleAssignmentsError("incompatible assignments: disjoint supports")
-    t = a @ pseudo_inverse(rho, rank_tol) @ b
+    t = a @ prior_spectrum.pinv() @ b
     scale = max(max_norm(t), 1.0)
     residual = max_norm(t - t.conj().T)
     if residual > herm_tol * scale:

@@ -20,7 +20,6 @@ from typing import Mapping
 
 import numpy as np
 
-from . import linalg
 from .errors import (
     DimensionMismatchError,
     ImpossibleConditioningError,
@@ -28,15 +27,14 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
+    Spectrum,
     as_matrix,
     embed,
     hermitize,
     is_psd,
     max_norm,
     partial_trace,
-    pseudo_inverse,
     sqrt_psd,
-    tensor,
 )
 
 
@@ -147,10 +145,10 @@ def condition(s: JointState, on, rank_tol: float = DEFAULT_RANK_TOL) -> Conditio
     ``on``; singular marginals condition on their support.
     """
     on_names = {on} if isinstance(on, str) else set(on)
-    marg = marginalize(s, on_names)
-    if linalg.support_projector(marg.op, rank_tol).is_empty:
+    spectrum = Spectrum.of(marginalize(s, on_names).op, rank_tol)
+    if spectrum.support().is_empty:
         raise ImpossibleConditioningError("conditioning on impossible event (zero marginal)")
-    inv = pseudo_inverse(marg.op, rank_tol)
+    inv = spectrum.pinv()
     pos = [i for i, r in enumerate(s.regions) if r.name in on_names]
     out = star_product(s.op, inv, dims=s.dims, apply_to=pos)
     target = tuple(r for r in s.regions if r.name not in on_names)

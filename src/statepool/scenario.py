@@ -15,16 +15,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .compatibility import CompatibilityVerdict, quantum_compatible
+from .compatibility import CompatibilityVerdict, _support_verdict
 from .errors import DimensionMismatchError, InvalidParameterError, StatePoolError
 from .linalg import (
     DEFAULT_HERM_TOL,
     DEFAULT_RANK_TOL,
+    Spectrum,
     as_matrix,
     check_density,
     max_norm,
 )
-from .pooling import PoolingReport, quantum_pool
+from .pooling import PoolingReport, _pool
 
 
 class Channel:
@@ -261,24 +262,22 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     in the result (``pooling_error`` carries the exception class and
     message, plus the Hermiticity residual when available).
     """
-    sigma1 = run_pipeline(cfg.pipelines[0], cfg.prior)
-    sigma2 = run_pipeline(cfg.pipelines[1], cfg.prior)
-    verdict = quantum_compatible(sigma1, sigma2, cfg.rank_tol)
-    pooling = None
-    pooling_error = None
-    if verdict.compatible:
-        pool_prior = evolve(cfg.evolved_by, cfg.prior) if cfg.pool_against_evolved else cfg.prior
-        try:
-            pooling = quantum_pool(pool_prior, sigma1, sigma2,
-                                   rank_tol=cfg.rank_tol, herm_tol=cfg.herm_tol)
-        except StatePoolError as exc:
-            pooling_error = {"error": type(exc).__name__, "message": str(exc)}
-            if hasattr(exc, "residual"):
-                pooling_error["residual"] = exc.residual
-    else:
-        pooling_error = {"error": "IncompatibleAssignmentsError",
-                         "message": verdict.diagnostics}
-    return ScenarioResult(sigma1, sigma2, verdict, pooling, pooling_error)
+    sigma1, sigma2 = (run_pipeline(p, cfg.prior) for p in cfg.pipelines)
+    supp1, supp2 = (Spectrum.of(s, cfg.rank_tol).support() for s in (sigma1, sigma2))
+    verdict = _support_verdict(supp1, supp2)
+    if not verdict.compatible:
+        error = {"error": "IncompatibleAssignmentsError", "message": verdict.diagnostics}
+        return ScenarioResult(sigma1, sigma2, verdict, None, error)
+    pool_prior = evolve(cfg.evolved_by, cfg.prior) if cfg.pool_against_evolved else cfg.prior
+    try:
+        pooling = _pool(Spectrum.of(pool_prior, cfg.rank_tol), sigma1, sigma2,
+                        supp1, supp2, verdict, cfg.herm_tol)
+    except StatePoolError as exc:
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        if hasattr(exc, "residual"):
+            error["residual"] = exc.residual
+        return ScenarioResult(sigma1, sigma2, verdict, None, error)
+    return ScenarioResult(sigma1, sigma2, verdict, pooling)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +366,7 @@ def batch_report(dims, count: int, noise_grid, seed: int, generator: str = "rand
     rows = []
     for dim in dims:
         for gi, noise in enumerate(noise_grid):
-            n_compat = 0
-            n_herm = 0
+            n_compat = n_herm = 0
             residuals = []
             for i in range(count):
                 child_seed = [int(seed), int(dim), gi, i]

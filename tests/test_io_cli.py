@@ -127,6 +127,17 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["pooled"]["probs"] == [0.8, 0.2]
 
+    @pytest.mark.parametrize("command", ["compat-classical", "pool-classical"])
+    def test_classical_different_outcome_sets_exit_2(self, tmp_path, capsys, command):
+        a = write_json(tmp_path / "a.json", {"outcomes": [0, 1], "probs": [0.5, 0.5]})
+        b = write_json(tmp_path / "b.json", {"outcomes": [0, 2], "probs": [0.5, 0.5]})
+        argv = (a, a, b) if command == "pool-classical" else (a, b)
+        code, out = run_cli(capsys, command, *argv)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"] == "malformed_input"
+        assert "different outcome sets" in payload["message"]
+
     def test_suffstat(self, tmp_path, capsys):
         table = write_json(tmp_path / "t.json", {
             "given_outcomes": [0, 1],

@@ -1,0 +1,222 @@
+"""One spectrum per operator: Spectrum-derived quantities, the principal-angle
+intersection, decomposition counts on the hot paths, and golden bytes."""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from statepool import io, regions
+from statepool.cli import main
+from statepool.errors import InvalidParameterError, NonHermitianPoolingProductError
+from statepool.linalg import Spectrum, Subspace, max_norm, subspace_intersection
+from statepool.pooling import quantum_pool
+from statepool.scenario import random_instance, run_scenario
+
+from oracles import rand_density, rand_psd
+
+TOL = 1e-8  # subspace_intersection's default
+
+
+def haar(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def old_intersection_rank(p: Subspace, q: Subspace, tol: float = TOL) -> int:
+    """The rule subspace_intersection used before: eig(P + Q) >= 2 - tol."""
+    return int(np.count_nonzero(np.linalg.eigvalsh(p.projector() + q.projector()) >= 2.0 - tol))
+
+
+def span(rng, cols):
+    """Subspace spanned by ``cols`` (orthonormal), with its basis scrambled."""
+    d, r = cols.shape
+    return Subspace(d, cols @ haar(rng, r) if r else cols)
+
+
+PAIR_KINDS = ("nested", "equal", "orthogonal", "random", "empty", "angle_in", "angle_out")
+
+
+def subspace_pair(kind, d, r1, r2, seed):
+    rng = np.random.default_rng(seed)
+    u = haar(rng, d)
+    r1, r2 = sorted((r1 % (d + 1), r2 % (d + 1)))
+    if kind == "nested":
+        return span(rng, u[:, :r1]), span(rng, u[:, :r2])
+    if kind == "equal":
+        return span(rng, u[:, :r2]), span(rng, u[:, :r2])
+    if kind == "orthogonal":
+        r1 = min(r1, d - r2)
+        return span(rng, u[:, :r1]), span(rng, u[:, d - r2:])
+    if kind == "random":
+        return span(rng, haar(rng, d)[:, :r1]), span(rng, u[:, :r2])
+    if kind == "empty":
+        return Subspace.empty(d), span(rng, u[:, :r2])
+    # k shared directions plus one pair at a principal angle whose 1 - cos is
+    # 100x inside or 100x outside the tolerance.
+    k = min(r1, d - 2)
+    theta = np.arccos(1.0 - (TOL / 100 if kind == "angle_in" else TOL * 100))
+    tilted = np.cos(theta) * u[:, k] + np.sin(theta) * u[:, k + 1]
+    return (span(rng, u[:, : k + 1]),
+            span(rng, np.column_stack([u[:, :k], tilted])))
+
+
+class TestPrincipalAngleIntersection:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(PAIR_KINDS), st.integers(2, 7), st.integers(0, 7),
+           st.integers(0, 7), st.integers(0, 10_000))
+    def test_same_rank_as_projector_sum_rule(self, kind, d, r1, r2, seed):
+        p, q = subspace_pair(kind, d, r1, r2, seed)
+        for a, b in ((p, q), (q, p)):
+            got = subspace_intersection(a, b)
+            assert got.rank == old_intersection_rank(a, b)
+            # the shared directions lie in both subspaces, up to the tolerated angle
+            for s in (a, b):
+                assert max_norm(s.projector() @ got.basis - got.basis) < 1e-4
+
+    @pytest.mark.parametrize("kind, rank", [("angle_in", 2), ("angle_out", 1)])
+    def test_angle_on_either_side_of_the_tolerance(self, kind, rank):
+        p, q = subspace_pair(kind, 4, 1, 2, seed=3)
+        assert subspace_intersection(p, q).rank == rank
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_pinv_matches_numpy(self, d):
+        rng = np.random.default_rng(d)
+        for rank in range(1, d + 1):
+            m = rand_psd(rng, d, rank=rank)
+            want = np.linalg.pinv(m, rcond=1e-10, hermitian=True)
+            assert max_norm(Spectrum.of(m).pinv() - want) < 1e-10 * max(1.0, max_norm(want))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_sqrt_matches_scipy(self, d):
+        m = rand_density(np.random.default_rng(10 + d), d)
+        assert max_norm(Spectrum.of(m).psd_function(np.sqrt) - scipy.linalg.sqrtm(m)) < 1e-10
+
+    def test_support_pinv_and_psd_share_the_one_cut(self):
+        s = Spectrum.of(np.diag([2.0, 1e-12, 0.0, -1e-13]), rank_tol=1e-10)
+        assert s.support().rank == 1
+        assert max_norm(s.pinv() - np.diag([0.5, 0.0, 0.0, 0.0])) == 0.0
+        assert s.is_psd(1e-10) and not Spectrum.of(np.diag([1.0, -0.1])).is_psd(1e-10)
+
+    def test_zero_operator(self):
+        s = Spectrum.of(np.zeros((3, 3)))
+        assert s.support().is_empty and max_norm(s.pinv()) == 0.0
+
+
+class Counter:
+    """Counts the dense decompositions numpy.linalg is asked for."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, self._wrap(name, getattr(np.linalg, name)))
+
+    def _wrap(self, name, fn):
+        def wrapper(a, *args, **kwargs):
+            self.calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    def count(self, *names):
+        return sum(1 for n, _ in self.calls if n in names)
+
+
+class TestDecompositionCounts:
+    @pytest.mark.parametrize("d", [2, 8])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_run_scenario(self, monkeypatch, d, seed):
+        c = Counter(monkeypatch)
+        run_scenario(random_instance(d, seed, 0.5))
+        assert c.count("eigh", "eigvalsh", "svd") <= 5
+
+    def test_run_scenario_incompatible(self, monkeypatch):
+        from statepool.scenario import adversarial_instance
+
+        cfg = adversarial_instance(3, 1)
+        c = Counter(monkeypatch)
+        assert not run_scenario(cfg).verdict.compatible
+        assert c.count("eigh", "eigvalsh", "svd") <= 3
+
+    def test_quantum_pool_success(self, monkeypatch):
+        # rank-deficient posteriors sharing one direction, so the SVD runs too
+        prior = np.eye(3) / 3
+        s1, s2 = np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.5, 0.5])
+        c = Counter(monkeypatch)
+        report = quantum_pool(prior, s1, s2)
+        assert max_norm(report.pooled - np.diag([0.0, 1.0, 0.0])) < 1e-12
+        assert c.count("eigh", "svd") <= 4 and c.count("svd") == 1
+        assert c.count("eigvalsh") == 1
+
+    def test_quantum_pool_failure(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        prior, s1, s2 = (rand_density(rng, 4) for _ in range(3))
+        c = Counter(monkeypatch)
+        with pytest.raises(NonHermitianPoolingProductError):
+            quantum_pool(prior, s1, s2)
+        assert c.count("eigh", "svd") <= 4 and c.count("eigvalsh") == 0
+
+    def test_condition_decomposes_the_marginal_once(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        s = regions.JointState(
+            (regions.RegionLabel("A", 2), regions.RegionLabel("B", 3)), rand_density(rng, 6)
+        )
+        c = Counter(monkeypatch)
+        regions.condition(s, "B")
+        assert [shape for n, shape in c.calls if n == "eigh"].count((3, 3)) == 1
+        assert c.count("eigvalsh", "svd") == 0
+
+
+class TestNonHermitianPoolingInput:
+    SIGMA = np.array([[0.5, 0.3], [0.0, 0.5]])
+
+    def test_rejected_before_the_product(self):
+        with pytest.raises(InvalidParameterError, match="s1 is not Hermitian"):
+            quantum_pool(np.eye(2) / 2, self.SIGMA, np.eye(2) / 2)
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_any_slot(self, slot):
+        args = [np.eye(2) / 2] * 3
+        args[slot] = self.SIGMA
+        with pytest.raises(InvalidParameterError):
+            quantum_pool(*args)
+
+    def test_hermitian_drift_within_tolerance_is_accepted(self):
+        s = np.eye(2) / 2 + np.array([[0.0, 1e-12], [0.0, 0.0]])
+        assert quantum_pool(np.eye(2) / 2, s, np.eye(2) / 2).pooled.shape == (2, 2)
+
+    def test_cli_exit_2(self, tmp_path, capsys):
+        paths = []
+        for name, m in (("p", np.eye(2) / 2), ("a", self.SIGMA), ("b", np.eye(2) / 2)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(io.matrix_to_json(m)))
+            paths.append(str(path))
+        code = main(["pool-quantum", *paths])
+        assert code == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "malformed_input"
+
+
+# SHA-256 of `scenario-run` on `randgen --dim d --noise 0.5 --seed 7`, taken
+# before the spectra were shared: they pin intersection_rank and the bytes of
+# the pooling residual.
+SCENARIO_RUN_SHA256 = {
+    2: "229e7e2af4a52fa6ce9b1f6d30a00ea44c0dbdbb77dae10887c50b2dd6c8fd88",
+    8: "3a92c6f502aedad12b6291d9d904457ddc8d8a23680436085f54931a470f184a",
+}
+
+
+@pytest.mark.parametrize("d", sorted(SCENARIO_RUN_SHA256))
+def test_scenario_run_golden_bytes(tmp_path, capsys, d):
+    cfg = str(tmp_path / "cfg.json")
+    assert main(["randgen", "--dim", str(d), "--noise", "0.5", "--seed", "7",
+                 "--output", cfg]) == 0
+    capsys.readouterr()
+    assert main(["scenario-run", cfg]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SCENARIO_RUN_SHA256[d]
