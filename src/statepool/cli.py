@@ -14,16 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import io
-from .compatibility import (
-    ConditionalDistribution,
-    classical_compatible,
-    quantum_compatible,
-)
+from .compatibility import ConditionalDistribution, classical_compatible, quantum_compatible
 from .errors import InvalidParameterError, StatePoolError
 from .io import MalformedInputError
 from .linalg import DEFAULT_HERM_TOL, DEFAULT_RANK_TOL, Subspace
@@ -103,10 +98,10 @@ def _cmd_suffstat(args) -> int:
 
 
 def _cmd_scenario_run(args) -> int:
-    cfg = io.scenario_config_from_json(_read_json(args.config))
-    overrides = {k: getattr(args, k) for k in ("rank_tol", "herm_tol")
-                 if getattr(args, k) is not None}
-    res = run_scenario(replace(cfg, **overrides) if overrides else cfg)
+    obj = _read_json(args.config)
+    if isinstance(obj, dict):  # override before the config is built and checked
+        obj |= {k: v for k in ("rank_tol", "herm_tol") if (v := getattr(args, k)) is not None}
+    res = run_scenario(io.scenario_config_from_json(obj))
     _write(io.scenario_result_to_json(res), args.output)
     return 0
 

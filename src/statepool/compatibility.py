@@ -16,11 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
 from .linalg import (
-    DEFAULT_RANK_TOL,
-    Subspace,
-    as_matrix,
-    max_norm,
-    subspace_intersection,
+    DEFAULT_RANK_TOL, Subspace, as_matrix, check_hermitian, max_norm, subspace_intersection,
     support_projector,
 )
 from .regions import HybridState, quantum_bayes
@@ -122,10 +118,14 @@ def classical_compatible(
 
 def quantum_compatible(s1, s2, rank_tol: float = DEFAULT_RANK_TOL) -> CompatibilityVerdict:
     """Support-overlap decision for density operators: compatible iff the
-    geometric intersection of the two supports is nonzero."""
+    geometric intersection of the two supports is nonzero.  An input that is
+    not Hermitian within ``DEFAULT_HERM_TOL`` (relative) raises
+    InvalidParameterError."""
     a, b = as_matrix(s1), as_matrix(s2)
     if a.shape != b.shape:
         raise DimensionMismatchError("states have different dims")
+    check_hermitian(a, "s1")
+    check_hermitian(b, "s2")
     return _support_verdict(support_projector(a, rank_tol), support_projector(b, rank_tol))
 
 

@@ -2,26 +2,30 @@
 
 Matrix encoding: {"dim": n, "entries": [[re, im], ...]} with exactly n^2
 row-major entries, each a pair of finite reals.  Serialization prints
-floats with 17 significant digits so every value round-trips exactly and
-repeated runs are byte-identical.
+floats with 17 significant digits so every value but a zero's sign ("-0"
+reads back as 0) round-trips exactly and repeated runs are byte-identical.
+
+Each matrix takes one C-level pass: the encoder spots a list of
+[float, float] pairs by its type and length sets, checks it with one
+numpy call and prints it with one "%.17g" format (the text of
+``format(x, ".17g")``); the decoder converts with one ``np.array``.  Other
+lists, and pairs those sets reject, go entry by entry with the same text
+and messages.  An integer entry beyond float range is non-finite input:
+MalformedInputError, CLI exit 2, as for a non-Hermitian compat-quantum state.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import suppress
+from itertools import chain
 
 import numpy as np
 
 from .compatibility import ProbabilityDistribution
 from .pooling import PoolingReport
 from .regions import HybridState
-from .scenario import (
-    AgentPipeline,
-    KrausChannel,
-    ScenarioConfig,
-    ScenarioResult,
-    UnitaryDynamics,
-)
+from .scenario import AgentPipeline, KrausChannel, ScenarioConfig, ScenarioResult, UnitaryDynamics
 
 
 class MalformedInputError(ValueError):
@@ -37,20 +41,27 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _is_pair_list(obj) -> bool:
+    """Whether ``obj`` is a nonempty list of plain two-element lists, by C-level sets."""
+    return bool(obj) and set(map(type, obj)) == {list} and set(map(len, obj)) == {2}
+
+
 def _encode(obj) -> str:
     """Deterministic JSON text with 17-significant-digit floats."""
-    if obj is None or obj is True or obj is False:
+    if obj is None or isinstance(obj, (bool, str)):
         return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+    if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {_encode(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
+        if _is_pair_list(obj) and set(map(type, flat := list(chain(*obj)))) == {float}:
+            if not (finite := np.isfinite(flat)).all():
+                _fmt_float(flat[int(np.argmin(finite))])  # raises, naming the first one
+            return "[" + ", ".join(["[%.17g, %.17g]"] * len(obj)) % tuple(flat) + "]"
         return "[" + ", ".join(_encode(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)}")
 
@@ -63,7 +74,7 @@ def matrix_to_json(m) -> dict:
     a = np.asarray(m, dtype=complex)
     return {
         "dim": int(a.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in a.reshape(-1)],
+        "entries": np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist(),
     }
 
 
@@ -76,16 +87,20 @@ def matrix_from_json(obj) -> np.ndarray:
         raise MalformedInputError(f'"dim" must be a positive integer, got {dim!r}')
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise MalformedInputError(f'"entries" must hold exactly {dim * dim} pairs')
-    flat = np.empty(dim * dim, dtype=complex)
-    for i, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-        ):
-            raise MalformedInputError(f"entry {i} is not a [re, im] pair of reals")
-        flat[i] = complex(pair[0], pair[1])
-    if not np.all(np.isfinite(flat)):
+    reals = list(chain(*entries)) if _is_pair_list(entries) else None
+    if reals is None or not set(map(type, reals)) <= {float, int}:  # name the first bad entry
+        for i, pair in enumerate(entries):
+            if (
+                not isinstance(pair, list)
+                or len(pair) != 2
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+            ):
+                raise MalformedInputError(f"entry {i} is not a [re, im] pair of reals")
+        reals = list(chain(*entries))
+    flat = None
+    with suppress(OverflowError):  # an int beyond float range, as non-finite as 1e400
+        flat = np.array(reals, dtype=float).view(complex)
+    if flat is None or not np.all(np.isfinite(flat)):
         raise MalformedInputError("matrix entries must be finite")
     return flat.reshape(dim, dim)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotPSDError
+from .errors import DimensionMismatchError, InvalidParameterError, NotPSDError
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_HERM_TOL = 1e-8
@@ -62,6 +62,13 @@ def hermitize(m, tol: float | None = None) -> np.ndarray:
     if tol is not None and (r := max_norm(a - a.conj().T)) > tol:
         raise ValueError(f"matrix is not Hermitian within tolerance {tol:g} (residual {r:.3e})")
     return (a + a.conj().T) / 2
+
+
+def check_hermitian(m, name: str, tol: float = DEFAULT_HERM_TOL) -> None:
+    """Raise InvalidParameterError unless max_norm(M - M†) <= tol * max(max_norm(M), 1)."""
+    residual = max_norm(m - m.conj().T)
+    if residual > tol and residual > tol * max(max_norm(m), 1.0):  # the scale is >= 1
+        raise InvalidParameterError(f"{name} is not Hermitian (residual {residual:.3e})")
 
 
 def herm_eig(m):

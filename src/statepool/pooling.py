@@ -16,14 +16,12 @@ import numpy as np
 
 from .compatibility import SUPPORT_TOL, ProbabilityDistribution, _support_verdict
 from .errors import (
-    DimensionMismatchError,
-    IncompatibleAssignmentsError,
-    InvalidParameterError,
-    NonHermitianPoolingProductError,
-    NotPSDError,
-    PriorSupportError,
+    DimensionMismatchError, IncompatibleAssignmentsError, InvalidParameterError,
+    NonHermitianPoolingProductError, NotPSDError, PriorSupportError,
 )
-from .linalg import DEFAULT_HERM_TOL, DEFAULT_RANK_TOL, Spectrum, as_matrix, max_norm
+from .linalg import (
+    DEFAULT_HERM_TOL, DEFAULT_RANK_TOL, Spectrum, as_matrix, check_hermitian, max_norm,
+)
 
 PROPORTIONALITY_TOL = 1e-9  # max-norm after trace normalization
 
@@ -111,9 +109,7 @@ def quantum_pool(
     if not (rho.shape == a.shape == b.shape):
         raise DimensionMismatchError("prior and posteriors have differing dims")
     for name, m in (("prior", rho), ("s1", a), ("s2", b)):
-        residual = max_norm(m - m.conj().T)
-        if residual > herm_tol * max(max_norm(m), 1.0):
-            raise InvalidParameterError(f"{name} is not Hermitian (residual {residual:.3e})")
+        check_hermitian(m, name, herm_tol)
     supp1, supp2 = (Spectrum.of(m, rank_tol).support() for m in (a, b))
     return _pool(Spectrum.of(rho, rank_tol), a, b, supp1, supp2, None, herm_tol, psd_tol)
 

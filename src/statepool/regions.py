@@ -20,20 +20,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    ImpossibleConditioningError,
-    NotPSDError,
-)
+from .errors import DimensionMismatchError, ImpossibleConditioningError, NotPSDError
 from .linalg import (
-    DEFAULT_RANK_TOL,
-    Spectrum,
-    as_matrix,
-    embed,
-    hermitize,
-    is_psd,
-    max_norm,
-    partial_trace,
+    DEFAULT_RANK_TOL, Spectrum, as_matrix, embed, hermitize, is_psd, max_norm, partial_trace,
     sqrt_psd,
 )
 

@@ -18,12 +18,7 @@ import numpy as np
 from .compatibility import CompatibilityVerdict, _support_verdict
 from .errors import DimensionMismatchError, InvalidParameterError, StatePoolError
 from .linalg import (
-    DEFAULT_HERM_TOL,
-    DEFAULT_RANK_TOL,
-    Spectrum,
-    as_matrix,
-    check_density,
-    max_norm,
+    DEFAULT_HERM_TOL, DEFAULT_RANK_TOL, Spectrum, as_matrix, check_density, max_norm,
 )
 from .pooling import PoolingReport, _pool
 

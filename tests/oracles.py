@@ -6,6 +6,7 @@ generators below use raw numpy.
 """
 
 import itertools
+import json
 
 import numpy as np
 from scipy.optimize import linprog
@@ -106,3 +107,49 @@ def rand_povm(rng, dim, n_outcomes):
     w, v = np.linalg.eigh(total)
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     return [inv_sqrt @ m @ inv_sqrt for m in raw]
+
+
+# --- matrix JSON, one Python step per float --------------------------------
+# The encoder and decoder the one-pass matrix code must agree with.
+
+
+def per_float_matrix_json(m):
+    """``io.matrix_to_json`` as a list of [re, im] pairs built entry by entry."""
+    a = np.asarray(m, dtype=complex)
+    return {"dim": int(a.shape[0]),
+            "entries": [[float(z.real), float(z.imag)] for z in a.reshape(-1)]}
+
+
+def per_float_dumps(obj):
+    """``io.dumps`` with one recursive call per value and ``format(x, ".17g")``."""
+    def enc(obj):
+        if obj is None or obj is True or obj is False or isinstance(obj, str):
+            return json.dumps(obj)
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            if not np.isfinite(obj):
+                raise ValueError(f"cannot serialize non-finite value {obj!r}")
+            return format(float(obj), ".17g")
+        if isinstance(obj, dict):
+            return "{" + ", ".join(f"{json.dumps(str(k))}: {enc(v)}" for k, v in obj.items()) + "}"
+        if isinstance(obj, (list, tuple)):
+            return "[" + ", ".join(enc(v) for v in obj) + "]"
+        raise TypeError(f"cannot serialize {type(obj)}")
+    return enc(obj) + "\n"
+
+
+def per_entry_matrix_entries(entries):
+    """The entry-by-entry decode of a matrix's "entries": the flat complex array,
+    or ValueError with the message naming the first entry that is not a pair
+    of reals."""
+    flat = np.empty(len(entries), dtype=complex)
+    for i, pair in enumerate(entries):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+        ):
+            raise ValueError(f"entry {i} is not a [re, im] pair of reals")
+        flat[i] = complex(pair[0], pair[1])
+    return flat
