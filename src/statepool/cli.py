@@ -90,10 +90,10 @@ def _cmd_suffstat(args) -> int:
             tuple(obj["out_outcomes"]),
             np.asarray(obj["table"], dtype=float),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        classes = [sorted(c) for c in minimal_sufficient_statistic(cond).classes]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # labels that do not sort
         raise MalformedInputError(f"bad conditional table: {exc}") from exc
-    stat = minimal_sufficient_statistic(cond)
-    _write({"classes": [sorted(c) for c in stat.classes]}, args.output)
+    _write({"classes": classes}, args.output)
     return 0
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
 from .linalg import (
-    DEFAULT_RANK_TOL, Subspace, as_matrix, check_hermitian, max_norm, subspace_intersection,
-    support_projector,
+    DEFAULT_RANK_TOL, Subspace, as_matrix, check_hermitian, check_tolerances, checked_spectrum,
+    max_norm, subspace_intersection,
 )
 from .regions import HybridState, quantum_bayes
 
@@ -71,6 +71,8 @@ class ConditionalDistribution:
         ox = tuple(self.out_outcomes)
         if t.shape != (len(ox), len(gy)):
             raise ValueError(f"table shape {t.shape} != (|X|, |Y|) = ({len(ox)}, {len(gy)})")
+        if len(set(gy)) != len(gy) or len(set(ox)) != len(ox):
+            raise ValueError("duplicate outcome labels")
         if np.any(t < -SUPPORT_TOL):
             raise ValueError("negative conditional probability")
         colsums = t.sum(axis=0)
@@ -119,14 +121,17 @@ def classical_compatible(
 def quantum_compatible(s1, s2, rank_tol: float = DEFAULT_RANK_TOL) -> CompatibilityVerdict:
     """Support-overlap decision for density operators: compatible iff the
     geometric intersection of the two supports is nonzero.  An input that is
-    not Hermitian within ``DEFAULT_HERM_TOL`` (relative) raises
-    InvalidParameterError."""
+    not Hermitian within ``DEFAULT_HERM_TOL`` (relative) or not PSD within
+    ``DEFAULT_PSD_TOL``, or a ``rank_tol`` outside ``check_tolerances``,
+    raises InvalidParameterError."""
+    check_tolerances(rank_tol)
     a, b = as_matrix(s1), as_matrix(s2)
     if a.shape != b.shape:
         raise DimensionMismatchError("states have different dims")
     check_hermitian(a, "s1")
     check_hermitian(b, "s2")
-    return _support_verdict(support_projector(a, rank_tol), support_projector(b, rank_tol))
+    return _support_verdict(checked_spectrum(a, "s1", rank_tol).support(),
+                            checked_spectrum(b, "s2", rank_tol).support())
 
 
 def _support_verdict(p: Subspace, q: Subspace) -> CompatibilityVerdict:

@@ -83,7 +83,7 @@ def matrix_from_json(obj) -> np.ndarray:
         raise MalformedInputError('matrix object must have exactly keys "dim" and "entries"')
     dim = obj["dim"]
     entries = obj["entries"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # a JSON true is no dimension
         raise MalformedInputError(f'"dim" must be a positive integer, got {dim!r}')
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise MalformedInputError(f'"entries" must hold exactly {dim * dim} pairs')
@@ -118,7 +118,7 @@ def distribution_from_json(obj) -> ProbabilityDistribution:
         raise MalformedInputError('"outcomes" and "probs" must be lists')
     try:
         return ProbabilityDistribution(tuple(obj["outcomes"]), np.asarray(obj["probs"], float))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:  # an int beyond float range
         raise MalformedInputError(str(exc)) from exc
 
 
@@ -219,7 +219,7 @@ def scenario_config_from_json(obj) -> ScenarioConfig:
         )
     except MalformedInputError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(f"bad scenario config: {exc}") from exc
 
 

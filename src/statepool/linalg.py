@@ -19,7 +19,11 @@ Conventions
   square root all derive from one ``Spectrum``.  Its rank cut, written once
   in ``Spectrum.of``, keeps ``|w| > rank_tol * max|w|`` (``rank_tol = 1e-10``
   by default); PSD means ``min w >= -tol * max(max|w|, 1)``, and eigenvalues
-  between that floor and zero are clamped to zero.
+  between that floor and zero are clamped to zero.  A scenario's prior is
+  decomposed once: the density check hands its ``Spectrum`` on to pooling.
+* Tolerances follow one rule, ``check_tolerances``: ``rank_tol`` is finite
+  and in [0, 1), ``herm_tol`` finite and >= 0.  A NaN, infinite or negative
+  tolerance is InvalidParameterError (CLI exit 2), never a verdict.
 * Subspaces intersect along their principal angles: the singular values of
   ``B1† B2`` are their cosines, and directions with ``cos >= 1 - tol`` are
   shared, the criterion ``eig(P + Q) >= 2 - tol`` on an r1 x r2 matrix.
@@ -35,6 +39,7 @@ from .errors import DimensionMismatchError, InvalidParameterError, NotPSDError
 
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_HERM_TOL = 1e-8
+DEFAULT_PSD_TOL = 1e-8
 
 
 def as_matrix(m) -> np.ndarray:
@@ -64,6 +69,15 @@ def hermitize(m, tol: float | None = None) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
+def check_tolerances(rank_tol: float = DEFAULT_RANK_TOL,
+                     herm_tol: float = DEFAULT_HERM_TOL) -> None:
+    """Raise InvalidParameterError unless 0 <= rank_tol < 1 and 0 <= herm_tol < inf."""
+    if not 0.0 <= rank_tol < 1.0:  # also rejects NaN
+        raise InvalidParameterError(f"rank_tol {rank_tol!r} outside [0, 1)")
+    if not 0.0 <= herm_tol < np.inf:
+        raise InvalidParameterError(f"herm_tol {herm_tol!r} is not a finite value >= 0")
+
+
 def check_hermitian(m, name: str, tol: float = DEFAULT_HERM_TOL) -> None:
     """Raise InvalidParameterError unless max_norm(M - M†) <= tol * max(max_norm(M), 1)."""
     residual = max_norm(m - m.conj().T)
@@ -81,20 +95,37 @@ def is_psd(m, tol: float = DEFAULT_RANK_TOL) -> bool:
     return Spectrum.of(m).is_psd(tol)
 
 
-def check_density(rho, tol: float = 1e-8) -> np.ndarray:
+def check_density(rho, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
     """Validate ``rho`` as a density operator: Hermitian, PSD, unit trace.
 
     Returns the symmetrized matrix with tiny negative eigenvalues clamped
     to zero.  Raises NotPSDError / ValueError on genuine violations.
     """
+    return _density_spectrum(rho, tol)[0]
+
+
+def _density_spectrum(rho, tol: float = DEFAULT_PSD_TOL, rank_tol: float = DEFAULT_RANK_TOL):
+    """``check_density``'s matrix and the Spectrum of exactly that matrix, cut at ``rank_tol``."""
     h = hermitize(rho, tol=tol)
-    s = Spectrum.of(h)  # symmetrizing the Hermitian h again is exact
+    s = Spectrum.of(h, rank_tol)  # symmetrizing the Hermitian h again is exact
     if not s.is_psd(tol):
         raise NotPSDError(f"density operator has eigenvalue {s.w.min():.3e} < 0")
     tr = float(np.real(np.trace(h)))
     if abs(tr - 1.0) > tol:
         raise ValueError(f"density operator has trace {tr!r}, expected 1")
-    return h if s.w.min() >= 0.0 else s.psd_function(lambda w: w)
+    if s.w.min() >= 0.0:
+        return h, s
+    clamped = s.psd_function(lambda w: w)
+    return clamped, Spectrum.of(clamped, rank_tol)
+
+
+def checked_spectrum(m, name: str, rank_tol: float = DEFAULT_RANK_TOL,
+                     psd_tol: float = DEFAULT_PSD_TOL) -> Spectrum:
+    """The Spectrum of ``m``; InvalidParameterError unless it is PSD within ``psd_tol``."""
+    s = Spectrum.of(m, rank_tol)
+    if not s.is_psd(psd_tol):
+        raise InvalidParameterError(f"{name} is not PSD (eigenvalue {s.w.min():.3e})")
+    return s
 
 
 def tensor(*ops) -> np.ndarray:

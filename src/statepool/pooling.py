@@ -20,7 +20,8 @@ from .errors import (
     NonHermitianPoolingProductError, NotPSDError, PriorSupportError,
 )
 from .linalg import (
-    DEFAULT_HERM_TOL, DEFAULT_RANK_TOL, Spectrum, as_matrix, check_hermitian, max_norm,
+    DEFAULT_HERM_TOL, DEFAULT_PSD_TOL, DEFAULT_RANK_TOL, as_matrix, check_hermitian,
+    check_tolerances, checked_spectrum, max_norm,
 )
 
 PROPORTIONALITY_TOL = 1e-9  # max-norm after trace normalization
@@ -94,7 +95,7 @@ def quantum_pool(
     s2,
     rank_tol: float = DEFAULT_RANK_TOL,
     herm_tol: float = DEFAULT_HERM_TOL,
-    psd_tol: float = 1e-8,
+    psd_tol: float = DEFAULT_PSD_TOL,
 ) -> PoolingReport:
     """Pool two quantum posteriors against their shared prior.
 
@@ -103,27 +104,36 @@ def quantum_pool(
     c = 1/Tr(T); otherwise NonHermitianPoolingProductError carries the
     residual, signalling a failed conditional-independence precondition.
     Inputs that are themselves not Hermitian within ``herm_tol`` (on the
-    same relative scale) raise InvalidParameterError.
+    same relative scale) or not PSD within ``psd_tol``, and tolerances
+    outside ``check_tolerances``, raise InvalidParameterError.
     """
+    check_tolerances(rank_tol, herm_tol)
     rho, a, b = (as_matrix(m) for m in (prior, s1, s2))
     if not (rho.shape == a.shape == b.shape):
         raise DimensionMismatchError("prior and posteriors have differing dims")
-    for name, m in (("prior", rho), ("s1", a), ("s2", b)):
+    named = (("prior", rho), ("s1", a), ("s2", b))
+    for name, m in named:
         check_hermitian(m, name, herm_tol)
-    supp1, supp2 = (Spectrum.of(m, rank_tol).support() for m in (a, b))
-    return _pool(Spectrum.of(rho, rank_tol), a, b, supp1, supp2, None, herm_tol, psd_tol)
+    prior_spectrum, spec1, spec2 = (checked_spectrum(m, name, rank_tol, psd_tol)
+                                    for name, m in named)
+    return _pool(prior_spectrum, a, b, spec1.support(), spec2.support(), None, herm_tol, psd_tol)
 
 
-def _pool(prior_spectrum, a, b, supp1, supp2, verdict, herm_tol, psd_tol=1e-8) -> PoolingReport:
+def _pool(prior_spectrum, a, b, supp1, supp2, verdict, herm_tol,
+          psd_tol=DEFAULT_PSD_TOL) -> PoolingReport:
     """``quantum_pool`` from the prior's spectrum and the posteriors' supports;
-    ``verdict`` is their compatibility when the caller has decided it, else None."""
-    proj = prior_spectrum.support().projector()
-    for name, supp in (("s1", supp1), ("s2", supp2)):
-        if max_norm(proj @ supp.projector() @ proj - supp.projector()) > 1e-8:
-            raise PriorSupportError(f"support of {name} escapes the prior's support")
+    ``verdict`` is their compatibility when the caller has decided it, else None.
+    A full-rank prior's support is the whole space, which holds both supports."""
+    if not prior_spectrum.kept.all():
+        proj = prior_spectrum.support().projector()
+        for name, supp in (("s1", supp1), ("s2", supp2)):
+            if max_norm(proj @ supp.projector() @ proj - supp.projector()) > 1e-8:
+                raise PriorSupportError(f"support of {name} escapes the prior's support")
     if not (verdict or _support_verdict(supp1, supp2)).compatible:
         raise IncompatibleAssignmentsError("incompatible assignments: disjoint supports")
     t = a @ prior_spectrum.pinv() @ b
+    if not np.isfinite(t).all():
+        raise InvalidParameterError("pooling product overflows: inputs beyond float range")
     scale = max(max_norm(t), 1.0)
     residual = max_norm(t - t.conj().T)
     if residual > herm_tol * scale:

@@ -18,7 +18,8 @@ import numpy as np
 from .compatibility import CompatibilityVerdict, _support_verdict
 from .errors import DimensionMismatchError, InvalidParameterError, StatePoolError
 from .linalg import (
-    DEFAULT_HERM_TOL, DEFAULT_RANK_TOL, Spectrum, as_matrix, check_density, max_norm,
+    DEFAULT_HERM_TOL, DEFAULT_RANK_TOL, Spectrum, _density_spectrum, as_matrix, check_tolerances,
+    max_norm,
 )
 from .pooling import PoolingReport, _pool
 
@@ -51,7 +52,7 @@ class KrausChannel(Channel):
         if any(k.shape != (d_out, d_in) for k in ops):
             raise DimensionMismatchError("Kraus operators have inconsistent shapes")
         residual = max_norm(sum(k.conj().T @ k for k in ops) - np.eye(d_in))
-        if residual > 1e-10:
+        if not residual <= 1e-10:  # NaN too, from an overflowing sum
             raise ValueError(f"Kraus operators violate trace preservation (residual {residual:.3e})")
         object.__setattr__(self, "kraus_ops", ops)
 
@@ -70,7 +71,7 @@ class UnitaryDynamics(Channel):
 
     def __post_init__(self):
         u = as_matrix(self.u)
-        if max_norm(u.conj().T @ u - np.eye(u.shape[0])) > 1e-10:
+        if not max_norm(u.conj().T @ u - np.eye(u.shape[0])) <= 1e-10:  # NaN too
             raise ValueError("matrix is not unitary")
         object.__setattr__(self, "u", u)
 
@@ -189,7 +190,8 @@ class ScenarioConfig:
 
     ``pool_against_evolved`` switches the pooling prior from the shared
     original prior to the prior pushed through ``evolved_by`` (a unitary),
-    for exploring the alternative reading of the narrative.
+    for exploring the alternative reading of the narrative.  The prior's
+    Spectrum from the density check is kept, unserialized, for pooling.
     """
 
     prior: np.ndarray = field(repr=False)
@@ -199,9 +201,11 @@ class ScenarioConfig:
     seed: int = 0
     pool_against_evolved: bool = False
     evolved_by: UnitaryDynamics | None = None
+    _prior_spectrum: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        prior = check_density(self.prior)
+        check_tolerances(self.rank_tol, self.herm_tol)
+        prior, spectrum = _density_spectrum(self.prior, rank_tol=self.rank_tol)
         pipelines = tuple(self.pipelines)
         if len(pipelines) != 2:
             raise ValueError(f"exactly two agent pipelines required, got {len(pipelines)}")
@@ -214,6 +218,7 @@ class ScenarioConfig:
         if self.pool_against_evolved and self.evolved_by is None:
             raise ValueError("pool_against_evolved requires evolved_by")
         object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "_prior_spectrum", spectrum)
         object.__setattr__(self, "pipelines", pipelines)
 
 
@@ -263,10 +268,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if not verdict.compatible:
         error = {"error": "IncompatibleAssignmentsError", "message": verdict.diagnostics}
         return ScenarioResult(sigma1, sigma2, verdict, None, error)
-    pool_prior = evolve(cfg.evolved_by, cfg.prior) if cfg.pool_against_evolved else cfg.prior
+    prior_spectrum = (Spectrum.of(evolve(cfg.evolved_by, cfg.prior), cfg.rank_tol)
+                      if cfg.pool_against_evolved else cfg._prior_spectrum)
     try:
-        pooling = _pool(Spectrum.of(pool_prior, cfg.rank_tol), sigma1, sigma2,
-                        supp1, supp2, verdict, cfg.herm_tol)
+        pooling = _pool(prior_spectrum, sigma1, sigma2, supp1, supp2, verdict, cfg.herm_tol)
     except StatePoolError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "residual"):
@@ -316,6 +321,13 @@ def replacement_channel(dim: int, target_index: int) -> ReplacementChannel:
     return ReplacementChannel(dim, range(dim)[target_index])
 
 
+def _seed(seed):
+    """``seed`` itself, once it is known not to be a negative integer."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise InvalidParameterError(f"seed {seed} < 0")
+    return seed
+
+
 def random_instance(dim: int, seed, noise_strength: float = 0.5) -> ScenarioConfig:
     """Reproducible pseudo-random scenario.
 
@@ -326,7 +338,7 @@ def random_instance(dim: int, seed, noise_strength: float = 0.5) -> ScenarioConf
     if dim < 2:
         raise InvalidParameterError(f"dim {dim} < 2")
     p = _unit_interval(noise_strength, "noise_strength")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     prior = random_density(dim, rng)
     u1 = UnitaryDynamics(haar_unitary(dim, rng))
     u2 = UnitaryDynamics(haar_unitary(dim, rng))
@@ -341,7 +353,7 @@ def adversarial_instance(dim: int, seed) -> ScenarioConfig:
     with orthogonal pure states, so the posteriors' supports are disjoint."""
     if dim < 2:
         raise InvalidParameterError(f"dim {dim} < 2")
-    prior = random_density(dim, np.random.default_rng(seed))
+    prior = random_density(dim, np.random.default_rng(_seed(seed)))
     pipelines = (AgentPipeline("Wanda", (replacement_channel(dim, 0),)),
                  AgentPipeline("Theo", (replacement_channel(dim, 1),)))
     return ScenarioConfig(prior, pipelines, seed=seed if isinstance(seed, int) else 0)
@@ -354,10 +366,13 @@ def batch_report(dims, count: int, noise_grid, seed: int, generator: str = "rand
     sequence [seed, d, g, i].  ``generator`` is "random" or "adversarial".
     Returns a list of row dicts.
     """
+    _seed(seed)
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
     if generator not in ("random", "adversarial"):
         raise InvalidParameterError(f"unknown generator {generator!r}")
+    for noise in noise_grid:  # reported in the rows even where the generator ignores it
+        _unit_interval(noise, "noise_strength")
     rows = []
     for dim in dims:
         for gi, noise in enumerate(noise_grid):

@@ -1,0 +1,175 @@
+"""Inputs rejected where they enter: tolerances, seeds and non-PSD states.
+
+Each of these used to reach a computation and come back as a misleading
+verdict or a bare numpy traceback; now each is InvalidParameterError, which
+the CLI reports as exit 2 with a ``malformed_input`` payload.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from statepool import io
+from statepool.cli import main
+from statepool.compatibility import quantum_compatible
+from statepool.errors import InvalidParameterError
+from statepool.linalg import check_tolerances
+from statepool.pooling import quantum_pool
+from statepool.scenario import adversarial_instance, batch_report, random_instance
+
+HALF = np.eye(2) / 2
+NOT_PSD = np.diag([2.0, -1.0])  # Hermitian, unit trace, eigenvalue -1
+
+
+def write_matrix(tmp_path, name, m):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(io.matrix_to_json(m)))
+    return str(path)
+
+
+def assert_exit_2(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 2, out
+    assert json.loads(out)["error"] == "malformed_input"
+    return json.loads(out)["message"]
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("rank_tol, herm_tol", [
+        (math.nan, 1e-8), (math.inf, 1e-8), (-1e-10, 1e-8), (1.0, 1e-8),
+        (1e-10, math.nan), (1e-10, math.inf), (1e-10, -1.0),
+    ])
+    def test_rule(self, rank_tol, herm_tol):
+        with pytest.raises(InvalidParameterError):
+            check_tolerances(rank_tol, herm_tol)
+
+    @pytest.mark.parametrize("rank_tol, herm_tol", [(0.0, 0.0), (0.2, 1e-300), (1e-10, 1e8)])
+    def test_accepted(self, rank_tol, herm_tol):
+        check_tolerances(rank_tol, herm_tol)
+
+    def test_library_entry_points(self):
+        with pytest.raises(InvalidParameterError):
+            quantum_compatible(HALF, HALF, rank_tol=math.nan)
+        with pytest.raises(InvalidParameterError):
+            quantum_pool(HALF, HALF, HALF, herm_tol=-1.0)
+        cfg = random_instance(2, 0, 0.5)
+        with pytest.raises(InvalidParameterError):
+            type(cfg)(cfg.prior, cfg.pipelines, rank_tol=math.inf)
+
+    def test_compat_quantum_nan_rank_tol(self, tmp_path, capsys):
+        a = write_matrix(tmp_path, "a", HALF)
+        assert "rank_tol" in assert_exit_2(capsys, "compat-quantum", a, a, "--rank-tol", "nan")
+
+    def test_pool_quantum_negative_herm_tol(self, tmp_path, capsys):
+        a = write_matrix(tmp_path, "a", HALF)
+        assert "herm_tol" in assert_exit_2(capsys, "pool-quantum", a, a, a, "--herm-tol", "-1")
+
+    @pytest.mark.parametrize("text", ['"nan"', "1e999"])
+    def test_scenario_run_config_rank_tol(self, tmp_path, capsys, text):
+        cfg = io.dumps(io.scenario_config_to_json(random_instance(2, 7, 0.5)))
+        cfg = cfg.replace('"rank_tol": 1e-10', f'"rank_tol": {text}')
+        assert f'"rank_tol": {text}' in cfg
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg)
+        assert "rank_tol" in assert_exit_2(capsys, "scenario-run", str(path))
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("make", [
+        lambda: random_instance(2, -1),
+        lambda: adversarial_instance(2, -1),
+        lambda: batch_report([2], 1, [0.5], -1),
+        lambda: batch_report([2], 1, [0.5], -1, "adversarial"),
+    ])
+    def test_negative_seed_rejected(self, make):
+        with pytest.raises(InvalidParameterError, match="seed -1 < 0"):
+            make()
+
+    def test_seed_sequences_still_accepted(self):
+        a, b = random_instance(2, [3, 1]), random_instance(2, [3, 1])
+        assert np.array_equal(a.prior, b.prior)
+        assert adversarial_instance(2, [3, 1]).prior.shape == (2, 2)
+
+    @pytest.mark.parametrize("argv", [
+        ("randgen", "--dim", "2", "--seed", "-1"),
+        ("scenario-batch", "--dim", "2", "--count", "1", "--seed", "-1"),
+    ])
+    def test_cli_exit_2(self, capsys, argv):
+        assert "seed" in assert_exit_2(capsys, *argv)
+
+
+class TestPSDInputs:
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_quantum_pool_any_slot(self, slot):
+        args = [HALF] * 3
+        args[slot] = NOT_PSD
+        with pytest.raises(InvalidParameterError, match="is not PSD"):
+            quantum_pool(*args)
+
+    def test_quantum_pool_uses_psd_tol(self):
+        slightly = np.diag([1.0 + 1e-6, -1e-6])
+        with pytest.raises(InvalidParameterError):
+            quantum_pool(HALF, slightly, HALF)
+        assert quantum_pool(HALF, slightly, HALF, psd_tol=1e-5).pooled.shape == (2, 2)
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_quantum_compatible_any_slot(self, slot):
+        args = [HALF, HALF]
+        args[slot] = NOT_PSD
+        with pytest.raises(InvalidParameterError, match="is not PSD"):
+            quantum_compatible(*args)
+
+    def test_tiny_negative_eigenvalue_accepted(self):
+        s = np.diag([1.0, -1e-12])
+        assert quantum_compatible(s, s).compatible
+
+    def test_pool_quantum_cli(self, tmp_path, capsys):
+        prior, s = write_matrix(tmp_path, "p", HALF), write_matrix(tmp_path, "s", NOT_PSD)
+        assert "PSD" in assert_exit_2(capsys, "pool-quantum", prior, s, s)
+
+    def test_compat_quantum_cli(self, tmp_path, capsys):
+        s = write_matrix(tmp_path, "s", NOT_PSD)
+        assert "PSD" in assert_exit_2(capsys, "compat-quantum", s, s)
+
+
+def test_overflowing_pooling_product_exit_2(tmp_path, capsys):
+    prior = write_matrix(tmp_path, "p", np.array([[1e-300]]))
+    s = write_matrix(tmp_path, "s", np.array([[1e300]]))
+    assert "overflows" in assert_exit_2(capsys, "pool-quantum", prior, s, s)
+
+
+# One input per fault the CLI fuzz test found: each used to end in a traceback.
+UNITARY_1E300 = {"type": "unitary", "matrix": {
+    "dim": 2, "entries": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.8e8, 1e300]]}}
+
+
+def _config(**changes):
+    cfg = io.scenario_config_to_json(random_instance(2, 7, 0.5))
+    if changes.pop("nan_unitary", False):
+        cfg["pipelines"][0]["steps"][0] = UNITARY_1E300
+    return cfg | changes
+
+
+@pytest.mark.parametrize("command, files", [
+    ("compat-quantum", [{"dim": True, "entries": [[0.0, 0.0]]}] * 2),
+    ("compat-classical", [{"outcomes": [0], "probs": [10**400]}] * 2),
+    ("suffstat", [{"given_outcomes": [0], "out_outcomes": [0, 0], "table": [[0.5], [0.5]]}]),
+    ("suffstat", [{"given_outcomes": [0], "out_outcomes": [1, "a"], "table": [[0.5], [0.5]]}]),
+    ("scenario-run", [_config(seed=math.inf)]),
+    ("scenario-run", [_config(rank_tol=10**400)]),
+    ("scenario-run", [_config(nan_unitary=True)]),  # U†U overflows to NaN
+])
+def test_fuzz_findings_exit_2(tmp_path, capsys, command, files):
+    paths = []
+    for i, obj in enumerate(files):
+        paths.append(tmp_path / f"{i}.json")
+        paths[-1].write_text(json.dumps(obj))
+    assert_exit_2(capsys, command, *map(str, paths))
+
+
+def test_adversarial_batch_rejects_noise_it_ignores(capsys):
+    assert "noise" in assert_exit_2(capsys, "scenario-batch", "--generator", "adversarial",
+                                    "--dim", "2", "--count", "1", "--noise", "inf")

@@ -1,6 +1,7 @@
 """One spectrum per operator: Spectrum-derived quantities, the principal-angle
 intersection, decomposition counts on the hot paths, and golden bytes."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -12,10 +13,15 @@ from hypothesis import strategies as st
 
 from statepool import io, regions
 from statepool.cli import main
-from statepool.errors import InvalidParameterError, NonHermitianPoolingProductError
+from statepool.errors import (
+    InvalidParameterError, NonHermitianPoolingProductError, PriorSupportError,
+)
 from statepool.linalg import Spectrum, Subspace, max_norm, subspace_intersection
-from statepool.pooling import quantum_pool
-from statepool.scenario import random_instance, run_scenario
+from statepool.pooling import _pool, quantum_pool
+from statepool.scenario import (
+    AgentPipeline, ScenarioConfig, UnitaryDynamics, batch_report, depolarizing_channel,
+    haar_unitary, random_instance, run_pipeline, run_scenario,
+)
 
 from oracles import rand_density, rand_psd
 
@@ -220,3 +226,87 @@ def test_scenario_run_golden_bytes(tmp_path, capsys, d):
     assert main(["scenario-run", cfg]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SCENARIO_RUN_SHA256[d]
+
+
+def _pool_recomputing_the_prior(cfg):
+    """``run_scenario``'s pooling step with the prior decomposed afresh."""
+    sigma1, sigma2 = (run_pipeline(p, cfg.prior) for p in cfg.pipelines)
+    supp1, supp2 = (Spectrum.of(s, cfg.rank_tol).support() for s in (sigma1, sigma2))
+    return _pool(Spectrum.of(cfg.prior, cfg.rank_tol), sigma1, sigma2, supp1, supp2, None,
+                 cfg.herm_tol)
+
+
+def evolved_configs(d):
+    """A noisy and a unitary-only scenario, both pooled against the evolved prior."""
+    cfg = random_instance(d, 11, 0.3)
+    u = UnitaryDynamics(haar_unitary(d, np.random.default_rng([11, d])))
+    yield dataclasses.replace(cfg, pool_against_evolved=True, evolved_by=u)
+    yield dataclasses.replace(cfg, pipelines=(AgentPipeline("W", (u,)), AgentPipeline("T", (u,))),
+                              pool_against_evolved=True, evolved_by=u)
+
+
+# SHA-256s taken before the prior's spectrum was kept from the density check.
+EVOLVED_SHA256 = {
+    2: "e962aea3b83af5fa53cbb7abb9d3b3c372c1ae7edfe5d627038a0a42020dacf6",
+    8: "147a46932487d2b1b5bf1795262b2c116bfc3868c66d705bed942d3cb58356dd",
+}
+BATCH_SHA256 = "1681da680b7105d1e66628ce19f247a55c2b896b01f3f18229be0a7b15d1e6d1"
+
+
+class TestPriorSpectrumFromTheDensityCheck:
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_three_decompositions_per_scenario(self, monkeypatch, d):
+        # the prior once, in its density check, then sigma1 and sigma2
+        c = Counter(monkeypatch)
+        run_scenario(random_instance(d, 3, 0.5))
+        assert c.count("eigh") == 3 and c.count("eigvalsh", "svd") == 0
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 0.2])
+    def test_kept_spectrum_is_that_of_the_checked_prior(self, rank_tol):
+        cfg = dataclasses.replace(random_instance(4, 5, 0.5), rank_tol=rank_tol)
+        fresh = Spectrum.of(cfg.prior, cfg.rank_tol)
+        assert np.array_equal(cfg._prior_spectrum.w, fresh.w)
+        assert np.array_equal(cfg._prior_spectrum.v, fresh.v)
+        assert cfg._prior_spectrum.cut == fresh.cut
+
+    def test_clamped_prior_matches_a_recomputed_spectrum(self):
+        # eigenvalue -1e-12 passes the PSD test and is clamped, so the checked
+        # prior is a new matrix of rank 2 and its spectrum is taken again
+        u = haar_unitary(3, np.random.default_rng(2))
+        prior = (u * np.array([0.6, 0.4 + 1e-12, -1e-12])) @ u.conj().T
+        cfg = ScenarioConfig(prior, (AgentPipeline("W"), AgentPipeline("T")))
+        assert np.linalg.eigvalsh(prior).min() < 0 <= np.linalg.eigvalsh(cfg.prior).min()
+        assert cfg._prior_spectrum.support().rank == 2
+        res, want = run_scenario(cfg), _pool_recomputing_the_prior(cfg)
+        assert res.pooling_error is None
+        assert io.dumps(io.pooling_report_to_json(res.pooling)) == io.dumps(
+            io.pooling_report_to_json(want))
+
+    def test_rank_deficient_prior_reports_prior_support_error(self):
+        steps = (depolarizing_channel(3, 0.5),)  # full-rank posteriors
+        cfg = ScenarioConfig(np.diag([0.5, 0.5, 0.0]),
+                             (AgentPipeline("W", steps), AgentPipeline("T", steps)))
+        res = run_scenario(cfg)
+        assert res.verdict.compatible and res.pooling is None
+        assert res.pooling_error["error"] == "PriorSupportError"
+        with pytest.raises(PriorSupportError):
+            _pool_recomputing_the_prior(cfg)
+
+    @pytest.mark.parametrize("d", sorted(EVOLVED_SHA256))
+    def test_pool_against_evolved_golden_bytes(self, d):
+        text = "".join(io.dumps(io.scenario_result_to_json(run_scenario(c)))
+                       for c in evolved_configs(d))
+        assert hashlib.sha256(text.encode()).hexdigest() == EVOLVED_SHA256[d]
+
+    def test_batch_report_golden_bytes(self):
+        rows = batch_report([2, 8, 16, 32, 64], 3, [0.0, 0.5], 7)
+        assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == BATCH_SHA256
+
+    def test_full_rank_prior_skips_the_containment_products(self, monkeypatch):
+        # both posteriors escape nothing: the full space holds every support
+        prior = Spectrum.of(np.eye(3) / 3)
+        calls = []
+        monkeypatch.setattr(Subspace, "projector", lambda self: calls.append(self) or np.eye(3))
+        s = np.diag([0.5, 0.5, 0.0])
+        _pool(prior, s, s, Spectrum.of(s).support(), Spectrum.of(s).support(), None, 1e-8)
+        assert calls == []
