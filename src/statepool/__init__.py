@@ -30,6 +30,7 @@ from .errors import (
 )
 from .linalg import (
     Subspace,
+    Tolerances,
     partial_trace,
     pseudo_inverse,
     sqrt_psd,

@@ -5,8 +5,9 @@ pool-quantum, suffstat, scenario-run, scenario-batch, randgen.
 
 Exit codes: 0 success, 1 domain error (incompatible states, non-Hermitian
 pooling product, ...) with a machine-readable {"error": ...} payload, 2
-malformed input or an out-of-range argument.  Numeric output has 17
-significant digits and no timestamps, so identical runs are byte-identical.
+malformed input, an out-of-range argument or a usage error (an unknown
+flag, ...) with a {"error": "malformed_input"} payload.  Numeric output has
+17 significant digits and no timestamps, so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import io
 from .compatibility import ConditionalDistribution, classical_compatible, quantum_compatible
 from .errors import InvalidParameterError, StatePoolError
 from .io import MalformedInputError
-from .linalg import DEFAULT_HERM_TOL, DEFAULT_RANK_TOL, Subspace
+from .linalg import Subspace, Tolerances
 from .pooling import classical_pool, minimal_sufficient_statistic, quantum_pool
 from .scenario import batch_report, random_instance, run_scenario
 
@@ -66,7 +67,7 @@ def _cmd_compat_classical(args) -> int:
 
 def _cmd_compat_quantum(args) -> int:
     s1, s2 = _read_all(io.matrix_from_json, args.s1, args.s2)
-    return _write_verdict(quantum_compatible(s1, s2, rank_tol=args.rank_tol), args.output)
+    return _write_verdict(quantum_compatible(s1, s2, Tolerances(args.rank_tol)), args.output)
 
 
 def _cmd_pool_classical(args) -> int:
@@ -77,7 +78,7 @@ def _cmd_pool_classical(args) -> int:
 
 def _cmd_pool_quantum(args) -> int:
     prior, s1, s2 = _read_all(io.matrix_from_json, args.prior, args.s1, args.s2)
-    report = quantum_pool(prior, s1, s2, rank_tol=args.rank_tol, herm_tol=args.herm_tol)
+    report = quantum_pool(prior, s1, s2, Tolerances(args.rank_tol, args.herm_tol))
     _write(io.pooling_report_to_json(report), args.output)
     return 0
 
@@ -118,8 +119,13 @@ def _cmd_randgen(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # in this parser and its subparsers: exit 2 with JSON
+        raise MalformedInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="statepool",
         description="Compatibility and pooling of quantum state assignments.",
     )
@@ -140,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
             "decide compatibility of two density matrices")
     p.add_argument("s1")
     p.add_argument("s2")
-    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=DEFAULT_RANK_TOL)
+    p.add_argument("--rank-tol", type=float, default=Tolerances.rank_tol)
 
     p = add("pool-classical", _cmd_pool_classical, "pool two classical posteriors")
     p.add_argument("prior")
@@ -151,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("prior")
     p.add_argument("s1")
     p.add_argument("s2")
-    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=DEFAULT_RANK_TOL)
-    p.add_argument("--herm-tol", dest="herm_tol", type=float, default=DEFAULT_HERM_TOL)
+    p.add_argument("--rank-tol", type=float, default=Tolerances.rank_tol)
+    p.add_argument("--herm-tol", type=float, default=Tolerances.herm_tol)
 
     p = add("suffstat", _cmd_suffstat,
             "minimal sufficient statistic of a conditional table P(X|Y)")
@@ -160,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("scenario-run", _cmd_scenario_run, "run a two-agent scenario config")
     p.add_argument("config")
-    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=None)
-    p.add_argument("--herm-tol", dest="herm_tol", type=float, default=None)
+    p.add_argument("--rank-tol", type=float)
+    p.add_argument("--herm-tol", type=float)
 
     p = add("scenario-batch", _cmd_scenario_batch,
             "batch compatibility/pooling statistics over random instances")
@@ -180,14 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage, which matches our malformed-input code
-        return int(exc.code) if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # --help; a usage error is MalformedInputError
+        return exc.code or 0
     except (MalformedInputError, InvalidParameterError) as exc:
         sys.stdout.write(io.dumps({"error": "malformed_input", "message": str(exc)}))
         return 2

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError
+from .errors import InvalidParameterError
 from .linalg import (
-    DEFAULT_RANK_TOL, Subspace, as_matrix, check_hermitian, check_tolerances, checked_spectrum,
-    max_norm, subspace_intersection,
+    Subspace, Tolerances, _checked_states, as_matrix, max_norm, subspace_intersection,
 )
 from .regions import HybridState, quantum_bayes
 
@@ -118,20 +117,13 @@ def classical_compatible(
     return CompatibilityVerdict(bool(shared), tuple(shared), msg)
 
 
-def quantum_compatible(s1, s2, rank_tol: float = DEFAULT_RANK_TOL) -> CompatibilityVerdict:
+def quantum_compatible(s1, s2, tol: Tolerances = Tolerances()) -> CompatibilityVerdict:
     """Support-overlap decision for density operators: compatible iff the
-    geometric intersection of the two supports is nonzero.  An input that is
-    not Hermitian within ``DEFAULT_HERM_TOL`` (relative) or not PSD within
-    ``DEFAULT_PSD_TOL``, or a ``rank_tol`` outside ``check_tolerances``,
-    raises InvalidParameterError."""
-    check_tolerances(rank_tol)
-    a, b = as_matrix(s1), as_matrix(s2)
-    if a.shape != b.shape:
-        raise DimensionMismatchError("states have different dims")
-    check_hermitian(a, "s1")
-    check_hermitian(b, "s2")
-    return _support_verdict(checked_spectrum(a, "s1", rank_tol).support(),
-                            checked_spectrum(b, "s2", rank_tol).support())
+    geometric intersection of the two supports is nonzero, each support cut
+    at ``tol.rank_tol``.  An input that is not Hermitian within ``tol.herm_tol``
+    (relative) or not PSD raises InvalidParameterError."""
+    (_, spec1), (_, spec2) = _checked_states(tol, s1=s1, s2=s2)
+    return _support_verdict(spec1.support(), spec2.support())
 
 
 def _support_verdict(p: Subspace, q: Subspace) -> CompatibilityVerdict:

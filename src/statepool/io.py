@@ -23,6 +23,7 @@ from itertools import chain
 import numpy as np
 
 from .compatibility import ProbabilityDistribution
+from .linalg import Tolerances
 from .pooling import PoolingReport
 from .regions import HybridState
 from .scenario import AgentPipeline, KrausChannel, ScenarioConfig, ScenarioResult, UnitaryDynamics
@@ -191,8 +192,8 @@ def scenario_config_to_json(cfg: ScenarioConfig) -> dict:
             {"name": p.name, "steps": [_step_to_json(s) for s in p.steps]}
             for p in cfg.pipelines
         ],
-        "rank_tol": float(cfg.rank_tol),
-        "herm_tol": float(cfg.herm_tol),
+        "rank_tol": float(cfg.tol.rank_tol),
+        "herm_tol": float(cfg.tol.herm_tol),
         "seed": int(cfg.seed),
         "pool_against_evolved": cfg.pool_against_evolved,
     }
@@ -211,8 +212,7 @@ def scenario_config_from_json(obj) -> ScenarioConfig:
         return ScenarioConfig(
             prior=matrix_from_json(obj["prior"]),
             pipelines=pipelines,
-            rank_tol=float(obj.get("rank_tol", 1e-10)),
-            herm_tol=float(obj.get("herm_tol", 1e-8)),
+            tol=Tolerances(**{k: float(obj[k]) for k in ("rank_tol", "herm_tol") if k in obj}),
             seed=int(obj.get("seed", 0)),
             pool_against_evolved=bool(obj.get("pool_against_evolved", False)),
             evolved_by=UnitaryDynamics(matrix_from_json(evolved)) if evolved else None,

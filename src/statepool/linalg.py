@@ -17,13 +17,15 @@ Conventions
   state ``|i>|j>``.
 * One ``eigh`` per operator: support, pseudo-inverse, PSD test and PSD
   square root all derive from one ``Spectrum``.  Its rank cut, written once
-  in ``Spectrum.of``, keeps ``|w| > rank_tol * max|w|`` (``rank_tol = 1e-10``
-  by default); PSD means ``min w >= -tol * max(max|w|, 1)``, and eigenvalues
-  between that floor and zero are clamped to zero.  A scenario's prior is
-  decomposed once: the density check hands its ``Spectrum`` on to pooling.
-* Tolerances follow one rule, ``check_tolerances``: ``rank_tol`` is finite
-  and in [0, 1), ``herm_tol`` finite and >= 0.  A NaN, infinite or negative
-  tolerance is InvalidParameterError (CLI exit 2), never a verdict.
+  in ``Spectrum.of``, keeps ``|w| > rank_tol * max|w|``; PSD means
+  ``min w >= -PSD_TOL * max(max|w|, 1)``, and eigenvalues between that floor
+  and zero are clamped to zero.  A scenario's prior is decomposed once: the
+  density check hands its ``Spectrum`` on to pooling.
+* A caller sets ``rank_tol`` and ``herm_tol`` through one ``Tolerances``
+  record, which rejects a NaN, infinite or negative value, or ``rank_tol >= 1``,
+  as InvalidParameterError (CLI exit 2), never a verdict.  Every other
+  threshold is a constant named below.  Hermiticity has one relative rule,
+  ``check_hermitian``; ``hermitize`` only symmetrizes.
 * Subspaces intersect along their principal angles: the singular values of
   ``B1† B2`` are their cosines, and directions with ``cos >= 1 - tol`` are
   shared, the criterion ``eig(P + Q) >= 2 - tol`` on an r1 x r2 matrix.
@@ -37,9 +39,23 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError, NotPSDError
 
-DEFAULT_RANK_TOL = 1e-10
-DEFAULT_HERM_TOL = 1e-8
-DEFAULT_PSD_TOL = 1e-8
+PSD_TOL = 1e-8  # eigenvalue floor of every PSD decision, relative to max(max|w|, 1)
+TRACE_TOL = 1e-8  # |Tr - 1| allowed for a unit-trace operator
+SUBSPACE_TOL = 1e-8  # orthonormality, principal-angle cut and containment of subspaces
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The settable thresholds: relative rank cut, relative Hermiticity tolerance."""
+
+    rank_tol: float = 1e-10
+    herm_tol: float = 1e-8
+
+    def __post_init__(self):
+        if not 0.0 <= self.rank_tol < 1.0:  # also rejects NaN
+            raise InvalidParameterError(f"rank_tol {self.rank_tol!r} outside [0, 1)")
+        if not 0.0 <= self.herm_tol < np.inf:
+            raise InvalidParameterError(f"herm_tol {self.herm_tol!r} is not a finite value >= 0")
 
 
 def as_matrix(m) -> np.ndarray:
@@ -58,74 +74,48 @@ def max_norm(m) -> float:
     return 0.0 if m.size == 0 else float(np.max(np.abs(m)))
 
 
-def hermitize(m, tol: float | None = None) -> np.ndarray:
-    """Return the symmetrization (M + M†)/2, checking M is Hermitian within ``tol``.
-
-    ``tol`` is absolute on the max-norm of M - M†; ``None`` skips the check.
-    """
+def hermitize(m) -> np.ndarray:
+    """The symmetrization (M + M†)/2; ``check_hermitian`` decides whether M was Hermitian."""
     a = as_matrix(m)
-    if tol is not None and (r := max_norm(a - a.conj().T)) > tol:
-        raise ValueError(f"matrix is not Hermitian within tolerance {tol:g} (residual {r:.3e})")
     return (a + a.conj().T) / 2
 
 
-def check_tolerances(rank_tol: float = DEFAULT_RANK_TOL,
-                     herm_tol: float = DEFAULT_HERM_TOL) -> None:
-    """Raise InvalidParameterError unless 0 <= rank_tol < 1 and 0 <= herm_tol < inf."""
-    if not 0.0 <= rank_tol < 1.0:  # also rejects NaN
-        raise InvalidParameterError(f"rank_tol {rank_tol!r} outside [0, 1)")
-    if not 0.0 <= herm_tol < np.inf:
-        raise InvalidParameterError(f"herm_tol {herm_tol!r} is not a finite value >= 0")
-
-
-def check_hermitian(m, name: str, tol: float = DEFAULT_HERM_TOL) -> None:
+def check_hermitian(m, name: str, tol: float = Tolerances.herm_tol) -> None:
     """Raise InvalidParameterError unless max_norm(M - M†) <= tol * max(max_norm(M), 1)."""
     residual = max_norm(m - m.conj().T)
     if residual > tol and residual > tol * max(max_norm(m), 1.0):  # the scale is >= 1
         raise InvalidParameterError(f"{name} is not Hermitian (residual {residual:.3e})")
 
 
-def herm_eig(m):
-    """Eigendecomposition of the symmetrized input; returns (eigvals, eigvecs)."""
-    return np.linalg.eigh(hermitize(m))
+def _checked_states(tol: Tolerances, **states) -> list:
+    """(matrix, Spectrum cut at ``tol.rank_tol``) for each named state, once all
+    are square matrices of one shape, Hermitian within ``tol.herm_tol`` and PSD;
+    else an error that names the first offending state."""
+    mats = {name: as_matrix(m) for name, m in states.items()}
+    if len({m.shape for m in mats.values()}) > 1:
+        raise DimensionMismatchError(f"states {', '.join(mats)} have different dims")
+    for name, m in mats.items():
+        check_hermitian(m, name, tol.herm_tol)
+    spectra = {name: Spectrum.of(m, tol.rank_tol) for name, m in mats.items()}
+    for name, s in spectra.items():
+        if not s.is_psd():
+            raise InvalidParameterError(f"{name} is not PSD (eigenvalue {s.w.min():.3e})")
+    return [(mats[name], s) for name, s in spectra.items()]
 
 
-def is_psd(m, tol: float = DEFAULT_RANK_TOL) -> bool:
-    """Whether the symmetrization of ``m`` has eigenvalues >= -tol * max(max|w|, 1)."""
-    return Spectrum.of(m).is_psd(tol)
-
-
-def check_density(rho, tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
-    """Validate ``rho`` as a density operator: Hermitian, PSD, unit trace.
-
-    Returns the symmetrized matrix with tiny negative eigenvalues clamped
-    to zero.  Raises NotPSDError / ValueError on genuine violations.
-    """
-    return _density_spectrum(rho, tol)[0]
-
-
-def _density_spectrum(rho, tol: float = DEFAULT_PSD_TOL, rank_tol: float = DEFAULT_RANK_TOL):
-    """``check_density``'s matrix and the Spectrum of exactly that matrix, cut at ``rank_tol``."""
-    h = hermitize(rho, tol=tol)
-    s = Spectrum.of(h, rank_tol)  # symmetrizing the Hermitian h again is exact
-    if not s.is_psd(tol):
-        raise NotPSDError(f"density operator has eigenvalue {s.w.min():.3e} < 0")
+def _density_spectrum(rho, rank_tol: float = Tolerances.rank_tol):
+    """The checked prior (Hermitian within the default ``herm_tol``, PSD, unit
+    trace), with negatives above the PSD floor clamped to zero, and the
+    Spectrum of exactly that matrix, cut at ``rank_tol``."""
+    ((a, s),) = _checked_states(Tolerances(rank_tol), prior=rho)
+    h = hermitize(a)  # the matrix ``s`` decomposed
     tr = float(np.real(np.trace(h)))
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density operator has trace {tr!r}, expected 1")
     if s.w.min() >= 0.0:
         return h, s
     clamped = s.psd_function(lambda w: w)
     return clamped, Spectrum.of(clamped, rank_tol)
-
-
-def checked_spectrum(m, name: str, rank_tol: float = DEFAULT_RANK_TOL,
-                     psd_tol: float = DEFAULT_PSD_TOL) -> Spectrum:
-    """The Spectrum of ``m``; InvalidParameterError unless it is PSD within ``psd_tol``."""
-    s = Spectrum.of(m, rank_tol)
-    if not s.is_psd(psd_tol):
-        raise InvalidParameterError(f"{name} is not PSD (eigenvalue {s.w.min():.3e})")
-    return s
 
 
 def tensor(*ops) -> np.ndarray:
@@ -195,19 +185,19 @@ def embed(op, dims, positions) -> np.ndarray:
     return permute_factors(big, [dims[i] for i in order], inv)
 
 
-def sqrt_psd(h, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def sqrt_psd(h) -> np.ndarray:
     """PSD square root via spectral decomposition.
 
-    Eigenvalues in [-tol*scale, 0) are clamped to zero; anything more
+    Eigenvalues in [-PSD_TOL*scale, 0) are clamped to zero; anything more
     negative raises NotPSDError.
     """
     s = Spectrum.of(h)
-    if not s.is_psd(tol):
+    if not s.is_psd():
         raise NotPSDError(f"not PSD: eigenvalue {s.w.min():.3e}")
     return s.psd_function(np.sqrt)
 
 
-def pseudo_inverse(h, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pseudo_inverse(h, rank_tol: float = Tolerances.rank_tol) -> np.ndarray:
     """Moore-Penrose inverse of a Hermitian operator, restricted to its support."""
     return Spectrum.of(h, rank_tol).pinv()
 
@@ -222,7 +212,7 @@ class Subspace:
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=complex).reshape(self.ambient_dim, -1)
         gram = b.conj().T @ b
-        if max_norm(gram - np.eye(b.shape[1])) > 1e-8:
+        if max_norm(gram - np.eye(b.shape[1])) > SUBSPACE_TOL:
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
@@ -237,7 +227,7 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
-    def contains(self, vec, tol: float = 1e-8) -> bool:
+    def contains(self, vec, tol: float = SUBSPACE_TOL) -> bool:
         v = np.asarray(vec, dtype=complex).reshape(-1)
         nrm = np.linalg.norm(v)
         if nrm == 0:
@@ -264,8 +254,8 @@ class Spectrum:
     cut: float
 
     @classmethod
-    def of(cls, m, rank_tol: float = DEFAULT_RANK_TOL) -> "Spectrum":
-        w, v = herm_eig(m)
+    def of(cls, m, rank_tol: float = Tolerances.rank_tol) -> "Spectrum":
+        w, v = np.linalg.eigh(hermitize(m))
         return cls(w, v, rank_tol * float(np.max(np.abs(w))) if w.size else 0.0)
 
     @property
@@ -283,16 +273,16 @@ class Spectrum:
         inv = np.where(kept, 1.0 / np.where(kept, self.w, 1.0), 0.0)
         return (self.v * inv) @ self.v.conj().T
 
-    def is_psd(self, tol: float) -> bool:
+    def is_psd(self) -> bool:
         w = self.w
-        return bool(w.size == 0 or w.min() >= -tol * max(float(np.max(np.abs(w))), 1.0))
+        return bool(w.size == 0 or w.min() >= -PSD_TOL * max(float(np.max(np.abs(w))), 1.0))
 
     def psd_function(self, f) -> np.ndarray:
         """f applied to the eigenvalues clamped at zero (callers check ``is_psd`` first)."""
         return (self.v * f(np.clip(self.w, 0.0, None))) @ self.v.conj().T
 
 
-def support_projector(h, rank_tol: float = DEFAULT_RANK_TOL) -> Subspace:
+def support_projector(h, rank_tol: float = Tolerances.rank_tol) -> Subspace:
     """Span of eigenvectors with |eigenvalue| > rank_tol * max|eigenvalue|.
 
     The zero operator yields the empty subspace.
@@ -300,7 +290,7 @@ def support_projector(h, rank_tol: float = DEFAULT_RANK_TOL) -> Subspace:
     return Spectrum.of(h, rank_tol).support()
 
 
-def subspace_intersection(p: Subspace, q: Subspace, tol: float = 1e-8) -> Subspace:
+def subspace_intersection(p: Subspace, q: Subspace, tol: float = SUBSPACE_TOL) -> Subspace:
     """Geometric intersection of two subspaces, from their principal angles.
 
     The singular values of Bp† Bq are the cosines of the principal angles;

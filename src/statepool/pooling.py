@@ -19,10 +19,7 @@ from .errors import (
     DimensionMismatchError, IncompatibleAssignmentsError, InvalidParameterError,
     NonHermitianPoolingProductError, NotPSDError, PriorSupportError,
 )
-from .linalg import (
-    DEFAULT_HERM_TOL, DEFAULT_PSD_TOL, DEFAULT_RANK_TOL, as_matrix, check_hermitian,
-    check_tolerances, checked_spectrum, max_norm,
-)
+from .linalg import PSD_TOL, SUBSPACE_TOL, Tolerances, _checked_states, as_matrix, max_norm
 
 PROPORTIONALITY_TOL = 1e-9  # max-norm after trace normalization
 
@@ -89,45 +86,29 @@ def classical_pool(
     )
 
 
-def quantum_pool(
-    prior,
-    s1,
-    s2,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    herm_tol: float = DEFAULT_HERM_TOL,
-    psd_tol: float = DEFAULT_PSD_TOL,
-) -> PoolingReport:
+def quantum_pool(prior, s1, s2, tol: Tolerances = Tolerances()) -> PoolingReport:
     """Pool two quantum posteriors against their shared prior.
 
-    Forms T = s1 @ pinv(prior) @ s2.  If T is Hermitian within the relative
-    tolerance ``herm_tol``, the pooled state is (T + T†)/(2 Tr T) with
-    c = 1/Tr(T); otherwise NonHermitianPoolingProductError carries the
-    residual, signalling a failed conditional-independence precondition.
-    Inputs that are themselves not Hermitian within ``herm_tol`` (on the
-    same relative scale) or not PSD within ``psd_tol``, and tolerances
-    outside ``check_tolerances``, raise InvalidParameterError.
+    Forms T = s1 @ pinv(prior) @ s2, with every support cut at ``tol.rank_tol``.
+    If T is Hermitian within the relative tolerance ``tol.herm_tol``, the pooled
+    state is (T + T†)/(2 Tr T) with c = 1/Tr(T); otherwise
+    NonHermitianPoolingProductError carries the residual, signalling a failed
+    conditional-independence precondition.  Inputs that are themselves not
+    Hermitian within ``tol.herm_tol`` (on the same relative scale) or not PSD
+    raise InvalidParameterError.
     """
-    check_tolerances(rank_tol, herm_tol)
-    rho, a, b = (as_matrix(m) for m in (prior, s1, s2))
-    if not (rho.shape == a.shape == b.shape):
-        raise DimensionMismatchError("prior and posteriors have differing dims")
-    named = (("prior", rho), ("s1", a), ("s2", b))
-    for name, m in named:
-        check_hermitian(m, name, herm_tol)
-    prior_spectrum, spec1, spec2 = (checked_spectrum(m, name, rank_tol, psd_tol)
-                                    for name, m in named)
-    return _pool(prior_spectrum, a, b, spec1.support(), spec2.support(), None, herm_tol, psd_tol)
+    (_, prior_spectrum), (a, spec1), (b, spec2) = _checked_states(tol, prior=prior, s1=s1, s2=s2)
+    return _pool(prior_spectrum, a, b, spec1.support(), spec2.support(), None, tol)
 
 
-def _pool(prior_spectrum, a, b, supp1, supp2, verdict, herm_tol,
-          psd_tol=DEFAULT_PSD_TOL) -> PoolingReport:
+def _pool(prior_spectrum, a, b, supp1, supp2, verdict, tol: Tolerances) -> PoolingReport:
     """``quantum_pool`` from the prior's spectrum and the posteriors' supports;
     ``verdict`` is their compatibility when the caller has decided it, else None.
     A full-rank prior's support is the whole space, which holds both supports."""
     if not prior_spectrum.kept.all():
         proj = prior_spectrum.support().projector()
         for name, supp in (("s1", supp1), ("s2", supp2)):
-            if max_norm(proj @ supp.projector() @ proj - supp.projector()) > 1e-8:
+            if max_norm(proj @ supp.projector() @ proj - supp.projector()) > SUBSPACE_TOL:
                 raise PriorSupportError(f"support of {name} escapes the prior's support")
     if not (verdict or _support_verdict(supp1, supp2)).compatible:
         raise IncompatibleAssignmentsError("incompatible assignments: disjoint supports")
@@ -136,14 +117,14 @@ def _pool(prior_spectrum, a, b, supp1, supp2, verdict, herm_tol,
         raise InvalidParameterError("pooling product overflows: inputs beyond float range")
     scale = max(max_norm(t), 1.0)
     residual = max_norm(t - t.conj().T)
-    if residual > herm_tol * scale:
+    if residual > tol.herm_tol * scale:
         raise NonHermitianPoolingProductError(residual / scale)
     tr = float(np.real(np.trace(t)))
     if tr <= 0:
         raise IncompatibleAssignmentsError(f"pooling product has nonpositive trace {tr:g}")
     pooled = (t + t.conj().T) / (2.0 * tr)
     w = np.linalg.eigvalsh(pooled)
-    if w.min() < -psd_tol:
+    if w.min() < -PSD_TOL:
         raise NotPSDError(f"negative pooled eigenvalue beyond tolerance: {w.min():.3e}")
     return PoolingReport(
         pooled=pooled,

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ImpossibleConditioningError, NotPSDError
 from .linalg import (
-    DEFAULT_RANK_TOL, Spectrum, as_matrix, embed, hermitize, is_psd, max_norm, partial_trace,
-    sqrt_psd,
+    TRACE_TOL, Spectrum, Tolerances, as_matrix, check_hermitian, embed, hermitize, max_norm,
+    partial_trace, sqrt_psd,
 )
 
 
@@ -42,12 +42,6 @@ class RegionLabel:
             raise ValueError(f"unknown region kind {self.kind!r}")
 
 
-def _check_unique_names(regions):
-    names = [r.name for r in regions]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate region names in {names}")
-
-
 @dataclass(frozen=True)
 class JointState:
     """Hermitian operator over an ordered list of regions.
@@ -62,14 +56,18 @@ class JointState:
 
     def __post_init__(self):
         regions = tuple(self.regions)
-        _check_unique_names(regions)
-        op = hermitize(self.op, tol=1e-8)
+        names = [r.name for r in regions]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate region names in {names}")
+        op = as_matrix(self.op)
+        check_hermitian(op, "joint state")
+        op = hermitize(op)
         d = int(np.prod([r.dim for r in regions]))
         if op.shape[0] != d:
             raise DimensionMismatchError(
                 f"operator dim {op.shape[0]} != product of region dims {d}"
             )
-        if self.normalized and abs(np.real(np.trace(op)) - 1.0) > 1e-8:
+        if self.normalized and abs(np.real(np.trace(op)) - 1.0) > TRACE_TOL:
             raise ValueError(f"normalized joint state has trace {np.trace(op):g}")
         object.__setattr__(self, "regions", regions)
         object.__setattr__(self, "op", op)
@@ -127,7 +125,7 @@ def star_product(psi, phi, dims=None, apply_to=None) -> np.ndarray:
     return root @ psi @ root
 
 
-def condition(s: JointState, on, rank_tol: float = DEFAULT_RANK_TOL) -> ConditionalState:
+def condition(s: JointState, on, rank_tol: float = Tolerances.rank_tol) -> ConditionalState:
     """Conditional state of the remaining regions given the ones in ``on``.
 
     Star product of the joint with the pseudo-inverse of the marginal on
@@ -194,13 +192,13 @@ class HybridState:
                 qdim = b.shape[0]
             elif b.shape[0] != qdim:
                 raise DimensionMismatchError("blocks have differing quantum dims")
-            if not is_psd(b, tol=1e-8):
+            if not Spectrum.of(b).is_psd():
                 raise NotPSDError(f"block at outcome {key} is not PSD")
             blocks[key] = hermitize(b)
         if not blocks:
             raise ValueError("hybrid state needs at least one block")
         total = sum(float(np.real(np.trace(b))) for b in blocks.values())
-        if self.normalized and abs(total - 1.0) > 1e-8:
+        if self.normalized and abs(total - 1.0) > TRACE_TOL:
             raise ValueError(f"hybrid blocks have total trace {total:g}, expected 1")
         object.__setattr__(self, "classical_dims", cdims)
         object.__setattr__(self, "blocks", blocks)
@@ -268,7 +266,7 @@ class HybridState:
             if max_norm(b) > tol * scale:
                 blocks[key] = b
         total = sum(float(np.real(np.trace(b))) for b in blocks.values())
-        return cls(cdims, blocks, normalized=abs(total - 1.0) <= 1e-8)
+        return cls(cdims, blocks, normalized=abs(total - 1.0) <= TRACE_TOL)
 
 
 def make_hybrid(blocks, normalize: bool = True) -> HybridState:
@@ -294,4 +292,4 @@ def make_hybrid(blocks, normalize: bool = True) -> HybridState:
             raise ValueError("cannot normalize: total trace is not positive")
         items = {k: b / total for k, b in items.items()}
         return HybridState(cdims, items, normalized=True)
-    return HybridState(cdims, items, normalized=abs(total - 1.0) <= 1e-8)
+    return HybridState(cdims, items, normalized=abs(total - 1.0) <= TRACE_TOL)

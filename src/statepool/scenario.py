@@ -17,10 +17,7 @@ import numpy as np
 
 from .compatibility import CompatibilityVerdict, _support_verdict
 from .errors import DimensionMismatchError, InvalidParameterError, StatePoolError
-from .linalg import (
-    DEFAULT_HERM_TOL, DEFAULT_RANK_TOL, Spectrum, _density_spectrum, as_matrix, check_tolerances,
-    max_norm,
-)
+from .linalg import Spectrum, Tolerances, _density_spectrum, as_matrix, max_norm
 from .pooling import PoolingReport, _pool
 
 
@@ -196,16 +193,14 @@ class ScenarioConfig:
 
     prior: np.ndarray = field(repr=False)
     pipelines: tuple = ()
-    rank_tol: float = DEFAULT_RANK_TOL
-    herm_tol: float = DEFAULT_HERM_TOL
+    tol: Tolerances = Tolerances()
     seed: int = 0
     pool_against_evolved: bool = False
     evolved_by: UnitaryDynamics | None = None
     _prior_spectrum: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_tolerances(self.rank_tol, self.herm_tol)
-        prior, spectrum = _density_spectrum(self.prior, rank_tol=self.rank_tol)
+        prior, spectrum = _density_spectrum(self.prior, self.tol.rank_tol)
         pipelines = tuple(self.pipelines)
         if len(pipelines) != 2:
             raise ValueError(f"exactly two agent pipelines required, got {len(pipelines)}")
@@ -263,15 +258,15 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     message, plus the Hermiticity residual when available).
     """
     sigma1, sigma2 = (run_pipeline(p, cfg.prior) for p in cfg.pipelines)
-    supp1, supp2 = (Spectrum.of(s, cfg.rank_tol).support() for s in (sigma1, sigma2))
+    supp1, supp2 = (Spectrum.of(s, cfg.tol.rank_tol).support() for s in (sigma1, sigma2))
     verdict = _support_verdict(supp1, supp2)
     if not verdict.compatible:
         error = {"error": "IncompatibleAssignmentsError", "message": verdict.diagnostics}
         return ScenarioResult(sigma1, sigma2, verdict, None, error)
-    prior_spectrum = (Spectrum.of(evolve(cfg.evolved_by, cfg.prior), cfg.rank_tol)
+    prior_spectrum = (Spectrum.of(evolve(cfg.evolved_by, cfg.prior), cfg.tol.rank_tol)
                       if cfg.pool_against_evolved else cfg._prior_spectrum)
     try:
-        pooling = _pool(prior_spectrum, sigma1, sigma2, supp1, supp2, verdict, cfg.herm_tol)
+        pooling = _pool(prior_spectrum, sigma1, sigma2, supp1, supp2, verdict, cfg.tol)
     except StatePoolError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "residual"):
@@ -321,6 +316,18 @@ def replacement_channel(dim: int, target_index: int) -> ReplacementChannel:
     return ReplacementChannel(dim, range(dim)[target_index])
 
 
+MAX_DIM = 64  # the dense envelope; a d = 10^5 instance would ask for tens of GiB
+
+
+def _dim(dim):
+    """``dim`` itself, once it is known to lie in [2, MAX_DIM]."""
+    if dim < 2:
+        raise InvalidParameterError(f"dim {dim} < 2")
+    if dim > MAX_DIM:
+        raise InvalidParameterError(f"dim {dim} > {MAX_DIM}")
+    return dim
+
+
 def _seed(seed):
     """``seed`` itself, once it is known not to be a negative integer."""
     if isinstance(seed, (int, np.integer)) and seed < 0:
@@ -335,8 +342,7 @@ def random_instance(dim: int, seed, noise_strength: float = 0.5) -> ScenarioConf
     followed by a detector channel (Wanda dephasing, Theo depolarizing)
     with the given noise weight.  Same seed, bit-identical config.
     """
-    if dim < 2:
-        raise InvalidParameterError(f"dim {dim} < 2")
+    _dim(dim)
     p = _unit_interval(noise_strength, "noise_strength")
     rng = np.random.default_rng(_seed(seed))
     prior = random_density(dim, rng)
@@ -351,9 +357,7 @@ def random_instance(dim: int, seed, noise_strength: float = 0.5) -> ScenarioConf
 def adversarial_instance(dim: int, seed) -> ScenarioConfig:
     """Engineered incompatible scenario: the pipelines replace every input
     with orthogonal pure states, so the posteriors' supports are disjoint."""
-    if dim < 2:
-        raise InvalidParameterError(f"dim {dim} < 2")
-    prior = random_density(dim, np.random.default_rng(_seed(seed)))
+    prior = random_density(_dim(dim), np.random.default_rng(_seed(seed)))
     pipelines = (AgentPipeline("Wanda", (replacement_channel(dim, 0),)),
                  AgentPipeline("Theo", (replacement_channel(dim, 1),)))
     return ScenarioConfig(prior, pipelines, seed=seed if isinstance(seed, int) else 0)
@@ -371,6 +375,8 @@ def batch_report(dims, count: int, noise_grid, seed: int, generator: str = "rand
         raise InvalidParameterError("count must be >= 1")
     if generator not in ("random", "adversarial"):
         raise InvalidParameterError(f"unknown generator {generator!r}")
+    for dim in dims:  # every cell is checked before the first one runs
+        _dim(dim)
     for noise in noise_grid:  # reported in the rows even where the generator ignores it
         _unit_interval(noise, "noise_strength")
     rows = []

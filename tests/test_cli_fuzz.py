@@ -8,12 +8,13 @@ it must be an ``{"error": ...}`` payload or, from ``compat-*``, the
 verdict ``"compatible": false``.  An exception escaping ``main``
 fails the test with its traceback.
 
-Option values are ones argparse reads as values, so the program, not
-argparse's usage error, decides the outcome: single values are passed as
-``--opt=value``, and a multi-valued ``--noise`` list leaves out ``-inf``
-(argparse would take it for an option name).  Dims stay <= 64, and
-``randgen`` dims <= 8, since its config holds d^2 + 1 Kraus matrices of
-d^2 entries each when the noise is not zero.
+Options are passed as raw argv, the way a user types them: a value goes
+as ``--opt=value`` or as its own token, so ``--noise -1e-300`` or ``-inf``,
+which argparse takes for an option name, is among them, and so is an
+unknown flag or a stray token.  Usage errors are exit 2 with a JSON payload
+like any other malformed input.  Dims stay <= 65 (one past the cap), and
+``randgen`` dims <= 8, since its config holds d^2 + 1 Kraus matrices of d^2
+entries each when the noise is not zero.
 """
 
 import contextlib
@@ -151,15 +152,16 @@ def invocations(draw, command):
     argv = [command]
     for name, strategy in OPTIONS.get(command, {}).items():
         if draw(st.booleans()):
-            argv.append(f"{name}={draw(strategy)}")
+            v = draw(strategy)
+            argv += [f"{name}={v}"] if draw(st.booleans()) else [name, v]
     if command == "scenario-batch":
-        argv += ["--dim", *map(str, draw(st.lists(st.integers(-2, 64), min_size=1, max_size=2)))]
+        argv += ["--dim", *map(str, draw(st.lists(st.integers(-2, 65), min_size=1, max_size=2)))]
         if draw(st.booleans()):
-            noise = st.floats(allow_infinity=True).filter(lambda x: x != -np.inf)
-            argv += ["--noise", *(np.format_float_positional(x, trim="0")
-                                  for x in draw(st.lists(noise, min_size=1, max_size=2)))]
+            argv += ["--noise", *draw(st.lists(TOLS, min_size=1, max_size=2))]
         if "--count" not in " ".join(argv):
             argv.append("--count=1")  # the default, 100, is too slow to fuzz
+    if draw(st.integers(0, 4)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "--bogus=1", "stray"])))
     return contents, argv
 
 

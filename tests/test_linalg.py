@@ -4,8 +4,8 @@ import pytest
 from statepool.errors import DimensionMismatchError, NotPSDError
 from statepool.linalg import (
     Subspace,
+    check_hermitian,
     embed,
-    hermitize,
     max_norm,
     partial_trace,
     permute_factors,
@@ -209,6 +209,6 @@ class TestSubspaceIntersection:
             subspace_intersection(Subspace.full(2), Subspace.full(3))
 
 
-def test_hermitize_rejects_far_from_hermitian():
+def test_check_hermitian_rejects_far_from_hermitian():
     with pytest.raises(ValueError):
-        hermitize(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=1e-8)
+        check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), "m")

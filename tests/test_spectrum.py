@@ -16,7 +16,7 @@ from statepool.cli import main
 from statepool.errors import (
     InvalidParameterError, NonHermitianPoolingProductError, PriorSupportError,
 )
-from statepool.linalg import Spectrum, Subspace, max_norm, subspace_intersection
+from statepool.linalg import Spectrum, Subspace, Tolerances, max_norm, subspace_intersection
 from statepool.pooling import _pool, quantum_pool
 from statepool.scenario import (
     AgentPipeline, ScenarioConfig, UnitaryDynamics, batch_report, depolarizing_channel,
@@ -109,7 +109,7 @@ class TestSpectrum:
         s = Spectrum.of(np.diag([2.0, 1e-12, 0.0, -1e-13]), rank_tol=1e-10)
         assert s.support().rank == 1
         assert max_norm(s.pinv() - np.diag([0.5, 0.0, 0.0, 0.0])) == 0.0
-        assert s.is_psd(1e-10) and not Spectrum.of(np.diag([1.0, -0.1])).is_psd(1e-10)
+        assert s.is_psd() and not Spectrum.of(np.diag([1.0, -0.1])).is_psd()
 
     def test_zero_operator(self):
         s = Spectrum.of(np.zeros((3, 3)))
@@ -231,9 +231,9 @@ def test_scenario_run_golden_bytes(tmp_path, capsys, d):
 def _pool_recomputing_the_prior(cfg):
     """``run_scenario``'s pooling step with the prior decomposed afresh."""
     sigma1, sigma2 = (run_pipeline(p, cfg.prior) for p in cfg.pipelines)
-    supp1, supp2 = (Spectrum.of(s, cfg.rank_tol).support() for s in (sigma1, sigma2))
-    return _pool(Spectrum.of(cfg.prior, cfg.rank_tol), sigma1, sigma2, supp1, supp2, None,
-                 cfg.herm_tol)
+    supp1, supp2 = (Spectrum.of(s, cfg.tol.rank_tol).support() for s in (sigma1, sigma2))
+    return _pool(Spectrum.of(cfg.prior, cfg.tol.rank_tol), sigma1, sigma2, supp1, supp2, None,
+                 cfg.tol)
 
 
 def evolved_configs(d):
@@ -263,8 +263,8 @@ class TestPriorSpectrumFromTheDensityCheck:
 
     @pytest.mark.parametrize("rank_tol", [1e-10, 0.2])
     def test_kept_spectrum_is_that_of_the_checked_prior(self, rank_tol):
-        cfg = dataclasses.replace(random_instance(4, 5, 0.5), rank_tol=rank_tol)
-        fresh = Spectrum.of(cfg.prior, cfg.rank_tol)
+        cfg = dataclasses.replace(random_instance(4, 5, 0.5), tol=Tolerances(rank_tol=rank_tol))
+        fresh = Spectrum.of(cfg.prior, cfg.tol.rank_tol)
         assert np.array_equal(cfg._prior_spectrum.w, fresh.w)
         assert np.array_equal(cfg._prior_spectrum.v, fresh.v)
         assert cfg._prior_spectrum.cut == fresh.cut
@@ -308,5 +308,5 @@ class TestPriorSpectrumFromTheDensityCheck:
         calls = []
         monkeypatch.setattr(Subspace, "projector", lambda self: calls.append(self) or np.eye(3))
         s = np.diag([0.5, 0.5, 0.0])
-        _pool(prior, s, s, Spectrum.of(s).support(), Spectrum.of(s).support(), None, 1e-8)
+        _pool(prior, s, s, Spectrum.of(s).support(), Spectrum.of(s).support(), None, Tolerances())
         assert calls == []
