@@ -120,8 +120,11 @@ def classical_compatible(
 def quantum_compatible(s1, s2, tol: Tolerances = Tolerances()) -> CompatibilityVerdict:
     """Support-overlap decision for density operators: compatible iff the
     geometric intersection of the two supports is nonzero, each support cut
-    at ``tol.rank_tol``.  An input that is not Hermitian within ``tol.herm_tol``
-    (relative) or not PSD raises InvalidParameterError."""
+    at ``tol.rank_tol``.  Directions at a principal angle with
+    cos >= 1 - SUBSPACE_TOL count as shared, so two pure states up to
+    sqrt(2e-8) = 1.41e-4 rad apart are compatible.  An input that is not
+    Hermitian within ``tol.herm_tol`` (relative) or not PSD raises
+    InvalidParameterError."""
     (_, spec1), (_, spec2) = _checked_states(tol, s1=s1, s2=s2)
     return _support_verdict(spec1.support(), spec2.support())
 

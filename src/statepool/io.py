@@ -12,6 +12,14 @@ numpy call and prints it with one "%.17g" format (the text of
 lists, and pairs those sets reject, go entry by entry with the same text
 and messages.  An integer entry beyond float range is non-finite input:
 MalformedInputError, CLI exit 2, as for a non-Hermitian compat-quantum state.
+
+Scenario pipeline steps: {"type": "unitary", "matrix": m} and
+{"type": "channel", "kraus": [m, ...]} for a ``UnitaryDynamics`` and a
+``KrausChannel``; the detector channels go by name and parameter,
+{"type": "depolarizing" | "dephasing", "dim": d, "strength": p} and
+{"type": "replacement", "dim": d, "target": t}, so a config holds no Kraus
+list for them and decodes to the closed-form channel.  A Kraus-list step
+still decodes, to a ``KrausChannel``, whatever channel it came from.
 """
 
 from __future__ import annotations
@@ -26,7 +34,11 @@ from .compatibility import ProbabilityDistribution
 from .linalg import Tolerances
 from .pooling import PoolingReport
 from .regions import HybridState
-from .scenario import AgentPipeline, KrausChannel, ScenarioConfig, ScenarioResult, UnitaryDynamics
+from .scenario import (
+    AgentPipeline, DephasingChannel, DepolarizingChannel, KrausChannel, ReplacementChannel,
+    ScenarioConfig, ScenarioResult, UnitaryDynamics, dephasing_channel, depolarizing_channel,
+    replacement_channel,
+)
 
 
 class MalformedInputError(ValueError):
@@ -166,15 +178,45 @@ def pooling_report_to_json(r: PoolingReport) -> dict:
 # --- scenario configs and results ------------------------------------------
 
 
+# Named steps: type name -> (class, validating factory, parameter field).
+_NAMED_STEPS = {
+    "depolarizing": (DepolarizingChannel, depolarizing_channel, "strength"),
+    "dephasing": (DephasingChannel, dephasing_channel, "strength"),
+    "replacement": (ReplacementChannel, replacement_channel, "target"),
+}
+_STEP_NAMES = {cls: name for name, (cls, _, _) in _NAMED_STEPS.items()}
+# A parameter's JSON types, not bool: a strength of 0.0 or 1.0 prints as "0" or "1".
+_PARAM_TYPES = {"strength": ((int, float), "a number"), "target": ((int,), "an integer")}
+
+
 def _step_to_json(step) -> dict:
+    if (name := _STEP_NAMES.get(type(step))) is not None:
+        param = _NAMED_STEPS[name][2]
+        return {"type": name, "dim": step.dim, param: getattr(step, param)}
     if isinstance(step, UnitaryDynamics):
         return {"type": "unitary", "matrix": matrix_to_json(step.u)}
     return {"type": "channel", "kraus": [matrix_to_json(k) for k in step.kraus_ops]}
 
 
+def _named_step_from_json(obj):
+    name = obj["type"]
+    _, factory, param = _NAMED_STEPS[name]
+    if set(obj) != {"type", "dim", param}:
+        raise MalformedInputError(f'{name} step must have exactly keys "type", "dim" and "{param}"')
+    dim, value = obj["dim"], obj[param]
+    if type(dim) is not int or dim < 1:  # a JSON 2.0 or true is no dimension
+        raise MalformedInputError(f'{name} step: "dim" must be a positive integer, got {dim!r}')
+    types, kind = _PARAM_TYPES[param]
+    if type(value) not in types:
+        raise MalformedInputError(f'{name} step: "{param}" must be {kind}, got {value!r}')
+    return factory(dim, value)
+
+
 def _step_from_json(obj):
     if not isinstance(obj, dict) or "type" not in obj:
         raise MalformedInputError('pipeline step needs a "type" field')
+    if isinstance(obj["type"], str) and obj["type"] in _NAMED_STEPS:
+        return _named_step_from_json(obj)
     if obj["type"] == "unitary":
         return UnitaryDynamics(matrix_from_json(obj["matrix"]))
     if obj["type"] == "channel":

@@ -294,8 +294,10 @@ def subspace_intersection(p: Subspace, q: Subspace, tol: float = SUBSPACE_TOL) -
     """Geometric intersection of two subspaces, from their principal angles.
 
     The singular values of Bp† Bq are the cosines of the principal angles;
-    directions with cos >= 1 - tol are shared.  A full subspace meets any
-    other subspace in that subspace, with no decomposition.
+    directions with cos >= 1 - tol are shared, so at the default tol = 1e-8
+    two lines up to sqrt(2 tol) = 1.41e-4 rad apart meet (1e-4 rad does,
+    1.5e-4 rad does not).  A full subspace meets any other subspace in that
+    subspace, with no decomposition.
     """
     if p.ambient_dim != q.ambient_dim:
         raise DimensionMismatchError(

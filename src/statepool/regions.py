@@ -192,6 +192,7 @@ class HybridState:
                 qdim = b.shape[0]
             elif b.shape[0] != qdim:
                 raise DimensionMismatchError("blocks have differing quantum dims")
+            check_hermitian(b, f"block at outcome {key}")
             if not Spectrum.of(b).is_psd():
                 raise NotPSDError(f"block at outcome {key} is not PSD")
             blocks[key] = hermitize(b)

@@ -25,7 +25,7 @@ class Channel:
     """One pipeline step: a CPTP map from dim_in x dim_in to dim_out x dim_out matrices.
 
     ``apply`` returns (M + M†)/2 for M = ``_map(rho)`` unless a subclass overrides
-    it; ``kraus_ops`` is a Kraus decomposition of the same map (JSON export).
+    it; ``kraus_ops`` is a Kraus decomposition of the same map.
     """
 
     dim_in = dim_out = property(lambda self: self.dim)  # square channels define ``dim``
@@ -89,7 +89,8 @@ class _ClosedForm(Channel):
     """Channel on C^dim applied in closed form; its Kraus list is built on first read.
 
     ``_map`` adds the floating-point terms of the sum over ``kraus_ops`` in its
-    order, without the exact zeros, so a JSON round trip keeps every bit.
+    order, without the exact zeros, so the same channel read back from a
+    Kraus-list config as a ``KrausChannel`` gives the same bits.
     """
 
     dim: int
@@ -312,7 +313,9 @@ def dephasing_channel(dim: int, strength: float) -> DephasingChannel:
 
 
 def replacement_channel(dim: int, target_index: int) -> ReplacementChannel:
-    """Channel replacing every input with the basis state |target_index>."""
+    """Channel replacing every input with the basis state |target_index>, 0 <= index < dim."""
+    if not 0 <= target_index < dim:
+        raise InvalidParameterError(f"target {target_index} outside [0, {dim})")
     return ReplacementChannel(dim, range(dim)[target_index])
 
 

@@ -5,11 +5,14 @@ search works straight from the definitional constraints, and the random
 generators below use raw numpy.
 """
 
+import dataclasses
 import itertools
 import json
 
 import numpy as np
 from scipy.optimize import linprog
+
+from statepool.scenario import AgentPipeline, KrausChannel, _ClosedForm
 
 
 def grid_distributions(n_outcomes, step=0.25):
@@ -153,3 +156,17 @@ def per_entry_matrix_entries(entries):
             raise ValueError(f"entry {i} is not a [re, im] pair of reals")
         flat[i] = complex(pair[0], pair[1])
     return flat
+
+
+# --- scenario configs with every channel as a Kraus list -------------------
+
+
+def kraus_list_config(cfg):
+    """``cfg`` with each closed-form detector step replaced by a ``KrausChannel``
+    of its Kraus list: encoded, the config as it was written before the
+    detector channels went by name."""
+    pipelines = tuple(
+        AgentPipeline(p.name, tuple(KrausChannel(s.kraus_ops) if isinstance(s, _ClosedForm)
+                                    else s for s in p.steps))
+        for p in cfg.pipelines)
+    return dataclasses.replace(cfg, pipelines=pipelines)

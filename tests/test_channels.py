@@ -170,8 +170,9 @@ def test_strength_validated(ctor, strength):
 
 
 def test_replacement_target_validated():
-    with pytest.raises(IndexError):
-        replacement_channel(2, 2)
+    for target in (2, 5, -1):
+        with pytest.raises(InvalidParameterError, match=rf"target {target} outside \[0, 2\)"):
+            replacement_channel(2, target)
 
 
 @pytest.mark.parametrize("noise", [-0.5, 1.5, float("nan"), float("inf")])

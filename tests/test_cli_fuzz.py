@@ -12,9 +12,9 @@ Options are passed as raw argv, the way a user types them: a value goes
 as ``--opt=value`` or as its own token, so ``--noise -1e-300`` or ``-inf``,
 which argparse takes for an option name, is among them, and so is an
 unknown flag or a stray token.  Usage errors are exit 2 with a JSON payload
-like any other malformed input.  Dims stay <= 65 (one past the cap), and
-``randgen`` dims <= 8, since its config holds d^2 + 1 Kraus matrices of d^2
-entries each when the noise is not zero.
+like any other malformed input.  Dims stay <= 65, one past the cap.
+Scenario configs draw their detector steps by name (fuzzed keys, dims and
+parameters) or as a Kraus list.
 """
 
 import contextlib
@@ -30,6 +30,8 @@ from hypothesis import strategies as st
 from statepool import io
 from statepool.cli import main
 from statepool.scenario import random_instance
+
+from oracles import kraus_list_config
 
 FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -90,14 +92,37 @@ def tables(draw):
 
 BASE_CONFIG = io.scenario_config_to_json(random_instance(2, 7, 0.5))
 CONFIG_KEYS = sorted(BASE_CONFIG) + ["evolved_by"]
+KRAUS_STEPS = [p["steps"][1] for p in
+               io.scenario_config_to_json(kraus_list_config(random_instance(2, 7, 0.5)))["pipelines"]]
+NAMED_PARAMS = {"depolarizing": "strength", "dephasing": "strength", "replacement": "target"}
+
+
+@st.composite
+def named_steps(draw):
+    """A depolarizing, dephasing or replacement step, often valid, with fuzzed
+    dim and parameter and maybe a key dropped or added."""
+    name = draw(st.sampled_from(sorted(NAMED_PARAMS)))
+    near = st.sampled_from([0, 1, 2, 0.0, 0.5, 1.0, -1, 5, 2.0, True])
+    step = {"type": name, "dim": draw(near | SCALARS),
+            NAMED_PARAMS[name]: draw(near | SCALARS)}
+    if draw(st.integers(0, 3)) == 0:
+        key = draw(st.sampled_from(["dim", "strength", "target", "kraus", ""]))
+        if key in step and draw(st.booleans()):
+            del step[key]
+        else:
+            step[key] = draw(near | ANY_JSON)
+    return step
 
 
 @st.composite
 def configs(draw):
-    """The d = 2 ``randgen`` config with some fields replaced or dropped."""
+    """The d = 2 ``randgen`` config with some steps or fields replaced or dropped."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
     if draw(st.booleans()):
         cfg["pipelines"][0]["steps"][0] = {"type": "unitary", "matrix": draw(matrices())}
+    if draw(st.booleans()):
+        i = draw(st.integers(0, 1))
+        cfg["pipelines"][i]["steps"][1] = draw(named_steps() | st.just(KRAUS_STEPS[i]))
     for key in draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=3)):
         value = draw(st.one_of(ANY_JSON, matrices(), st.just(None)))
         if value is None:
@@ -141,7 +166,7 @@ OPTIONS = {
     "scenario-batch": {"--count": value(st.integers(-1, 2)),
                        "--seed": value(st.integers(-3, 2**63)),
                        "--generator": st.sampled_from(["random", "adversarial"])},
-    "randgen": {"--dim": value(st.integers(-2, 8)), "--seed": value(st.integers(-3, 2**63)),
+    "randgen": {"--dim": value(st.integers(-2, 65)), "--seed": value(st.integers(-3, 2**63)),
                 "--noise": TOLS},
 }
 

@@ -260,3 +260,12 @@ def test_decision_procedure_matches_witness_search_on_grid():
                 q2 = ProbabilityDistribution(tuple(range(n)), q2v)
                 assert (classical_compatible(q1, q2).compatible
                         == objective_witness_exists(q1v, q2v))
+
+
+@pytest.mark.parametrize("theta, compatible", [(0.0, True), (1e-4, True), (1.5e-4, False)])
+def test_pure_states_compatible_up_to_the_angle_cut(theta, compatible):
+    # cos(theta) >= 1 - SUBSPACE_TOL = 1 - 1e-8 keeps theta up to sqrt(2e-8) = 1.414e-4 rad
+    v = np.array([np.cos(theta), np.sin(theta)])
+    verdict = quantum_compatible(np.diag([1.0, 0.0]), np.outer(v, v))
+    assert verdict.compatible is compatible
+    assert verdict.intersection_rank() == int(compatible)

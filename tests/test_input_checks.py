@@ -1,4 +1,5 @@
-"""Inputs rejected where they enter: tolerances, seeds and non-PSD states.
+"""Inputs rejected where they enter: tolerances, seeds, non-PSD states and
+malformed named pipeline steps.
 
 Each of these used to reach a computation and come back as a misleading
 verdict or a bare numpy traceback; now each is InvalidParameterError, which
@@ -15,6 +16,7 @@ from statepool import io
 from statepool.cli import main
 from statepool.compatibility import quantum_compatible
 from statepool.errors import InvalidParameterError
+from statepool.io import MalformedInputError
 from statepool.linalg import Tolerances
 from statepool.pooling import quantum_pool
 from statepool.scenario import adversarial_instance, batch_report, random_instance
@@ -172,3 +174,41 @@ def test_fuzz_findings_exit_2(tmp_path, capsys, command, files):
 def test_adversarial_batch_rejects_noise_it_ignores(capsys):
     assert "noise" in assert_exit_2(capsys, "scenario-batch", "--generator", "adversarial",
                                     "--dim", "2", "--count", "1", "--noise", "inf")
+
+
+# --- named pipeline steps: exactly the named keys, each of its JSON type ---
+
+DEPOLARIZING = {"type": "depolarizing", "dim": 2, "strength": 0.5}
+REPLACEMENT = {"type": "replacement", "dim": 2, "target": 1}
+
+
+@pytest.mark.parametrize("step, message", [
+    ({**DEPOLARIZING, "strength": "0.5"}, '"strength" must be a number'),
+    ({**DEPOLARIZING, "strength": True}, '"strength" must be a number'),
+    ({**DEPOLARIZING, "strength": None}, '"strength" must be a number'),
+    ({**DEPOLARIZING, "strength": 1.5}, "strength 1.5 outside"),
+    ({**DEPOLARIZING, "strength": math.nan}, "strength nan outside"),
+    ({**DEPOLARIZING, "strength": 10**400}, "bad scenario config"),
+    ({**DEPOLARIZING, "dim": 2.0}, '"dim" must be a positive integer'),
+    ({**DEPOLARIZING, "dim": True}, '"dim" must be a positive integer'),
+    ({**DEPOLARIZING, "dim": 0}, '"dim" must be a positive integer'),
+    ({**DEPOLARIZING, "dim": 3}, "step input dim 3"),
+    ({**DEPOLARIZING, "extra": 1}, 'exactly keys "type", "dim" and "strength"'),
+    ({**DEPOLARIZING, "kraus": []}, 'exactly keys "type", "dim" and "strength"'),
+    ({"type": "dephasing", "dim": 2}, 'exactly keys "type", "dim" and "strength"'),
+    ({"type": "dephasing", "dim": 2, "target": 0}, 'exactly keys "type", "dim" and "strength"'),
+    ({**REPLACEMENT, "target": -1}, r"target -1 outside \[0, 2\)"),
+    ({**REPLACEMENT, "target": 5}, r"target 5 outside \[0, 2\)"),
+    ({**REPLACEMENT, "target": True}, '"target" must be an integer'),
+    ({**REPLACEMENT, "target": 1.0}, '"target" must be an integer'),
+    ({"type": "replacement", "dim": 2, "strength": 0.5}, 'exactly keys "type", "dim" and "target"'),
+    ({"type": ["depolarizing"], "dim": 2, "strength": 0.5}, "unknown step type"),
+])
+def test_malformed_named_step_rejected(tmp_path, capsys, step, message):
+    cfg = _config()
+    cfg["pipelines"][0]["steps"][1] = step
+    with pytest.raises(MalformedInputError, match=message):
+        io.scenario_config_from_json(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert_exit_2(capsys, "scenario-run", str(path))

@@ -12,7 +12,7 @@ from statepool.linalg import max_norm
 from statepool.regions import make_hybrid
 from statepool.scenario import random_instance
 
-from oracles import rand_density, rand_psd
+from oracles import kraus_list_config, rand_density, rand_psd
 
 
 def write_json(path, obj):
@@ -170,10 +170,17 @@ class TestCli:
         assert out1 == out2
 
     def test_randgen_golden_bytes(self, capsys):
-        # Output of the explicit-Kraus-list implementation: the closed-form
-        # channels must export exactly the same Kraus lists.
+        # The detector channels go by name and strength.
         code, out = run_cli(capsys, "randgen", "--dim", "4", "--noise", "0.5", "--seed", "7")
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0ac67404113170f66e67f1678460b33872492616a8fa0c3c6f32994cc3b3db31"
+        )
+
+    def test_kraus_list_config_golden_bytes(self):
+        # Output of the explicit-Kraus-list implementation: the closed-form
+        # channels still export exactly the same Kraus lists.
+        out = io.dumps(io.scenario_config_to_json(kraus_list_config(random_instance(4, 7, 0.5))))
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "1b9534e6ba43ef311b0a5605e27d3114efa17152c91121f48c399d2476771e46"
         )

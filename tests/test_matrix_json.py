@@ -15,8 +15,11 @@ from statepool.cli import main
 from statepool.compatibility import quantum_compatible
 from statepool.errors import InvalidParameterError
 from statepool.io import MalformedInputError
+from statepool.scenario import random_instance
 
-from oracles import per_entry_matrix_entries, per_float_dumps, per_float_matrix_json
+from oracles import (
+    kraus_list_config, per_entry_matrix_entries, per_float_dumps, per_float_matrix_json,
+)
 
 MAX = 1.7976931348623157e308
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, MAX, -MAX,
@@ -250,21 +253,32 @@ class TestScenarioRunOverrides:
             assert code == 2 and json.loads(out)["error"] == "malformed_input"
 
 
-# SHA-256 of `randgen --dim 16 --noise 0.5 --seed 101` (277 matrices: prior,
-# two unitaries, 17 + 257 Kraus operators) and of `scenario-run` on it, taken
-# from the entry-by-entry encoder.
+# SHA-256 of `randgen --dim 16 --noise 0.5 --seed 101` with every channel
+# written as its Kraus list (277 matrices: prior, two unitaries, 17 + 257
+# Kraus operators) and of `scenario-run` on it, taken from the entry-by-entry
+# encoder.  `randgen` itself now writes the detector channels by name
+# (GOLDEN_D16_NAMED, 3 matrices); `scenario-run` gives the same result on both.
 GOLDEN_D16 = (
     "6d799bac3cfc14b454ae9beeba979d5e4409d0899c00b44a05e111eb63eabe68",
     "ec66a75d35852ee4d21619a44d4f0246e1397fc26d7d551f533207680fe5f57e",
 )
+GOLDEN_D16_NAMED = "7bb3288248b2762cdc71f2ff3cd06f1d7e90494e40f347c8cb913401abd27bca"
 
 
 def test_randgen_and_scenario_run_d16_golden_bytes(tmp_path, capsys):
     cfg = str(tmp_path / "cfg.json")
     code, config = run_cli(capsys, "randgen", "--dim", "16", "--noise", "0.5", "--seed", "101")
     assert code == 0
-    assert hashlib.sha256(config.encode()).hexdigest() == GOLDEN_D16[0]
+    assert hashlib.sha256(config.encode()).hexdigest() == GOLDEN_D16_NAMED
     write_json(tmp_path / "cfg.json", config)
     code, result = run_cli(capsys, "scenario-run", cfg)
+    assert code == 0
+    assert hashlib.sha256(result.encode()).hexdigest() == GOLDEN_D16[1]
+
+
+def test_kraus_list_config_d16_golden_bytes(tmp_path, capsys):
+    legacy = io.dumps(io.scenario_config_to_json(kraus_list_config(random_instance(16, 101, 0.5))))
+    assert hashlib.sha256(legacy.encode()).hexdigest() == GOLDEN_D16[0]
+    code, result = run_cli(capsys, "scenario-run", write_json(tmp_path / "cfg.json", legacy))
     assert code == 0
     assert hashlib.sha256(result.encode()).hexdigest() == GOLDEN_D16[1]

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statepool.errors import ImpossibleConditioningError, NotPSDError
+from statepool import io
+from statepool.errors import ImpossibleConditioningError, InvalidParameterError, NotPSDError
+from statepool.io import MalformedInputError
 from statepool.linalg import max_norm, partial_trace, support_projector, tensor
 from statepool.regions import (
     HybridState,
@@ -226,6 +228,25 @@ class TestHybrid:
     def test_non_psd_block_rejected(self):
         with pytest.raises(NotPSDError):
             make_hybrid({0: np.diag([1.0, -0.5])})
+
+    NON_HERMITIAN = {0: [[0.25, 0.3], [0.0, 0.25]], 1: np.eye(2) / 4}
+
+    def test_non_hermitian_block_rejected(self):
+        msg = r"block at outcome \(0,\) is not Hermitian \(residual 3.000e-01\)"
+        with pytest.raises(InvalidParameterError, match=msg):
+            HybridState((2,), self.NON_HERMITIAN)
+        with pytest.raises(InvalidParameterError, match=msg):
+            make_hybrid(self.NON_HERMITIAN)
+        # a residual within the relative rule is still symmetrized
+        h = HybridState((2,), {0: np.array([[0.5, 1e-10], [0.0, 0.5]])})
+        assert max_norm(h.block(0) - h.block(0).conj().T) == 0.0
+
+    def test_non_hermitian_block_rejected_from_json(self):
+        h = make_hybrid({0: np.eye(2) / 4, 1: np.eye(2) / 4})
+        obj = io.hybrid_to_json(h)
+        obj["blocks"]["0"] = io.matrix_to_json(np.array(self.NON_HERMITIAN[0]))
+        with pytest.raises(MalformedInputError, match="block at outcome .* is not Hermitian"):
+            io.hybrid_from_json(obj)
 
 
 def test_joint_marginals_of_elementary_regions_can_be_checked():
