@@ -146,18 +146,36 @@ def hybrid_to_json(h: HybridState) -> dict:
     }
 
 
+def _field(obj, key, default, ok, kind):
+    """``obj[key]`` (``default`` when absent), once ``ok`` accepts it; else
+    MalformedInputError saying the field must be ``kind``."""
+    value = obj.get(key, default)
+    if not ok(value):
+        raise MalformedInputError(f'"{key}" must be {kind}, got {value!r}')
+    return value
+
+
+def _is_bool(v) -> bool:
+    return type(v) is bool
+
+
+def _is_number(v) -> bool:  # a JSON true is no number
+    return type(v) in (int, float)
+
+
 def hybrid_from_json(obj) -> HybridState:
     try:
         blocks = {
             tuple(int(s) for s in key.split(",")): matrix_from_json(b)
             for key, b in obj["blocks"].items()
         }
-        return HybridState(
-            tuple(int(d) for d in obj["classical_dims"]),
-            blocks,
-            normalized=bool(obj.get("normalized", True)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        dims = _field(obj, "classical_dims", None, lambda v: type(v) is list and all(
+            type(d) is int for d in v), "a list of integers")
+        return HybridState(tuple(dims), blocks,
+                           normalized=_field(obj, "normalized", True, _is_bool, "a bool"))
+    except MalformedInputError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:  # "blocks" not an object
         raise MalformedInputError(f"bad hybrid state: {exc}") from exc
 
 
@@ -251,12 +269,15 @@ def scenario_config_from_json(obj) -> ScenarioConfig:
             for p in obj["pipelines"]
         )
         evolved = obj.get("evolved_by")
+        tols = {k: float(_field(obj, k, None, _is_number, "a number"))
+                for k in ("rank_tol", "herm_tol") if k in obj}
         return ScenarioConfig(
             prior=matrix_from_json(obj["prior"]),
             pipelines=pipelines,
-            tol=Tolerances(**{k: float(obj[k]) for k in ("rank_tol", "herm_tol") if k in obj}),
-            seed=int(obj.get("seed", 0)),
-            pool_against_evolved=bool(obj.get("pool_against_evolved", False)),
+            tol=Tolerances(**tols),
+            seed=_field(obj, "seed", 0, lambda v: type(v) is int and v >= 0,
+                        "an integer >= 0"),
+            pool_against_evolved=_field(obj, "pool_against_evolved", False, _is_bool, "a bool"),
             evolved_by=UnitaryDynamics(matrix_from_json(evolved)) if evolved else None,
         )
     except MalformedInputError:

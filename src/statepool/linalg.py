@@ -15,12 +15,17 @@ Conventions
 * ``tensor(a, b)`` is the Kronecker product with the LEFT factor as the
   FIRST region: index ``i*dim(b) + j`` of the product corresponds to basis
   state ``|i>|j>``.
-* One ``eigh`` per operator: support, pseudo-inverse, PSD test and PSD
-  square root all derive from one ``Spectrum``.  Its rank cut, written once
-  in ``Spectrum.of``, keeps ``|w| > rank_tol * max|w|``; PSD means
-  ``min w >= -PSD_TOL * max(max|w|, 1)``, and eigenvalues between that floor
-  and zero are clamped to zero.  A scenario's prior is decomposed once: the
-  density check hands its ``Spectrum`` on to pooling.
+* At most one ``eigh`` per operator: support, pseudo-inverse, PSD test and
+  PSD square root all derive from one ``Spectrum``.  Its rank cut, written
+  once in ``Spectrum.of``, keeps ``|w| > rank_tol * max|w|``; PSD means
+  ``min w >= -PSD_TOL * max(max|w|, 1)`` (``_psd_floor``), and eigenvalues
+  between that floor and zero are clamped to zero.  A scenario's prior is
+  decomposed once: the density check hands its ``Spectrum`` on to pooling.
+* ``support_projector`` needs no ``eigh`` for an operator one Cholesky
+  certifies full rank (``_certified_full_rank``): the certificate holds
+  only where the cut above would keep every eigenvalue, so it returns the
+  same support as ``Spectrum.of(a, rank_tol).support()``, in the identity
+  basis.  Everything else falls back to that decomposition.
 * A caller sets ``rank_tol`` and ``herm_tol`` through one ``Tolerances``
   record, which rejects a NaN, infinite or negative value, or ``rank_tol >= 1``,
   as InvalidParameterError (CLI exit 2), never a verdict.  Every other
@@ -56,6 +61,11 @@ class Tolerances:
             raise InvalidParameterError(f"rank_tol {self.rank_tol!r} outside [0, 1)")
         if not 0.0 <= self.herm_tol < np.inf:
             raise InvalidParameterError(f"herm_tol {self.herm_tol!r} is not a finite value >= 0")
+
+
+def _psd_floor(w) -> float:
+    """The most negative eigenvalue a PSD operator with nonempty spectrum ``w`` may have."""
+    return -PSD_TOL * max(float(np.max(np.abs(w))), 1.0)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -274,8 +284,7 @@ class Spectrum:
         return (self.v * inv) @ self.v.conj().T
 
     def is_psd(self) -> bool:
-        w = self.w
-        return bool(w.size == 0 or w.min() >= -PSD_TOL * max(float(np.max(np.abs(w))), 1.0))
+        return bool(self.w.size == 0 or self.w.min() >= _psd_floor(self.w))
 
     def psd_function(self, f) -> np.ndarray:
         """f applied to the eigenvalues clamped at zero (callers check ``is_psd`` first)."""
@@ -285,9 +294,45 @@ class Spectrum:
 def support_projector(h, rank_tol: float = Tolerances.rank_tol) -> Subspace:
     """Span of eigenvectors with |eigenvalue| > rank_tol * max|eigenvalue|.
 
-    The zero operator yields the empty subspace.
+    The zero operator yields the empty subspace.  A matrix that
+    ``_certified_full_rank`` proves full rank yields ``Subspace.full`` with
+    no eigendecomposition; any other goes through ``Spectrum.of``.
     """
-    return Spectrum.of(h, rank_tol).support()
+    a = hermitize(h)
+    if _certified_full_rank(a, rank_tol):
+        return Subspace.full(a.shape[0])
+    return Spectrum.of(a, rank_tol).support()
+
+
+def _certified_full_rank(a: np.ndarray, rank_tol: float) -> bool:
+    """Whether one Cholesky proves that ``Spectrum.of(a, rank_tol)`` keeps every
+    eigenvalue of the Hermitian matrix ``a``.
+
+    With t = Tr a finite and positive, take c = (rank_tol + 4 d^2 eps) t and
+    factor a - cI.  A Cholesky factor R that LAPACK completes satisfies
+    R†R = a - cI + E with ||E||_2 <= gamma_{d+1} ||R||_F^2 = gamma_{d+1} Tr(R†R)
+    (Higham, Accuracy and Stability, Thm 10.3), which is at most about
+    (d + 1) u t, u = eps / 2.  R†R is PSD, so
+        lambda_min(a) >= c - ||E||_2 >= rank_tol t + (4 d^2 eps - (d + 1) u) t > 0.
+    So a is positive definite, and then ||a||_2 <= Tr a = t.  ``eigh`` returns
+    each eigenvalue within a few d u ||a||_2 <= d u t of the exact one, so its
+    smallest is above rank_tol t >= rank_tol max|w| by a margin the rest of
+    the 8 d^2 u t slack covers, and its cut |w| > rank_tol max|w| keeps them
+    all.  A zero, indefinite or rank-deficient matrix fails the factorization
+    (or the trace test) and is left to ``eigh``; so is a full-rank one whose
+    smallest eigenvalue lies within the slack of the cut.
+    """
+    d = a.shape[0]
+    t = float(np.real(np.trace(a)))
+    if not 0.0 < t < np.inf:
+        return False
+    shifted = a.copy()
+    shifted.flat[:: d + 1] -= (rank_tol + 4 * d * d * np.finfo(float).eps) * t
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def subspace_intersection(p: Subspace, q: Subspace, tol: float = SUBSPACE_TOL) -> Subspace:

@@ -19,7 +19,9 @@ from .errors import (
     DimensionMismatchError, IncompatibleAssignmentsError, InvalidParameterError,
     NonHermitianPoolingProductError, NotPSDError, PriorSupportError,
 )
-from .linalg import PSD_TOL, SUBSPACE_TOL, Tolerances, _checked_states, as_matrix, max_norm
+from .linalg import (
+    SUBSPACE_TOL, Tolerances, _checked_states, _psd_floor, as_matrix, max_norm,
+)
 
 PROPORTIONALITY_TOL = 1e-9  # max-norm after trace normalization
 
@@ -124,7 +126,7 @@ def _pool(prior_spectrum, a, b, supp1, supp2, verdict, tol: Tolerances) -> Pooli
         raise IncompatibleAssignmentsError(f"pooling product has nonpositive trace {tr:g}")
     pooled = (t + t.conj().T) / (2.0 * tr)
     w = np.linalg.eigvalsh(pooled)
-    if w.min() < -PSD_TOL:
+    if w.min() < _psd_floor(w):
         raise NotPSDError(f"negative pooled eigenvalue beyond tolerance: {w.min():.3e}")
     return PoolingReport(
         pooled=pooled,

@@ -17,7 +17,9 @@ import numpy as np
 
 from .compatibility import CompatibilityVerdict, _support_verdict
 from .errors import DimensionMismatchError, InvalidParameterError, StatePoolError
-from .linalg import Spectrum, Tolerances, _density_spectrum, as_matrix, max_norm
+from .linalg import (
+    Spectrum, Tolerances, _density_spectrum, as_matrix, max_norm, support_projector,
+)
 from .pooling import PoolingReport, _pool
 
 
@@ -259,7 +261,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     message, plus the Hermiticity residual when available).
     """
     sigma1, sigma2 = (run_pipeline(p, cfg.prior) for p in cfg.pipelines)
-    supp1, supp2 = (Spectrum.of(s, cfg.tol.rank_tol).support() for s in (sigma1, sigma2))
+    supp1, supp2 = (support_projector(s, cfg.tol.rank_tol) for s in (sigma1, sigma2))
     verdict = _support_verdict(supp1, supp2)
     if not verdict.compatible:
         error = {"error": "IncompatibleAssignmentsError", "message": verdict.diagnostics}
@@ -296,7 +298,10 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
 
 
 def _unit_interval(x, what: str = "strength") -> float:
-    p = float(x)
+    try:
+        p = float(x)
+    except OverflowError:  # an int beyond float range
+        raise InvalidParameterError(f"{what} outside [0, 1]: an integer beyond float range") from None
     if not 0.0 <= p <= 1.0:  # also rejects NaN
         raise InvalidParameterError(f"{what} {p} outside [0, 1]")
     return p

@@ -1,11 +1,13 @@
-"""Inputs rejected where they enter: tolerances, seeds, non-PSD states and
-malformed named pipeline steps.
+"""Inputs rejected where they enter: tolerances, seeds, non-PSD states,
+malformed named pipeline steps and mistyped scalar fields of configs and
+hybrid states.
 
 Each of these used to reach a computation and come back as a misleading
 verdict or a bare numpy traceback; now each is InvalidParameterError, which
 the CLI reports as exit 2 with a ``malformed_input`` payload.
 """
 
+import dataclasses
 import json
 import math
 
@@ -19,7 +21,11 @@ from statepool.errors import InvalidParameterError
 from statepool.io import MalformedInputError
 from statepool.linalg import Tolerances
 from statepool.pooling import quantum_pool
-from statepool.scenario import adversarial_instance, batch_report, random_instance
+from statepool.regions import make_hybrid
+from statepool.scenario import (
+    UnitaryDynamics, adversarial_instance, batch_report, depolarizing_channel, haar_unitary,
+    random_instance,
+)
 
 HALF = np.eye(2) / 2
 NOT_PSD = np.diag([2.0, -1.0])  # Hermitian, unit trace, eigenvalue -1
@@ -212,3 +218,75 @@ def test_malformed_named_step_rejected(tmp_path, capsys, step, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert_exit_2(capsys, "scenario-run", str(path))
+
+
+# --- scalar fields: each of its JSON type, never coerced ---
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("pool_against_evolved", "false", '"pool_against_evolved" must be a bool'),
+    ("pool_against_evolved", 0, '"pool_against_evolved" must be a bool'),
+    ("seed", 7.9, '"seed" must be an integer >= 0'),
+    ("seed", 7.0, '"seed" must be an integer >= 0'),
+    ("seed", True, '"seed" must be an integer >= 0'),
+    ("seed", -1, '"seed" must be an integer >= 0'),
+    ("seed", "7", '"seed" must be an integer >= 0'),
+    ("rank_tol", "1e-3", '"rank_tol" must be a number'),
+    ("rank_tol", True, '"rank_tol" must be a number'),
+    ("herm_tol", "1e-8", '"herm_tol" must be a number'),
+    ("herm_tol", False, '"herm_tol" must be a number'),
+    ("herm_tol", None, '"herm_tol" must be a number'),
+])
+def test_mistyped_config_field_rejected(tmp_path, capsys, field, value, message):
+    cfg = _config(**{field: value})
+    with pytest.raises(MalformedInputError, match=message):
+        io.scenario_config_from_json(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert message in assert_exit_2(capsys, "scenario-run", str(path))
+
+
+def test_typed_config_fields_still_read():
+    cfg = io.scenario_config_from_json(_config(seed=0, rank_tol=0, herm_tol=1))
+    assert (cfg.seed, cfg.tol) == (0, Tolerances(0.0, 1.0))
+    assert type(cfg.tol.rank_tol) is float
+
+
+def test_evolved_config_decodes_to_the_same_bytes():
+    # every scalar field at a value other than its default; the other configs
+    # randgen writes are in test_named_steps.py
+    u = UnitaryDynamics(haar_unitary(3, np.random.default_rng(4)))
+    cfg = dataclasses.replace(random_instance(3, 4, 0.5), pool_against_evolved=True,
+                              evolved_by=u, tol=Tolerances(0.0, 1e-6))
+    text = io.dumps(io.scenario_config_to_json(cfg))
+    back = io.scenario_config_from_json(json.loads(text))
+    assert io.dumps(io.scenario_config_to_json(back)) == text
+
+
+HYBRID = io.hybrid_to_json(make_hybrid({(0,): HALF / 2, (1,): HALF / 2}))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("classical_dims", [2.7], '"classical_dims" must be a list of integers'),
+    ("classical_dims", [2.0], '"classical_dims" must be a list of integers'),
+    ("classical_dims", [True], '"classical_dims" must be a list of integers'),
+    ("classical_dims", "2", '"classical_dims" must be a list of integers'),
+    ("normalized", "no", '"normalized" must be a bool'),
+    ("normalized", 1, '"normalized" must be a bool'),
+    ("blocks", [HYBRID["blocks"]], "bad hybrid state"),
+])
+def test_mistyped_hybrid_field_rejected(field, value, message):
+    with pytest.raises(MalformedInputError, match=message):
+        io.hybrid_from_json(HYBRID | {field: value})
+
+
+def test_typed_hybrid_fields_still_read():
+    h = io.hybrid_from_json(HYBRID | {"normalized": False})
+    assert h.classical_dims == (2,) and h.normalized is False
+    assert io.hybrid_from_json({k: v for k, v in HYBRID.items() if k != "normalized"}).normalized
+
+
+@pytest.mark.parametrize("strength", [10**400, -10**400], ids=["1e400", "-1e400"])
+def test_int_strength_beyond_float_range(strength):
+    with pytest.raises(InvalidParameterError, match="integer beyond float range"):
+        depolarizing_channel(2, strength)

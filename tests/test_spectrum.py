@@ -1,5 +1,6 @@
 """One spectrum per operator: Spectrum-derived quantities, the principal-angle
-intersection, decomposition counts on the hot paths, and golden bytes."""
+intersection, the full-rank certificate, decomposition counts on the hot
+paths, and golden bytes."""
 
 import dataclasses
 import hashlib
@@ -8,7 +9,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from statepool import io, regions
@@ -16,11 +17,14 @@ from statepool.cli import main
 from statepool.errors import (
     InvalidParameterError, NonHermitianPoolingProductError, PriorSupportError,
 )
-from statepool.linalg import Spectrum, Subspace, Tolerances, max_norm, subspace_intersection
+from statepool.linalg import (
+    Spectrum, Subspace, Tolerances, _certified_full_rank, hermitize, max_norm,
+    subspace_intersection, support_projector,
+)
 from statepool.pooling import _pool, quantum_pool
 from statepool.scenario import (
-    AgentPipeline, ScenarioConfig, UnitaryDynamics, batch_report, depolarizing_channel,
-    haar_unitary, random_instance, run_pipeline, run_scenario,
+    AgentPipeline, ScenarioConfig, UnitaryDynamics, adversarial_instance, batch_report,
+    depolarizing_channel, haar_unitary, random_instance, run_pipeline, run_scenario,
 )
 
 from oracles import rand_density, rand_psd
@@ -121,7 +125,7 @@ class Counter:
 
     def __init__(self, monkeypatch):
         self.calls = []
-        for name in ("eigh", "eigvalsh", "svd"):
+        for name in ("eigh", "eigvalsh", "svd", "cholesky"):
             monkeypatch.setattr(np.linalg, name, self._wrap(name, getattr(np.linalg, name)))
 
     def _wrap(self, name, fn):
@@ -177,6 +181,85 @@ class TestDecompositionCounts:
         regions.condition(s, "B")
         assert [shape for n, shape in c.calls if n == "eigh"].count((3, 3)) == 1
         assert c.count("eigvalsh", "svd") == 0
+
+
+EPS = np.finfo(float).eps
+RANK_TOLS = (0.0, 1e-10, 1e-3, 0.2)
+
+
+def cut_ratio(d, rank_tol):
+    """The lambda_min / Tr above which the certificate may say full rank."""
+    return rank_tol + 4 * d * d * EPS
+
+
+def psd_with_min_ratio(d, ratio, seed, scale=1.0):
+    """An ill-conditioned PSD matrix of trace ``scale`` whose smallest eigenvalue
+    is ``ratio * scale``: the other eigenvalues sit at ``ratio`` plus shares of
+    1 - d * ratio spread over twelve decades, in a Haar basis."""
+    rng = np.random.default_rng(seed)
+    shares = 10.0 ** (-12 * rng.random(d - 1))
+    w = np.concatenate([[ratio], ratio + (1 - d * ratio) * shares / shares.sum()])
+    u = haar(rng, d)
+    return (u * (scale * w)) @ u.conj().T
+
+
+class TestFullRankCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 8, 64]), st.sampled_from(RANK_TOLS),
+           st.sampled_from([0.5, 1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6, 2.0]),
+           st.sampled_from([1e-6, 1.0, 1e6]), st.integers(0, 10_000))
+    def test_certified_means_eigh_keeps_every_eigenvalue(self, d, rank_tol, factor, scale,
+                                                        seed):
+        ratio = factor * cut_ratio(d, rank_tol)
+        assume(d * ratio <= 1.0)
+        a = psd_with_min_ratio(d, ratio, seed, scale)
+        spectrum = Spectrum.of(a, rank_tol)
+        if _certified_full_rank(hermitize(a), rank_tol):
+            assert spectrum.kept.all()
+        assert support_projector(a, rank_tol).rank == spectrum.support().rank
+
+    @pytest.mark.parametrize("rank_tol", RANK_TOLS)
+    def test_dim_one(self, rank_tol):
+        for x in (1e-300, 1.0, 1e300):
+            assert _certified_full_rank(np.array([[x]], dtype=complex), rank_tol)
+            assert Spectrum.of([[x]], rank_tol).kept.all()
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    @pytest.mark.parametrize("rank_tol", RANK_TOLS)
+    def test_decides_well_away_from_the_cut(self, d, rank_tol):
+        for factor, certified in ((2.0, True), (0.5, False)):
+            ratio = factor * cut_ratio(d, rank_tol)
+            if d * ratio > 1.0:
+                continue  # no trace-one spectrum has that smallest share
+            for seed in range(5):
+                a = psd_with_min_ratio(d, ratio, seed)
+                assert _certified_full_rank(hermitize(a), rank_tol) == certified
+
+    @pytest.mark.parametrize("m, rank", [
+        (np.zeros((3, 3)), 0),
+        (np.diag([1.0, -0.5]), 2),  # indefinite: eigh keeps both
+        (np.diag([-1.0, -1.0]), 2),  # negative trace
+        (np.diag([1.0, 0.0, 0.0]), 1),
+    ])
+    def test_falls_back_to_eigh(self, monkeypatch, m, rank):
+        c = Counter(monkeypatch)
+        assert support_projector(m).rank == rank
+        assert c.count("eigh") == 1
+
+    def test_rank_one_replacement_posteriors_fall_back(self, monkeypatch):
+        cfg = adversarial_instance(4, 2)
+        c = Counter(monkeypatch)
+        res = run_scenario(cfg)
+        assert not res.verdict.compatible and res.verdict.intersection_rank() == 0
+        assert c.count("cholesky") == 2 and c.count("eigh") == 2  # both posteriors
+        for p in cfg.pipelines:
+            assert support_projector(run_pipeline(p, cfg.prior)).rank == 1
+
+    def test_certified_support_is_the_full_space(self, monkeypatch):
+        a = np.diag([0.5, 0.3, 0.2])
+        c = Counter(monkeypatch)
+        assert np.array_equal(support_projector(a).basis, np.eye(3))
+        assert c.count("cholesky") == 1 and c.count("eigh") == 0
 
 
 class TestNonHermitianPoolingInput:
@@ -256,10 +339,12 @@ BATCH_SHA256 = "1681da680b7105d1e66628ce19f247a55c2b896b01f3f18229be0a7b15d1e6d1
 class TestPriorSpectrumFromTheDensityCheck:
     @pytest.mark.parametrize("d", [2, 8])
     def test_three_decompositions_per_scenario(self, monkeypatch, d):
-        # the prior once, in its density check, then sigma1 and sigma2
+        # the prior's eigh once, in its density check, then one Cholesky each
+        # that certifies sigma1 and sigma2 full rank
         c = Counter(monkeypatch)
         run_scenario(random_instance(d, 3, 0.5))
-        assert c.count("eigh") == 3 and c.count("eigvalsh", "svd") == 0
+        assert c.count("eigh") == 1 and c.count("cholesky") == 2
+        assert c.count("eigvalsh", "svd") == 0
 
     @pytest.mark.parametrize("rank_tol", [1e-10, 0.2])
     def test_kept_spectrum_is_that_of_the_checked_prior(self, rank_tol):

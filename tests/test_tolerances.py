@@ -15,8 +15,8 @@ import pytest
 from statepool import io
 from statepool.cli import main
 from statepool.errors import InvalidParameterError, NotPSDError
-from statepool.linalg import PSD_TOL, Tolerances, max_norm, sqrt_psd
-from statepool.pooling import quantum_pool
+from statepool.linalg import PSD_TOL, Spectrum, Subspace, Tolerances, max_norm, sqrt_psd
+from statepool.pooling import _pool, quantum_pool
 from statepool.regions import JointState, RegionLabel, star_product
 from statepool.scenario import (
     MAX_DIM, AgentPipeline, ScenarioConfig, adversarial_instance, batch_report, random_instance,
@@ -70,6 +70,21 @@ class TestOnePSDFloor:
         assert -1e-7 < -PSD_TOL < -1e-9  # the floor sits between the two edges tested
         with pytest.raises(NotPSDError):
             apply(np.diag([1.0, -1e-7]))
+
+
+    @pytest.mark.parametrize("excess, accepted", [(5e-17, True), (2e-16, False)])
+    def test_pooled_state_uses_the_relative_floor(self, excess, accepted):
+        # pooled eigenvalues (1 + x, -x): -x is below the absolute floor -PSD_TOL
+        # but, for x up to PSD_TOL * (1 + x), not below -PSD_TOL * max(max|w|, 1)
+        x = PSD_TOL + excess
+        s1, full = np.diag([1.0 + x, -x]), Subspace.full(2)
+        pool = lambda: _pool(Spectrum.of(np.eye(2)), s1, np.eye(2), full, full, None,
+                             Tolerances())
+        if accepted:
+            assert pool().min_eigenvalue < -PSD_TOL
+        else:
+            with pytest.raises(NotPSDError):
+                pool()
 
 
 class TestOneHermiticityRule:
