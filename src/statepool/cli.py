@@ -22,7 +22,7 @@ from . import io
 from .compatibility import ConditionalDistribution, classical_compatible, quantum_compatible
 from .errors import InvalidParameterError, StatePoolError
 from .io import MalformedInputError
-from .linalg import Subspace, Tolerances
+from .linalg import Tolerances
 from .pooling import classical_pool, minimal_sufficient_statistic, quantum_pool
 from .scenario import batch_report, random_instance, run_scenario
 
@@ -47,12 +47,7 @@ def _write(payload, path: str) -> None:
 
 
 def _write_verdict(verdict, path: str) -> int:
-    out = {"compatible": verdict.compatible,
-           "intersection_rank": verdict.intersection_rank(),
-           "diagnostics": verdict.diagnostics}
-    if not isinstance(verdict.intersection, Subspace):
-        out["shared_outcomes"] = list(verdict.intersection)
-    _write(out, path)
+    _write(io.verdict_to_json(verdict), path)
     return 0 if verdict.compatible else 1
 
 

@@ -30,8 +30,9 @@ from itertools import chain
 
 import numpy as np
 
-from .compatibility import ProbabilityDistribution
-from .linalg import Tolerances
+from .compatibility import CompatibilityVerdict, ProbabilityDistribution
+from .errors import DimensionMismatchError
+from .linalg import Subspace, Tolerances
 from .pooling import PoolingReport
 from .regions import HybridState
 from .scenario import (
@@ -85,6 +86,8 @@ def dumps(obj) -> str:
 
 def matrix_to_json(m) -> dict:
     a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:  # the schema holds one "dim"
+        raise DimensionMismatchError(f"cannot write a matrix of shape {a.shape}: not square")
     return {
         "dim": int(a.shape[0]),
         "entries": np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist(),
@@ -165,10 +168,11 @@ def _is_number(v) -> bool:  # a JSON true is no number
 
 def hybrid_from_json(obj) -> HybridState:
     try:
-        blocks = {
-            tuple(int(s) for s in key.split(",")): matrix_from_json(b)
-            for key, b in obj["blocks"].items()
-        }
+        for key in obj["blocks"]:  # ASCII digits, as hybrid_to_json writes them: "0,1"
+            if not all(s.isascii() and s.isdigit() for s in key.split(",")):
+                raise MalformedInputError(f"block key {key!r} is not comma-separated ASCII digits")
+        blocks = {tuple(map(int, key.split(","))): matrix_from_json(b)
+                  for key, b in obj["blocks"].items()}
         dims = _field(obj, "classical_dims", None, lambda v: type(v) is list and all(
             type(d) is int for d in v), "a list of integers")
         return HybridState(tuple(dims), blocks,
@@ -177,6 +181,14 @@ def hybrid_from_json(obj) -> HybridState:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:  # "blocks" not an object
         raise MalformedInputError(f"bad hybrid state: {exc}") from exc
+
+
+def verdict_to_json(v: CompatibilityVerdict) -> dict:
+    out = {"compatible": v.compatible, "intersection_rank": v.intersection_rank(),
+           "diagnostics": v.diagnostics}
+    if not isinstance(v.intersection, Subspace):  # a classical verdict names its outcomes
+        out["shared_outcomes"] = list(v.intersection)
+    return out
 
 
 def pooling_report_to_json(r: PoolingReport) -> dict:
@@ -254,7 +266,7 @@ def scenario_config_to_json(cfg: ScenarioConfig) -> dict:
         ],
         "rank_tol": float(cfg.tol.rank_tol),
         "herm_tol": float(cfg.tol.herm_tol),
-        "seed": int(cfg.seed),
+        "seed": cfg.seed,
         "pool_against_evolved": cfg.pool_against_evolved,
     }
     if cfg.evolved_by is not None:
@@ -290,9 +302,7 @@ def scenario_result_to_json(res: ScenarioResult) -> dict:
     return {
         "sigma1": matrix_to_json(res.sigma1),
         "sigma2": matrix_to_json(res.sigma2),
-        "compatible": res.verdict.compatible,
-        "intersection_rank": res.verdict.intersection_rank(),
-        "diagnostics": res.verdict.diagnostics,
+        **verdict_to_json(res.verdict),
         "pooling": pooling_report_to_json(res.pooling) if res.pooling else None,
         "pooling_error": res.pooling_error,
     }

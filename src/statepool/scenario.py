@@ -11,7 +11,6 @@ and non-Hermitian pooling products are reported outcomes, never exceptions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -26,8 +25,8 @@ from .pooling import PoolingReport, _pool
 class Channel:
     """One pipeline step: a CPTP map from dim_in x dim_in to dim_out x dim_out matrices.
 
-    ``apply`` returns (M + M†)/2 for M = ``_map(rho)`` unless a subclass overrides
-    it; ``kraus_ops`` is a Kraus decomposition of the same map.
+    A step is the map it applies to a state, nothing more: ``apply`` returns
+    (M + M†)/2 for M = ``_map(rho)`` unless a subclass overrides it.
     """
 
     dim_in = dim_out = property(lambda self: self.dim)  # square channels define ``dim``
@@ -78,33 +77,26 @@ class UnitaryDynamics(Channel):
     def dim(self) -> int:
         return self.u.shape[0]
 
-    @property
-    def kraus_ops(self) -> tuple:
-        return (self.u,)
-
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return self.u @ rho @ self.u.conj().T
 
 
 @dataclass(frozen=True)
 class _ClosedForm(Channel):
-    """Channel on C^dim applied in closed form; its Kraus list is built on first read.
+    """Channel on C^dim applied in closed form; it holds no Kraus operators.
 
-    ``_map`` adds the floating-point terms of the sum over ``kraus_ops`` in its
-    order, without the exact zeros, so the same channel read back from a
-    Kraus-list config as a ``KrausChannel`` gives the same bits.
+    ``_map`` adds the floating-point terms of the Kraus sum, in the Kraus
+    order its class docstring states, without the exact zeros, so the same
+    channel given as that Kraus list in a ``KrausChannel`` gives the same bits.
     """
 
     dim: int
 
-    @cached_property
-    def kraus_ops(self) -> tuple:
-        return tuple(np.asarray(k, dtype=complex) for k in self._kraus())
-
 
 @dataclass(frozen=True)
 class DepolarizingChannel(_ClosedForm):
-    """rho -> (1-p) rho + p Tr(rho) I/d; Kraus: sqrt(1-p) I, then sqrt(p/d) |i><j|."""
+    """rho -> (1-p) rho + p Tr(rho) I/d; Kraus order: sqrt(1-p) I, then
+    sqrt(p/d) |i><j| with (i, j) row-major."""
 
     strength: float
 
@@ -117,17 +109,11 @@ class DepolarizingChannel(_ClosedForm):
         np.fill_diagonal(out, diag)
         return out
 
-    def _kraus(self):
-        p, d, e = self.strength, self.dim, np.eye(self.dim)
-        yield np.sqrt(1.0 - p) * e
-        for i in range(d):
-            for j in range(d):
-                yield np.sqrt(p / d) * np.outer(e[:, i], e[j, :])
-
 
 @dataclass(frozen=True)
 class DephasingChannel(_ClosedForm):
-    """rho -> (1-p) rho + p diag(rho); Kraus: sqrt(1-p) I, then sqrt(p) |i><i|."""
+    """rho -> (1-p) rho + p diag(rho); Kraus order: sqrt(1-p) I, then
+    sqrt(p) |i><i| with i ascending."""
 
     strength: float
 
@@ -137,16 +123,10 @@ class DephasingChannel(_ClosedForm):
         np.fill_diagonal(out, np.diagonal(out) + (q * np.diagonal(r)) * q)
         return out
 
-    def _kraus(self):
-        p, e = self.strength, np.eye(self.dim)
-        yield np.sqrt(1.0 - p) * e
-        for i in range(self.dim):
-            yield np.sqrt(p) * np.diag(e[i])
-
 
 @dataclass(frozen=True)
 class ReplacementChannel(_ClosedForm):
-    """rho -> Tr(rho) |t><t|; Kraus: |t><i|."""
+    """rho -> Tr(rho) |t><t|; Kraus order: |t><i| with i ascending."""
 
     target: int
 
@@ -154,10 +134,6 @@ class ReplacementChannel(_ClosedForm):
         out = np.zeros((self.dim, self.dim), dtype=complex)
         out[self.target, self.target] = np.cumsum(np.diagonal(r))[-1]  # in index order
         return out
-
-    def _kraus(self):
-        e = np.eye(self.dim)
-        return (np.outer(e[:, self.target], e[i, :]) for i in range(self.dim))
 
 
 @dataclass(frozen=True)
@@ -179,9 +155,6 @@ class AgentPipeline:
                 )
             d = s.dim_out
         object.__setattr__(self, "steps", steps)
-
-    def output_dim(self, input_dim: int) -> int:
-        return self.steps[-1].dim_out if self.steps else input_dim
 
 
 @dataclass(frozen=True)
@@ -208,11 +181,12 @@ class ScenarioConfig:
         if len(pipelines) != 2:
             raise ValueError(f"exactly two agent pipelines required, got {len(pipelines)}")
         d = prior.shape[0]
-        outs = {p.output_dim(d) for p in pipelines}
-        if outs != {d}:
-            raise DimensionMismatchError(
-                f"pipeline output dims {outs} must equal the prior dim {d} used for pooling"
-            )
+        for p in pipelines:  # each pipeline maps the prior to a state pooled against it
+            if p.steps and (p.steps[0].dim_in, p.steps[-1].dim_out) != (d, d):
+                raise DimensionMismatchError(f"pipeline {p.name!r} maps dim {p.steps[0].dim_in} "
+                                             f"to {p.steps[-1].dim_out}, not the prior dim {d}")
+        if type(self.seed) is bool or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidParameterError(f"seed {self.seed!r} is not an integer >= 0")
         if self.pool_against_evolved and self.evolved_by is None:
             raise ValueError("pool_against_evolved requires evolved_by")
         object.__setattr__(self, "prior", prior)
@@ -240,9 +214,7 @@ def apply_channel(ch: Channel, rho) -> np.ndarray:
     return _step(ch, as_matrix(rho))
 
 
-def evolve(u: UnitaryDynamics, rho) -> np.ndarray:
-    """U rho U†; preserves the spectrum."""
-    return _step(u, as_matrix(rho))
+evolve = apply_channel  # a UnitaryDynamics step also preserves the spectrum
 
 
 def run_pipeline(p: AgentPipeline, prior) -> np.ndarray:

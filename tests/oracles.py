@@ -12,7 +12,9 @@ import json
 import numpy as np
 from scipy.optimize import linprog
 
-from statepool.scenario import AgentPipeline, KrausChannel, _ClosedForm
+from statepool.scenario import (
+    AgentPipeline, DephasingChannel, DepolarizingChannel, KrausChannel, ReplacementChannel,
+)
 
 
 def grid_distributions(n_outcomes, step=0.25):
@@ -158,15 +160,48 @@ def per_entry_matrix_entries(entries):
     return flat
 
 
-# --- scenario configs with every channel as a Kraus list -------------------
+# --- the detector channels as explicit Kraus lists -------------------------
+# Exactly the lists the explicit-list constructors built before the channels
+# were applied in closed form, in the order the closed forms sum them.
+
+
+def explicit_depolarizing(dim, p):
+    ops = [np.sqrt(1.0 - p) * np.eye(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            ops.append(np.sqrt(p / dim) * np.outer(np.eye(dim)[:, i], np.eye(dim)[j, :]))
+    return [np.asarray(k, dtype=complex) for k in ops]
+
+
+def explicit_dephasing(dim, p):
+    ops = [np.sqrt(1.0 - p) * np.eye(dim)]
+    for i in range(dim):
+        proj = np.zeros((dim, dim))
+        proj[i, i] = 1.0
+        ops.append(np.sqrt(p) * proj)
+    return [np.asarray(k, dtype=complex) for k in ops]
+
+
+def explicit_replacement(dim, t):
+    return [np.asarray(np.outer(np.eye(dim)[:, t], np.eye(dim)[i, :]), dtype=complex)
+            for i in range(dim)]
+
+
+EXPLICIT_KRAUS = {
+    DepolarizingChannel: lambda s: explicit_depolarizing(s.dim, s.strength),
+    DephasingChannel: lambda s: explicit_dephasing(s.dim, s.strength),
+    ReplacementChannel: lambda s: explicit_replacement(s.dim, s.target),
+}
 
 
 def kraus_list_config(cfg):
     """``cfg`` with each closed-form detector step replaced by a ``KrausChannel``
-    of its Kraus list: encoded, the config as it was written before the
-    detector channels went by name."""
-    pipelines = tuple(
-        AgentPipeline(p.name, tuple(KrausChannel(s.kraus_ops) if isinstance(s, _ClosedForm)
-                                    else s for s in p.steps))
-        for p in cfg.pipelines)
+    of its explicit Kraus list: encoded, the config as it was written before
+    the detector channels went by name."""
+    def as_kraus(s):
+        explicit = EXPLICIT_KRAUS.get(type(s))
+        return s if explicit is None else KrausChannel(tuple(explicit(s)))
+
+    pipelines = tuple(AgentPipeline(p.name, tuple(map(as_kraus, p.steps)))
+                      for p in cfg.pipelines)
     return dataclasses.replace(cfg, pipelines=pipelines)

@@ -108,6 +108,19 @@ class TestSeeds:
     def test_cli_exit_2(self, capsys, argv):
         assert "seed" in assert_exit_2(capsys, *argv)
 
+    @pytest.mark.parametrize("seed", [7.9, 7.0, True, -3, np.int64(-3), "7", None, [3, 1]])
+    def test_config_seed_must_be_an_integer(self, seed):
+        cfg = random_instance(2, 7, 0.5)
+        with pytest.raises(InvalidParameterError, match="is not an integer >= 0"):
+            dataclasses.replace(cfg, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint8(7)])
+    def test_config_seed_written_as_given(self, seed):
+        cfg = dataclasses.replace(random_instance(2, 7, 0.5), seed=seed)
+        text = io.dumps(io.scenario_config_to_json(cfg))
+        assert json.loads(text)["seed"] == int(seed)
+        assert io.scenario_config_from_json(json.loads(text)).seed == int(seed)
+
 
 class TestPSDInputs:
     @pytest.mark.parametrize("slot", [0, 1, 2])
@@ -274,6 +287,9 @@ HYBRID = io.hybrid_to_json(make_hybrid({(0,): HALF / 2, (1,): HALF / 2}))
     ("normalized", "no", '"normalized" must be a bool'),
     ("normalized", 1, '"normalized" must be a bool'),
     ("blocks", [HYBRID["blocks"]], "bad hybrid state"),
+    *(("blocks", {key: HYBRID["blocks"]["1"], "0": HYBRID["blocks"]["0"]},
+       "not comma-separated ASCII digits")  # keys hybrid_to_json never writes
+      for key in ("0_0", " 1", "1 ", "", "0,", "-1", "\u0661")),
 ])
 def test_mistyped_hybrid_field_rejected(field, value, message):
     with pytest.raises(MalformedInputError, match=message):

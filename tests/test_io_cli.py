@@ -6,11 +6,14 @@ import pytest
 
 from statepool import io
 from statepool.cli import main
-from statepool.compatibility import ProbabilityDistribution
+from statepool.compatibility import ProbabilityDistribution, classical_compatible, quantum_compatible
+from statepool.errors import DimensionMismatchError
 from statepool.io import MalformedInputError
 from statepool.linalg import max_norm
 from statepool.regions import make_hybrid
-from statepool.scenario import random_instance
+from statepool.scenario import (
+    AgentPipeline, KrausChannel, ScenarioConfig, random_instance, run_scenario,
+)
 
 from oracles import kraus_list_config, rand_density, rand_psd
 
@@ -49,6 +52,22 @@ class TestMatrixJson:
         assert "0.33333333333333331" in text
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2), ()])
+def test_matrix_to_json_rejects_a_non_square_array(shape):
+    with pytest.raises(DimensionMismatchError, match="not square"):
+        io.matrix_to_json(np.ones(shape))
+
+
+def test_config_with_a_non_square_kraus_operator_is_not_written():
+    # a 2 -> 3 -> 2 pipeline runs, but the config schema has one "dim" per matrix
+    embed = KrausChannel((np.eye(3)[:, :2],))
+    fold = KrausChannel((np.eye(3)[:2, :], np.outer([1.0, 0.0], [0.0, 0.0, 1.0])))
+    cfg = ScenarioConfig(np.eye(2) / 2, (AgentPipeline("W", (embed, fold)), AgentPipeline("T")))
+    run_scenario(cfg)
+    with pytest.raises(DimensionMismatchError, match=r"shape \(3, 2\)"):
+        io.scenario_config_to_json(cfg)
+
+
 def test_distribution_round_trip():
     p = ProbabilityDistribution(("a", "b"), [0.25, 0.75])
     back = io.distribution_from_json(json.loads(io.dumps(io.distribution_to_json(p))))
@@ -74,6 +93,18 @@ def test_scenario_config_round_trip_reproduces_results():
     b = run_scenario(back)
     assert max_norm(a.sigma1 - b.sigma1) == 0.0
     assert io.dumps(io.scenario_result_to_json(a)) == io.dumps(io.scenario_result_to_json(b))
+
+
+def test_verdict_to_json():
+    classical = classical_compatible(ProbabilityDistribution((0, 1, 2), np.array([0.5, 0.5, 0.0])),
+                                     ProbabilityDistribution((0, 1, 2), np.array([0.0, 0.5, 0.5])))
+    assert io.verdict_to_json(classical) == {
+        "compatible": True, "intersection_rank": 1, "diagnostics": "shared support [1]",
+        "shared_outcomes": [1]}
+    quantum = quantum_compatible(np.diag([1.0, 0.0]), np.eye(2) / 2)
+    assert list(io.verdict_to_json(quantum)) == ["compatible", "intersection_rank", "diagnostics"]
+    res = run_scenario(random_instance(2, 7, 0.5))
+    assert list(io.scenario_result_to_json(res))[2:5] == list(io.verdict_to_json(res.verdict))
 
 
 class TestCli:

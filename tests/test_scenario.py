@@ -123,6 +123,32 @@ class TestPipelines:
             AgentPipeline("bad", (UnitaryDynamics(np.eye(2)), UnitaryDynamics(np.eye(3))))
 
 
+# Tr_A on C^2 (x) C^3 as Kraus ops <i| (x) I: a 6 -> 3 channel, and the 3 -> 6
+# isometry |0> (x) I that it undoes.
+TRACE_OUT_A = KrausChannel(tuple(np.kron(np.eye(2)[i, :].reshape(1, 2), np.eye(3))
+                                 for i in range(2)))
+EMBED_IN_A = KrausChannel((np.kron(np.eye(2)[:, :1], np.eye(3)),))
+
+
+class TestConfigDims:
+    def test_first_step_input_must_take_the_prior(self):
+        # the last step's output dim matches the prior; the first step's input does not
+        bad = AgentPipeline("Theo", (TRACE_OUT_A,))
+        with pytest.raises(DimensionMismatchError, match="pipeline 'Theo' maps dim 6 to 3"):
+            ScenarioConfig(prior=np.eye(3) / 3, pipelines=(AgentPipeline("W"), bad))
+
+    def test_last_step_output_must_match_the_prior(self):
+        bad = AgentPipeline("Wanda", (EMBED_IN_A,))
+        with pytest.raises(DimensionMismatchError, match="pipeline 'Wanda' maps dim 3 to 6"):
+            ScenarioConfig(prior=np.eye(3) / 3, pipelines=(bad, AgentPipeline("T")))
+
+    def test_pipeline_through_a_larger_space_accepted(self):
+        rho = rand_density(np.random.default_rng(13), 3)
+        there_and_back = AgentPipeline("W", (EMBED_IN_A, TRACE_OUT_A))
+        res = run_scenario(ScenarioConfig(prior=rho, pipelines=(there_and_back, AgentPipeline("T"))))
+        assert max_norm(res.sigma1 - rho) < 1e-12 and res.verdict.compatible
+
+
 class TestRunScenario:
     def test_empty_pipelines_pool_to_prior(self):
         rng = np.random.default_rng(8)
@@ -190,9 +216,10 @@ class TestRandomInstance:
         assert max_norm(a.prior - b.prior) == 0
         for pa, pb in zip(a.pipelines, b.pipelines):
             for sa, sb in zip(pa.steps, pb.steps):
-                ma = sa.u if isinstance(sa, UnitaryDynamics) else sa.kraus_ops[0]
-                mb = sb.u if isinstance(sb, UnitaryDynamics) else sb.kraus_ops[0]
-                assert max_norm(ma - mb) == 0
+                if isinstance(sa, UnitaryDynamics):
+                    assert max_norm(sa.u - sb.u) == 0
+                else:
+                    assert sa == sb
 
     def test_noiseless_is_unitary_only(self):
         cfg = random_instance(2, 0, 0.0)
