@@ -13,7 +13,6 @@ from statepool import (
     marginalize,
     quantum_bayes,
     star_product,
-    tensor,
 )
 
 A = RegionLabel("A", 2)

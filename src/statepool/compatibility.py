@@ -124,9 +124,11 @@ def quantum_compatible(s1, s2, tol: Tolerances = Tolerances()) -> CompatibilityV
     cos >= 1 - SUBSPACE_TOL count as shared, so two pure states up to
     sqrt(2e-8) = 1.41e-4 rad apart are compatible.  An input that is not
     Hermitian within ``tol.herm_tol`` (relative) or not PSD raises
-    InvalidParameterError."""
-    (_, spec1), (_, spec2) = _checked_states(tol, s1=s1, s2=s2)
-    return _support_verdict(spec1.support(), spec2.support())
+    InvalidParameterError.  A state that one Cholesky certifies positive
+    definite is not decomposed: its support is the whole space, in the
+    identity basis; any other state goes through one ``eigh``."""
+    (_, supp1), (_, supp2) = _checked_states(tol, s1=s1, s2=s2)
+    return _support_verdict(supp1, supp2)
 
 
 def _support_verdict(p: Subspace, q: Subspace) -> CompatibilityVerdict:

@@ -266,7 +266,7 @@ def scenario_config_to_json(cfg: ScenarioConfig) -> dict:
         ],
         "rank_tol": float(cfg.tol.rank_tol),
         "herm_tol": float(cfg.tol.herm_tol),
-        "seed": cfg.seed,
+        "seed": int(cfg.seed),  # a NumPy integer is not JSON
         "pool_against_evolved": cfg.pool_against_evolved,
     }
     if cfg.evolved_by is not None:

@@ -21,11 +21,15 @@ Conventions
   ``min w >= -PSD_TOL * max(max|w|, 1)`` (``_psd_floor``), and eigenvalues
   between that floor and zero are clamped to zero.  A scenario's prior is
   decomposed once: the density check hands its ``Spectrum`` on to pooling.
-* ``support_projector`` needs no ``eigh`` for an operator one Cholesky
-  certifies full rank (``_certified_full_rank``): the certificate holds
-  only where the cut above would keep every eigenvalue, so it returns the
-  same support as ``Spectrum.of(a, rank_tol).support()``, in the identity
-  basis.  Everything else falls back to that decomposition.
+* An operator one Cholesky certifies full rank (``_certified_full_rank``)
+  needs no ``eigh`` where only its support and PSD test are read: the
+  certificate holds only where the cut above would keep every eigenvalue,
+  so the operator is positive definite and its support is the whole space,
+  ``Subspace.full``, in the identity basis.  ``support_projector`` and the
+  input check of ``quantum_compatible`` (both states) and ``quantum_pool``
+  (the posteriors, not the prior, whose pseudo-inverse is needed) share
+  that routine, ``_uncertified_spectrum``; everything else falls back to
+  ``Spectrum.of``.
 * A caller sets ``rank_tol`` and ``herm_tol`` through one ``Tolerances``
   record, which rejects a NaN, infinite or negative value, or ``rank_tol >= 1``,
   as InvalidParameterError (CLI exit 2), never a verdict.  Every other
@@ -97,27 +101,33 @@ def check_hermitian(m, name: str, tol: float = Tolerances.herm_tol) -> None:
         raise InvalidParameterError(f"{name} is not Hermitian (residual {residual:.3e})")
 
 
-def _checked_states(tol: Tolerances, **states) -> list:
-    """(matrix, Spectrum cut at ``tol.rank_tol``) for each named state, once all
-    are square matrices of one shape, Hermitian within ``tol.herm_tol`` and PSD;
-    else an error that names the first offending state."""
+def _checked_states(tol: Tolerances, spectra=(), **states) -> list:
+    """(matrix, Spectrum cut at ``tol.rank_tol``) for each state named in
+    ``spectra`` and (matrix, support) for every other, once all are square
+    matrices of one shape, Hermitian within ``tol.herm_tol`` and PSD; else an
+    error that names the first offending state, Hermiticity of every state
+    before PSD.  A state whose support alone is read is decomposed only if
+    ``_uncertified_spectrum`` cannot certify it positive definite."""
     mats = {name: as_matrix(m) for name, m in states.items()}
     if len({m.shape for m in mats.values()}) > 1:
         raise DimensionMismatchError(f"states {', '.join(mats)} have different dims")
     for name, m in mats.items():
         check_hermitian(m, name, tol.herm_tol)
-    spectra = {name: Spectrum.of(m, tol.rank_tol) for name, m in mats.items()}
-    for name, s in spectra.items():
-        if not s.is_psd():
+    found = {name: Spectrum.of(m, tol.rank_tol) if name in spectra
+             else _uncertified_spectrum(hermitize(m), tol.rank_tol) for name, m in mats.items()}
+    for name, s in found.items():
+        if s is not None and not s.is_psd():
             raise InvalidParameterError(f"{name} is not PSD (eigenvalue {s.w.min():.3e})")
-    return [(mats[name], s) for name, s in spectra.items()]
+    return [(mats[name], s if name in spectra else
+             (Subspace.full(mats[name].shape[0]) if s is None else s.support()))
+            for name, s in found.items()]
 
 
 def _density_spectrum(rho, rank_tol: float = Tolerances.rank_tol):
     """The checked prior (Hermitian within the default ``herm_tol``, PSD, unit
     trace), with negatives above the PSD floor clamped to zero, and the
     Spectrum of exactly that matrix, cut at ``rank_tol``."""
-    ((a, s),) = _checked_states(Tolerances(rank_tol), prior=rho)
+    ((a, s),) = _checked_states(Tolerances(rank_tol), ("prior",), prior=rho)
     h = hermitize(a)  # the matrix ``s`` decomposed
     tr = float(np.real(np.trace(h)))
     if abs(tr - 1.0) > TRACE_TOL:
@@ -250,7 +260,12 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim))
+        """The whole space in the identity basis, built without the Gram check:
+        the identity is exactly orthonormal."""
+        full = object.__new__(cls)
+        object.__setattr__(full, "ambient_dim", ambient_dim)
+        object.__setattr__(full, "basis", np.eye(ambient_dim, dtype=complex))
+        return full
 
 
 @dataclass(frozen=True)
@@ -299,9 +314,15 @@ def support_projector(h, rank_tol: float = Tolerances.rank_tol) -> Subspace:
     no eigendecomposition; any other goes through ``Spectrum.of``.
     """
     a = hermitize(h)
-    if _certified_full_rank(a, rank_tol):
-        return Subspace.full(a.shape[0])
-    return Spectrum.of(a, rank_tol).support()
+    s = _uncertified_spectrum(a, rank_tol)
+    return Subspace.full(a.shape[0]) if s is None else s.support()
+
+
+def _uncertified_spectrum(a: np.ndarray, rank_tol: float) -> Spectrum | None:
+    """None when ``_certified_full_rank`` proves the Hermitian ``a`` positive
+    definite with every eigenvalue kept at ``rank_tol`` (so PSD, with the whole
+    space as support), else ``Spectrum.of(a, rank_tol)``."""
+    return None if _certified_full_rank(a, rank_tol) else Spectrum.of(a, rank_tol)
 
 
 def _certified_full_rank(a: np.ndarray, rank_tol: float) -> bool:

@@ -97,10 +97,13 @@ def quantum_pool(prior, s1, s2, tol: Tolerances = Tolerances()) -> PoolingReport
     NonHermitianPoolingProductError carries the residual, signalling a failed
     conditional-independence precondition.  Inputs that are themselves not
     Hermitian within ``tol.herm_tol`` (on the same relative scale) or not PSD
-    raise InvalidParameterError.
+    raise InvalidParameterError.  The prior is decomposed once, for its
+    pseudo-inverse; a posterior that one Cholesky certifies positive definite
+    is not decomposed (its support is the whole space), any other is, once.
     """
-    (_, prior_spectrum), (a, spec1), (b, spec2) = _checked_states(tol, prior=prior, s1=s1, s2=s2)
-    return _pool(prior_spectrum, a, b, spec1.support(), spec2.support(), None, tol)
+    (_, prior_spectrum), (a, supp1), (b, supp2) = _checked_states(
+        tol, ("prior",), prior=prior, s1=s1, s2=s2)
+    return _pool(prior_spectrum, a, b, supp1, supp2, None, tol)
 
 
 def _pool(prior_spectrum, a, b, supp1, supp2, verdict, tol: Tolerances) -> PoolingReport:
@@ -117,6 +120,8 @@ def _pool(prior_spectrum, a, b, supp1, supp2, verdict, tol: Tolerances) -> Pooli
     t = a @ prior_spectrum.pinv() @ b
     if not np.isfinite(t).all():
         raise InvalidParameterError("pooling product overflows: inputs beyond float range")
+    if not t.any():  # the supports meet, so only underflow leaves nothing
+        raise InvalidParameterError("pooling product underflows: inputs beyond float range")
     scale = max(max_norm(t), 1.0)
     residual = max_norm(t - t.conj().T)
     if residual > tol.herm_tol * scale:

@@ -315,6 +315,11 @@ def _seed(seed):
     return seed
 
 
+def _recorded(seed):
+    """The seed a config records: an integer seed itself, 0 for a seed sequence."""
+    return seed if isinstance(seed, (int, np.integer)) else 0
+
+
 def random_instance(dim: int, seed, noise_strength: float = 0.5) -> ScenarioConfig:
     """Reproducible pseudo-random scenario.
 
@@ -331,7 +336,7 @@ def random_instance(dim: int, seed, noise_strength: float = 0.5) -> ScenarioConf
     wanda = (u1, dephasing_channel(dim, p)) if p > 0 else (u1,)
     theo = (u2, depolarizing_channel(dim, p)) if p > 0 else (u2,)
     pipelines = (AgentPipeline("Wanda", wanda), AgentPipeline("Theo", theo))
-    return ScenarioConfig(prior, pipelines, seed=seed if isinstance(seed, int) else 0)
+    return ScenarioConfig(prior, pipelines, seed=_recorded(seed))
 
 
 def adversarial_instance(dim: int, seed) -> ScenarioConfig:
@@ -340,7 +345,7 @@ def adversarial_instance(dim: int, seed) -> ScenarioConfig:
     prior = random_density(_dim(dim), np.random.default_rng(_seed(seed)))
     pipelines = (AgentPipeline("Wanda", (replacement_channel(dim, 0),)),
                  AgentPipeline("Theo", (replacement_channel(dim, 1),)))
-    return ScenarioConfig(prior, pipelines, seed=seed if isinstance(seed, int) else 0)
+    return ScenarioConfig(prior, pipelines, seed=_recorded(seed))
 
 
 def batch_report(dims, count: int, noise_grid, seed: int, generator: str = "random"):

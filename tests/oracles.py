@@ -12,6 +12,9 @@ import json
 import numpy as np
 from scipy.optimize import linprog
 
+from statepool.compatibility import _support_verdict
+from statepool.linalg import Spectrum, Tolerances
+from statepool.pooling import _pool
 from statepool.scenario import (
     AgentPipeline, DephasingChannel, DepolarizingChannel, KrausChannel, ReplacementChannel,
 )
@@ -205,3 +208,22 @@ def kraus_list_config(cfg):
     pipelines = tuple(AgentPipeline(p.name, tuple(map(as_kraus, p.steps)))
                       for p in cfg.pipelines)
     return dataclasses.replace(cfg, pipelines=pipelines)
+
+
+# --- quantum_compatible and quantum_pool with every input decomposed ---------
+# The decision path before full-rank states were certified by one Cholesky:
+# each support is read off ``Spectrum.of``.  Inputs must already be valid
+# (Hermitian and PSD); these skip the input checks.
+
+
+def _spectral_supports(tol, *states):
+    return [Spectrum.of(s, tol.rank_tol).support() for s in states]
+
+
+def spectral_verdict(s1, s2, tol=Tolerances()):
+    return _support_verdict(*_spectral_supports(tol, s1, s2))
+
+
+def spectral_pool(prior, s1, s2, tol=Tolerances()):
+    a, b = (np.asarray(s, dtype=complex) for s in (s1, s2))
+    return _pool(Spectrum.of(prior, tol.rank_tol), a, b, *_spectral_supports(tol, a, b), None, tol)

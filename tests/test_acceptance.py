@@ -7,11 +7,10 @@ import itertools
 import json
 
 import numpy as np
-import pytest
 
 from statepool.cli import main
 from statepool.compatibility import ProbabilityDistribution, classical_compatible
-from statepool.linalg import max_norm, sqrt_psd
+from statepool.linalg import max_norm
 from statepool.pooling import (
     check_conditional_independence,
     classical_pool,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statepool import io
 from statepool.compatibility import (
     ConditionalDistribution,
     ProbabilityDistribution,
@@ -15,8 +16,8 @@ from statepool.compatibility import (
     verify_subjective_classical,
     verify_subjective_quantum,
 )
-from statepool.errors import DimensionMismatchError
-from statepool.linalg import max_norm
+from statepool.errors import DimensionMismatchError, InvalidParameterError, StatePoolError
+from statepool.pooling import quantum_pool
 from statepool.regions import make_hybrid
 
 from oracles import (
@@ -26,6 +27,9 @@ from oracles import (
     rand_povm,
     rand_prob,
     rand_psd,
+    rand_unitary,
+    spectral_pool,
+    spectral_verdict,
 )
 
 
@@ -269,3 +273,81 @@ def test_pure_states_compatible_up_to_the_angle_cut(theta, compatible):
     verdict = quantum_compatible(np.diag([1.0, 0.0]), np.outer(v, v))
     assert verdict.compatible is compatible
     assert verdict.intersection_rank() == int(compatible)
+
+
+# --- full-rank inputs certified by one Cholesky, the rest decomposed ---------
+
+RANKS = {"full": lambda d: d, "half": lambda d: max(d // 2, 1), "one": lambda d: 1}
+
+
+def drawn_inputs(d, kind, prior_rank, ranks, seed):
+    """A prior and two posteriors of the given ranks.  "commuting" and
+    "noncommuting" posteriors are rho^1/2 L rho^1/2 (normalized) for effects
+    L diagonal in one shared or two random bases, with zeros where the rank
+    asks; "free" ones are random PSD matrices, which may escape the prior."""
+    rng = np.random.default_rng(seed)
+    prior = rand_psd(rng, d, rank=RANKS[prior_rank](d))
+    prior /= np.trace(prior).real
+    w, v = np.linalg.eigh(prior)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    u = rand_unitary(rng, d)
+    posteriors = []
+    for rank in ranks:
+        r = RANKS[rank](d)
+        if kind == "free":
+            s = rand_psd(rng, d, rank=r)
+        else:
+            u = u if kind == "commuting" else rand_unitary(rng, d)
+            like = rng.uniform(0.1, 1.0, d)
+            like[rng.permutation(d)[: d - r]] = 0.0
+            s = root @ (u * like) @ u.conj().T @ root
+        posteriors.append(s / np.trace(s).real)
+    return prior, *posteriors
+
+
+def pooled_bytes(pool, *args):
+    try:
+        return io.dumps(io.pooling_report_to_json(pool(*args)))
+    except StatePoolError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 8, 64]), st.sampled_from(["commuting", "noncommuting", "free"]),
+       st.sampled_from(sorted(RANKS)), st.sampled_from(sorted(RANKS)),
+       st.sampled_from(sorted(RANKS)), st.integers(0, 10_000))
+def test_same_bytes_as_decomposing_every_input(d, kind, prior_rank, r1, r2, seed):
+    prior, s1, s2 = drawn_inputs(d, kind, prior_rank, (r1, r2), seed)
+    assert (io.dumps(io.verdict_to_json(quantum_compatible(s1, s2)))
+            == io.dumps(io.verdict_to_json(spectral_verdict(s1, s2))))
+    assert pooled_bytes(quantum_pool, prior, s1, s2) == pooled_bytes(spectral_pool, prior, s1, s2)
+
+
+def test_drawn_inputs_reach_every_pooling_outcome():
+    outcomes = {pooled_bytes(quantum_pool, *drawn_inputs(8, kind, prior_rank, ranks, 0))
+                .partition(":")[0] for kind, prior_rank, ranks in [
+                    ("commuting", "full", ("full", "full")),
+                    ("commuting", "full", ("half", "one")),
+                    ("noncommuting", "full", ("full", "full")),
+                    ("commuting", "full", ("one", "one")),
+                    ("free", "half", ("full", "full"))]}
+    assert outcomes == {'{"pooled"', "NonHermitianPoolingProductError", "PriorSupportError",
+                        "IncompatibleAssignmentsError"}
+
+
+class TestNonPSDBesideACertifiedState:
+    NOT_PSD = np.diag([2.0, -1.0])
+    HALF = np.eye(2) / 2  # one Cholesky certifies it
+
+    def test_quantum_compatible_names_s2(self):
+        with pytest.raises(InvalidParameterError, match=r"^s2 is not PSD \(eigenvalue -1.000e\+00\)$"):
+            quantum_compatible(self.HALF, self.NOT_PSD)
+
+    def test_quantum_pool_names_s2(self):
+        with pytest.raises(InvalidParameterError, match=r"^s2 is not PSD \(eigenvalue -1.000e\+00\)$"):
+            quantum_pool(self.HALF, self.HALF, self.NOT_PSD)
+
+    def test_hermiticity_of_every_state_before_psd(self):
+        not_hermitian = np.array([[0.5, 0.3], [0.0, 0.5]])
+        with pytest.raises(InvalidParameterError, match="^s2 is not Hermitian"):
+            quantum_compatible(self.NOT_PSD, not_hermitian)

@@ -114,6 +114,20 @@ class TestSeeds:
         with pytest.raises(InvalidParameterError, match="is not an integer >= 0"):
             dataclasses.replace(cfg, seed=seed)
 
+    @pytest.mark.parametrize("make", [random_instance, adversarial_instance])
+    @pytest.mark.parametrize("seed", [5, np.int64(5), np.uint8(5)])
+    def test_integer_seed_recorded(self, make, seed):
+        cfg = make(2, seed)
+        assert cfg.seed == 5 and np.array_equal(cfg.prior, make(2, 5).prior)
+        obj = io.scenario_config_to_json(cfg)
+        assert json.loads(json.dumps(obj)) == json.loads(io.dumps(obj))  # plain JSON types
+        back = io.scenario_config_from_json(json.loads(io.dumps(obj)))
+        assert back.seed == 5 and np.array_equal(back.prior, cfg.prior)
+
+    @pytest.mark.parametrize("make", [random_instance, adversarial_instance])
+    def test_seed_sequence_recorded_as_zero(self, make):
+        assert make(2, [5, 2, 0, 1]).seed == 0
+
     @pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint8(7)])
     def test_config_seed_written_as_given(self, seed):
         cfg = dataclasses.replace(random_instance(2, 7, 0.5), seed=seed)
@@ -159,6 +173,15 @@ def test_overflowing_pooling_product_exit_2(tmp_path, capsys):
     prior = write_matrix(tmp_path, "p", np.array([[1e-300]]))
     s = write_matrix(tmp_path, "s", np.array([[1e300]]))
     assert "overflows" in assert_exit_2(capsys, "pool-quantum", prior, s, s)
+
+
+def test_underflowing_pooling_product_exit_2(tmp_path, capsys):
+    # the supports meet (compat-quantum says so), but s1 pinv(prior) s2 is 1e-900
+    prior = write_matrix(tmp_path, "p", np.array([[1e300]]))
+    s = write_matrix(tmp_path, "s", np.array([[1e-300]]))
+    assert main(["compat-quantum", s, s]) == 0
+    assert json.loads(capsys.readouterr().out)["compatible"] is True
+    assert "underflows" in assert_exit_2(capsys, "pool-quantum", prior, s, s)
 
 
 # One input per fault the CLI fuzz test found: each used to end in a traceback.

@@ -15,7 +15,6 @@ from statepool.scenario import (
     depolarizing_channel,
     evolve,
     haar_unitary,
-    random_density,
     random_instance,
     replacement_channel,
     run_pipeline,

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from statepool import io, regions
 from statepool.cli import main
+from statepool.compatibility import quantum_compatible
 from statepool.errors import (
-    InvalidParameterError, NonHermitianPoolingProductError, PriorSupportError,
+    IncompatibleAssignmentsError, InvalidParameterError, NonHermitianPoolingProductError,
+    PriorSupportError,
 )
 from statepool.linalg import (
     Spectrum, Subspace, Tolerances, _certified_full_rank, hermitize, max_norm,
@@ -138,13 +140,29 @@ class Counter:
         return sum(1 for n, _ in self.calls if n in names)
 
 
+def bayes_case(d, commuting):
+    """A full-rank prior, the Bayes posteriors of two likelihoods and, for the
+    commuting pair, the pooled state rho^1/2 L1 L2 rho^1/2 / Tr(L1 L2 rho).
+    The other pair is a rank-d/2 projector P and I - P: disjoint supports."""
+    rng = np.random.default_rng([d, commuting])
+    prior = rand_density(rng, d)
+    u = haar(rng, d)
+    if commuting:
+        likes = [(u * rng.uniform(0.1, 1.0, d)) @ u.conj().T for _ in range(2)]
+    else:
+        proj = u[:, : d // 2] @ u[:, : d // 2].conj().T
+        likes = [proj, np.eye(d) - proj]
+    s1, s2 = (regions.quantum_bayes(like, prior) for like in likes)
+    return prior, s1, s2, regions.quantum_bayes(likes[0] @ likes[1], prior) if commuting else None
+
+
 class TestDecompositionCounts:
     @pytest.mark.parametrize("d", [2, 8])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_run_scenario(self, monkeypatch, d, seed):
         c = Counter(monkeypatch)
         run_scenario(random_instance(d, seed, 0.5))
-        assert c.count("eigh", "eigvalsh", "svd") <= 5
+        assert c.count("eigh", "eigvalsh", "svd") == 1
 
     def test_run_scenario_incompatible(self, monkeypatch):
         from statepool.scenario import adversarial_instance
@@ -152,7 +170,7 @@ class TestDecompositionCounts:
         cfg = adversarial_instance(3, 1)
         c = Counter(monkeypatch)
         assert not run_scenario(cfg).verdict.compatible
-        assert c.count("eigh", "eigvalsh", "svd") <= 3
+        assert c.count("eigh", "eigvalsh", "svd") == 3
 
     def test_quantum_pool_success(self, monkeypatch):
         # rank-deficient posteriors sharing one direction, so the SVD runs too
@@ -161,7 +179,8 @@ class TestDecompositionCounts:
         c = Counter(monkeypatch)
         report = quantum_pool(prior, s1, s2)
         assert max_norm(report.pooled - np.diag([0.0, 1.0, 0.0])) < 1e-12
-        assert c.count("eigh", "svd") <= 4 and c.count("svd") == 1
+        # the prior, then each posterior once its certificate fails
+        assert c.count("eigh") == 3 and c.count("cholesky") == 2 and c.count("svd") == 1
         assert c.count("eigvalsh") == 1
 
     def test_quantum_pool_failure(self, monkeypatch):
@@ -170,7 +189,39 @@ class TestDecompositionCounts:
         c = Counter(monkeypatch)
         with pytest.raises(NonHermitianPoolingProductError):
             quantum_pool(prior, s1, s2)
-        assert c.count("eigh", "svd") <= 4 and c.count("eigvalsh") == 0
+        assert c.count("eigh") == 1 and c.count("cholesky") == 2
+        assert c.count("eigvalsh", "svd") == 0
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_quantum_compatible_full_rank(self, monkeypatch, d):
+        rng = np.random.default_rng(d)
+        s1, s2 = rand_density(rng, d), rand_density(rng, d)
+        c = Counter(monkeypatch)
+        verdict = quantum_compatible(s1, s2)
+        assert c.count("eigh") == 0 and c.count("cholesky") == 2
+        assert c.count("eigvalsh", "svd") == 0
+        # the whole space, now in the identity basis rather than s2's eigenbasis
+        assert verdict.compatible and np.array_equal(verdict.intersection.basis, np.eye(d))
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_quantum_pool_full_rank_success(self, monkeypatch, d):
+        prior, s1, s2, pooled = bayes_case(d, commuting=True)
+        c = Counter(monkeypatch)
+        report = quantum_pool(prior, s1, s2)
+        assert max_norm(report.pooled - pooled) < 1e-9
+        assert c.count("eigh") == 1 and c.count("cholesky") == 2  # eigh: the prior
+        assert c.count("eigvalsh") == 1 and c.count("svd") == 0
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_complementary_projectors_fall_back(self, monkeypatch, d):
+        prior, s1, s2, _ = bayes_case(d, commuting=False)
+        c = Counter(monkeypatch)
+        verdict = quantum_compatible(s1, s2)
+        assert not verdict.compatible and verdict.intersection_rank() == 0
+        assert c.count("cholesky") == 2 and c.count("eigh") == 2
+        with pytest.raises(IncompatibleAssignmentsError):
+            quantum_pool(prior, s1, s2)
+        assert c.count("cholesky") == 4 and c.count("eigh") == 5  # the prior, then both again
 
     def test_condition_decomposes_the_marginal_once(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -254,6 +305,12 @@ class TestFullRankCertificate:
         assert c.count("cholesky") == 2 and c.count("eigh") == 2  # both posteriors
         for p in cfg.pipelines:
             assert support_projector(run_pipeline(p, cfg.prior)).rank == 1
+
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    def test_full_subspace_has_exactly_the_identity_basis(self, d):
+        full = Subspace.full(d)
+        assert full.ambient_dim == d and full.rank == d
+        assert full.basis.dtype == complex and np.array_equal(full.basis, np.eye(d))
 
     def test_certified_support_is_the_full_space(self, monkeypatch):
         a = np.diag([0.5, 0.3, 0.2])
