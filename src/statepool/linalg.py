@@ -20,16 +20,16 @@ Conventions
   once in ``Spectrum.of``, keeps ``|w| > rank_tol * max|w|``; PSD means
   ``min w >= -PSD_TOL * max(max|w|, 1)`` (``_psd_floor``), and eigenvalues
   between that floor and zero are clamped to zero.  A scenario's prior is
-  decomposed once: the density check hands its ``Spectrum`` on to pooling.
+  checked once: the density check hands its ``Spectrum`` on to pooling.
 * An operator one Cholesky certifies full rank (``_certified_full_rank``)
-  needs no ``eigh`` where only its support and PSD test are read: the
-  certificate holds only where the cut above would keep every eigenvalue,
-  so the operator is positive definite and its support is the whole space,
-  ``Subspace.full``, in the identity basis.  ``support_projector`` and the
-  input check of ``quantum_compatible`` (both states) and ``quantum_pool``
-  (the posteriors, not the prior, whose pseudo-inverse is needed) share
-  that routine, ``_uncertified_spectrum``; everything else falls back to
-  ``Spectrum.of``.
+  needs no ``eigh``: the certificate holds only where the cut above would
+  keep every eigenvalue, so the operator is positive definite, its support
+  is the whole space, ``Subspace.full``, in the identity basis, and its
+  pseudo-inverse is its inverse, which pooling applies with one LU solve.
+  ``support_projector``, the input check of ``quantum_compatible`` and
+  ``quantum_pool`` (every state, the prior included), the density check and
+  the evolved pooling prior share that routine, ``_uncertified_spectrum``;
+  a state it cannot certify falls back to ``Spectrum.of``.
 * A caller sets ``rank_tol`` and ``herm_tol`` through one ``Tolerances``
   record, which rejects a NaN, infinite or negative value, or ``rank_tol >= 1``,
   as InvalidParameterError (CLI exit 2), never a verdict.  Every other
@@ -102,37 +102,38 @@ def check_hermitian(m, name: str, tol: float = Tolerances.herm_tol) -> None:
 
 
 def _checked_states(tol: Tolerances, spectra=(), **states) -> list:
-    """(matrix, Spectrum cut at ``tol.rank_tol``) for each state named in
-    ``spectra`` and (matrix, support) for every other, once all are square
-    matrices of one shape, Hermitian within ``tol.herm_tol`` and PSD; else an
-    error that names the first offending state, Hermiticity of every state
-    before PSD.  A state whose support alone is read is decomposed only if
-    ``_uncertified_spectrum`` cannot certify it positive definite."""
+    """(symmetrized matrix, Spectrum cut at ``tol.rank_tol`` or None) for each
+    state named in ``spectra`` and (matrix, support) for every other, once all
+    are square matrices of one shape, Hermitian within ``tol.herm_tol`` and
+    PSD; else an error that names the first offending state, Hermiticity of
+    every state before PSD.  A state is decomposed only if
+    ``_uncertified_spectrum`` cannot certify it positive definite; a
+    certified state in ``spectra`` comes with None."""
     mats = {name: as_matrix(m) for name, m in states.items()}
     if len({m.shape for m in mats.values()}) > 1:
         raise DimensionMismatchError(f"states {', '.join(mats)} have different dims")
     for name, m in mats.items():
         check_hermitian(m, name, tol.herm_tol)
-    found = {name: Spectrum.of(m, tol.rank_tol) if name in spectra
-             else _uncertified_spectrum(hermitize(m), tol.rank_tol) for name, m in mats.items()}
+    hermitian = {name: hermitize(m) for name, m in mats.items()}
+    found = {name: _uncertified_spectrum(h, tol.rank_tol) for name, h in hermitian.items()}
     for name, s in found.items():
         if s is not None and not s.is_psd():
             raise InvalidParameterError(f"{name} is not PSD (eigenvalue {s.w.min():.3e})")
-    return [(mats[name], s if name in spectra else
-             (Subspace.full(mats[name].shape[0]) if s is None else s.support()))
+    return [(hermitian[name], s) if name in spectra else
+            (mats[name], Subspace.full(mats[name].shape[0]) if s is None else s.support())
             for name, s in found.items()]
 
 
 def _density_spectrum(rho, rank_tol: float = Tolerances.rank_tol):
     """The checked prior (Hermitian within the default ``herm_tol``, PSD, unit
-    trace), with negatives above the PSD floor clamped to zero, and the
-    Spectrum of exactly that matrix, cut at ``rank_tol``."""
-    ((a, s),) = _checked_states(Tolerances(rank_tol), ("prior",), prior=rho)
-    h = hermitize(a)  # the matrix ``s`` decomposed
+    trace), symmetrized, with negatives above the PSD floor clamped to zero,
+    and the Spectrum of exactly that matrix, cut at ``rank_tol``; None in its
+    place when one Cholesky certifies the prior positive definite."""
+    ((h, s),) = _checked_states(Tolerances(rank_tol), ("prior",), prior=rho)
     tr = float(np.real(np.trace(h)))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density operator has trace {tr!r}, expected 1")
-    if s.w.min() >= 0.0:
+    if s is None or s.w.min() >= 0.0:
         return h, s
     clamped = s.psd_function(lambda w: w)
     return clamped, Spectrum.of(clamped, rank_tol)
@@ -280,7 +281,12 @@ class Spectrum:
 
     @classmethod
     def of(cls, m, rank_tol: float = Tolerances.rank_tol) -> "Spectrum":
-        w, v = np.linalg.eigh(hermitize(m))
+        return cls._of_hermitian(hermitize(m), rank_tol)
+
+    @classmethod
+    def _of_hermitian(cls, a: np.ndarray, rank_tol: float) -> "Spectrum":
+        """``Spectrum.of`` a matrix already symmetrized, which it equals bit for bit."""
+        w, v = np.linalg.eigh(a)
         return cls(w, v, rank_tol * float(np.max(np.abs(w))) if w.size else 0.0)
 
     @property
@@ -322,7 +328,7 @@ def _uncertified_spectrum(a: np.ndarray, rank_tol: float) -> Spectrum | None:
     """None when ``_certified_full_rank`` proves the Hermitian ``a`` positive
     definite with every eigenvalue kept at ``rank_tol`` (so PSD, with the whole
     space as support), else ``Spectrum.of(a, rank_tol)``."""
-    return None if _certified_full_rank(a, rank_tol) else Spectrum.of(a, rank_tol)
+    return None if _certified_full_rank(a, rank_tol) else Spectrum._of_hermitian(a, rank_tol)
 
 
 def _certified_full_rank(a: np.ndarray, rank_tol: float) -> bool:

@@ -24,6 +24,7 @@ from .linalg import (
 )
 
 PROPORTIONALITY_TOL = 1e-9  # max-norm after trace normalization
+_OVERFLOW = "pooling product overflows: inputs beyond float range"
 
 
 @dataclass(frozen=True)
@@ -97,29 +98,45 @@ def quantum_pool(prior, s1, s2, tol: Tolerances = Tolerances()) -> PoolingReport
     NonHermitianPoolingProductError carries the residual, signalling a failed
     conditional-independence precondition.  Inputs that are themselves not
     Hermitian within ``tol.herm_tol`` (on the same relative scale) or not PSD
-    raise InvalidParameterError.  The prior is decomposed once, for its
-    pseudo-inverse; a posterior that one Cholesky certifies positive definite
-    is not decomposed (its support is the whole space), any other is, once.
+    raise InvalidParameterError.  A state that one Cholesky certifies positive
+    definite is not decomposed: a posterior's support is then the whole
+    space, and the prior's pseudo-inverse is its inverse, applied to s2 with
+    one LU solve.  Any other state is decomposed once.
     """
-    (_, prior_spectrum), (a, supp1), (b, supp2) = _checked_states(
+    (h, prior_spectrum), (a, supp1), (b, supp2) = _checked_states(
         tol, ("prior",), prior=prior, s1=s1, s2=s2)
-    return _pool(prior_spectrum, a, b, supp1, supp2, None, tol)
+    return _pool(h, prior_spectrum, a, b, supp1, supp2, None, tol)
 
 
-def _pool(prior_spectrum, a, b, supp1, supp2, verdict, tol: Tolerances) -> PoolingReport:
-    """``quantum_pool`` from the prior's spectrum and the posteriors' supports;
-    ``verdict`` is their compatibility when the caller has decided it, else None.
-    A full-rank prior's support is the whole space, which holds both supports."""
-    if not prior_spectrum.kept.all():
+def _product(prior, prior_spectrum, a, b) -> np.ndarray:
+    """The pooling product a prior⁺ b: ``a @ solve(prior, b)`` when
+    ``prior_spectrum`` is None (a prior certified positive definite), else
+    ``a @ prior_spectrum.pinv() @ b``.  Overflow is not warned about: it
+    leaves non-finite entries, which the caller reports as InvalidParameterError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if prior_spectrum is not None:
+            return a @ prior_spectrum.pinv() @ b
+        try:
+            return a @ np.linalg.solve(prior, b)
+        except np.linalg.LinAlgError:  # positive definite, so only non-finite pivots fail
+            raise InvalidParameterError(_OVERFLOW) from None
+
+
+def _pool(prior, prior_spectrum, a, b, supp1, supp2, verdict, tol: Tolerances) -> PoolingReport:
+    """``quantum_pool`` from the symmetrized prior and its spectrum (None for a
+    prior certified positive definite) and the posteriors' supports; ``verdict``
+    is their compatibility when the caller has decided it, else None.  A
+    full-rank prior's support is the whole space, which holds both supports."""
+    if prior_spectrum is not None and not prior_spectrum.kept.all():
         proj = prior_spectrum.support().projector()
         for name, supp in (("s1", supp1), ("s2", supp2)):
             if max_norm(proj @ supp.projector() @ proj - supp.projector()) > SUBSPACE_TOL:
                 raise PriorSupportError(f"support of {name} escapes the prior's support")
     if not (verdict or _support_verdict(supp1, supp2)).compatible:
         raise IncompatibleAssignmentsError("incompatible assignments: disjoint supports")
-    t = a @ prior_spectrum.pinv() @ b
+    t = _product(prior, prior_spectrum, a, b)
     if not np.isfinite(t).all():
-        raise InvalidParameterError("pooling product overflows: inputs beyond float range")
+        raise InvalidParameterError(_OVERFLOW)
     if not t.any():  # the supports meet, so only underflow leaves nothing
         raise InvalidParameterError("pooling product underflows: inputs beyond float range")
     scale = max(max_norm(t), 1.0)

@@ -17,7 +17,8 @@ import numpy as np
 from .compatibility import CompatibilityVerdict, _support_verdict
 from .errors import DimensionMismatchError, InvalidParameterError, StatePoolError
 from .linalg import (
-    Spectrum, Tolerances, _density_spectrum, as_matrix, max_norm, support_projector,
+    Spectrum, Tolerances, _density_spectrum, _uncertified_spectrum, as_matrix, hermitize,
+    max_norm, support_projector,
 )
 from .pooling import PoolingReport, _pool
 
@@ -69,7 +70,9 @@ class UnitaryDynamics(Channel):
 
     def __post_init__(self):
         u = as_matrix(self.u)
-        if not max_norm(u.conj().T @ u - np.eye(u.shape[0])) <= 1e-10:  # NaN too
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is NaN, rejected here
+            gram = u.conj().T @ u
+        if not max_norm(gram - np.eye(u.shape[0])) <= 1e-10:  # NaN too
             raise ValueError("matrix is not unitary")
         object.__setattr__(self, "u", u)
 
@@ -164,7 +167,9 @@ class ScenarioConfig:
     ``pool_against_evolved`` switches the pooling prior from the shared
     original prior to the prior pushed through ``evolved_by`` (a unitary),
     for exploring the alternative reading of the narrative.  The prior's
-    Spectrum from the density check is kept, unserialized, for pooling.
+    Spectrum from the density check is kept, unserialized, for pooling; it
+    is None when one Cholesky certified the prior positive definite, and
+    pooling then solves against the prior itself.
     """
 
     prior: np.ndarray = field(repr=False)
@@ -173,7 +178,7 @@ class ScenarioConfig:
     seed: int = 0
     pool_against_evolved: bool = False
     evolved_by: UnitaryDynamics | None = None
-    _prior_spectrum: Spectrum = field(init=False, repr=False, compare=False)
+    _prior_spectrum: Spectrum | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         prior, spectrum = _density_spectrum(self.prior, self.tol.rank_tol)
@@ -238,10 +243,12 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     if not verdict.compatible:
         error = {"error": "IncompatibleAssignmentsError", "message": verdict.diagnostics}
         return ScenarioResult(sigma1, sigma2, verdict, None, error)
-    prior_spectrum = (Spectrum.of(evolve(cfg.evolved_by, cfg.prior), cfg.tol.rank_tol)
-                      if cfg.pool_against_evolved else cfg._prior_spectrum)
+    prior, prior_spectrum = cfg.prior, cfg._prior_spectrum
+    if cfg.pool_against_evolved:
+        prior = hermitize(evolve(cfg.evolved_by, cfg.prior))
+        prior_spectrum = _uncertified_spectrum(prior, cfg.tol.rank_tol)
     try:
-        pooling = _pool(prior_spectrum, sigma1, sigma2, supp1, supp2, verdict, cfg.tol)
+        pooling = _pool(prior, prior_spectrum, sigma1, sigma2, supp1, supp2, verdict, cfg.tol)
     except StatePoolError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "residual"):

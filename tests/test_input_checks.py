@@ -10,6 +10,10 @@ the CLI reports as exit 2 with a ``malformed_input`` payload.
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +215,31 @@ def test_fuzz_findings_exit_2(tmp_path, capsys, command, files):
         paths.append(tmp_path / f"{i}.json")
         paths[-1].write_text(json.dumps(obj))
     assert_exit_2(capsys, command, *map(str, paths))
+
+
+def statepool_process(tmp_path, command, *objects):
+    """The CLI run in a fresh interpreter, numpy's warnings at their defaults,
+    on files holding ``objects``: (exit code, stdout, stderr)."""
+    paths = []
+    for i, obj in enumerate(objects):
+        paths.append(tmp_path / f"{i}.json")
+        paths[-1].write_text(json.dumps(obj))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "statepool.cli", command, *map(str, paths)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("command, objects, message", [
+    ("pool-quantum", [io.matrix_to_json(np.array([[x]])) for x in (1e-300, 1e300, 1e300)],
+     "pooling product overflows: inputs beyond float range"),
+    ("scenario-run", [_config(nan_unitary=True)], "bad scenario config: matrix is not unitary"),
+])
+def test_overflow_exits_2_without_a_warning(tmp_path, command, objects, message):
+    code, out, err = statepool_process(tmp_path, command, *objects)
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"error": "malformed_input", "message": message}
 
 
 def test_adversarial_batch_rejects_noise_it_ignores(capsys):

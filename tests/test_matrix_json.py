@@ -255,12 +255,14 @@ class TestScenarioRunOverrides:
 
 # SHA-256 of `randgen --dim 16 --noise 0.5 --seed 101` with every channel
 # written as its Kraus list (277 matrices: prior, two unitaries, 17 + 257
-# Kraus operators) and of `scenario-run` on it, taken from the entry-by-entry
-# encoder.  `randgen` itself now writes the detector channels by name
-# (GOLDEN_D16_NAMED, 3 matrices); `scenario-run` gives the same result on both.
+# Kraus operators), taken from the entry-by-entry encoder, and of
+# `scenario-run` on it, whose pooling residual is taken with one LU solve
+# against the certified prior.  `randgen` itself now writes the detector
+# channels by name (GOLDEN_D16_NAMED, 3 matrices); `scenario-run` gives the
+# same result on both.
 GOLDEN_D16 = (
     "6d799bac3cfc14b454ae9beeba979d5e4409d0899c00b44a05e111eb63eabe68",
-    "ec66a75d35852ee4d21619a44d4f0246e1397fc26d7d551f533207680fe5f57e",
+    "f7d6fe4039a4326ca60179e0d39d0a527b58c9ecce5e53b85096c5f4acfe11e9",
 )
 GOLDEN_D16_NAMED = "7bb3288248b2762cdc71f2ff3cd06f1d7e90494e40f347c8cb913401abd27bca"
 

@@ -123,11 +123,11 @@ class TestSpectrum:
 
 
 class Counter:
-    """Counts the dense decompositions numpy.linalg is asked for."""
+    """Counts the dense decompositions and solves numpy.linalg is asked for."""
 
     def __init__(self, monkeypatch):
         self.calls = []
-        for name in ("eigh", "eigvalsh", "svd", "cholesky"):
+        for name in ("eigh", "eigvalsh", "svd", "cholesky", "solve"):
             monkeypatch.setattr(np.linalg, name, self._wrap(name, getattr(np.linalg, name)))
 
     def _wrap(self, name, fn):
@@ -160,9 +160,12 @@ class TestDecompositionCounts:
     @pytest.mark.parametrize("d", [2, 8])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_run_scenario(self, monkeypatch, d, seed):
+        # one Cholesky certifies the prior in its density check, one each
+        # sigma1 and sigma2; pooling is one LU solve against the prior
         c = Counter(monkeypatch)
         run_scenario(random_instance(d, seed, 0.5))
-        assert c.count("eigh", "eigvalsh", "svd") == 1
+        assert c.count("eigh", "eigvalsh", "svd") == 0
+        assert c.count("cholesky") == 3 and c.count("solve") == 1
 
     def test_run_scenario_incompatible(self, monkeypatch):
         from statepool.scenario import adversarial_instance
@@ -170,7 +173,8 @@ class TestDecompositionCounts:
         cfg = adversarial_instance(3, 1)
         c = Counter(monkeypatch)
         assert not run_scenario(cfg).verdict.compatible
-        assert c.count("eigh", "eigvalsh", "svd") == 3
+        assert c.count("eigh", "eigvalsh", "svd") == 3  # the rank-one posteriors, their SVD
+        assert c.count("solve") == 0
 
     def test_quantum_pool_success(self, monkeypatch):
         # rank-deficient posteriors sharing one direction, so the SVD runs too
@@ -179,9 +183,9 @@ class TestDecompositionCounts:
         c = Counter(monkeypatch)
         report = quantum_pool(prior, s1, s2)
         assert max_norm(report.pooled - np.diag([0.0, 1.0, 0.0])) < 1e-12
-        # the prior, then each posterior once its certificate fails
-        assert c.count("eigh") == 3 and c.count("cholesky") == 2 and c.count("svd") == 1
-        assert c.count("eigvalsh") == 1
+        # the certified prior is solved against; each posterior's certificate fails
+        assert c.count("eigh") == 2 and c.count("cholesky") == 3 and c.count("svd") == 1
+        assert c.count("eigvalsh") == 1 and c.count("solve") == 1
 
     def test_quantum_pool_failure(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -189,7 +193,7 @@ class TestDecompositionCounts:
         c = Counter(monkeypatch)
         with pytest.raises(NonHermitianPoolingProductError):
             quantum_pool(prior, s1, s2)
-        assert c.count("eigh") == 1 and c.count("cholesky") == 2
+        assert c.count("eigh") == 0 and c.count("cholesky") == 3 and c.count("solve") == 1
         assert c.count("eigvalsh", "svd") == 0
 
     @pytest.mark.parametrize("d", [2, 8, 64])
@@ -209,7 +213,7 @@ class TestDecompositionCounts:
         c = Counter(monkeypatch)
         report = quantum_pool(prior, s1, s2)
         assert max_norm(report.pooled - pooled) < 1e-9
-        assert c.count("eigh") == 1 and c.count("cholesky") == 2  # eigh: the prior
+        assert c.count("eigh") == 0 and c.count("cholesky") == 3 and c.count("solve") == 1
         assert c.count("eigvalsh") == 1 and c.count("svd") == 0
 
     @pytest.mark.parametrize("d", [2, 8, 64])
@@ -221,7 +225,8 @@ class TestDecompositionCounts:
         assert c.count("cholesky") == 2 and c.count("eigh") == 2
         with pytest.raises(IncompatibleAssignmentsError):
             quantum_pool(prior, s1, s2)
-        assert c.count("cholesky") == 4 and c.count("eigh") == 5  # the prior, then both again
+        # the prior certified, both posteriors again; disjoint, so nothing is solved
+        assert c.count("cholesky") == 5 and c.count("eigh") == 4 and c.count("solve") == 0
 
     def test_condition_decomposes_the_marginal_once(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -348,12 +353,12 @@ class TestNonHermitianPoolingInput:
         assert json.loads(capsys.readouterr().out)["error"] == "malformed_input"
 
 
-# SHA-256 of `scenario-run` on `randgen --dim d --noise 0.5 --seed 7`, taken
-# before the spectra were shared: they pin intersection_rank and the bytes of
-# the pooling residual.
+# SHA-256 of `scenario-run` on `randgen --dim d --noise 0.5 --seed 7`: they
+# pin intersection_rank and the bytes of the pooling residual, which is taken
+# with one LU solve against the certified prior.
 SCENARIO_RUN_SHA256 = {
-    2: "229e7e2af4a52fa6ce9b1f6d30a00ea44c0dbdbb77dae10887c50b2dd6c8fd88",
-    8: "3a92c6f502aedad12b6291d9d904457ddc8d8a23680436085f54931a470f184a",
+    2: "55d25efb8aa020820b838d0b7b3cbdbbaa522ac95d629a5303ced6e52c3f5199",
+    8: "a8ce4718c4953910e54ae8fc6b460e208ce0de2048d2f8764c2350b1281c1489",
 }
 
 
@@ -372,8 +377,8 @@ def _pool_recomputing_the_prior(cfg):
     """``run_scenario``'s pooling step with the prior decomposed afresh."""
     sigma1, sigma2 = (run_pipeline(p, cfg.prior) for p in cfg.pipelines)
     supp1, supp2 = (Spectrum.of(s, cfg.tol.rank_tol).support() for s in (sigma1, sigma2))
-    return _pool(Spectrum.of(cfg.prior, cfg.tol.rank_tol), sigma1, sigma2, supp1, supp2, None,
-                 cfg.tol)
+    return _pool(cfg.prior, Spectrum.of(cfg.prior, cfg.tol.rank_tol), sigma1, sigma2, supp1,
+                 supp2, None, cfg.tol)
 
 
 def evolved_configs(d):
@@ -385,28 +390,32 @@ def evolved_configs(d):
                               pool_against_evolved=True, evolved_by=u)
 
 
-# SHA-256s taken before the prior's spectrum was kept from the density check.
+# SHA-256s of results pooled with one LU solve against a certified prior.
 EVOLVED_SHA256 = {
-    2: "e962aea3b83af5fa53cbb7abb9d3b3c372c1ae7edfe5d627038a0a42020dacf6",
-    8: "147a46932487d2b1b5bf1795262b2c116bfc3868c66d705bed942d3cb58356dd",
+    2: "2788264890cc5f7aec83c8c69c8db7bcc47ef15d6ababbbf5898522053f42450",
+    8: "710bfd5af60f704469c8f1c677736ecc742c6d8fa27553b47c94086f20c402bf",
 }
-BATCH_SHA256 = "1681da680b7105d1e66628ce19f247a55c2b896b01f3f18229be0a7b15d1e6d1"
+BATCH_SHA256 = "ce070398444727a77c3a69ffa1c3bab5a5f46efccba44fbef20df26d2b202fca"
 
 
 class TestPriorSpectrumFromTheDensityCheck:
     @pytest.mark.parametrize("d", [2, 8])
     def test_three_decompositions_per_scenario(self, monkeypatch, d):
-        # the prior's eigh once, in its density check, then one Cholesky each
-        # that certifies sigma1 and sigma2 full rank
+        # one Cholesky certifies the prior in its density check and one each
+        # sigma1 and sigma2, then pooling solves against the prior once
         c = Counter(monkeypatch)
         run_scenario(random_instance(d, 3, 0.5))
-        assert c.count("eigh") == 1 and c.count("cholesky") == 2
-        assert c.count("eigvalsh", "svd") == 0
+        assert c.count("cholesky") == 3 and c.count("solve") == 1
+        assert c.count("eigh", "eigvalsh", "svd") == 0
 
     @pytest.mark.parametrize("rank_tol", [1e-10, 0.2])
     def test_kept_spectrum_is_that_of_the_checked_prior(self, rank_tol):
         cfg = dataclasses.replace(random_instance(4, 5, 0.5), tol=Tolerances(rank_tol=rank_tol))
         fresh = Spectrum.of(cfg.prior, cfg.tol.rank_tol)
+        if rank_tol == 1e-10:  # one Cholesky certifies the prior: no spectrum is kept
+            assert fresh.kept.all() and cfg._prior_spectrum is None
+            return
+        assert not fresh.kept.all()  # a cut at 0.2 drops an eigenvalue: the certificate fails
         assert np.array_equal(cfg._prior_spectrum.w, fresh.w)
         assert np.array_equal(cfg._prior_spectrum.v, fresh.v)
         assert cfg._prior_spectrum.cut == fresh.cut
@@ -445,10 +454,12 @@ class TestPriorSpectrumFromTheDensityCheck:
         assert hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest() == BATCH_SHA256
 
     def test_full_rank_prior_skips_the_containment_products(self, monkeypatch):
-        # both posteriors escape nothing: the full space holds every support
-        prior = Spectrum.of(np.eye(3) / 3)
+        # both posteriors escape nothing: the full space holds every support,
+        # whether the prior's spectrum keeps every eigenvalue or is certified away
         calls = []
         monkeypatch.setattr(Subspace, "projector", lambda self: calls.append(self) or np.eye(3))
         s = np.diag([0.5, 0.5, 0.0])
-        _pool(prior, s, s, Spectrum.of(s).support(), Spectrum.of(s).support(), None, Tolerances())
+        for spectrum in (Spectrum.of(np.eye(3) / 3), None):
+            _pool(np.eye(3) / 3, spectrum, s, s, Spectrum.of(s).support(),
+                  Spectrum.of(s).support(), None, Tolerances())
         assert calls == []

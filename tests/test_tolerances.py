@@ -78,8 +78,8 @@ class TestOnePSDFloor:
         # but, for x up to PSD_TOL * (1 + x), not below -PSD_TOL * max(max|w|, 1)
         x = PSD_TOL + excess
         s1, full = np.diag([1.0 + x, -x]), Subspace.full(2)
-        pool = lambda: _pool(Spectrum.of(np.eye(2)), s1, np.eye(2), full, full, None,
-                             Tolerances())
+        pool = lambda: _pool(np.eye(2), Spectrum.of(np.eye(2)), s1, np.eye(2), full, full,
+                             None, Tolerances())
         if accepted:
             assert pool().min_eigenvalue < -PSD_TOL
         else:
