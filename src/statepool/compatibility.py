@@ -16,11 +16,10 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .linalg import (
-    Subspace, Tolerances, _checked_states, as_matrix, max_norm, subspace_intersection,
+    EXACT_TOL, SUM_TOL, SUPPORT_TOL, TRACE_TOL, Subspace, Tolerances, _checked_states,
+    as_matrix, max_norm, subspace_intersection,
 )
 from .regions import HybridState, quantum_bayes
-
-SUPPORT_TOL = 1e-12  # probability entries above this count as support
 
 
 @dataclass(frozen=True)
@@ -39,13 +38,13 @@ class ProbabilityDistribution:
             raise ValueError("duplicate outcome labels")
         if np.any(p < -SUPPORT_TOL):
             raise ValueError(f"negative probability {p.min():g}")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if abs(p.sum() - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "probs", np.clip(p, 0.0, None))
 
-    def support(self, tol: float = SUPPORT_TOL):
-        return {o for o, p in zip(self.outcomes, self.probs) if p > tol}
+    def support(self):
+        return {o for o, p in zip(self.outcomes, self.probs) if p > SUPPORT_TOL}
 
     @classmethod
     def uniform(cls, outcomes) -> "ProbabilityDistribution":
@@ -75,7 +74,7 @@ class ConditionalDistribution:
         if np.any(t < -SUPPORT_TOL):
             raise ValueError("negative conditional probability")
         colsums = t.sum(axis=0)
-        if np.any(np.abs(colsums - 1.0) > 1e-12):
+        if np.any(np.abs(colsums - 1.0) > SUM_TOL):
             raise ValueError(f"columns must sum to 1, got {colsums}")
         object.__setattr__(self, "given_outcomes", gy)
         object.__setattr__(self, "out_outcomes", ox)
@@ -101,18 +100,13 @@ class CompatibilityVerdict:
 
 
 def classical_compatible(
-    q1: ProbabilityDistribution,
-    q2: ProbabilityDistribution,
-    support_tol: float = SUPPORT_TOL,
+    q1: ProbabilityDistribution, q2: ProbabilityDistribution
 ) -> CompatibilityVerdict:
-    """Support-overlap decision: compatible iff some outcome has positive
-    probability under both assignments."""
+    """Support-overlap decision: compatible iff some outcome has probability
+    above SUPPORT_TOL under both assignments."""
     if q1.outcomes != q2.outcomes:
         raise InvalidParameterError("distributions are over different outcome sets")
-    shared = sorted(
-        q1.support(support_tol) & q2.support(support_tol),
-        key=q1.outcomes.index,
-    )
+    shared = sorted(q1.support() & q2.support(), key=q1.outcomes.index)
     msg = f"shared support {shared}" if shared else "supports are disjoint"
     return CompatibilityVerdict(bool(shared), tuple(shared), msg)
 
@@ -140,32 +134,27 @@ def _support_verdict(p: Subspace, q: Subspace) -> CompatibilityVerdict:
 
 
 def verify_objective_classical(
-    q1: ProbabilityDistribution,
-    q2: ProbabilityDistribution,
-    joint: np.ndarray,
-    x1: int,
-    x2: int,
-    tol: float = 1e-10,
+    q1: ProbabilityDistribution, q2: ProbabilityDistribution, joint: np.ndarray, x1: int, x2: int
 ) -> bool:
     """Check a witness for objective classical compatibility.
 
     ``joint`` is P(Y, X1, X2) as an array of shape (|Y|, |X1|, |X2|) with Y
     indexed in the order of ``q1.outcomes``.  True iff the joint weight of
-    (x1, x2) is positive and both conditional slices P(Y | Xi=xi)
-    reproduce the respective assignment.
+    (x1, x2) exceeds EXACT_TOL and both conditional slices P(Y | Xi=xi)
+    reproduce the respective assignment within EXACT_TOL.
     """
     p = np.asarray(joint, dtype=float)
     if p.ndim != 3 or p.shape[0] != len(q1.outcomes):
         raise ValueError(f"joint must have shape (|Y|, |X1|, |X2|), got {p.shape}")
     if not (0 <= x1 < p.shape[1] and 0 <= x2 < p.shape[2]):
         raise KeyError(f"outcome ({x1}, {x2}) absent from joint of shape {p.shape}")
-    if abs(p.sum() - 1.0) > 1e-10 or np.any(p < -tol):
+    if abs(p.sum() - 1.0) > EXACT_TOL or np.any(p < -EXACT_TOL):
         raise ValueError("joint is not a normalized distribution")
-    if p[:, x1, x2].sum() <= tol:  # condition 1: P(X1=x1, X2=x2) > 0
+    if p[:, x1, x2].sum() <= EXACT_TOL:  # condition 1: P(X1=x1, X2=x2) > 0
         return False
     for q, slice_ in ((q1, p[:, x1, :].sum(axis=1)), (q2, p[:, :, x2].sum(axis=1))):
         w = slice_.sum()
-        if w <= tol or np.max(np.abs(slice_ / w - q.probs)) > tol:
+        if w <= EXACT_TOL or np.max(np.abs(slice_ / w - q.probs)) > EXACT_TOL:
             return False
     return True
 
@@ -183,85 +172,71 @@ def classical_bayes_posterior(
 
 
 def verify_subjective_classical(
-    q1: ProbabilityDistribution,
-    q2: ProbabilityDistribution,
-    cond: ConditionalDistribution,
+    q1: ProbabilityDistribution, q2: ProbabilityDistribution, cond: ConditionalDistribution,
     x_tilde: int,
-    tol: float = 1e-10,
 ) -> bool:
     """Check a witness for subjective classical compatibility.
 
-    True iff every predictive probability is strictly positive for both
-    agents (condition 1) and the two Bayes posteriors agree at ``x_tilde``.
-    A vanishing predictive probability is a failed condition, not an error.
+    True iff every predictive probability exceeds EXACT_TOL for both agents
+    (condition 1) and the two Bayes posteriors agree at ``x_tilde`` within
+    EXACT_TOL.  A vanishing predictive probability is a failed condition, not
+    an error.
     """
     if cond.given_outcomes != q1.outcomes or q1.outcomes != q2.outcomes:
         raise ValueError("conditional table and priors disagree on Out(Y)")
     for q in (q1, q2):
         for x in range(len(cond.out_outcomes)):
-            if float((cond.table[x, :] * q.probs).sum()) <= tol:
+            if float((cond.table[x, :] * q.probs).sum()) <= EXACT_TOL:
                 return False
     p1, _ = classical_bayes_posterior(q1, cond, x_tilde)
     p2, _ = classical_bayes_posterior(q2, cond, x_tilde)
-    return float(np.max(np.abs(p1.probs - p2.probs))) <= tol
+    return float(np.max(np.abs(p1.probs - p2.probs))) <= EXACT_TOL
 
 
-def verify_objective_quantum(
-    s1,
-    s2,
-    hybrid: HybridState,
-    x1: int,
-    x2: int,
-    tol: float = 1e-10,
-) -> bool:
+def verify_objective_quantum(s1, s2, hybrid: HybridState, x1: int, x2: int) -> bool:
     """Check a witness for objective quantum compatibility.
 
     ``hybrid`` is a hybrid state over two classical registers (X1, X2) and
-    the quantum region.  True iff the classical weight at (x1, x2) is
-    positive and each conditional state rho_{B | Xi = xi} (marginalizing
+    the quantum region.  True iff the classical weight at (x1, x2) exceeds
+    EXACT_TOL and each conditional state rho_{B | Xi = xi} (marginalizing
     the other register, then normalizing) equals the corresponding
-    assignment in max-norm.
+    assignment within EXACT_TOL in max-norm.
     """
     if len(hybrid.classical_dims) != 2:
         raise ValueError("witness hybrid must carry exactly two classical registers")
     d1, d2 = hybrid.classical_dims
     if not (0 <= x1 < d1 and 0 <= x2 < d2):
         raise KeyError(f"outcome ({x1}, {x2}) absent from registers {hybrid.classical_dims}")
-    if hybrid.classical_weight((x1, x2)) <= tol:  # condition 1
+    if hybrid.classical_weight((x1, x2)) <= EXACT_TOL:  # condition 1
         return False
     cond1 = sum(hybrid.block((x1, b)) for b in range(d2))
     cond2 = sum(hybrid.block((a, x2)) for a in range(d1))
     for sigma, block in ((s1, cond1), (s2, cond2)):
         w = float(np.real(np.trace(block)))
-        if w <= tol or max_norm(block / w - as_matrix(sigma)) > tol:
+        if w <= EXACT_TOL or max_norm(block / w - as_matrix(sigma)) > EXACT_TOL:
             return False
     return True
 
 
-def verify_subjective_quantum(
-    s1,
-    s2,
-    likelihoods,
-    x_tilde,
-    tol: float = 1e-10,
-) -> bool:
+def verify_subjective_quantum(s1, s2, likelihoods, x_tilde) -> bool:
     """Check a witness for subjective quantum compatibility.
 
     ``likelihoods`` maps outcomes x to PSD operators summing to the
-    identity (a valid measurement).  True iff every predictive probability
-    Tr(likelihood(x) s_i) is strictly positive and the quantum Bayes
-    posteriors of the two agents agree at ``x_tilde`` in max-norm.
+    identity within TRACE_TOL (a valid measurement).  True iff every
+    predictive probability Tr(likelihood(x) s_i) exceeds EXACT_TOL and the
+    quantum Bayes posteriors of the two agents agree at ``x_tilde`` within
+    EXACT_TOL in max-norm.
     """
     ops = {x: as_matrix(m) for x, m in dict(likelihoods).items()}
     if x_tilde not in ops:
         raise KeyError(f"outcome {x_tilde!r} absent from likelihoods")
     total = sum(ops.values())
-    if max_norm(total - np.eye(total.shape[0])) > 1e-8:
+    if max_norm(total - np.eye(total.shape[0])) > TRACE_TOL:
         raise ValueError("likelihoods do not sum to the identity")
     for sigma in (s1, s2):
         for m in ops.values():
-            if float(np.real(np.trace(m @ as_matrix(sigma)))) <= tol:
+            if float(np.real(np.trace(m @ as_matrix(sigma)))) <= EXACT_TOL:
                 return False
     post1 = quantum_bayes(ops[x_tilde], s1)
     post2 = quantum_bayes(ops[x_tilde], s2)
-    return max_norm(post1 - post2) <= tol
+    return max_norm(post1 - post2) <= EXACT_TOL

@@ -37,8 +37,7 @@ from .pooling import PoolingReport
 from .regions import HybridState
 from .scenario import (
     AgentPipeline, DephasingChannel, DepolarizingChannel, KrausChannel, ReplacementChannel,
-    ScenarioConfig, ScenarioResult, UnitaryDynamics, dephasing_channel, depolarizing_channel,
-    replacement_channel,
+    ScenarioConfig, ScenarioResult, UnitaryDynamics,
 )
 
 
@@ -208,20 +207,20 @@ def pooling_report_to_json(r: PoolingReport) -> dict:
 # --- scenario configs and results ------------------------------------------
 
 
-# Named steps: type name -> (class, validating factory, parameter field).
+# Named steps: type name -> (class, which checks the parameter, parameter field).
 _NAMED_STEPS = {
-    "depolarizing": (DepolarizingChannel, depolarizing_channel, "strength"),
-    "dephasing": (DephasingChannel, dephasing_channel, "strength"),
-    "replacement": (ReplacementChannel, replacement_channel, "target"),
+    "depolarizing": (DepolarizingChannel, "strength"),
+    "dephasing": (DephasingChannel, "strength"),
+    "replacement": (ReplacementChannel, "target"),
 }
-_STEP_NAMES = {cls: name for name, (cls, _, _) in _NAMED_STEPS.items()}
+_STEP_NAMES = {cls: name for name, (cls, _) in _NAMED_STEPS.items()}
 # A parameter's JSON types, not bool: a strength of 0.0 or 1.0 prints as "0" or "1".
 _PARAM_TYPES = {"strength": ((int, float), "a number"), "target": ((int,), "an integer")}
 
 
 def _step_to_json(step) -> dict:
     if (name := _STEP_NAMES.get(type(step))) is not None:
-        param = _NAMED_STEPS[name][2]
+        param = _NAMED_STEPS[name][1]
         return {"type": name, "dim": step.dim, param: getattr(step, param)}
     if isinstance(step, UnitaryDynamics):
         return {"type": "unitary", "matrix": matrix_to_json(step.u)}
@@ -230,7 +229,7 @@ def _step_to_json(step) -> dict:
 
 def _named_step_from_json(obj):
     name = obj["type"]
-    _, factory, param = _NAMED_STEPS[name]
+    cls, param = _NAMED_STEPS[name]
     if set(obj) != {"type", "dim", param}:
         raise MalformedInputError(f'{name} step must have exactly keys "type", "dim" and "{param}"')
     dim, value = obj["dim"], obj[param]
@@ -239,7 +238,7 @@ def _named_step_from_json(obj):
     types, kind = _PARAM_TYPES[param]
     if type(value) not in types:
         raise MalformedInputError(f'{name} step: "{param}" must be {kind}, got {value!r}')
-    return factory(dim, value)
+    return cls(dim, value)
 
 
 def _step_from_json(obj):

@@ -33,11 +33,13 @@ Conventions
 * A caller sets ``rank_tol`` and ``herm_tol`` through one ``Tolerances``
   record, which rejects a NaN, infinite or negative value, or ``rank_tol >= 1``,
   as InvalidParameterError (CLI exit 2), never a verdict.  Every other
-  threshold is a constant named below.  Hermiticity has one relative rule,
+  threshold is a constant named below, which no caller sets; the other
+  modules import theirs from here.  Hermiticity has one relative rule,
   ``check_hermitian``; ``hermitize`` only symmetrizes.
 * Subspaces intersect along their principal angles: the singular values of
-  ``B1† B2`` are their cosines, and directions with ``cos >= 1 - tol`` are
-  shared, the criterion ``eig(P + Q) >= 2 - tol`` on an r1 x r2 matrix.
+  ``B1† B2`` are their cosines, and directions with ``cos >= 1 - SUBSPACE_TOL``
+  are shared, the criterion ``eig(P + Q) >= 2 - SUBSPACE_TOL`` on an r1 x r2
+  matrix.
 """
 
 from __future__ import annotations
@@ -49,8 +51,14 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidParameterError, NotPSDError
 
 PSD_TOL = 1e-8  # eigenvalue floor of every PSD decision, relative to max(max|w|, 1)
-TRACE_TOL = 1e-8  # |Tr - 1| allowed for a unit-trace operator
+TRACE_TOL = 1e-8  # |Tr - 1| of a unit-trace operator; max|sum - I| of a measurement
 SUBSPACE_TOL = 1e-8  # orthonormality, principal-angle cut and containment of subspaces
+SUPPORT_TOL = 1e-12  # a probability, or Tr(L rho), above this is possible; below -this, invalid
+SUM_TOL = 1e-12  # |sum - 1| of a probability vector or a column of a conditional table
+EXACT_TOL = 1e-10  # slack of a relation exact for valid input: a witness's weights,
+# conditionals and normalization, a factorization, unitarity, Kraus trace preservation,
+# a hybrid joint's coherences across classical outcomes
+PROPORTIONALITY_TOL = 1e-9  # max-norm between likelihoods after normalization
 
 
 @dataclass(frozen=True)
@@ -94,10 +102,10 @@ def hermitize(m) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def check_hermitian(m, name: str, tol: float = Tolerances.herm_tol) -> None:
-    """Raise InvalidParameterError unless max_norm(M - M†) <= tol * max(max_norm(M), 1)."""
+def check_hermitian(m, name: str, herm_tol: float = Tolerances.herm_tol) -> None:
+    """Raise InvalidParameterError unless max_norm(M - M†) <= herm_tol * max(max_norm(M), 1)."""
     residual = max_norm(m - m.conj().T)
-    if residual > tol and residual > tol * max(max_norm(m), 1.0):  # the scale is >= 1
+    if residual > herm_tol and residual > herm_tol * max(max_norm(m), 1.0):  # the scale is >= 1
         raise InvalidParameterError(f"{name} is not Hermitian (residual {residual:.3e})")
 
 
@@ -114,7 +122,7 @@ def _checked_states(tol: Tolerances, spectra=(), **states) -> list:
         raise DimensionMismatchError(f"states {', '.join(mats)} have different dims")
     for name, m in mats.items():
         check_hermitian(m, name, tol.herm_tol)
-    hermitian = {name: hermitize(m) for name, m in mats.items()}
+    hermitian = {name: (m + m.conj().T) / 2 for name, m in mats.items()}  # hermitize, unchecked
     found = {name: _uncertified_spectrum(h, tol.rank_tol) for name, h in hermitian.items()}
     for name, s in found.items():
         if s is not None and not s.is_psd():
@@ -218,9 +226,9 @@ def sqrt_psd(h) -> np.ndarray:
     return s.psd_function(np.sqrt)
 
 
-def pseudo_inverse(h, rank_tol: float = Tolerances.rank_tol) -> np.ndarray:
+def pseudo_inverse(h) -> np.ndarray:
     """Moore-Penrose inverse of a Hermitian operator, restricted to its support."""
-    return Spectrum.of(h, rank_tol).pinv()
+    return Spectrum.of(h).pinv()
 
 
 @dataclass(frozen=True)
@@ -248,12 +256,12 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
-    def contains(self, vec, tol: float = SUBSPACE_TOL) -> bool:
+    def contains(self, vec) -> bool:
         v = np.asarray(vec, dtype=complex).reshape(-1)
         nrm = np.linalg.norm(v)
         if nrm == 0:
             return True
-        return float(np.linalg.norm(self.projector() @ v - v)) <= tol * nrm
+        return float(np.linalg.norm(self.projector() @ v - v)) <= SUBSPACE_TOL * nrm
 
     @classmethod
     def empty(cls, ambient_dim: int) -> "Subspace":
@@ -362,14 +370,14 @@ def _certified_full_rank(a: np.ndarray, rank_tol: float) -> bool:
     return True
 
 
-def subspace_intersection(p: Subspace, q: Subspace, tol: float = SUBSPACE_TOL) -> Subspace:
+def subspace_intersection(p: Subspace, q: Subspace) -> Subspace:
     """Geometric intersection of two subspaces, from their principal angles.
 
     The singular values of Bp† Bq are the cosines of the principal angles;
-    directions with cos >= 1 - tol are shared, so at the default tol = 1e-8
-    two lines up to sqrt(2 tol) = 1.41e-4 rad apart meet (1e-4 rad does,
-    1.5e-4 rad does not).  A full subspace meets any other subspace in that
-    subspace, with no decomposition.
+    directions with cos >= 1 - SUBSPACE_TOL are shared, so two lines up to
+    sqrt(2e-8) = 1.41e-4 rad apart meet (1e-4 rad does, 1.5e-4 rad does
+    not).  A full subspace meets any other subspace in that subspace, with
+    no decomposition.
     """
     if p.ambient_dim != q.ambient_dim:
         raise DimensionMismatchError(
@@ -380,4 +388,4 @@ def subspace_intersection(p: Subspace, q: Subspace, tol: float = SUBSPACE_TOL) -
     if q.rank == q.ambient_dim or p.is_empty:
         return p
     u, cos, _ = np.linalg.svd(p.basis.conj().T @ q.basis, full_matrices=False)
-    return Subspace(p.ambient_dim, p.basis @ u[:, cos >= 1.0 - tol])
+    return Subspace(p.ambient_dim, p.basis @ u[:, cos >= 1.0 - SUBSPACE_TOL])

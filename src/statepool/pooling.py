@@ -14,16 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compatibility import SUPPORT_TOL, ProbabilityDistribution, _support_verdict
+from .compatibility import ProbabilityDistribution, _support_verdict
 from .errors import (
     DimensionMismatchError, IncompatibleAssignmentsError, InvalidParameterError,
     NonHermitianPoolingProductError, NotPSDError, PriorSupportError,
 )
 from .linalg import (
-    SUBSPACE_TOL, Tolerances, _checked_states, _psd_floor, as_matrix, max_norm,
+    EXACT_TOL, PROPORTIONALITY_TOL, SUBSPACE_TOL, SUPPORT_TOL, Tolerances, _checked_states,
+    _psd_floor, as_matrix, max_norm,
 )
 
-PROPORTIONALITY_TOL = 1e-9  # max-norm after trace normalization
 _OVERFLOW = "pooling product overflows: inputs beyond float range"
 
 
@@ -57,28 +57,26 @@ class SufficientStatistic:
 
 
 def classical_pool(
-    prior: ProbabilityDistribution,
-    q1: ProbabilityDistribution,
-    q2: ProbabilityDistribution,
-    support_tol: float = SUPPORT_TOL,
+    prior: ProbabilityDistribution, q1: ProbabilityDistribution, q2: ProbabilityDistribution
 ) -> PoolingReport:
     """Pool two classical posteriors against their shared prior.
 
-    Entrywise q1*q2/prior on the prior's support, renormalized.  Raises
-    IncompatibleAssignmentsError when the posteriors' supports are disjoint
-    and PriorSupportError when their overlap escapes the prior's support
-    (Bayesian updating cannot resurrect zero-prior outcomes).
+    Entrywise q1*q2/prior on the prior's support (entries above SUPPORT_TOL),
+    renormalized.  Raises IncompatibleAssignmentsError when the posteriors'
+    supports are disjoint and PriorSupportError when their overlap escapes
+    the prior's support (Bayesian updating cannot resurrect zero-prior
+    outcomes).
     """
     if not (prior.outcomes == q1.outcomes == q2.outcomes):
         raise InvalidParameterError("distributions are over different outcome sets")
-    overlap = q1.support(support_tol) & q2.support(support_tol)
+    overlap = q1.support() & q2.support()
     if not overlap:
         raise IncompatibleAssignmentsError("agents incompatible, no pooled state")
-    if overlap - prior.support(support_tol):
+    if overlap - prior.support():
         raise PriorSupportError(
-            f"prior excludes jointly supported outcome(s) {sorted(overlap - prior.support(support_tol))}"
+            f"prior excludes jointly supported outcome(s) {sorted(overlap - prior.support())}"
         )
-    on_support = prior.probs > support_tol
+    on_support = prior.probs > SUPPORT_TOL
     unnorm = np.where(on_support, q1.probs * q2.probs / np.where(on_support, prior.probs, 1.0), 0.0)
     total = float(unnorm.sum())
     pooled = ProbabilityDistribution(prior.outcomes, unnorm / total)
@@ -158,15 +156,16 @@ def _pool(prior, prior_spectrum, a, b, supp1, supp2, verdict, tol: Tolerances) -
     )
 
 
-def _proportionality_classes(vectors, norm_of, tol):
-    """Group keys by proportionality of their vectors; zero vectors form their own class."""
+def _proportionality_classes(vectors, norm_of):
+    """Group keys by proportionality of their vectors within PROPORTIONALITY_TOL;
+    zero vectors form their own class."""
     classes = []  # (normalized representative, or None for the zero class; keys)
     for k, v in vectors.items():
         n = norm_of(v)
-        rep = None if n <= tol else v / n
+        rep = None if n <= PROPORTIONALITY_TOL else v / n
         for r, keys in classes:
             if (r is None and rep is None) or (
-                r is not None and rep is not None and max_norm(rep - r) <= tol
+                r is not None and rep is not None and max_norm(rep - r) <= PROPORTIONALITY_TOL
             ):
                 keys.add(k)
                 break
@@ -175,29 +174,26 @@ def _proportionality_classes(vectors, norm_of, tol):
     return [keys for _, keys in classes]
 
 
-def minimal_sufficient_statistic(
-    cond, tol: float = PROPORTIONALITY_TOL
-) -> SufficientStatistic:
+def minimal_sufficient_statistic(cond) -> SufficientStatistic:
     """Minimal sufficient statistic of a conditional table P(X | Y).
 
     Outcomes x, x' land in the same class iff their likelihood vectors
-    P(X=x | Y=.) are proportional within ``tol`` (likelihood-ratio
-    equivalence, normalized by the vector sum).
+    P(X=x | Y=.) are proportional within PROPORTIONALITY_TOL
+    (likelihood-ratio equivalence, normalized by the vector sum).
     """
     table = np.asarray(cond.table, dtype=float)
     outcomes = cond.out_outcomes
     vectors = {x: table[i, :] for i, x in enumerate(outcomes)}
-    classes = _proportionality_classes(vectors, lambda v: float(v.sum()), tol)
+    classes = _proportionality_classes(vectors, lambda v: float(v.sum()))
     return SufficientStatistic(outcomes, tuple(frozenset(c) for c in classes))
 
 
-def quantum_minimal_sufficient_statistic(
-    likelihoods, tol: float = PROPORTIONALITY_TOL
-) -> SufficientStatistic:
+def quantum_minimal_sufficient_statistic(likelihoods) -> SufficientStatistic:
     """Minimal sufficient statistic of a family of PSD likelihood operators.
 
     Outcomes are grouped by operator proportionality: trace-normalize and
-    compare in max-norm.  Zero operators form their own class (warned).
+    compare in max-norm, within PROPORTIONALITY_TOL.  Zero operators form
+    their own class (warned).
     """
     import warnings
 
@@ -205,16 +201,15 @@ def quantum_minimal_sufficient_statistic(
     dims = {m.shape for m in ops.values()}
     if len(dims) > 1:
         raise DimensionMismatchError(f"likelihood operators have differing dims {dims}")
-    if any(max_norm(m) <= tol for m in ops.values()):
+    if any(max_norm(m) <= PROPORTIONALITY_TOL for m in ops.values()):
         warnings.warn("zero likelihood operator forms its own statistic class")
-    classes = _proportionality_classes(
-        ops, lambda m: float(np.real(np.trace(m))), tol
-    )
+    classes = _proportionality_classes(ops, lambda m: float(np.real(np.trace(m))))
     return SufficientStatistic(tuple(ops), tuple(frozenset(c) for c in classes))
 
 
-def check_conditional_independence(h1, h2, joint, tol: float = 1e-10):
-    """Check the factorization joint(a, b) == h1(a) @ h2(b) over all class pairs.
+def check_conditional_independence(h1, h2, joint):
+    """Check the factorization joint(a, b) == h1(a) @ h2(b), within EXACT_TOL
+    in max-norm, over all class pairs.
 
     ``h1``/``h2`` map statistic classes to conditional operators on the
     quantum region; ``joint`` maps class pairs to the joint conditional
@@ -236,10 +231,10 @@ def check_conditional_independence(h1, h2, joint, tol: float = 1e-10):
             reversed_residual = max(
                 reversed_residual, max_norm(joint[(a, b)] - h2[b] @ h1[a])
             )
-    return residual <= tol, residual, reversed_residual
+    return residual <= EXACT_TOL, residual, reversed_residual
 
 
-def pooled_map(assign1, assign2, **kwargs):
+def pooled_map(assign1, assign2):
     """Closure form of the pooled assignment: rho -> pool(rho, assign1(rho), assign2(rho)).
 
     ``assign1``/``assign2`` are deterministic maps from a prior to each
@@ -250,6 +245,6 @@ def pooled_map(assign1, assign2, **kwargs):
     """
 
     def gamma(rho) -> PoolingReport:
-        return quantum_pool(rho, assign1(rho), assign2(rho), **kwargs)
+        return quantum_pool(rho, assign1(rho), assign2(rho))
 
     return gamma

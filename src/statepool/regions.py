@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ImpossibleConditioningError, NotPSDError
 from .linalg import (
-    TRACE_TOL, Spectrum, Tolerances, as_matrix, check_hermitian, embed, hermitize, max_norm,
-    partial_trace, sqrt_psd,
+    EXACT_TOL, SUPPORT_TOL, TRACE_TOL, Spectrum, as_matrix, check_hermitian, embed, hermitize,
+    max_norm, partial_trace, sqrt_psd,
 )
 
 
@@ -125,14 +125,14 @@ def star_product(psi, phi, dims=None, apply_to=None) -> np.ndarray:
     return root @ psi @ root
 
 
-def condition(s: JointState, on, rank_tol: float = Tolerances.rank_tol) -> ConditionalState:
+def condition(s: JointState, on) -> ConditionalState:
     """Conditional state of the remaining regions given the ones in ``on``.
 
     Star product of the joint with the pseudo-inverse of the marginal on
     ``on``; singular marginals condition on their support.
     """
     on_names = {on} if isinstance(on, str) else set(on)
-    spectrum = Spectrum.of(marginalize(s, on_names).op, rank_tol)
+    spectrum = Spectrum.of(marginalize(s, on_names).op)
     if spectrum.support().is_empty:
         raise ImpossibleConditioningError("conditioning on impossible event (zero marginal)")
     inv = spectrum.pinv()
@@ -143,20 +143,20 @@ def condition(s: JointState, on, rank_tol: float = Tolerances.rank_tol) -> Condi
     return ConditionalState(target=target, given=given, op=out)
 
 
-def quantum_bayes(likelihood, prior, tol: float = 1e-12) -> np.ndarray:
+def quantum_bayes(likelihood, prior) -> np.ndarray:
     """Posterior state from the quantum Bayes rule.
 
     posterior = prior^{1/2} likelihood prior^{1/2} / Tr(likelihood prior).
     ``likelihood`` is the PSD operator for one observed outcome; ``prior``
     is a density operator.  Raises ImpossibleConditioningError when the
-    predictive probability vanishes.
+    predictive probability Tr(likelihood prior) is at most SUPPORT_TOL.
     """
     like = as_matrix(likelihood)
     rho = as_matrix(prior)
     if like.shape != rho.shape:
         raise DimensionMismatchError("likelihood and prior dims differ")
     p = float(np.real(np.trace(like @ rho)))
-    if p <= tol:
+    if p <= SUPPORT_TOL:
         raise ImpossibleConditioningError(
             f"conditioning on impossible outcome (predictive probability {p:.3e})"
         )
@@ -243,11 +243,12 @@ class HybridState:
         return JointState(regions, out, normalized=self.normalized)
 
     @classmethod
-    def from_joint(cls, op, classical_dims, quantum_dim, tol: float = 1e-10) -> "HybridState":
+    def from_joint(cls, op, classical_dims, quantum_dim) -> "HybridState":
         """Extract blocks from an explicit joint operator.
 
         Raises if the operator carries coherences across classical outcomes
-        beyond ``tol``.
+        beyond EXACT_TOL, relative to max(max-norm, 1); a block no larger
+        than that is dropped.
         """
         m = as_matrix(op)
         cdims = tuple(int(d) for d in classical_dims)
@@ -262,9 +263,9 @@ class HybridState:
             b = m[sl, sl]
             off = m[sl, :].copy()
             off[:, sl] = 0
-            if max_norm(off) > tol * scale:
+            if max_norm(off) > EXACT_TOL * scale:
                 raise ValueError("joint operator has coherences across classical outcomes")
-            if max_norm(b) > tol * scale:
+            if max_norm(b) > EXACT_TOL * scale:
                 blocks[key] = b
         total = sum(float(np.real(np.trace(b))) for b in blocks.values())
         return cls(cdims, blocks, normalized=abs(total - 1.0) <= TRACE_TOL)

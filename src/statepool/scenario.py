@@ -17,8 +17,8 @@ import numpy as np
 from .compatibility import CompatibilityVerdict, _support_verdict
 from .errors import DimensionMismatchError, InvalidParameterError, StatePoolError
 from .linalg import (
-    Spectrum, Tolerances, _density_spectrum, _uncertified_spectrum, as_matrix, hermitize,
-    max_norm, support_projector,
+    EXACT_TOL, Spectrum, Tolerances, _density_spectrum, _uncertified_spectrum, as_matrix,
+    hermitize, max_norm, support_projector,
 )
 from .pooling import PoolingReport, _pool
 
@@ -51,7 +51,7 @@ class KrausChannel(Channel):
         if any(k.shape != (d_out, d_in) for k in ops):
             raise DimensionMismatchError("Kraus operators have inconsistent shapes")
         residual = max_norm(sum(k.conj().T @ k for k in ops) - np.eye(d_in))
-        if not residual <= 1e-10:  # NaN too, from an overflowing sum
+        if not residual <= EXACT_TOL:  # NaN too, from an overflowing sum
             raise ValueError(f"Kraus operators violate trace preservation (residual {residual:.3e})")
         object.__setattr__(self, "kraus_ops", ops)
 
@@ -72,7 +72,7 @@ class UnitaryDynamics(Channel):
         u = as_matrix(self.u)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is NaN, rejected here
             gram = u.conj().T @ u
-        if not max_norm(gram - np.eye(u.shape[0])) <= 1e-10:  # NaN too
+        if not max_norm(gram - np.eye(u.shape[0])) <= EXACT_TOL:  # NaN too
             raise ValueError("matrix is not unitary")
         object.__setattr__(self, "u", u)
 
@@ -96,12 +96,31 @@ class _ClosedForm(Channel):
     dim: int
 
 
+def _unit_interval(x, what: str = "strength") -> float:
+    try:
+        p = float(x)
+    except OverflowError:  # an int beyond float range
+        raise InvalidParameterError(f"{what} outside [0, 1]: an integer beyond float range") from None
+    if not 0.0 <= p <= 1.0:  # also rejects NaN
+        raise InvalidParameterError(f"{what} {p} outside [0, 1]")
+    return p
+
+
 @dataclass(frozen=True)
-class DepolarizingChannel(_ClosedForm):
-    """rho -> (1-p) rho + p Tr(rho) I/d; Kraus order: sqrt(1-p) I, then
-    sqrt(p/d) |i><j| with (i, j) row-major."""
+class _Mixture(_ClosedForm):
+    """A closed-form channel mixing the identity with a noise map, of weight
+    ``strength`` in [0, 1]."""
 
     strength: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "strength", _unit_interval(self.strength))
+
+
+@dataclass(frozen=True)
+class DepolarizingChannel(_Mixture):
+    """rho -> (1-p) rho + p Tr(rho) I/d; Kraus order: sqrt(1-p) I, then
+    sqrt(p/d) |i><j| with (i, j) row-major."""
 
     def _map(self, r):
         s, c = np.sqrt(1.0 - self.strength), np.sqrt(self.strength / self.dim)
@@ -114,11 +133,9 @@ class DepolarizingChannel(_ClosedForm):
 
 
 @dataclass(frozen=True)
-class DephasingChannel(_ClosedForm):
+class DephasingChannel(_Mixture):
     """rho -> (1-p) rho + p diag(rho); Kraus order: sqrt(1-p) I, then
     sqrt(p) |i><i| with i ascending."""
-
-    strength: float
 
     def _map(self, r):
         s, q = np.sqrt(1.0 - self.strength), np.sqrt(self.strength)
@@ -129,9 +146,14 @@ class DephasingChannel(_ClosedForm):
 
 @dataclass(frozen=True)
 class ReplacementChannel(_ClosedForm):
-    """rho -> Tr(rho) |t><t|; Kraus order: |t><i| with i ascending."""
+    """rho -> Tr(rho) |t><t|, 0 <= t < dim; Kraus order: |t><i| with i ascending."""
 
     target: int
+
+    def __post_init__(self):
+        if not 0 <= self.target < self.dim:
+            raise InvalidParameterError(f"target {self.target} outside [0, {self.dim})")
+        object.__setattr__(self, "target", range(self.dim)[self.target])
 
     def _map(self, r):
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -192,6 +214,8 @@ class ScenarioConfig:
                                              f"to {p.steps[-1].dim_out}, not the prior dim {d}")
         if type(self.seed) is bool or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise InvalidParameterError(f"seed {self.seed!r} is not an integer >= 0")
+        if self.evolved_by is not None and self.evolved_by.dim != d:
+            raise DimensionMismatchError(f"evolved_by dim {self.evolved_by.dim} != prior dim {d}")
         if self.pool_against_evolved and self.evolved_by is None:
             raise ValueError("pool_against_evolved requires evolved_by")
         object.__setattr__(self, "prior", prior)
@@ -276,31 +300,19 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _unit_interval(x, what: str = "strength") -> float:
-    try:
-        p = float(x)
-    except OverflowError:  # an int beyond float range
-        raise InvalidParameterError(f"{what} outside [0, 1]: an integer beyond float range") from None
-    if not 0.0 <= p <= 1.0:  # also rejects NaN
-        raise InvalidParameterError(f"{what} {p} outside [0, 1]")
-    return p
-
-
 def depolarizing_channel(dim: int, strength: float) -> DepolarizingChannel:
     """Convex mixture of identity and full depolarization with weight ``strength``."""
-    return DepolarizingChannel(dim, _unit_interval(strength))
+    return DepolarizingChannel(dim, strength)
 
 
 def dephasing_channel(dim: int, strength: float) -> DephasingChannel:
     """Convex mixture of identity and full dephasing in the computational basis."""
-    return DephasingChannel(dim, _unit_interval(strength))
+    return DephasingChannel(dim, strength)
 
 
 def replacement_channel(dim: int, target_index: int) -> ReplacementChannel:
     """Channel replacing every input with the basis state |target_index>, 0 <= index < dim."""
-    if not 0 <= target_index < dim:
-        raise InvalidParameterError(f"target {target_index} outside [0, {dim})")
-    return ReplacementChannel(dim, range(dim)[target_index])
+    return ReplacementChannel(dim, target_index)
 
 
 MAX_DIM = 64  # the dense envelope; a d = 10^5 instance would ask for tens of GiB

@@ -1,5 +1,7 @@
 """Closed-form noise channels against their explicit Kraus lists, and the channel protocol."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,10 @@ from statepool.linalg import max_norm
 from statepool.scenario import (
     AgentPipeline,
     Channel,
+    DephasingChannel,
+    DepolarizingChannel,
     KrausChannel,
+    ReplacementChannel,
     UnitaryDynamics,
     apply_channel,
     batch_report,
@@ -122,16 +127,17 @@ def test_first_step_input_dim_checked():
 
 
 @pytest.mark.parametrize("strength", [-0.1, 1.5, float("nan"), float("inf")])
-@pytest.mark.parametrize("ctor", [depolarizing_channel, dephasing_channel])
+@pytest.mark.parametrize("ctor", [depolarizing_channel, dephasing_channel,
+                                  DepolarizingChannel, DephasingChannel])
 def test_strength_validated(ctor, strength):
     with pytest.raises(ValueError, match="outside"):
         ctor(3, strength)
 
 
 def test_replacement_target_validated():
-    for target in (2, 5, -1):
+    for ctor, target in itertools.product((replacement_channel, ReplacementChannel), (2, 5, -1)):
         with pytest.raises(InvalidParameterError, match=rf"target {target} outside \[0, 2\)"):
-            replacement_channel(2, target)
+            ctor(2, target)
 
 
 @pytest.mark.parametrize("noise", [-0.5, 1.5, float("nan"), float("inf")])

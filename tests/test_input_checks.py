@@ -208,6 +208,8 @@ def _config(**changes):
     ("scenario-run", [_config(seed=math.inf)]),
     ("scenario-run", [_config(rank_tol=10**400)]),
     ("scenario-run", [_config(nan_unitary=True)]),  # U†U overflows to NaN
+    ("scenario-run", [_config(pool_against_evolved=True,  # a 3x3 evolved_by, d = 2
+                              evolved_by=io.matrix_to_json(np.eye(3)))]),
 ])
 def test_fuzz_findings_exit_2(tmp_path, capsys, command, files):
     paths = []

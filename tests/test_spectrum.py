@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from statepool import io, regions
+from statepool import io, linalg, regions
 from statepool.cli import main
 from statepool.compatibility import quantum_compatible
 from statepool.errors import (
@@ -237,6 +237,17 @@ class TestDecompositionCounts:
         regions.condition(s, "B")
         assert [shape for n, shape in c.calls if n == "eigh"].count((3, 3)) == 1
         assert c.count("eigvalsh", "svd") == 0
+
+    @pytest.mark.parametrize("call, validations", [
+        (lambda: quantum_pool(np.eye(2) / 2, np.eye(2) / 2, np.eye(2) / 2), 3),
+        (lambda: quantum_compatible(np.eye(2) / 2, np.eye(2) / 2), 2),
+        (lambda: random_instance(2, 0), 1),  # the prior; the unitaries check their own
+    ], ids=["quantum_pool", "quantum_compatible", "random_instance"])
+    def test_each_state_validated_once(self, monkeypatch, call, validations):
+        calls, as_matrix = [], linalg.as_matrix
+        monkeypatch.setattr(linalg, "as_matrix", lambda m: calls.append(m) or as_matrix(m))
+        call()
+        assert len(calls) == validations
 
 
 EPS = np.finfo(float).eps

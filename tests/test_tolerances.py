@@ -2,12 +2,16 @@
 
 Each test pins an edge that moved when the tolerances were gathered into
 ``linalg.Tolerances`` and the fixed constants beside it, or an input the CLI
-now reports as JSON instead of argparse usage text.
+now reports as JSON instead of argparse usage text.  A stdlib-only scan
+(``ast``) of the package keeps it so: no threshold literal outside
+``linalg``'s constants, and no tolerance parameter but those of the record.
 """
 
+import ast
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,3 +175,61 @@ class TestUsageErrorsAsJSON:
     def test_help_exits_0(self, capsys):
         code, out = run_cli(capsys, "randgen", "--help")
         assert code == 0 and "usage:" in out.out
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "statepool"
+
+
+def stray_thresholds(source: str, module: str) -> list:
+    """(line, value) of each float literal in (0, 1e-3) in ``source``, except in
+    ``linalg``'s module-level constants and the ``Tolerances`` defaults."""
+    tree = ast.parse(source)
+    kept = []
+    if module == "linalg":
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and all(
+                    isinstance(t, ast.Name) and t.id.isupper() for t in node.targets):
+                kept.append(node)
+            elif isinstance(node, ast.ClassDef) and node.name == "Tolerances":
+                kept += [s for s in node.body if isinstance(s, ast.AnnAssign)]
+    allowed = {id(n) for node in kept for n in ast.walk(node)}
+    return sorted((n.lineno, n.value) for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and type(n.value) is float
+                  and 0.0 < n.value < 1e-3 and id(n) not in allowed)
+
+
+def settable_tolerances(source: str) -> list:
+    """Each parameter or dataclass field in ``source`` whose name holds "tol",
+    except ``rank_tol``, ``herm_tol`` and a ``tol`` annotated ``Tolerances``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            found += [(p.arg, p.annotation) for p in
+                      (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+        elif isinstance(node, ast.ClassDef):
+            found += [(s.target.id, s.annotation) for s in node.body
+                      if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    return sorted(name for name, annotation in found
+                  if "tol" in name and name not in ("rank_tol", "herm_tol")
+                  and not (name == "tol" and annotation is not None
+                           and ast.unparse(annotation) == "Tolerances"))
+
+
+def test_scans_find_thresholds_and_tolerance_parameters():
+    source = ("EPS = 1e-9\n"
+              "def f(x, tol=1e-6, rank_tol=0.0, herm_tol=0.5, t: Tolerances = None):\n"
+              "    return x > 1e-12 or (lambda support_tol: 0)\n"
+              "def g(tol: Tolerances, y=1e-2): pass\n"
+              "class C:\n"
+              "    cut_tol: float = 0.5\n")
+    assert stray_thresholds(source, "pooling") == [(1, 1e-9), (2, 1e-6), (3, 1e-12)]
+    assert stray_thresholds(source, "linalg") == [(2, 1e-6), (3, 1e-12)]
+    assert settable_tolerances(source) == ["cut_tol", "support_tol", "tol"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_tolerance_policy(path):
+    source = path.read_text()
+    assert stray_thresholds(source, path.stem) == []
+    assert settable_tolerances(source) == []
