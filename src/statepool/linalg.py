@@ -40,6 +40,11 @@ Conventions
   ``B1† B2`` are their cosines, and directions with ``cos >= 1 - SUBSPACE_TOL``
   are shared, the criterion ``eig(P + Q) >= 2 - SUBSPACE_TOL`` on an r1 x r2
   matrix.
+* An operand is validated once, where it enters: a public function checks
+  it, then private cores (``_sqrt_psd``, ``regions._star``) trust it.  What
+  the library builds itself (``Subspace.full``, eigenvector and
+  principal-angle bases, Haar unitaries) is orthonormal or unitary to
+  O(d eps), far inside the tolerances, and skips re-checks (``_trusted``).
 """
 
 from __future__ import annotations
@@ -77,7 +82,7 @@ class Tolerances:
 
 def _psd_floor(w) -> float:
     """The most negative eigenvalue a PSD operator with nonempty spectrum ``w`` may have."""
-    return -PSD_TOL * max(float(np.max(np.abs(w))), 1.0)
+    return -PSD_TOL * max(float(np.abs(w).max()), 1.0)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -85,7 +90,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return a
 
@@ -93,7 +98,7 @@ def as_matrix(m) -> np.ndarray:
 def max_norm(m) -> float:
     """Entrywise max-abs norm."""
     m = np.asarray(m)
-    return 0.0 if m.size == 0 else float(np.max(np.abs(m)))
+    return 0.0 if m.size == 0 else float(np.abs(m).max())
 
 
 def hermitize(m) -> np.ndarray:
@@ -220,7 +225,12 @@ def sqrt_psd(h) -> np.ndarray:
     Eigenvalues in [-PSD_TOL*scale, 0) are clamped to zero; anything more
     negative raises NotPSDError.
     """
-    s = Spectrum.of(h)
+    return _sqrt_psd(as_matrix(h))
+
+
+def _sqrt_psd(a: np.ndarray) -> np.ndarray:
+    """``sqrt_psd`` of a square matrix already validated by ``as_matrix``."""
+    s = Spectrum._of_hermitian((a + a.conj().T) / 2, Tolerances.rank_tol)
     if not s.is_psd():
         raise NotPSDError(f"not PSD: eigenvalue {s.w.min():.3e}")
     return s.psd_function(np.sqrt)
@@ -269,12 +279,16 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        """The whole space in the identity basis, built without the Gram check:
-        the identity is exactly orthonormal."""
-        full = object.__new__(cls)
-        object.__setattr__(full, "ambient_dim", ambient_dim)
-        object.__setattr__(full, "basis", np.eye(ambient_dim, dtype=complex))
-        return full
+        """The whole space in the identity basis, which is exactly orthonormal."""
+        return cls._trusted(ambient_dim, np.eye(ambient_dim, dtype=complex))
+
+    @classmethod
+    def _trusted(cls, ambient_dim: int, basis: np.ndarray) -> "Subspace":
+        """A subspace from an orthonormal complex basis the library built: no Gram check."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "ambient_dim", ambient_dim)
+        object.__setattr__(sub, "basis", basis)
+        return sub
 
 
 @dataclass(frozen=True)
@@ -295,7 +309,7 @@ class Spectrum:
     def _of_hermitian(cls, a: np.ndarray, rank_tol: float) -> "Spectrum":
         """``Spectrum.of`` a matrix already symmetrized, which it equals bit for bit."""
         w, v = np.linalg.eigh(a)
-        return cls(w, v, rank_tol * float(np.max(np.abs(w))) if w.size else 0.0)
+        return cls(w, v, rank_tol * float(np.abs(w).max()) if w.size else 0.0)
 
     @property
     def kept(self) -> np.ndarray:
@@ -304,7 +318,7 @@ class Spectrum:
 
     def support(self) -> Subspace:
         """Span of the kept eigenvectors; the zero operator yields the empty subspace."""
-        return Subspace(self.v.shape[0], self.v[:, self.kept])
+        return Subspace._trusted(self.v.shape[0], self.v[:, self.kept])
 
     def pinv(self) -> np.ndarray:
         """Moore-Penrose inverse: 1/w on the support, 0 off it."""
@@ -358,7 +372,7 @@ def _certified_full_rank(a: np.ndarray, rank_tol: float) -> bool:
     smallest eigenvalue lies within the slack of the cut.
     """
     d = a.shape[0]
-    t = float(np.real(np.trace(a)))
+    t = float(a.trace().real)
     if not 0.0 < t < np.inf:
         return False
     shifted = a.copy()
@@ -388,4 +402,4 @@ def subspace_intersection(p: Subspace, q: Subspace) -> Subspace:
     if q.rank == q.ambient_dim or p.is_empty:
         return p
     u, cos, _ = np.linalg.svd(p.basis.conj().T @ q.basis, full_matrices=False)
-    return Subspace(p.ambient_dim, p.basis @ u[:, cos >= 1.0 - SUBSPACE_TOL])
+    return Subspace._trusted(p.ambient_dim, p.basis @ u[:, cos >= 1.0 - SUBSPACE_TOL])

@@ -141,7 +141,7 @@ def _pool(prior, prior_spectrum, a, b, supp1, supp2, verdict, tol: Tolerances) -
     residual = max_norm(t - t.conj().T)
     if residual > tol.herm_tol * scale:
         raise NonHermitianPoolingProductError(residual / scale)
-    tr = float(np.real(np.trace(t)))
+    tr = float(t.trace().real)
     if tr <= 0:
         raise IncompatibleAssignmentsError(f"pooling product has nonpositive trace {tr:g}")
     pooled = (t + t.conj().T) / (2.0 * tr)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ImpossibleConditioningError, NotPSDError
 from .linalg import (
-    EXACT_TOL, SUPPORT_TOL, TRACE_TOL, Spectrum, as_matrix, check_hermitian, embed, hermitize,
-    max_norm, partial_trace, sqrt_psd,
+    EXACT_TOL, SUPPORT_TOL, TRACE_TOL, Spectrum, _sqrt_psd, as_matrix, check_hermitian, embed,
+    hermitize, max_norm, partial_trace,
 )
 
 
@@ -121,7 +121,12 @@ def star_product(psi, phi, dims=None, apply_to=None) -> np.ndarray:
         raise DimensionMismatchError(
             f"embedded factor shape {big.shape} != state shape {psi.shape}"
         )
-    root = sqrt_psd(big)
+    return _star(psi, big)
+
+
+def _star(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """``star_product`` of validated square matrices of one shape."""
+    root = _sqrt_psd(phi)
     return root @ psi @ root
 
 
@@ -155,12 +160,12 @@ def quantum_bayes(likelihood, prior) -> np.ndarray:
     rho = as_matrix(prior)
     if like.shape != rho.shape:
         raise DimensionMismatchError("likelihood and prior dims differ")
-    p = float(np.real(np.trace(like @ rho)))
+    p = float((like @ rho).trace().real)
     if p <= SUPPORT_TOL:
         raise ImpossibleConditioningError(
             f"conditioning on impossible outcome (predictive probability {p:.3e})"
         )
-    return star_product(like, rho) / p
+    return _star(like, rho) / p
 
 
 @dataclass(frozen=True)

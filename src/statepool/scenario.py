@@ -76,6 +76,13 @@ class UnitaryDynamics(Channel):
             raise ValueError("matrix is not unitary")
         object.__setattr__(self, "u", u)
 
+    @classmethod
+    def _trusted(cls, u: np.ndarray) -> "UnitaryDynamics":
+        """Dynamics of a complex unitary the library built, without the unitarity check."""
+        dyn = object.__new__(cls)
+        object.__setattr__(dyn, "u", u)
+        return dyn
+
     @property
     def dim(self) -> int:
         return self.u.shape[0]
@@ -203,17 +210,25 @@ class ScenarioConfig:
     _prior_spectrum: Spectrum | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.tol, Tolerances):
+            raise InvalidParameterError(f"tol is a {type(self.tol).__name__}, not a Tolerances")
         prior, spectrum = _density_spectrum(self.prior, self.tol.rank_tol)
         pipelines = tuple(self.pipelines)
         if len(pipelines) != 2:
             raise ValueError(f"exactly two agent pipelines required, got {len(pipelines)}")
         d = prior.shape[0]
         for p in pipelines:  # each pipeline maps the prior to a state pooled against it
+            if not isinstance(p, AgentPipeline):
+                raise InvalidParameterError(
+                    f"pipelines hold a {type(p).__name__}, not an AgentPipeline")
             if p.steps and (p.steps[0].dim_in, p.steps[-1].dim_out) != (d, d):
                 raise DimensionMismatchError(f"pipeline {p.name!r} maps dim {p.steps[0].dim_in} "
                                              f"to {p.steps[-1].dim_out}, not the prior dim {d}")
         if type(self.seed) is bool or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise InvalidParameterError(f"seed {self.seed!r} is not an integer >= 0")
+        if not isinstance(self.evolved_by, (UnitaryDynamics, type(None))):
+            raise InvalidParameterError(
+                f"evolved_by is a {type(self.evolved_by).__name__}, not a UnitaryDynamics")
         if self.evolved_by is not None and self.evolved_by.dim != d:
             raise DimensionMismatchError(f"evolved_by dim {self.evolved_by.dim} != prior dim {d}")
         if self.pool_against_evolved and self.evolved_by is None:
@@ -262,6 +277,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     message, plus the Hermiticity residual when available).
     """
     sigma1, sigma2 = (run_pipeline(p, cfg.prior) for p in cfg.pipelines)
+    # support_projector checks the posteriors: a Channel subclass may return NaN,
+    # and the Cholesky certificate passes a matrix with NaN off the diagonal
     supp1, supp2 = (support_projector(s, cfg.tol.rank_tol) for s in (sigma1, sigma2))
     verdict = _support_verdict(supp1, supp2)
     if not verdict.compatible:
@@ -350,8 +367,8 @@ def random_instance(dim: int, seed, noise_strength: float = 0.5) -> ScenarioConf
     p = _unit_interval(noise_strength, "noise_strength")
     rng = np.random.default_rng(_seed(seed))
     prior = random_density(dim, rng)
-    u1 = UnitaryDynamics(haar_unitary(dim, rng))
-    u2 = UnitaryDynamics(haar_unitary(dim, rng))
+    u1 = UnitaryDynamics._trusted(haar_unitary(dim, rng))
+    u2 = UnitaryDynamics._trusted(haar_unitary(dim, rng))
     wanda = (u1, dephasing_channel(dim, p)) if p > 0 else (u1,)
     theo = (u2, depolarizing_channel(dim, p)) if p > 0 else (u2,)
     pipelines = (AgentPipeline("Wanda", wanda), AgentPipeline("Theo", theo))

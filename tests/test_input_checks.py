@@ -27,8 +27,8 @@ from statepool.linalg import Tolerances
 from statepool.pooling import quantum_pool
 from statepool.regions import make_hybrid
 from statepool.scenario import (
-    UnitaryDynamics, adversarial_instance, batch_report, depolarizing_channel, haar_unitary,
-    random_instance,
+    AgentPipeline, Channel, ScenarioConfig, UnitaryDynamics, adversarial_instance, batch_report,
+    depolarizing_channel, haar_unitary, random_instance, run_scenario,
 )
 
 HALF = np.eye(2) / 2
@@ -328,6 +328,50 @@ def test_evolved_config_decodes_to_the_same_bytes():
     text = io.dumps(io.scenario_config_to_json(cfg))
     back = io.scenario_config_from_json(json.loads(text))
     assert io.dumps(io.scenario_config_to_json(back)) == text
+
+
+@pytest.mark.parametrize("changes", [
+    {"evolved_by": np.eye(2)},
+    {"evolved_by": np.eye(2), "pool_against_evolved": True},
+    {"tol": 1e-10},
+    {"pipelines": (AgentPipeline("Wanda"), "theo")},
+], ids=["evolved_by", "evolved_by-pooled", "tol", "pipelines"])
+def test_mistyped_scenario_config_field_rejected(changes):
+    field = next(iter(changes))
+    with pytest.raises(InvalidParameterError, match=field):
+        dataclasses.replace(random_instance(2, 7, 0.5), **changes)
+
+
+@dataclasses.dataclass(frozen=True)
+class NaNOffDiagonal(Channel):
+    """A user's step that returns NaN off the diagonal: the full-rank
+    certificate passes such a matrix, so only a finiteness check stops it."""
+
+    dim: int
+
+    def _map(self, r):
+        out = r.copy()
+        out[0, 1] = out[1, 0] = np.nan
+        return out
+
+
+def test_non_finite_posterior_is_rejected_not_judged():
+    steps = (NaNOffDiagonal(2),)
+    cfg = ScenarioConfig(np.eye(2) / 2, (AgentPipeline("W", steps), AgentPipeline("T")))
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        run_scenario(cfg)
+
+
+@pytest.mark.parametrize("where", ["evolved_by", "step"])
+def test_non_unitary_config_matrix_exit_2(tmp_path, capsys, where):
+    m = io.matrix_to_json(np.diag([1.0, 0.5]))
+    cfg = _config(pool_against_evolved=True, evolved_by=m)
+    if where == "step":
+        cfg = _config()
+        cfg["pipelines"][1]["steps"][0] = {"type": "unitary", "matrix": m}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert "matrix is not unitary" in assert_exit_2(capsys, "scenario-run", str(path))
 
 
 HYBRID = io.hybrid_to_json(make_hybrid({(0,): HALF / 2, (1,): HALF / 2}))

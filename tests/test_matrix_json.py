@@ -238,7 +238,8 @@ class TestScenarioRunOverrides:
         assert out == run_cli(capsys, "scenario-run", cfg)[1]
 
     def test_override_equals_editing_the_config(self, tmp_path, capsys, cfg):
-        obj = json.loads(open(cfg).read())
+        with open(cfg) as f:
+            obj = json.load(f)
         edited = write_json(tmp_path / "edited.json", {**obj, "rank_tol": 0.2})
         code, out = run_cli(capsys, "scenario-run", cfg, "--rank-tol", "0.2")
         assert code == 0

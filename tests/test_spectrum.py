@@ -5,6 +5,7 @@ paths, and golden bytes."""
 import dataclasses
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from statepool import io, linalg, regions
 from statepool.cli import main
 from statepool.compatibility import quantum_compatible
 from statepool.errors import (
-    IncompatibleAssignmentsError, InvalidParameterError, NonHermitianPoolingProductError,
-    PriorSupportError,
+    DimensionMismatchError, ImpossibleConditioningError, IncompatibleAssignmentsError,
+    InvalidParameterError, NonHermitianPoolingProductError, NotPSDError, PriorSupportError,
+    StatePoolError,
 )
 from statepool.linalg import (
     Spectrum, Subspace, Tolerances, _certified_full_rank, hermitize, max_norm,
@@ -241,13 +243,83 @@ class TestDecompositionCounts:
     @pytest.mark.parametrize("call, validations", [
         (lambda: quantum_pool(np.eye(2) / 2, np.eye(2) / 2, np.eye(2) / 2), 3),
         (lambda: quantum_compatible(np.eye(2) / 2, np.eye(2) / 2), 2),
-        (lambda: random_instance(2, 0), 1),  # the prior; the unitaries check their own
+        (lambda: random_instance(2, 0), 1),  # the prior; its Haar unitaries are not re-checked
     ], ids=["quantum_pool", "quantum_compatible", "random_instance"])
     def test_each_state_validated_once(self, monkeypatch, call, validations):
         calls, as_matrix = [], linalg.as_matrix
         monkeypatch.setattr(linalg, "as_matrix", lambda m: calls.append(m) or as_matrix(m))
         call()
         assert len(calls) == validations
+
+    @pytest.mark.parametrize("call, validations", [
+        (lambda: regions.quantum_bayes(np.eye(2) / 2, np.eye(2) / 2), 2),
+        (lambda: random_instance(2, 0), 1),
+    ], ids=["quantum_bayes", "random_instance"])
+    def test_each_operand_validated_once_in_every_namespace(self, monkeypatch, call,
+                                                            validations):
+        # regions and scenario bind as_matrix by name, so each binding is counted
+        calls, as_matrix = [], linalg.as_matrix
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("statepool")
+                    and getattr(module, "as_matrix", None) is as_matrix):
+                monkeypatch.setattr(module, "as_matrix", lambda m: calls.append(m) or as_matrix(m))
+        call()
+        assert len(calls) == validations
+
+
+def gram_checked(s: Subspace) -> Subspace:
+    """``s`` rebuilt through the public constructor, which runs the Gram check."""
+    rebuilt = Subspace(s.ambient_dim, s.basis)
+    assert np.array_equal(rebuilt.basis, s.basis)
+    return rebuilt
+
+
+class TestSkippedChecksAdmitOnlyWhatTheyWouldAdmit:
+    def test_haar_unitaries_pass_the_unitarity_check(self):
+        for d in range(2, 65):
+            for seed in range(20):
+                UnitaryDynamics(haar_unitary(d, np.random.default_rng([seed, d])))
+
+    def test_random_instance_checks_none_of_its_unitaries(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(UnitaryDynamics, "__post_init__", lambda self: calls.append(self))
+        cfg = random_instance(8, 3, 0.5)
+        monkeypatch.undo()
+        assert calls == []
+        for p in cfg.pipelines:
+            UnitaryDynamics(p.steps[0].u)
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 64])
+    @pytest.mark.parametrize("kind", ["random", "rank_deficient", "near_cut"])
+    def test_eigenvector_bases_pass_the_gram_check(self, d, kind):
+        for seed in range(5):
+            rng = np.random.default_rng([seed, d])
+            m = {"random": lambda: rand_density(rng, d),
+                 "rank_deficient": lambda: rand_psd(rng, d, rank=max(1, d // 2)),
+                 "near_cut": lambda: psd_with_min_ratio(d, 1e-10, seed)}[kind]()
+            for rank_tol in RANK_TOLS:
+                gram_checked(Spectrum.of(m, rank_tol).support())
+                gram_checked(support_projector(m, rank_tol))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(PAIR_KINDS), st.integers(2, 7), st.integers(0, 7),
+           st.integers(0, 7), st.integers(0, 10_000))
+    def test_intersection_bases_pass_the_gram_check(self, kind, d, r1, r2, seed):
+        p, q = subspace_pair(kind, d, r1, r2, seed)
+        for a, b in ((p, q), (q, p)):
+            gram_checked(subspace_intersection(a, b))
+
+    @pytest.mark.parametrize("like, prior, error", [
+        (np.ones(2), np.eye(2) / 2, DimensionMismatchError),
+        (np.full((2, 2), np.nan), np.eye(3) / 3, ValueError),  # the likelihood first
+        (np.eye(2), np.full((3, 3), np.inf), ValueError),
+        (np.eye(2), np.eye(3) / 3, DimensionMismatchError),
+        (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), ImpossibleConditioningError),
+        (np.eye(2), np.diag([2.0, -1.0]), NotPSDError),
+    ])
+    def test_quantum_bayes_errors(self, like, prior, error):
+        with pytest.raises(error):
+            regions.quantum_bayes(like, prior)
 
 
 EPS = np.finfo(float).eps
@@ -474,3 +546,55 @@ class TestPriorSpectrumFromTheDensityCheck:
             _pool(np.eye(3) / 3, spectrum, s, s, Spectrum.of(s).support(),
                   Spectrum.of(s).support(), None, Tolerances())
         assert calls == []
+
+
+def bayes_kinds(d):
+    """One full-rank prior and the three likelihood pairs of the Bayes path:
+    commuting effects (they pool), effects in two bases (a non-Hermitian
+    product) and complementary projectors (disjoint supports)."""
+    rng = np.random.default_rng([13, d])
+    prior = rand_density(rng, d)
+
+    def effect(u):
+        return (u * rng.uniform(0.1, 1.0, d)) @ u.conj().T
+
+    u = haar(rng, d)
+    basis = haar(rng, d)[:, : d // 2]
+    proj = basis @ basis.conj().T
+    return prior, {"commuting": (effect(u), effect(u)),
+                   "noncommuting": (effect(haar(rng, d)), effect(haar(rng, d))),
+                   "complementary": (proj, np.eye(d) - proj)}
+
+
+def bayes_path_sha256(d):
+    """SHA-256 over the posteriors, the verdict and the pooling outcome (the
+    report, or the error class and residual) of each likelihood kind."""
+    h = hashlib.sha256()
+    prior, kinds = bayes_kinds(d)
+    for kind, likes in kinds.items():
+        s1, s2 = (regions.quantum_bayes(like, prior) for like in likes)
+        verdict = quantum_compatible(s1, s2)
+        h.update(f"{kind} {verdict.compatible} {verdict.diagnostics}".encode())
+        for a in (s1, s2, verdict.intersection.basis):
+            h.update(a.tobytes())
+        try:
+            r = quantum_pool(prior, s1, s2)
+        except StatePoolError as exc:
+            h.update(f"{type(exc).__name__} {getattr(exc, 'residual', None)!r}".encode())
+        else:
+            h.update(r.pooled.tobytes())
+            h.update(repr((r.normalization_c, r.hermiticity_residual, r.min_eigenvalue)).encode())
+    return h.hexdigest()
+
+
+# SHA-256s of the Bayes path: quantum_bayes, quantum_compatible, quantum_pool.
+BAYES_SHA256 = {
+    2: "5d43ec1cadc6f002f7616bab894b352bea020e202ceddc798d71fad7263c357e",
+    8: "ba4cb441d68d5ddc57ea37720bef3d10a64041181495b6283c9ff3033dfa902c",
+    64: "78f2cac63d415a5a04931dfae5a828340ef53a82abab60f93cae0967293b85fb",
+}
+
+
+@pytest.mark.parametrize("d", sorted(BAYES_SHA256))
+def test_bayes_path_golden_bytes(d):
+    assert bayes_path_sha256(d) == BAYES_SHA256[d]
