@@ -71,7 +71,6 @@ from .scenario import (
     batch_report,
     dephasing_channel,
     depolarizing_channel,
-    evolve,
     haar_unitary,
     random_density,
     random_instance,

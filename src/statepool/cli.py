@@ -20,11 +20,11 @@ import numpy as np
 
 from . import io
 from .compatibility import ConditionalDistribution, classical_compatible, quantum_compatible
-from .errors import InvalidParameterError, StatePoolError
+from .errors import IncompatibleAssignmentsError, InvalidParameterError, StatePoolError
 from .io import MalformedInputError
 from .linalg import Tolerances
 from .pooling import classical_pool, minimal_sufficient_statistic, quantum_pool
-from .scenario import batch_report, random_instance, run_scenario
+from .scenario import GENERATORS, batch_report, random_instance, run_scenario
 
 
 def _read_json(path: str):
@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--noise", type=float, nargs="+", default=[0.5])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--generator", choices=["random", "adversarial"], default="random")
+    p.add_argument("--generator", choices=GENERATORS, default="random")
 
     p = add("randgen", _cmd_randgen, "generate a random scenario config")
     p.add_argument("--dim", type=int, default=2)
@@ -190,10 +190,8 @@ def main(argv=None) -> int:
         sys.stdout.write(io.dumps({"error": "malformed_input", "message": str(exc)}))
         return 2
     except StatePoolError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        if hasattr(exc, "residual"):
-            payload["residual"] = exc.residual
-        if "Incompatible" in type(exc).__name__:
+        payload = exc.payload()
+        if isinstance(exc, IncompatibleAssignmentsError):
             payload["compatible"] = False
         sys.stdout.write(io.dumps(payload))
         return 1

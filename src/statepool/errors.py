@@ -8,6 +8,10 @@ the distinction can catch a single type.
 class StatePoolError(ValueError):
     """Base class for all domain errors raised by this package."""
 
+    def payload(self) -> dict:
+        """The machine-readable report of this error: its class name and message."""
+        return {"error": type(self).__name__, "message": str(self)}
+
 
 class InvalidParameterError(StatePoolError):
     """A size, strength or option argument is outside its documented range."""
@@ -45,3 +49,6 @@ class NonHermitianPoolingProductError(StatePoolError):
         super().__init__(
             message or f"non-Hermitian pooling product (relative residual {residual:.3e})"
         )
+
+    def payload(self) -> dict:
+        return super().payload() | {"residual": self.residual}

@@ -266,7 +266,7 @@ def scenario_config_to_json(cfg: ScenarioConfig) -> dict:
         "rank_tol": float(cfg.tol.rank_tol),
         "herm_tol": float(cfg.tol.herm_tol),
         "seed": int(cfg.seed),  # a NumPy integer is not JSON
-        "pool_against_evolved": cfg.pool_against_evolved,
+        "pool_against_evolved": cfg.evolved_by is not None,
     }
     if cfg.evolved_by is not None:
         out["evolved_by"] = matrix_to_json(cfg.evolved_by.u)
@@ -280,6 +280,8 @@ def scenario_config_from_json(obj) -> ScenarioConfig:
             for p in obj["pipelines"]
         )
         evolved = obj.get("evolved_by")
+        if _field(obj, "pool_against_evolved", False, _is_bool, "a bool") is not bool(evolved):
+            raise MalformedInputError('"pool_against_evolved" must be true iff "evolved_by" is set')
         tols = {k: float(_field(obj, k, None, _is_number, "a number"))
                 for k in ("rank_tol", "herm_tol") if k in obj}
         return ScenarioConfig(
@@ -288,7 +290,6 @@ def scenario_config_from_json(obj) -> ScenarioConfig:
             tol=Tolerances(**tols),
             seed=_field(obj, "seed", 0, lambda v: type(v) is int and v >= 0,
                         "an integer >= 0"),
-            pool_against_evolved=_field(obj, "pool_against_evolved", False, _is_bool, "a bool"),
             evolved_by=UnitaryDynamics(matrix_from_json(evolved)) if evolved else None,
         )
     except MalformedInputError:

@@ -369,7 +369,9 @@ def _certified_full_rank(a: np.ndarray, rank_tol: float) -> bool:
     the 8 d^2 u t slack covers, and its cut |w| > rank_tol max|w| keeps them
     all.  A zero, indefinite or rank-deficient matrix fails the factorization
     (or the trace test) and is left to ``eigh``; so is a full-rank one whose
-    smallest eigenvalue lies within the slack of the cut.
+    smallest eigenvalue lies within the slack of the cut.  ``a`` must be
+    finite, as its callers check: a NaN or Inf off the diagonal can complete
+    the factorization, with a non-finite factor.
     """
     d = a.shape[0]
     t = float(a.trace().real)

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compatibility import CompatibilityVerdict, _support_verdict
-from .errors import DimensionMismatchError, InvalidParameterError, StatePoolError
+from .errors import (DimensionMismatchError, IncompatibleAssignmentsError, InvalidParameterError,
+                     StatePoolError)
 from .linalg import (
-    EXACT_TOL, Spectrum, Tolerances, _density_spectrum, _uncertified_spectrum, as_matrix,
-    hermitize, max_norm, support_projector,
+    EXACT_TOL, Tolerances, _density_spectrum, _uncertified_spectrum, as_matrix, max_norm,
+    support_projector,
 )
 from .pooling import PoolingReport, _pool
 
@@ -191,23 +192,21 @@ class AgentPipeline:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Prior, the two agents' pipelines, tolerances and the generation seed.
+    """Prior, the two agents' pipelines, tolerances, the generation seed and
+    the unitary ``evolved_by``, if any: the posteriors are pooled against
+    ``evolved_by(prior)`` when it is set and against the prior otherwise.
 
-    ``pool_against_evolved`` switches the pooling prior from the shared
-    original prior to the prior pushed through ``evolved_by`` (a unitary),
-    for exploring the alternative reading of the narrative.  The prior's
-    Spectrum from the density check is kept, unserialized, for pooling; it
-    is None when one Cholesky certified the prior positive definite, and
-    pooling then solves against the prior itself.
+    That pooling prior is fixed here, once, and kept unserialized with its
+    Spectrum, which is None when one Cholesky certified the pooling prior
+    positive definite; pooling then solves against it.
     """
 
     prior: np.ndarray = field(repr=False)
     pipelines: tuple = ()
     tol: Tolerances = Tolerances()
     seed: int = 0
-    pool_against_evolved: bool = False
     evolved_by: UnitaryDynamics | None = None
-    _prior_spectrum: Spectrum | None = field(init=False, repr=False, compare=False)
+    _pooling_prior: tuple = field(init=False, repr=False, compare=False)  # (matrix, Spectrum)
 
     def __post_init__(self):
         if not isinstance(self.tol, Tolerances):
@@ -231,10 +230,12 @@ class ScenarioConfig:
                 f"evolved_by is a {type(self.evolved_by).__name__}, not a UnitaryDynamics")
         if self.evolved_by is not None and self.evolved_by.dim != d:
             raise DimensionMismatchError(f"evolved_by dim {self.evolved_by.dim} != prior dim {d}")
-        if self.pool_against_evolved and self.evolved_by is None:
-            raise ValueError("pool_against_evolved requires evolved_by")
         object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "_prior_spectrum", spectrum)
+        if self.evolved_by is not None:  # pool against its unitary image, symmetrized, unchecked
+            m = self.evolved_by.apply(prior)
+            prior = (m + m.conj().T) / 2
+            spectrum = _uncertified_spectrum(prior, self.tol.rank_tol)
+        object.__setattr__(self, "_pooling_prior", (prior, spectrum))
         object.__setattr__(self, "pipelines", pipelines)
 
 
@@ -258,9 +259,6 @@ def apply_channel(ch: Channel, rho) -> np.ndarray:
     return _step(ch, as_matrix(rho))
 
 
-evolve = apply_channel  # a UnitaryDynamics step also preserves the spectrum
-
-
 def run_pipeline(p: AgentPipeline, prior) -> np.ndarray:
     """Left-to-right composition of the pipeline's steps applied to the prior."""
     rho = as_matrix(prior)
@@ -273,28 +271,20 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run both pipelines, decide compatibility, attempt pooling.
 
     Never raises on incompatibility or pooling failure: those are reported
-    in the result (``pooling_error`` carries the exception class and
-    message, plus the Hermiticity residual when available).
+    in the result (``pooling_error`` is the error's ``payload()``: its class
+    and message, plus the Hermiticity residual when available).
     """
     sigma1, sigma2 = (run_pipeline(p, cfg.prior) for p in cfg.pipelines)
     # support_projector checks the posteriors: a Channel subclass may return NaN,
     # and the Cholesky certificate passes a matrix with NaN off the diagonal
     supp1, supp2 = (support_projector(s, cfg.tol.rank_tol) for s in (sigma1, sigma2))
     verdict = _support_verdict(supp1, supp2)
-    if not verdict.compatible:
-        error = {"error": "IncompatibleAssignmentsError", "message": verdict.diagnostics}
-        return ScenarioResult(sigma1, sigma2, verdict, None, error)
-    prior, prior_spectrum = cfg.prior, cfg._prior_spectrum
-    if cfg.pool_against_evolved:
-        prior = hermitize(evolve(cfg.evolved_by, cfg.prior))
-        prior_spectrum = _uncertified_spectrum(prior, cfg.tol.rank_tol)
     try:
-        pooling = _pool(prior, prior_spectrum, sigma1, sigma2, supp1, supp2, verdict, cfg.tol)
+        if not verdict.compatible:
+            raise IncompatibleAssignmentsError(verdict.diagnostics)
+        pooling = _pool(*cfg._pooling_prior, sigma1, sigma2, supp1, supp2, verdict, cfg.tol)
     except StatePoolError as exc:
-        error = {"error": type(exc).__name__, "message": str(exc)}
-        if hasattr(exc, "residual"):
-            error["residual"] = exc.residual
-        return ScenarioResult(sigma1, sigma2, verdict, None, error)
+        return ScenarioResult(sigma1, sigma2, verdict, None, exc.payload())
     return ScenarioResult(sigma1, sigma2, verdict, pooling)
 
 
@@ -333,6 +323,7 @@ def replacement_channel(dim: int, target_index: int) -> ReplacementChannel:
 
 
 MAX_DIM = 64  # the dense envelope; a d = 10^5 instance would ask for tens of GiB
+GENERATORS = ("random", "adversarial")  # batch_report's instance generators, by name
 
 
 def _dim(dim):
@@ -388,13 +379,13 @@ def batch_report(dims, count: int, noise_grid, seed: int, generator: str = "rand
     """Fractions of compatible / Hermitian-poolable instances per (dim, noise) cell.
 
     Deterministic for a fixed seed: instance i in cell (d, g) uses the seed
-    sequence [seed, d, g, i].  ``generator`` is "random" or "adversarial".
+    sequence [seed, d, g, i].  ``generator`` is one of ``GENERATORS``.
     Returns a list of row dicts.
     """
     _seed(seed)
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
-    if generator not in ("random", "adversarial"):
+    if generator not in GENERATORS:
         raise InvalidParameterError(f"unknown generator {generator!r}")
     for dim in dims:  # every cell is checked before the first one runs
         _dim(dim)

@@ -129,6 +129,8 @@ def configs(draw):
             cfg.pop(key, None)
         else:
             cfg[key] = value
+    if "evolved_by" in cfg and draw(st.booleans()):  # past the flag's agreement check
+        cfg["pool_against_evolved"] = True
     return cfg
 
 

@@ -323,19 +323,35 @@ def test_evolved_config_decodes_to_the_same_bytes():
     # every scalar field at a value other than its default; the other configs
     # randgen writes are in test_named_steps.py
     u = UnitaryDynamics(haar_unitary(3, np.random.default_rng(4)))
-    cfg = dataclasses.replace(random_instance(3, 4, 0.5), pool_against_evolved=True,
-                              evolved_by=u, tol=Tolerances(0.0, 1e-6))
+    cfg = dataclasses.replace(random_instance(3, 4, 0.5), evolved_by=u,
+                              tol=Tolerances(0.0, 1e-6))
     text = io.dumps(io.scenario_config_to_json(cfg))
     back = io.scenario_config_from_json(json.loads(text))
     assert io.dumps(io.scenario_config_to_json(back)) == text
 
 
+@pytest.mark.parametrize("pooled, evolved", [
+    (True, None), (False, np.eye(2)), (None, np.eye(2)),  # None: no "pool_against_evolved" key
+], ids=["true-without-matrix", "false-with-matrix", "absent-with-matrix"])
+def test_disagreeing_evolved_keys_exit_2(tmp_path, capsys, pooled, evolved):
+    cfg = _config()
+    if pooled is None:
+        del cfg["pool_against_evolved"]
+    else:
+        cfg["pool_against_evolved"] = pooled
+    if evolved is not None:
+        cfg["evolved_by"] = io.matrix_to_json(evolved)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    message = assert_exit_2(capsys, "scenario-run", str(path))
+    assert message == '"pool_against_evolved" must be true iff "evolved_by" is set'
+
+
 @pytest.mark.parametrize("changes", [
     {"evolved_by": np.eye(2)},
-    {"evolved_by": np.eye(2), "pool_against_evolved": True},
     {"tol": 1e-10},
     {"pipelines": (AgentPipeline("Wanda"), "theo")},
-], ids=["evolved_by", "evolved_by-pooled", "tol", "pipelines"])
+], ids=["evolved_by", "tol", "pipelines"])
 def test_mistyped_scenario_config_field_rejected(changes):
     field = next(iter(changes))
     with pytest.raises(InvalidParameterError, match=field):

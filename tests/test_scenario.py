@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from statepool.errors import DimensionMismatchError
+from statepool import io
+from statepool.errors import DimensionMismatchError, NonHermitianPoolingProductError
 from statepool.linalg import max_norm, partial_trace, tensor
+from statepool.pooling import quantum_pool
 from statepool.scenario import (
     AgentPipeline,
     KrausChannel,
@@ -13,7 +15,6 @@ from statepool.scenario import (
     batch_report,
     dephasing_channel,
     depolarizing_channel,
-    evolve,
     haar_unitary,
     random_instance,
     replacement_channel,
@@ -69,22 +70,22 @@ class TestEvolve:
     def test_identity(self):
         rng = np.random.default_rng(3)
         rho = rand_density(rng, 2)
-        assert max_norm(evolve(UnitaryDynamics(np.eye(2)), rho) - rho) == 0
+        assert max_norm(apply_channel(UnitaryDynamics(np.eye(2)), rho) - rho) == 0
 
     def test_hadamard_on_ket0(self):
-        got = evolve(UnitaryDynamics(HADAMARD), proj([1, 0]))
+        got = apply_channel(UnitaryDynamics(HADAMARD), proj([1, 0]))
         assert max_norm(got - proj([1, 1])) < 1e-12
 
     def test_maximally_mixed_invariant(self):
         rng = np.random.default_rng(4)
         u = UnitaryDynamics(rand_unitary(rng, 4))
-        assert max_norm(evolve(u, np.eye(4) / 4) - np.eye(4) / 4) < 1e-12
+        assert max_norm(apply_channel(u, np.eye(4) / 4) - np.eye(4) / 4) < 1e-12
 
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(5)
         rho = rand_density(rng, 5)
         u = UnitaryDynamics(rand_unitary(rng, 5))
-        assert np.allclose(np.linalg.eigvalsh(evolve(u, rho)),
+        assert np.allclose(np.linalg.eigvalsh(apply_channel(u, rho)),
                            np.linalg.eigvalsh(rho), atol=1e-10)
 
     def test_non_unitary_rejected(self):
@@ -104,7 +105,7 @@ class TestPipelines:
         u = UnitaryDynamics(rand_unitary(rng, 2))
         ch = dephasing_channel(2, 0.3)
         p = AgentPipeline("W", (u, ch))
-        assert max_norm(run_pipeline(p, rho) - apply_channel(ch, evolve(u, rho))) < 1e-12
+        assert max_norm(run_pipeline(p, rho) - apply_channel(ch, apply_channel(u, rho))) < 1e-12
 
     def test_fixed_instance_regression(self):
         # frozen posteriors for a fixed qubit instance, computed once
@@ -199,13 +200,20 @@ class TestRunScenario:
         cfg = ScenarioConfig(
             prior=rho,
             pipelines=(AgentPipeline("W", (u,)), AgentPipeline("T", (u,))),
-            pool_against_evolved=True,
             evolved_by=u,
         )
         res = run_scenario(cfg)
         # both posteriors equal the evolved prior, so pooling against it is exact
         assert res.pooling is not None
-        assert max_norm(res.pooling.pooled - evolve(u, rho)) < 1e-10
+        assert max_norm(res.pooling.pooled - apply_channel(u, rho)) < 1e-10
+
+    def test_pooling_error_is_the_payload_quantum_pool_raises(self):
+        cfg = random_instance(2, 0, 0.5)
+        res = run_scenario(cfg)
+        with pytest.raises(NonHermitianPoolingProductError) as raised:
+            quantum_pool(cfg.prior, res.sigma1, res.sigma2, cfg.tol)
+        # the same keys in the same order, the same bytes
+        assert io.dumps(res.pooling_error) == io.dumps(raised.value.payload())
 
 
 class TestRandomInstance:

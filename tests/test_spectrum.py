@@ -124,6 +124,17 @@ class TestSpectrum:
         assert s.support().is_empty and max_norm(s.pinv()) == 0.0
 
 
+def count_as_matrix(monkeypatch) -> list:
+    """The list each ``as_matrix`` call appends its operand to from now on.
+    regions and scenario bind as_matrix by name, so each binding is counted."""
+    calls, as_matrix = [], linalg.as_matrix
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("statepool")
+                and getattr(module, "as_matrix", None) is as_matrix):
+            monkeypatch.setattr(module, "as_matrix", lambda m: calls.append(m) or as_matrix(m))
+    return calls
+
+
 class Counter:
     """Counts the dense decompositions and solves numpy.linalg is asked for."""
 
@@ -257,14 +268,20 @@ class TestDecompositionCounts:
     ], ids=["quantum_bayes", "random_instance"])
     def test_each_operand_validated_once_in_every_namespace(self, monkeypatch, call,
                                                             validations):
-        # regions and scenario bind as_matrix by name, so each binding is counted
-        calls, as_matrix = [], linalg.as_matrix
-        for module in list(sys.modules.values()):
-            if (module.__name__.startswith("statepool")
-                    and getattr(module, "as_matrix", None) is as_matrix):
-                monkeypatch.setattr(module, "as_matrix", lambda m: calls.append(m) or as_matrix(m))
+        calls = count_as_matrix(monkeypatch)
         call()
         assert len(calls) == validations
+
+    @pytest.mark.parametrize("evolved", [False, True], ids=["plain", "evolved"])
+    def test_evolved_scenario_validates_as_often_as_a_plain_one(self, monkeypatch, evolved):
+        # each pipeline's input and each posterior; the pooling prior was fixed,
+        # and checked, when the config was built
+        cfg = random_instance(4, 3, 0.5)
+        if evolved:
+            cfg = dataclasses.replace(cfg, evolved_by=cfg.pipelines[0].steps[0])
+        calls = count_as_matrix(monkeypatch)
+        run_scenario(cfg)
+        assert len(calls) == 4
 
 
 def gram_checked(s: Subspace) -> Subspace:
@@ -468,9 +485,9 @@ def evolved_configs(d):
     """A noisy and a unitary-only scenario, both pooled against the evolved prior."""
     cfg = random_instance(d, 11, 0.3)
     u = UnitaryDynamics(haar_unitary(d, np.random.default_rng([11, d])))
-    yield dataclasses.replace(cfg, pool_against_evolved=True, evolved_by=u)
+    yield dataclasses.replace(cfg, evolved_by=u)
     yield dataclasses.replace(cfg, pipelines=(AgentPipeline("W", (u,)), AgentPipeline("T", (u,))),
-                              pool_against_evolved=True, evolved_by=u)
+                              evolved_by=u)
 
 
 # SHA-256s of results pooled with one LU solve against a certified prior.
@@ -495,13 +512,15 @@ class TestPriorSpectrumFromTheDensityCheck:
     def test_kept_spectrum_is_that_of_the_checked_prior(self, rank_tol):
         cfg = dataclasses.replace(random_instance(4, 5, 0.5), tol=Tolerances(rank_tol=rank_tol))
         fresh = Spectrum.of(cfg.prior, cfg.tol.rank_tol)
+        prior, spectrum = cfg._pooling_prior
+        assert prior is cfg.prior
         if rank_tol == 1e-10:  # one Cholesky certifies the prior: no spectrum is kept
-            assert fresh.kept.all() and cfg._prior_spectrum is None
+            assert fresh.kept.all() and spectrum is None
             return
         assert not fresh.kept.all()  # a cut at 0.2 drops an eigenvalue: the certificate fails
-        assert np.array_equal(cfg._prior_spectrum.w, fresh.w)
-        assert np.array_equal(cfg._prior_spectrum.v, fresh.v)
-        assert cfg._prior_spectrum.cut == fresh.cut
+        assert np.array_equal(spectrum.w, fresh.w)
+        assert np.array_equal(spectrum.v, fresh.v)
+        assert spectrum.cut == fresh.cut
 
     def test_clamped_prior_matches_a_recomputed_spectrum(self):
         # eigenvalue -1e-12 passes the PSD test and is clamped, so the checked
@@ -510,7 +529,7 @@ class TestPriorSpectrumFromTheDensityCheck:
         prior = (u * np.array([0.6, 0.4 + 1e-12, -1e-12])) @ u.conj().T
         cfg = ScenarioConfig(prior, (AgentPipeline("W"), AgentPipeline("T")))
         assert np.linalg.eigvalsh(prior).min() < 0 <= np.linalg.eigvalsh(cfg.prior).min()
-        assert cfg._prior_spectrum.support().rank == 2
+        assert cfg._pooling_prior[1].support().rank == 2
         res, want = run_scenario(cfg), _pool_recomputing_the_prior(cfg)
         assert res.pooling_error is None
         assert io.dumps(io.pooling_report_to_json(res.pooling)) == io.dumps(
