@@ -44,11 +44,9 @@ class NonHermitianPoolingProductError(StatePoolError):
     formula does not hold for these inputs.
     """
 
-    def __init__(self, residual, message=None):
+    def __init__(self, residual):
         self.residual = float(residual)
-        super().__init__(
-            message or f"non-Hermitian pooling product (relative residual {residual:.3e})"
-        )
+        super().__init__(f"non-Hermitian pooling product (relative residual {residual:.3e})")
 
     def payload(self) -> dict:
         return super().payload() | {"residual": self.residual}

@@ -19,7 +19,8 @@ Scenario pipeline steps: {"type": "unitary", "matrix": m} and
 {"type": "depolarizing" | "dephasing", "dim": d, "strength": p} and
 {"type": "replacement", "dim": d, "target": t}, so a config holds no Kraus
 list for them and decodes to the closed-form channel.  A Kraus-list step
-still decodes, to a ``KrausChannel``, whatever channel it came from.
+still decodes, to a ``KrausChannel``, whatever channel it came from; any
+other step, a named channel's subclass too, is InvalidParameterError.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import chain
 import numpy as np
 
 from .compatibility import CompatibilityVerdict, ProbabilityDistribution
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidParameterError
 from .linalg import Subspace, Tolerances
 from .pooling import PoolingReport
 from .regions import HybridState
@@ -224,7 +225,9 @@ def _step_to_json(step) -> dict:
         return {"type": name, "dim": step.dim, param: getattr(step, param)}
     if isinstance(step, UnitaryDynamics):
         return {"type": "unitary", "matrix": matrix_to_json(step.u)}
-    return {"type": "channel", "kraus": [matrix_to_json(k) for k in step.kraus_ops]}
+    if isinstance(step, KrausChannel):
+        return {"type": "channel", "kraus": [matrix_to_json(k) for k in step.kraus_ops]}
+    raise InvalidParameterError(f"a {type(step).__name__} step has no JSON form")
 
 
 def _named_step_from_json(obj):
@@ -279,8 +282,8 @@ def scenario_config_from_json(obj) -> ScenarioConfig:
             AgentPipeline(p["name"], tuple(_step_from_json(s) for s in p["steps"]))
             for p in obj["pipelines"]
         )
-        evolved = obj.get("evolved_by")
-        if _field(obj, "pool_against_evolved", False, _is_bool, "a bool") is not bool(evolved):
+        evolved = obj.get("evolved_by")  # an absent key or null is no evolved_by
+        if _field(obj, "pool_against_evolved", False, _is_bool, "a bool") != (evolved is not None):
             raise MalformedInputError('"pool_against_evolved" must be true iff "evolved_by" is set')
         tols = {k: float(_field(obj, k, None, _is_number, "a number"))
                 for k in ("rank_tol", "herm_tol") if k in obj}
@@ -290,7 +293,7 @@ def scenario_config_from_json(obj) -> ScenarioConfig:
             tol=Tolerances(**tols),
             seed=_field(obj, "seed", 0, lambda v: type(v) is int and v >= 0,
                         "an integer >= 0"),
-            evolved_by=UnitaryDynamics(matrix_from_json(evolved)) if evolved else None,
+            evolved_by=None if evolved is None else UnitaryDynamics(matrix_from_json(evolved)),
         )
     except MalformedInputError:
         raise

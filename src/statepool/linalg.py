@@ -19,8 +19,9 @@ Conventions
   PSD square root all derive from one ``Spectrum``.  Its rank cut, written
   once in ``Spectrum.of``, keeps ``|w| > rank_tol * max|w|``; PSD means
   ``min w >= -PSD_TOL * max(max|w|, 1)`` (``_psd_floor``), and eigenvalues
-  between that floor and zero are clamped to zero.  A scenario's prior is
-  checked once: the density check hands its ``Spectrum`` on to pooling.
+  between that floor and zero are clamped to zero; a pooling prior's
+  ``Spectrum`` holds them as 0 (``_clamped``), so ``pinv`` never inverts one
+  and no checked matrix is rebuilt, and a scenario's density check hands it on.
 * An operator one Cholesky certifies full rank (``_certified_full_rank``)
   needs no ``eigh``: the certificate holds only where the cut above would
   keep every eigenvalue, so the operator is positive definite, its support
@@ -115,12 +116,12 @@ def check_hermitian(m, name: str, herm_tol: float = Tolerances.herm_tol) -> None
 
 
 def _checked_states(tol: Tolerances, spectra=(), **states) -> list:
-    """(symmetrized matrix, Spectrum cut at ``tol.rank_tol`` or None) for each
-    state named in ``spectra`` and (matrix, support) for every other, once all
-    are square matrices of one shape, Hermitian within ``tol.herm_tol`` and
-    PSD; else an error that names the first offending state, Hermiticity of
-    every state before PSD.  A state is decomposed only if
-    ``_uncertified_spectrum`` cannot certify it positive definite; a
+    """(symmetrized matrix, clamped Spectrum cut at ``tol.rank_tol`` or None)
+    for each state named in ``spectra`` and (matrix, support) for every other,
+    once all are square matrices of one shape, Hermitian within
+    ``tol.herm_tol`` and PSD; else an error that names the first offending
+    state, Hermiticity of every state before PSD.  A state is decomposed only
+    if ``_uncertified_spectrum`` cannot certify it positive definite; a
     certified state in ``spectra`` comes with None."""
     mats = {name: as_matrix(m) for name, m in states.items()}
     if len({m.shape for m in mats.values()}) > 1:
@@ -132,24 +133,20 @@ def _checked_states(tol: Tolerances, spectra=(), **states) -> list:
     for name, s in found.items():
         if s is not None and not s.is_psd():
             raise InvalidParameterError(f"{name} is not PSD (eigenvalue {s.w.min():.3e})")
-    return [(hermitian[name], s) if name in spectra else
+    return [(hermitian[name], _clamped(s)) if name in spectra else
             (mats[name], Subspace.full(mats[name].shape[0]) if s is None else s.support())
             for name, s in found.items()]
 
 
-def _density_spectrum(rho, rank_tol: float = Tolerances.rank_tol):
+def _density_spectrum(rho, rank_tol: float):
     """The checked prior (Hermitian within the default ``herm_tol``, PSD, unit
-    trace), symmetrized, with negatives above the PSD floor clamped to zero,
-    and the Spectrum of exactly that matrix, cut at ``rank_tol``; None in its
-    place when one Cholesky certifies the prior positive definite."""
+    trace), symmetrized, and its clamped Spectrum cut at ``rank_tol``; None in
+    its place when one Cholesky certifies the prior positive definite."""
     ((h, s),) = _checked_states(Tolerances(rank_tol), ("prior",), prior=rho)
     tr = float(np.real(np.trace(h)))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density operator has trace {tr!r}, expected 1")
-    if s is None or s.w.min() >= 0.0:
-        return h, s
-    clamped = s.psd_function(lambda w: w)
-    return clamped, Spectrum.of(clamped, rank_tol)
+    return h, s
 
 
 def tensor(*ops) -> np.ndarray:
@@ -351,6 +348,11 @@ def _uncertified_spectrum(a: np.ndarray, rank_tol: float) -> Spectrum | None:
     definite with every eigenvalue kept at ``rank_tol`` (so PSD, with the whole
     space as support), else ``Spectrum.of(a, rank_tol)``."""
     return None if _certified_full_rank(a, rank_tol) else Spectrum._of_hermitian(a, rank_tol)
+
+
+def _clamped(s: Spectrum | None) -> Spectrum | None:
+    """``s``, checked PSD, with its negative eigenvalues set to 0: same ``v``, same cut."""
+    return None if s is None else Spectrum(np.clip(s.w, 0.0, None), s.v, s.cut)
 
 
 def _certified_full_rank(a: np.ndarray, rank_tol: float) -> bool:

@@ -276,12 +276,11 @@ class HybridState:
         return cls(cdims, blocks, normalized=abs(total - 1.0) <= TRACE_TOL)
 
 
-def make_hybrid(blocks, normalize: bool = True) -> HybridState:
-    """Build a HybridState from a map outcome -> PSD block.
+def make_hybrid(blocks) -> HybridState:
+    """Build a HybridState from a map outcome -> PSD block, rescaled to total trace 1.
 
     Integer keys describe a single classical register; tuple keys describe
-    several.  With ``normalize`` the blocks are rescaled to total trace 1;
-    otherwise the state is flagged unnormalized.
+    several.
     """
     items = {}
     width = None
@@ -294,9 +293,6 @@ def make_hybrid(blocks, normalize: bool = True) -> HybridState:
         items[key] = as_matrix(b)
     cdims = tuple(max(k[i] for k in items) + 1 for i in range(width))
     total = sum(float(np.real(np.trace(b))) for b in items.values())
-    if normalize:
-        if total <= 0:
-            raise ValueError("cannot normalize: total trace is not positive")
-        items = {k: b / total for k, b in items.items()}
-        return HybridState(cdims, items, normalized=True)
-    return HybridState(cdims, items, normalized=abs(total - 1.0) <= TRACE_TOL)
+    if total <= 0:
+        raise ValueError("cannot normalize: total trace is not positive")
+    return HybridState(cdims, {k: b / total for k, b in items.items()}, normalized=True)

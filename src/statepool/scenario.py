@@ -18,8 +18,8 @@ from .compatibility import CompatibilityVerdict, _support_verdict
 from .errors import (DimensionMismatchError, IncompatibleAssignmentsError, InvalidParameterError,
                      StatePoolError)
 from .linalg import (
-    EXACT_TOL, Tolerances, _density_spectrum, _uncertified_spectrum, as_matrix, max_norm,
-    support_projector,
+    EXACT_TOL, Tolerances, _clamped, _density_spectrum, _uncertified_spectrum, as_matrix,
+    max_norm, support_projector,
 )
 from .pooling import PoolingReport, _pool
 
@@ -196,9 +196,9 @@ class ScenarioConfig:
     the unitary ``evolved_by``, if any: the posteriors are pooled against
     ``evolved_by(prior)`` when it is set and against the prior otherwise.
 
-    That pooling prior is fixed here, once, and kept unserialized with its
-    Spectrum, which is None when one Cholesky certified the pooling prior
-    positive definite; pooling then solves against it.
+    ``prior`` is the checked input symmetrized, bit for bit; the pooling prior
+    is fixed here, once, unserialized, with its clamped Spectrum, or None when
+    one Cholesky certified it positive definite and pooling solves against it.
     """
 
     prior: np.ndarray = field(repr=False)
@@ -234,7 +234,7 @@ class ScenarioConfig:
         if self.evolved_by is not None:  # pool against its unitary image, symmetrized, unchecked
             m = self.evolved_by.apply(prior)
             prior = (m + m.conj().T) / 2
-            spectrum = _uncertified_spectrum(prior, self.tol.rank_tol)
+            spectrum = _clamped(_uncertified_spectrum(prior, self.tol.rank_tol))
         object.__setattr__(self, "_pooling_prior", (prior, spectrum))
         object.__setattr__(self, "pipelines", pipelines)
 

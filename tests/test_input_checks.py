@@ -27,8 +27,9 @@ from statepool.linalg import Tolerances
 from statepool.pooling import quantum_pool
 from statepool.regions import make_hybrid
 from statepool.scenario import (
-    AgentPipeline, Channel, ScenarioConfig, UnitaryDynamics, adversarial_instance, batch_report,
-    depolarizing_channel, haar_unitary, random_instance, run_scenario,
+    AgentPipeline, Channel, DepolarizingChannel, ScenarioConfig, UnitaryDynamics,
+    adversarial_instance, batch_report, depolarizing_channel, haar_unitary, random_instance,
+    run_scenario,
 )
 
 HALF = np.eye(2) / 2
@@ -347,6 +348,21 @@ def test_disagreeing_evolved_keys_exit_2(tmp_path, capsys, pooled, evolved):
     assert message == '"pool_against_evolved" must be true iff "evolved_by" is set'
 
 
+@pytest.mark.parametrize("pooled", [False, True])
+@pytest.mark.parametrize("evolved", [{}, [], 0, "", False], ids=repr)
+def test_falsy_evolved_by_is_set_not_absent(tmp_path, capsys, evolved, pooled):
+    cfg = _config(evolved_by=evolved, pool_against_evolved=pooled)
+    with pytest.raises(MalformedInputError):
+        io.scenario_config_from_json(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert_exit_2(capsys, "scenario-run", str(path))
+
+
+def test_null_evolved_by_reads_as_absent():
+    assert io.scenario_config_from_json(_config(evolved_by=None)).evolved_by is None
+
+
 @pytest.mark.parametrize("changes", [
     {"evolved_by": np.eye(2)},
     {"tol": 1e-10},
@@ -376,6 +392,18 @@ def test_non_finite_posterior_is_rejected_not_judged():
     cfg = ScenarioConfig(np.eye(2) / 2, (AgentPipeline("W", steps), AgentPipeline("T")))
     with pytest.raises(ValueError, match="NaN or Inf"):
         run_scenario(cfg)
+
+
+class LouderDepolarizing(DepolarizingChannel):
+    """A user's subclass of a named channel: its name would not decode to it."""
+
+
+@pytest.mark.parametrize("step", [NaNOffDiagonal(2), LouderDepolarizing(2, 0.5)],
+                         ids=["Channel", "DepolarizingChannel"])
+def test_step_without_a_json_form_is_rejected(step):
+    cfg = ScenarioConfig(HALF, (AgentPipeline("W", (step,)), AgentPipeline("T")))
+    with pytest.raises(InvalidParameterError, match=f"a {type(step).__name__} step has no JSON"):
+        io.scenario_config_to_json(cfg)
 
 
 @pytest.mark.parametrize("where", ["evolved_by", "step"])

@@ -523,12 +523,14 @@ class TestPriorSpectrumFromTheDensityCheck:
         assert spectrum.cut == fresh.cut
 
     def test_clamped_prior_matches_a_recomputed_spectrum(self):
-        # eigenvalue -1e-12 passes the PSD test and is clamped, so the checked
-        # prior is a new matrix of rank 2 and its spectrum is taken again
+        # eigenvalue -1e-12 passes the PSD test and is clamped to 0 in the kept
+        # spectrum; the stored prior is the symmetrized input, never rebuilt
         u = haar_unitary(3, np.random.default_rng(2))
         prior = (u * np.array([0.6, 0.4 + 1e-12, -1e-12])) @ u.conj().T
         cfg = ScenarioConfig(prior, (AgentPipeline("W"), AgentPipeline("T")))
-        assert np.linalg.eigvalsh(prior).min() < 0 <= np.linalg.eigvalsh(cfg.prior).min()
+        assert np.linalg.eigvalsh(prior).min() < 0
+        assert np.array_equal(cfg.prior, (prior + prior.conj().T) / 2)
+        assert cfg._pooling_prior[1].w.min() == 0
         assert cfg._pooling_prior[1].support().rank == 2
         res, want = run_scenario(cfg), _pool_recomputing_the_prior(cfg)
         assert res.pooling_error is None
@@ -544,6 +546,29 @@ class TestPriorSpectrumFromTheDensityCheck:
         assert res.pooling_error["error"] == "PriorSupportError"
         with pytest.raises(PriorSupportError):
             _pool_recomputing_the_prior(cfg)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_rank_deficient_prior_costs_one_eigh(self, monkeypatch, d):
+        # a rounding eigenvalue of -1e-12 is clamped in the spectrum, not by
+        # rebuilding the prior and decomposing it again
+        u = haar_unitary(d, np.random.default_rng([5, d]))
+        prior = (u * np.r_[-1e-12, np.full(d - 1, 1.0 / (d - 1)) + 1e-12 / (d - 1)]) @ u.conj().T
+        c = Counter(monkeypatch)
+        cfg = ScenarioConfig(prior, (AgentPipeline("W"), AgentPipeline("T")))
+        assert c.count("eigh") == 1 and c.count("eigvalsh", "svd") == 0
+        assert cfg._pooling_prior[1].support().rank == d - 1
+
+    @pytest.mark.parametrize("d, rank", [(d, r) for d in (2, 3, 4, 8) for r in range(1, d)])
+    def test_rank_deficient_config_decodes_to_the_same_bytes(self, d, rank):
+        rng = np.random.default_rng([17, d, rank])
+        for seed in range(8):
+            u = haar_unitary(d, rng)
+            p = rng.uniform(0.1, 1.0, rank)
+            prior = (u[:, :rank] * (p / p.sum())) @ u[:, :rank].conj().T
+            cfg = dataclasses.replace(random_instance(d, seed, 0.5), prior=prior)
+            text = io.dumps(io.scenario_config_to_json(cfg))
+            back = io.scenario_config_from_json(json.loads(text))
+            assert io.dumps(io.scenario_config_to_json(back)) == text
 
     @pytest.mark.parametrize("d", sorted(EVOLVED_SHA256))
     def test_pool_against_evolved_golden_bytes(self, d):
@@ -565,6 +590,28 @@ class TestPriorSpectrumFromTheDensityCheck:
             _pool(np.eye(3) / 3, spectrum, s, s, Spectrum.of(s).support(),
                   Spectrum.of(s).support(), None, Tolerances())
         assert calls == []
+
+
+class TestClampedPriorIsNeverInverted:
+    """A prior eigenvalue between -PSD floor and -cut passes the PSD test and
+    is clamped to 0, so it leaves the support rather than being inverted."""
+
+    PRIOR = np.diag([1.0 + 1e-9, -1e-9])
+    POSTERIORS = [np.diag([0.5 + 1e-9, 0.5 - 1e-9]), np.diag([1.0 - 1e-6, 1e-6])]
+
+    @pytest.mark.parametrize("s", POSTERIORS, ids=["half", "near-pure"])
+    def test_quantum_pool(self, s):
+        with pytest.raises(PriorSupportError, match="escapes the prior's support"):
+            quantum_pool(self.PRIOR, s, s)
+
+    @pytest.mark.parametrize("s", POSTERIORS, ids=["half", "near-pure"])
+    def test_pool_quantum_cli_exit_1(self, tmp_path, capsys, s):
+        paths = []
+        for name, m in (("p", self.PRIOR), ("a", s), ("b", s)):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(io.matrix_to_json(m)))
+        assert main(["pool-quantum", *map(str, paths)]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "PriorSupportError"
 
 
 def bayes_kinds(d):
