@@ -22,15 +22,17 @@ Conventions
   between that floor and zero are clamped to zero; a pooling prior's
   ``Spectrum`` holds them as 0 (``_clamped``), so ``pinv`` never inverts one
   and no checked matrix is rebuilt, and a scenario's density check hands it on.
+  A state's support (``_state_support``) is cut from that clamped spectrum
+  too, so a posterior's support never holds a direction its prior's drops.
 * An operator one Cholesky certifies full rank (``_certified_full_rank``)
   needs no ``eigh``: the certificate holds only where the cut above would
   keep every eigenvalue, so the operator is positive definite, its support
   is the whole space, ``Subspace.full``, in the identity basis, and its
   pseudo-inverse is its inverse, which pooling applies with one LU solve.
   ``support_projector``, the input check of ``quantum_compatible`` and
-  ``quantum_pool`` (every state, the prior included), the density check and
-  the evolved pooling prior share that routine, ``_uncertified_spectrum``;
-  a state it cannot certify falls back to ``Spectrum.of``.
+  ``quantum_pool`` (every state, the prior included), the density check, a
+  scenario's posteriors and the evolved pooling prior share that routine,
+  ``_uncertified_spectrum``; a state it cannot certify falls back to ``Spectrum.of``.
 * A caller sets ``rank_tol`` and ``herm_tol`` through one ``Tolerances``
   record, which rejects a NaN, infinite or negative value, or ``rank_tol >= 1``,
   as InvalidParameterError (CLI exit 2), never a verdict.  Every other
@@ -117,8 +119,8 @@ def check_hermitian(m, name: str, herm_tol: float = Tolerances.herm_tol) -> None
 
 def _checked_states(tol: Tolerances, spectra=(), **states) -> list:
     """(symmetrized matrix, clamped Spectrum cut at ``tol.rank_tol`` or None)
-    for each state named in ``spectra`` and (matrix, support) for every other,
-    once all are square matrices of one shape, Hermitian within
+    for each state named in ``spectra`` and (matrix, ``_state_support``) for
+    every other, once all are square matrices of one shape, Hermitian within
     ``tol.herm_tol`` and PSD; else an error that names the first offending
     state, Hermiticity of every state before PSD.  A state is decomposed only
     if ``_uncertified_spectrum`` cannot certify it positive definite; a
@@ -134,19 +136,7 @@ def _checked_states(tol: Tolerances, spectra=(), **states) -> list:
         if s is not None and not s.is_psd():
             raise InvalidParameterError(f"{name} is not PSD (eigenvalue {s.w.min():.3e})")
     return [(hermitian[name], _clamped(s)) if name in spectra else
-            (mats[name], Subspace.full(mats[name].shape[0]) if s is None else s.support())
-            for name, s in found.items()]
-
-
-def _density_spectrum(rho, rank_tol: float):
-    """The checked prior (Hermitian within the default ``herm_tol``, PSD, unit
-    trace), symmetrized, and its clamped Spectrum cut at ``rank_tol``; None in
-    its place when one Cholesky certifies the prior positive definite."""
-    ((h, s),) = _checked_states(Tolerances(rank_tol), ("prior",), prior=rho)
-    tr = float(np.real(np.trace(h)))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density operator has trace {tr!r}, expected 1")
-    return h, s
+            (mats[name], _state_support(s, len(mats[name]))) for name, s in found.items()]
 
 
 def tensor(*ops) -> np.ndarray:
@@ -353,6 +343,11 @@ def _uncertified_spectrum(a: np.ndarray, rank_tol: float) -> Spectrum | None:
 def _clamped(s: Spectrum | None) -> Spectrum | None:
     """``s``, checked PSD, with its negative eigenvalues set to 0: same ``v``, same cut."""
     return None if s is None else Spectrum(np.clip(s.w, 0.0, None), s.v, s.cut)
+
+
+def _state_support(s: Spectrum | None, d: int) -> Subspace:
+    """A state's support from its ``_uncertified_spectrum``: that of ``_clamped(s)``."""
+    return Subspace.full(d) if s is None else _clamped(s).support()
 
 
 def _certified_full_rank(a: np.ndarray, rank_tol: float) -> bool:

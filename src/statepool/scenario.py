@@ -18,8 +18,8 @@ from .compatibility import CompatibilityVerdict, _support_verdict
 from .errors import (DimensionMismatchError, IncompatibleAssignmentsError, InvalidParameterError,
                      StatePoolError)
 from .linalg import (
-    EXACT_TOL, Tolerances, _clamped, _density_spectrum, _uncertified_spectrum, as_matrix,
-    max_norm, support_projector,
+    EXACT_TOL, TRACE_TOL, Tolerances, _checked_states, _clamped, _state_support,
+    _uncertified_spectrum, as_matrix, hermitize, max_norm,
 )
 from .pooling import PoolingReport, _pool
 
@@ -196,9 +196,9 @@ class ScenarioConfig:
     the unitary ``evolved_by``, if any: the posteriors are pooled against
     ``evolved_by(prior)`` when it is set and against the prior otherwise.
 
-    ``prior`` is the checked input symmetrized, bit for bit; the pooling prior
-    is fixed here, once, unserialized, with its clamped Spectrum, or None when
-    one Cholesky certified it positive definite and pooling solves against it.
+    ``prior`` is the input checked (Hermitian within the default ``herm_tol``, PSD,
+    unit trace) and symmetrized, bit for bit; the pooling prior is fixed here, once,
+    with its clamped Spectrum, or None when one Cholesky certified it positive definite.
     """
 
     prior: np.ndarray = field(repr=False)
@@ -211,7 +211,11 @@ class ScenarioConfig:
     def __post_init__(self):
         if not isinstance(self.tol, Tolerances):
             raise InvalidParameterError(f"tol is a {type(self.tol).__name__}, not a Tolerances")
-        prior, spectrum = _density_spectrum(self.prior, self.tol.rank_tol)
+        ((prior, spectrum),) = _checked_states(Tolerances(self.tol.rank_tol), ("prior",),
+                                               prior=self.prior)
+        tr = float(np.real(np.trace(prior)))
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"density operator has trace {tr!r}, expected 1")
         pipelines = tuple(self.pipelines)
         if len(pipelines) != 2:
             raise ValueError(f"exactly two agent pipelines required, got {len(pipelines)}")
@@ -275,9 +279,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     and message, plus the Hermiticity residual when available).
     """
     sigma1, sigma2 = (run_pipeline(p, cfg.prior) for p in cfg.pipelines)
-    # support_projector checks the posteriors: a Channel subclass may return NaN,
-    # and the Cholesky certificate passes a matrix with NaN off the diagonal
-    supp1, supp2 = (support_projector(s, cfg.tol.rank_tol) for s in (sigma1, sigma2))
+    # hermitize checks the posteriors, which the certificate cannot: a Channel may return NaN
+    supp1, supp2 = (_state_support(_uncertified_spectrum(a, cfg.tol.rank_tol), a.shape[0])
+                    for a in map(hermitize, (sigma1, sigma2)))
     verdict = _support_verdict(supp1, supp2)
     try:
         if not verdict.compatible:

@@ -9,7 +9,11 @@ private name (``_x`` function, class or constant) defined in
 nothing calls is deleted.  Every parameter with a default in a ``def`` in
 ``src/statepool`` must be passed by some call in the package, the tests or
 the demos, and omitted by another; otherwise it is a constant or a required
-parameter.
+parameter.  That scan is a name-level heuristic: a call counts for every
+``def`` with its bare callee name (``of``, ``apply``), and a call in a test
+or a demo is enough, since those stand in for the users who set the public
+options.  Counting package calls only would flag 8 public options that no
+package code sets, such as ``quantum_compatible``'s ``tol``.
 """
 
 import ast

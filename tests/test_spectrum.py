@@ -28,7 +28,8 @@ from statepool.linalg import (
 from statepool.pooling import _pool, quantum_pool
 from statepool.scenario import (
     AgentPipeline, ScenarioConfig, UnitaryDynamics, adversarial_instance, batch_report,
-    depolarizing_channel, haar_unitary, random_instance, run_pipeline, run_scenario,
+    dephasing_channel, depolarizing_channel, haar_unitary, random_instance, run_pipeline,
+    run_scenario,
 )
 
 from oracles import rand_density, rand_psd
@@ -612,6 +613,34 @@ class TestClampedPriorIsNeverInverted:
             paths[-1].write_text(json.dumps(io.matrix_to_json(m)))
         assert main(["pool-quantum", *map(str, paths)]) == 1
         assert json.loads(capsys.readouterr().out)["error"] == "PriorSupportError"
+
+    def test_state_pooled_with_itself_against_itself(self):
+        # the clamped direction leaves every support, so the pool is the kept part
+        report = quantum_pool(self.PRIOR, self.PRIOR, self.PRIOR)
+        assert max_norm(report.pooled - np.diag([1.0, 0.0])) <= 1e-15
+        assert max_norm(report.pooled - self.PRIOR) <= 2e-9  # the unclamped pool was PRIOR
+
+    X = UnitaryDynamics(np.array([[0, 1], [1, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("pipelines, evolved_by, pooled", [
+        ((), None, [1.0, 0.0]),
+        ((dephasing_channel(2, 0.5),), None, [1.0, 0.0]),
+        ((X,), X, [0.0, 1.0]),
+    ], ids=["empty", "dephasing", "evolved"])
+    def test_scenario_posteriors_share_the_clamped_support(self, pipelines, evolved_by, pooled):
+        # each posterior keeps the -1e-9 direction the prior's clamp drops, so its
+        # support is cut from its own clamped spectrum or it would escape the prior's
+        cfg = ScenarioConfig(self.PRIOR, (AgentPipeline("W", pipelines), AgentPipeline("T", pipelines)),
+                             evolved_by=evolved_by)
+        res = run_scenario(cfg)
+        assert res.pooling_error is None
+        assert max_norm(res.pooling.pooled - np.diag(pooled)) <= 1e-15
+
+    def test_clamped_direction_is_no_posterior_support(self):
+        # once dropped, the -1e-9 direction meets no state's support
+        assert not quantum_compatible(self.PRIOR, np.diag([0.0, 1.0])).compatible
+        with pytest.raises(IncompatibleAssignmentsError, match="disjoint supports"):
+            quantum_pool(np.eye(2) / 2, self.PRIOR, np.diag([0.0, 1.0]))
 
 
 def bayes_kinds(d):
