@@ -6,11 +6,11 @@ Run: python3 demos/03_pooling.py
 import numpy as np
 
 from statepool import (
+    DepolarizingChannel,
     NonHermitianPoolingProductError,
     ProbabilityDistribution,
     apply_channel,
     classical_pool,
-    depolarizing_channel,
     minimal_sufficient_statistic,
     pooled_map,
     quantum_pool,
@@ -33,7 +33,7 @@ rng = np.random.default_rng(0)
 g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
 rho = g.conj().T @ g
 rho /= np.trace(rho).real
-sigma = apply_channel(depolarizing_channel(2, 0.5), rho)
+sigma = apply_channel(DepolarizingChannel(2, 0.5), rho)
 print("\npool(rho, rho, sigma) == sigma:",
       np.allclose(quantum_pool(rho, rho, sigma).pooled, sigma))
 
@@ -57,7 +57,7 @@ print("\nstatistic classes:", [sorted(c) for c in stat.classes])
 
 # The pooled assignment as a map on priors is well defined but non-linear.
 def assign(w):
-    ch = depolarizing_channel(2, w)
+    ch = DepolarizingChannel(2, w)
     return lambda r: apply_channel(ch, r)
 
 gamma = pooled_map(assign(0.5), assign(0.25))

@@ -10,12 +10,12 @@ import numpy as np
 
 from statepool import (
     AgentPipeline,
+    DephasingChannel,
+    ReplacementChannel,
     ScenarioConfig,
     UnitaryDynamics,
     batch_report,
-    dephasing_channel,
     random_instance,
-    replacement_channel,
     run_scenario,
 )
 
@@ -25,8 +25,8 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 cfg = ScenarioConfig(
     prior=np.diag([0.6, 0.4]),
     pipelines=(
-        AgentPipeline("Wanda", (dephasing_channel(2, 0.5),)),
-        AgentPipeline("Theo", (UnitaryDynamics(HADAMARD), dephasing_channel(2, 1.0))),
+        AgentPipeline("Wanda", (DephasingChannel(2, 0.5),)),
+        AgentPipeline("Theo", (UnitaryDynamics(HADAMARD), DephasingChannel(2, 1.0))),
     ),
 )
 res = run_scenario(cfg)
@@ -40,8 +40,8 @@ else:
 adv = ScenarioConfig(
     prior=np.eye(2) / 2,
     pipelines=(
-        AgentPipeline("Wanda", (replacement_channel(2, 0),)),
-        AgentPipeline("Theo", (replacement_channel(2, 1),)),
+        AgentPipeline("Wanda", (ReplacementChannel(2, 0),)),
+        AgentPipeline("Theo", (ReplacementChannel(2, 1),)),
     ),
 )
 print("\nadversarial instance:", run_scenario(adv).pooling_error)

@@ -62,19 +62,19 @@ from .regions import (
 from .scenario import (
     AgentPipeline,
     Channel,
+    DephasingChannel,
+    DepolarizingChannel,
     KrausChannel,
+    ReplacementChannel,
     ScenarioConfig,
     ScenarioResult,
     UnitaryDynamics,
     adversarial_instance,
     apply_channel,
     batch_report,
-    dephasing_channel,
-    depolarizing_channel,
     haar_unitary,
     random_density,
     random_instance,
-    replacement_channel,
     run_pipeline,
     run_scenario,
 )

@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--herm-tol", type=float)
 
     p = add("scenario-batch", _cmd_scenario_batch,
-            "batch compatibility/pooling statistics over random instances")
+            "batch compatibility/pooling statistics over generated instances")
     p.add_argument("--dim", type=int, nargs="+", default=[2])
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--noise", type=float, nargs="+", default=[0.5])

@@ -208,7 +208,7 @@ def pooling_report_to_json(r: PoolingReport) -> dict:
 # --- scenario configs and results ------------------------------------------
 
 
-# Named steps: type name -> (class, which checks the parameter, parameter field).
+# Named steps: type name -> (class, parameter field); the class checks the parameter.
 _NAMED_STEPS = {
     "depolarizing": (DepolarizingChannel, "strength"),
     "dephasing": (DephasingChannel, "strength"),

@@ -114,6 +114,13 @@ def _unit_interval(x, what: str = "strength") -> float:
     return p
 
 
+def _integer(x, what: str):
+    """``x`` itself, once it is known to be a Python or NumPy integer, not a bool."""
+    if type(x) is bool or not isinstance(x, (int, np.integer)):
+        raise InvalidParameterError(f"{what} {x!r} is not an integer")
+    return x
+
+
 @dataclass(frozen=True)
 class _Mixture(_ClosedForm):
     """A closed-form channel mixing the identity with a noise map, of weight
@@ -159,7 +166,7 @@ class ReplacementChannel(_ClosedForm):
     target: int
 
     def __post_init__(self):
-        if not 0 <= self.target < self.dim:
+        if not 0 <= _integer(self.target, "target") < self.dim:
             raise InvalidParameterError(f"target {self.target} outside [0, {self.dim})")
         object.__setattr__(self, "target", range(self.dim)[self.target])
 
@@ -247,8 +254,8 @@ class ScenarioConfig:
 class ScenarioResult:
     sigma1: np.ndarray = field(repr=False)
     sigma2: np.ndarray = field(repr=False)
-    verdict: CompatibilityVerdict = None
-    pooling: PoolingReport | None = None
+    verdict: CompatibilityVerdict
+    pooling: PoolingReport | None
     pooling_error: dict | None = None
 
 
@@ -279,14 +286,19 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     and message, plus the Hermiticity residual when available).
     """
     sigma1, sigma2 = (run_pipeline(p, cfg.prior) for p in cfg.pipelines)
+    return _judge(cfg._pooling_prior, sigma1, sigma2, cfg.tol)
+
+
+def _judge(pooling_prior: tuple, sigma1, sigma2, tol: Tolerances) -> ScenarioResult:
+    """Supports, verdict, then pooling or its error payload, against (matrix, Spectrum)."""
     # hermitize checks the posteriors, which the certificate cannot: a Channel may return NaN
-    supp1, supp2 = (_state_support(_uncertified_spectrum(a, cfg.tol.rank_tol), a.shape[0])
+    supp1, supp2 = (_state_support(_uncertified_spectrum(a, tol.rank_tol), a.shape[0])
                     for a in map(hermitize, (sigma1, sigma2)))
     verdict = _support_verdict(supp1, supp2)
     try:
         if not verdict.compatible:
             raise IncompatibleAssignmentsError(verdict.diagnostics)
-        pooling = _pool(*cfg._pooling_prior, sigma1, sigma2, supp1, supp2, verdict, cfg.tol)
+        pooling = _pool(*pooling_prior, sigma1, sigma2, supp1, supp2, verdict, tol)
     except StatePoolError as exc:
         return ScenarioResult(sigma1, sigma2, verdict, None, exc.payload())
     return ScenarioResult(sigma1, sigma2, verdict, pooling)
@@ -311,44 +323,24 @@ def haar_unitary(dim: int, rng) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def depolarizing_channel(dim: int, strength: float) -> DepolarizingChannel:
-    """Convex mixture of identity and full depolarization with weight ``strength``."""
-    return DepolarizingChannel(dim, strength)
-
-
-def dephasing_channel(dim: int, strength: float) -> DephasingChannel:
-    """Convex mixture of identity and full dephasing in the computational basis."""
-    return DephasingChannel(dim, strength)
-
-
-def replacement_channel(dim: int, target_index: int) -> ReplacementChannel:
-    """Channel replacing every input with the basis state |target_index>, 0 <= index < dim."""
-    return ReplacementChannel(dim, target_index)
-
-
 MAX_DIM = 64  # the dense envelope; a d = 10^5 instance would ask for tens of GiB
-GENERATORS = ("random", "adversarial")  # batch_report's instance generators, by name
 
 
 def _dim(dim):
-    """``dim`` itself, once it is known to lie in [2, MAX_DIM]."""
-    if dim < 2:
-        raise InvalidParameterError(f"dim {dim} < 2")
-    if dim > MAX_DIM:
-        raise InvalidParameterError(f"dim {dim} > {MAX_DIM}")
+    """``dim`` itself, once it is known to be an integer in [2, MAX_DIM]."""
+    if not 2 <= _integer(dim, "dim") <= MAX_DIM:
+        raise InvalidParameterError(f"dim {dim} < 2" if dim < 2 else f"dim {dim} > {MAX_DIM}")
     return dim
 
 
 def _seed(seed):
-    """``seed`` itself, once it is known not to be a negative integer."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise InvalidParameterError(f"seed {seed} < 0")
-    return seed
-
-
-def _recorded(seed):
-    """The seed a config records: an integer seed itself, 0 for a seed sequence."""
-    return seed if isinstance(seed, (int, np.integer)) else 0
+    """The seed a config records, once ``seed`` is known to be an integer >= 0 or a
+    list or tuple of them: an integer seed itself, 0 for a seed sequence."""
+    sequence = isinstance(seed, (list, tuple))
+    for s in seed if sequence else (seed,):
+        if _integer(s, "seed") < 0:
+            raise InvalidParameterError(f"seed {s} < 0")
+    return 0 if sequence else seed
 
 
 def random_instance(dim: int, seed, noise_strength: float = 0.5) -> ScenarioConfig:
@@ -360,23 +352,31 @@ def random_instance(dim: int, seed, noise_strength: float = 0.5) -> ScenarioConf
     """
     _dim(dim)
     p = _unit_interval(noise_strength, "noise_strength")
-    rng = np.random.default_rng(_seed(seed))
+    recorded, rng = _seed(seed), np.random.default_rng(seed)
     prior = random_density(dim, rng)
     u1 = UnitaryDynamics._trusted(haar_unitary(dim, rng))
     u2 = UnitaryDynamics._trusted(haar_unitary(dim, rng))
-    wanda = (u1, dephasing_channel(dim, p)) if p > 0 else (u1,)
-    theo = (u2, depolarizing_channel(dim, p)) if p > 0 else (u2,)
+    wanda = (u1, DephasingChannel(dim, p)) if p > 0 else (u1,)
+    theo = (u2, DepolarizingChannel(dim, p)) if p > 0 else (u2,)
     pipelines = (AgentPipeline("Wanda", wanda), AgentPipeline("Theo", theo))
-    return ScenarioConfig(prior, pipelines, seed=_recorded(seed))
+    return ScenarioConfig(prior, pipelines, seed=recorded)
 
 
 def adversarial_instance(dim: int, seed) -> ScenarioConfig:
     """Engineered incompatible scenario: the pipelines replace every input
     with orthogonal pure states, so the posteriors' supports are disjoint."""
-    prior = random_density(_dim(dim), np.random.default_rng(_seed(seed)))
-    pipelines = (AgentPipeline("Wanda", (replacement_channel(dim, 0),)),
-                 AgentPipeline("Theo", (replacement_channel(dim, 1),)))
-    return ScenarioConfig(prior, pipelines, seed=_recorded(seed))
+    _dim(dim)
+    recorded, rng = _seed(seed), np.random.default_rng(seed)
+    pipelines = (AgentPipeline("Wanda", (ReplacementChannel(dim, 0),)),
+                 AgentPipeline("Theo", (ReplacementChannel(dim, 1),)))
+    return ScenarioConfig(random_density(dim, rng), pipelines, seed=recorded)
+
+
+# name -> (dim, child seed, noise) -> ScenarioResult; builders are module globals read per call
+GENERATORS = {
+    "random": lambda dim, seed, noise: run_scenario(random_instance(dim, seed, noise)),
+    "adversarial": lambda dim, seed, noise: run_scenario(adversarial_instance(dim, seed)),
+}
 
 
 def batch_report(dims, count: int, noise_grid, seed: int, generator: str = "random"):
@@ -386,8 +386,8 @@ def batch_report(dims, count: int, noise_grid, seed: int, generator: str = "rand
     sequence [seed, d, g, i].  ``generator`` is one of ``GENERATORS``.
     Returns a list of row dicts.
     """
-    _seed(seed)
-    if count < 1:
+    _seed((seed,))  # one integer: the first entry of every child seed
+    if _integer(count, "count") < 1:
         raise InvalidParameterError("count must be >= 1")
     if generator not in GENERATORS:
         raise InvalidParameterError(f"unknown generator {generator!r}")
@@ -395,16 +395,14 @@ def batch_report(dims, count: int, noise_grid, seed: int, generator: str = "rand
         _dim(dim)
     for noise in noise_grid:  # reported in the rows even where the generator ignores it
         _unit_interval(noise, "noise_strength")
+    build = GENERATORS[generator]
     rows = []
     for dim in dims:
         for gi, noise in enumerate(noise_grid):
             n_compat = n_herm = 0
             residuals = []
             for i in range(count):
-                child_seed = [int(seed), int(dim), gi, i]
-                cfg = (adversarial_instance(dim, child_seed) if generator == "adversarial"
-                       else random_instance(dim, child_seed, noise))
-                res = run_scenario(cfg)
+                res = build(dim, [int(seed), int(dim), gi, i], noise)
                 if res.verdict.compatible:
                     n_compat += 1
                     if res.pooling is not None:

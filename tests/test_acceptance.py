@@ -18,7 +18,7 @@ from statepool.pooling import (
     quantum_pool,
 )
 from statepool.regions import quantum_bayes, star_product
-from statepool.scenario import apply_channel, depolarizing_channel
+from statepool.scenario import DepolarizingChannel, apply_channel
 
 from oracles import (
     grid_distributions,
@@ -181,7 +181,7 @@ def test_09_pooled_map_nonlinearity_witness():
     # diagonal qubit priors diag(.8,.2) and diag(.3,.7), alpha = 1/2;
     # expected gap computed independently with exact rational arithmetic
     def assign(weight):
-        ch = depolarizing_channel(2, weight)
+        ch = DepolarizingChannel(2, weight)
         return lambda r: apply_channel(ch, r)
 
     gamma = pooled_map(assign(0.5), assign(0.25))

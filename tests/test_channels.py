@@ -1,7 +1,5 @@
 """Closed-form noise channels against their explicit Kraus lists, and the channel protocol."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -17,10 +15,7 @@ from statepool.scenario import (
     UnitaryDynamics,
     apply_channel,
     batch_report,
-    dephasing_channel,
-    depolarizing_channel,
     random_instance,
-    replacement_channel,
     run_pipeline,
 )
 
@@ -51,9 +46,9 @@ CASES = (
     + [("replacement", d, t) for d in DIMS for t in (0, d - 1)]
 )
 BUILD = {
-    "depolarizing": (depolarizing_channel, explicit_depolarizing),
-    "dephasing": (dephasing_channel, explicit_dephasing),
-    "replacement": (replacement_channel, explicit_replacement),
+    "depolarizing": (DepolarizingChannel, explicit_depolarizing),
+    "dephasing": (DephasingChannel, explicit_dephasing),
+    "replacement": (ReplacementChannel, explicit_replacement),
 }
 
 
@@ -111,7 +106,7 @@ def test_pipeline_accepts_any_channel_subclass():
             return r[::-1, ::-1]
 
     rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
-    out = run_pipeline(AgentPipeline("F", (BitFlip(), dephasing_channel(2, 1.0))), rho)
+    out = run_pipeline(AgentPipeline("F", (BitFlip(), DephasingChannel(2, 1.0))), rho)
     assert max_norm(out - np.diag([0.3, 0.7])) < 1e-15
 
 
@@ -121,23 +116,28 @@ def test_pipeline_rejects_non_channels():
 
 
 def test_first_step_input_dim_checked():
-    p = AgentPipeline("W", (depolarizing_channel(3, 0.5),))
+    p = AgentPipeline("W", (DepolarizingChannel(3, 0.5),))
     with pytest.raises(DimensionMismatchError, match="input dim 3"):
         run_pipeline(p, np.eye(2) / 2)
 
 
 @pytest.mark.parametrize("strength", [-0.1, 1.5, float("nan"), float("inf")])
-@pytest.mark.parametrize("ctor", [depolarizing_channel, dephasing_channel,
-                                  DepolarizingChannel, DephasingChannel])
+@pytest.mark.parametrize("ctor", [DepolarizingChannel, DephasingChannel])
 def test_strength_validated(ctor, strength):
     with pytest.raises(ValueError, match="outside"):
         ctor(3, strength)
 
 
 def test_replacement_target_validated():
-    for ctor, target in itertools.product((replacement_channel, ReplacementChannel), (2, 5, -1)):
+    for target in (2, 5, -1):
         with pytest.raises(InvalidParameterError, match=rf"target {target} outside \[0, 2\)"):
-            ctor(2, target)
+            ReplacementChannel(2, target)
+
+
+@pytest.mark.parametrize("target", [1.5, 1.0, True, "1"])
+def test_replacement_target_must_be_an_integer(target):
+    with pytest.raises(InvalidParameterError, match="is not an integer"):
+        ReplacementChannel(2, target)
 
 
 @pytest.mark.parametrize("noise", [-0.5, 1.5, float("nan"), float("inf")])

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from statepool import io
 from statepool.cli import main
-from statepool.scenario import random_instance
+from statepool.scenario import GENERATORS, random_instance
 
 from oracles import kraus_list_config
 
@@ -167,7 +167,7 @@ OPTIONS = {
     "scenario-run": {"--rank-tol": TOLS, "--herm-tol": TOLS},
     "scenario-batch": {"--count": value(st.integers(-1, 2)),
                        "--seed": value(st.integers(-3, 2**63)),
-                       "--generator": st.sampled_from(["random", "adversarial"])},
+                       "--generator": st.sampled_from(list(GENERATORS))},
     "randgen": {"--dim": value(st.integers(-2, 65)), "--seed": value(st.integers(-3, 2**63)),
                 "--noise": TOLS},
 }

@@ -28,7 +28,7 @@ from statepool.pooling import quantum_pool
 from statepool.regions import make_hybrid
 from statepool.scenario import (
     AgentPipeline, Channel, DepolarizingChannel, ScenarioConfig, UnitaryDynamics,
-    adversarial_instance, batch_report, depolarizing_channel, haar_unitary, random_instance,
+    adversarial_instance, batch_report, haar_unitary, random_instance,
     run_scenario,
 )
 
@@ -132,6 +132,47 @@ class TestSeeds:
     @pytest.mark.parametrize("make", [random_instance, adversarial_instance])
     def test_seed_sequence_recorded_as_zero(self, make):
         assert make(2, [5, 2, 0, 1]).seed == 0
+
+    @pytest.mark.parametrize("make", [
+        lambda seed: random_instance(2, seed),
+        lambda seed: adversarial_instance(2, seed),
+        lambda seed: batch_report([2], 1, [0.5], seed),
+    ], ids=["random_instance", "adversarial_instance", "batch_report"])
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "x", "1", True, None, np.float64(1.0)],
+                             ids=["1.5", "1.0", "x", "str1", "True", "None", "float64"])
+    def test_non_integer_seed_rejected(self, make, seed):
+        # batch_report once truncated 1.5 to 1; None drew OS entropy and recorded 0
+        with pytest.raises(InvalidParameterError, match="is not an integer"):
+            make(seed)
+
+    @pytest.mark.parametrize("seed, message", [
+        ([3, -1], "seed -1 < 0"), ((3, 1.5), "seed 1.5 is not an integer"),
+        ([True], "seed True is not an integer"), ([[3, 1]], r"seed \[3, 1\] is not an integer"),
+    ])
+    @pytest.mark.parametrize("make", [random_instance, adversarial_instance])
+    def test_bad_seed_sequence_entry_rejected(self, make, seed, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            make(2, seed)
+
+    def test_batch_seed_is_one_integer(self):
+        with pytest.raises(InvalidParameterError, match=r"seed \[3, 1\] is not an integer"):
+            batch_report([2], 1, [0.5], [3, 1])
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: batch_report([2], 2.5, [0.5], 1), "count 2.5 is not an integer"),
+        (lambda: batch_report([2], True, [0.5], 1), "count True is not an integer"),
+        (lambda: batch_report([2.0], 1, [0.5], 1), "dim 2.0 is not an integer"),
+        (lambda: random_instance(2.0, 1), "dim 2.0 is not an integer"),
+        (lambda: adversarial_instance("2", 1), "dim '2' is not an integer"),
+    ], ids=["batch-count-2.5", "batch-count-True", "batch-dim-2.0", "random-dim-2.0",
+            "adversarial-dim-str"])
+    def test_non_integer_count_and_dim_rejected(self, call, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            call()
+
+    def test_numpy_integers_accepted_where_a_generator_is_entered(self):
+        ints = batch_report([2, 3], 2, [0.5], 4)
+        assert batch_report([np.int64(2), np.uint8(3)], np.int32(2), [0.5], np.uint16(4)) == ints
 
     @pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint8(7)])
     def test_config_seed_written_as_given(self, seed):
@@ -447,4 +488,4 @@ def test_typed_hybrid_fields_still_read():
 @pytest.mark.parametrize("strength", [10**400, -10**400], ids=["1e400", "-1e400"])
 def test_int_strength_beyond_float_range(strength):
     with pytest.raises(InvalidParameterError, match="integer beyond float range"):
-        depolarizing_channel(2, strength)
+        DepolarizingChannel(2, strength)

@@ -18,7 +18,7 @@ from statepool.pooling import (
     quantum_minimal_sufficient_statistic,
     quantum_pool,
 )
-from statepool.scenario import apply_channel, depolarizing_channel
+from statepool.scenario import DepolarizingChannel, apply_channel
 
 from oracles import rand_density, rand_herm, rand_prob, rand_psd
 
@@ -222,7 +222,7 @@ class TestPooledMap:
 
     def test_identity_and_fixed_channel(self):
         rng = np.random.default_rng(10)
-        ch = depolarizing_channel(3, 0.4)
+        ch = DepolarizingChannel(3, 0.4)
         gamma = pooled_map(lambda r: r, lambda r: apply_channel(ch, r))
         rho = rand_density(rng, 3)
         assert max_norm(gamma(rho).pooled - apply_channel(ch, rho)) < 1e-10
@@ -233,7 +233,7 @@ class TestPooledMap:
         # Expected values computed independently with exact rational
         # arithmetic on the diagonal entries s1_i * s2_i / r_i.
         def assign(weight):
-            ch = depolarizing_channel(2, weight)
+            ch = DepolarizingChannel(2, weight)
             return lambda r: apply_channel(ch, r)
 
         gamma = pooled_map(assign(0.5), assign(0.25))

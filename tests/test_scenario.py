@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
 
-from statepool import io
+from statepool import io, scenario
 from statepool.errors import DimensionMismatchError, NonHermitianPoolingProductError
 from statepool.linalg import max_norm, partial_trace, tensor
 from statepool.pooling import quantum_pool
 from statepool.scenario import (
     AgentPipeline,
+    DephasingChannel,
+    DepolarizingChannel,
     KrausChannel,
+    ReplacementChannel,
     ScenarioConfig,
     UnitaryDynamics,
     adversarial_instance,
     apply_channel,
     batch_report,
-    dephasing_channel,
-    depolarizing_channel,
     haar_unitary,
     random_instance,
-    replacement_channel,
     run_pipeline,
     run_scenario,
 )
@@ -59,7 +59,7 @@ class TestChannels:
     def test_channel_preserves_state_validity(self):
         rng = np.random.default_rng(2)
         for dim in (2, 4, 8):
-            ch = depolarizing_channel(dim, 0.7)
+            ch = DepolarizingChannel(dim, 0.7)
             for _ in range(10):
                 out = apply_channel(ch, rand_density(rng, dim))
                 assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
@@ -103,15 +103,15 @@ class TestPipelines:
         rng = np.random.default_rng(7)
         rho = rand_density(rng, 2)
         u = UnitaryDynamics(rand_unitary(rng, 2))
-        ch = dephasing_channel(2, 0.3)
+        ch = DephasingChannel(2, 0.3)
         p = AgentPipeline("W", (u, ch))
         assert max_norm(run_pipeline(p, rho) - apply_channel(ch, apply_channel(u, rho))) < 1e-12
 
     def test_fixed_instance_regression(self):
         # frozen posteriors for a fixed qubit instance, computed once
         rho = np.diag([0.6, 0.4])
-        wanda = AgentPipeline("Wanda", (dephasing_channel(2, 0.5),))
-        theo = AgentPipeline("Theo", (UnitaryDynamics(HADAMARD), depolarizing_channel(2, 0.5)))
+        wanda = AgentPipeline("Wanda", (DephasingChannel(2, 0.5),))
+        theo = AgentPipeline("Theo", (UnitaryDynamics(HADAMARD), DepolarizingChannel(2, 0.5)))
         s1 = run_pipeline(wanda, rho)
         s2 = run_pipeline(theo, rho)
         assert max_norm(s1 - np.diag([0.6, 0.4])) < 1e-12
@@ -162,8 +162,8 @@ class TestRunScenario:
         rng = np.random.default_rng(9)
         cfg = ScenarioConfig(
             prior=rand_density(rng, 2),
-            pipelines=(AgentPipeline("W", (replacement_channel(2, 0),)),
-                       AgentPipeline("T", (replacement_channel(2, 1),))),
+            pipelines=(AgentPipeline("W", (ReplacementChannel(2, 0),)),
+                       AgentPipeline("T", (ReplacementChannel(2, 1),))),
         )
         res = run_scenario(cfg)
         assert not res.verdict.compatible
@@ -177,8 +177,8 @@ class TestRunScenario:
         prior = np.diag([0.5, 0.3, 0.2])
         cfg = ScenarioConfig(
             prior=prior,
-            pipelines=(AgentPipeline("W", (dephasing_channel(3, 1.0),)),
-                       AgentPipeline("T", (dephasing_channel(3, 0.4),))),
+            pipelines=(AgentPipeline("W", (DephasingChannel(3, 1.0),)),
+                       AgentPipeline("T", (DephasingChannel(3, 0.4),))),
         )
         res = run_scenario(cfg)
         q = lambda m: ProbabilityDistribution((0, 1, 2), np.diagonal(m).real)
@@ -255,6 +255,18 @@ class TestBatchReport:
                             generator="adversarial")
         assert rows[0]["frac_compatible"] == 0.0
 
+    def test_generators_look_up_their_builder_per_call(self, monkeypatch):
+        # a builder rebound as a module global (as a tracer does) is the one batch_report calls
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return random_instance(*args)
+
+        monkeypatch.setattr(scenario, "random_instance", counting)
+        batch_report([2, 3], 2, [0.0, 0.5], 1)
+        assert len(calls) == 8
+
     def test_deterministic(self):
         a = batch_report([2], count=10, noise_grid=[0.3, 0.7], seed=5)
         b = batch_report([2], count=10, noise_grid=[0.3, 0.7], seed=5)
@@ -268,7 +280,7 @@ class TestBatchReport:
             rng = np.random.default_rng(seed)
             prior = np.diag(rng.random(3) + 0.1)
             prior /= np.trace(prior).real
-            ch = dephasing_channel(3, 0.6)
+            ch = DephasingChannel(3, 0.6)
             cfg = ScenarioConfig(prior=prior,
                                  pipelines=(AgentPipeline("W", (ch,)),
                                             AgentPipeline("T", (ch,))))

@@ -27,9 +27,8 @@ from statepool.linalg import (
 )
 from statepool.pooling import _pool, quantum_pool
 from statepool.scenario import (
-    AgentPipeline, ScenarioConfig, UnitaryDynamics, adversarial_instance, batch_report,
-    dephasing_channel, depolarizing_channel, haar_unitary, random_instance, run_pipeline,
-    run_scenario,
+    AgentPipeline, DephasingChannel, DepolarizingChannel, ScenarioConfig, UnitaryDynamics,
+    adversarial_instance, batch_report, haar_unitary, random_instance, run_pipeline, run_scenario,
 )
 
 from oracles import rand_density, rand_psd
@@ -539,7 +538,7 @@ class TestPriorSpectrumFromTheDensityCheck:
             io.pooling_report_to_json(want))
 
     def test_rank_deficient_prior_reports_prior_support_error(self):
-        steps = (depolarizing_channel(3, 0.5),)  # full-rank posteriors
+        steps = (DepolarizingChannel(3, 0.5),)  # full-rank posteriors
         cfg = ScenarioConfig(np.diag([0.5, 0.5, 0.0]),
                              (AgentPipeline("W", steps), AgentPipeline("T", steps)))
         res = run_scenario(cfg)
@@ -624,7 +623,7 @@ class TestClampedPriorIsNeverInverted:
 
     @pytest.mark.parametrize("pipelines, evolved_by, pooled", [
         ((), None, [1.0, 0.0]),
-        ((dephasing_channel(2, 0.5),), None, [1.0, 0.0]),
+        ((DephasingChannel(2, 0.5),), None, [1.0, 0.0]),
         ((X,), X, [0.0, 1.0]),
     ], ids=["empty", "dephasing", "evolved"])
     def test_scenario_posteriors_share_the_clamped_support(self, pipelines, evolved_by, pooled):

@@ -172,6 +172,13 @@ class TestUsageErrorsAsJSON:
         assert json.loads(out.out)["error"] == "malformed_input"
         assert out.err == ""
 
+    def test_unknown_generator_payload_pinned(self, capsys):
+        # argparse words this the same from Python 3.10 to 3.13; the choices are GENERATORS' keys
+        code, out = run_cli(capsys, "scenario-batch", "--generator", "bogus")
+        assert code == 2 and out.err == ""
+        assert out.out == ('{"error": "malformed_input", "message": "argument --generator: invalid '
+                           "choice: 'bogus' (choose from 'random', 'adversarial')\"}\n")
+
     def test_help_exits_0(self, capsys):
         code, out = run_cli(capsys, "randgen", "--help")
         assert code == 0 and "usage:" in out.out
