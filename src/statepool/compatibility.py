@@ -121,8 +121,8 @@ def quantum_compatible(s1, s2, tol: Tolerances = Tolerances()) -> CompatibilityV
     InvalidParameterError.  A state that one Cholesky certifies positive
     definite is not decomposed: its support is the whole space, in the
     identity basis; any other state goes through one ``eigh``."""
-    (_, supp1), (_, supp2) = _checked_states(tol, s1=s1, s2=s2)
-    return _support_verdict(supp1, supp2)
+    (_, _, op1), (_, _, op2) = _checked_states(tol, s1=s1, s2=s2)
+    return _support_verdict(op1.support(), op2.support())
 
 
 def _support_verdict(p: Subspace, q: Subspace) -> CompatibilityVerdict:

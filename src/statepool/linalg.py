@@ -19,20 +19,17 @@ Conventions
   PSD square root all derive from one ``Spectrum``.  Its rank cut, written
   once in ``Spectrum.of``, keeps ``|w| > rank_tol * max|w|``; PSD means
   ``min w >= -PSD_TOL * max(max|w|, 1)`` (``_psd_floor``), and eigenvalues
-  between that floor and zero are clamped to zero; a pooling prior's
-  ``Spectrum`` holds them as 0 (``_clamped``), so ``pinv`` never inverts one
-  and no checked matrix is rebuilt, and a scenario's density check hands it on.
-  A state's support (``_state_support``) is cut from that clamped spectrum
-  too, so a posterior's support never holds a direction its prior's drops.
-* An operator one Cholesky certifies full rank (``_certified_full_rank``)
-  needs no ``eigh``: the certificate holds only where the cut above would
-  keep every eigenvalue, so the operator is positive definite, its support
-  is the whole space, ``Subspace.full``, in the identity basis, and its
-  pseudo-inverse is its inverse, which pooling applies with one LU solve.
-  ``support_projector``, the input check of ``quantum_compatible`` and
-  ``quantum_pool`` (every state, the prior included), the density check, a
-  scenario's posteriors and the evolved pooling prior share that routine,
-  ``_uncertified_spectrum``; a state it cannot certify falls back to ``Spectrum.of``.
+  between that floor and zero are clamped to zero.
+* A checked state is one operand, ``_spectrum``: ``_FullRank`` when one
+  Cholesky certifies it (``_certified_full_rank``), which holds only where
+  the cut above keeps every eigenvalue, so it is positive definite with
+  support ``Subspace.full`` and its inverse as pseudo-inverse, applied by
+  one LU solve; else its ``Spectrum``.  Both answer ``is_psd``, ``clamped``,
+  ``support``, ``full_rank`` and ``pool_product``.  Every state that
+  ``_checked_states`` or a scenario hands on is clamped, so ``pinv`` never
+  inverts a clamped eigenvalue, no checked matrix is rebuilt, and a
+  posterior's support never holds a direction its prior's drops;
+  ``support_projector`` reads the unclamped support.
 * A caller sets ``rank_tol`` and ``herm_tol`` through one ``Tolerances``
   record, which rejects a NaN, infinite or negative value, or ``rank_tol >= 1``,
   as InvalidParameterError (CLI exit 2), never a verdict.  Every other
@@ -117,26 +114,22 @@ def check_hermitian(m, name: str, herm_tol: float = Tolerances.herm_tol) -> None
         raise InvalidParameterError(f"{name} is not Hermitian (residual {residual:.3e})")
 
 
-def _checked_states(tol: Tolerances, spectra=(), **states) -> list:
-    """(symmetrized matrix, clamped Spectrum cut at ``tol.rank_tol`` or None)
-    for each state named in ``spectra`` and (matrix, ``_state_support``) for
-    every other, once all are square matrices of one shape, Hermitian within
-    ``tol.herm_tol`` and PSD; else an error that names the first offending
-    state, Hermiticity of every state before PSD.  A state is decomposed only
-    if ``_uncertified_spectrum`` cannot certify it positive definite; a
-    certified state in ``spectra`` comes with None."""
+def _checked_states(tol: Tolerances, **states) -> list:
+    """(matrix, symmetrized matrix, clamped ``_spectrum`` cut at ``tol.rank_tol``)
+    for every state, once all are square matrices of one shape, Hermitian
+    within ``tol.herm_tol`` and PSD; else an error that names the first
+    offending state, Hermiticity of every state before PSD."""
     mats = {name: as_matrix(m) for name, m in states.items()}
     if len({m.shape for m in mats.values()}) > 1:
         raise DimensionMismatchError(f"states {', '.join(mats)} have different dims")
     for name, m in mats.items():
         check_hermitian(m, name, tol.herm_tol)
     hermitian = {name: (m + m.conj().T) / 2 for name, m in mats.items()}  # hermitize, unchecked
-    found = {name: _uncertified_spectrum(h, tol.rank_tol) for name, h in hermitian.items()}
+    found = {name: _spectrum(h, tol.rank_tol) for name, h in hermitian.items()}
     for name, s in found.items():
-        if s is not None and not s.is_psd():
+        if not s.is_psd():
             raise InvalidParameterError(f"{name} is not PSD (eigenvalue {s.w.min():.3e})")
-    return [(hermitian[name], _clamped(s)) if name in spectra else
-            (mats[name], _state_support(s, len(mats[name]))) for name, s in found.items()]
+    return [(mats[name], hermitian[name], s.clamped()) for name, s in found.items()]
 
 
 def tensor(*ops) -> np.ndarray:
@@ -320,34 +313,47 @@ class Spectrum:
         """f applied to the eigenvalues clamped at zero (callers check ``is_psd`` first)."""
         return (self.v * f(np.clip(self.w, 0.0, None))) @ self.v.conj().T
 
+    def clamped(self) -> "Spectrum":
+        """This spectrum, checked PSD, with its negative eigenvalues set to 0: same ``v`` and cut."""
+        return Spectrum(np.clip(self.w, 0.0, None), self.v, self.cut)
+
+    full_rank = property(lambda self: bool(self.kept.all()))
+
+    def pool_product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x @ self.pinv() @ y  # x a⁺ y
+
+
+@dataclass(frozen=True)
+class _FullRank:
+    """A Hermitian ``a`` that ``_certified_full_rank`` proves positive definite with
+    every eigenvalue kept: PSD, its own clamp, full support, a⁻¹ by one LU solve."""
+
+    a: np.ndarray = field(repr=False)
+    full_rank = True
+
+    def is_psd(self) -> bool:
+        return True
+
+    def clamped(self) -> "_FullRank":
+        return self
+
+    def support(self) -> Subspace:
+        return Subspace.full(self.a.shape[0])
+
+    def pool_product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x @ np.linalg.solve(self.a, y)  # x a⁻¹ y
+
+
+def _spectrum(a: np.ndarray, rank_tol: float) -> Spectrum | _FullRank:
+    """``_FullRank(a)`` if ``_certified_full_rank(a, rank_tol)``, else ``Spectrum.of``."""
+    return _FullRank(a) if _certified_full_rank(a, rank_tol) else Spectrum._of_hermitian(a, rank_tol)
+
 
 def support_projector(h, rank_tol: float = Tolerances.rank_tol) -> Subspace:
-    """Span of eigenvectors with |eigenvalue| > rank_tol * max|eigenvalue|.
-
-    The zero operator yields the empty subspace.  A matrix that
-    ``_certified_full_rank`` proves full rank yields ``Subspace.full`` with
-    no eigendecomposition; any other goes through ``Spectrum.of``.
-    """
-    a = hermitize(h)
-    s = _uncertified_spectrum(a, rank_tol)
-    return Subspace.full(a.shape[0]) if s is None else s.support()
-
-
-def _uncertified_spectrum(a: np.ndarray, rank_tol: float) -> Spectrum | None:
-    """None when ``_certified_full_rank`` proves the Hermitian ``a`` positive
-    definite with every eigenvalue kept at ``rank_tol`` (so PSD, with the whole
-    space as support), else ``Spectrum.of(a, rank_tol)``."""
-    return None if _certified_full_rank(a, rank_tol) else Spectrum._of_hermitian(a, rank_tol)
-
-
-def _clamped(s: Spectrum | None) -> Spectrum | None:
-    """``s``, checked PSD, with its negative eigenvalues set to 0: same ``v``, same cut."""
-    return None if s is None else Spectrum(np.clip(s.w, 0.0, None), s.v, s.cut)
-
-
-def _state_support(s: Spectrum | None, d: int) -> Subspace:
-    """A state's support from its ``_uncertified_spectrum``: that of ``_clamped(s)``."""
-    return Subspace.full(d) if s is None else _clamped(s).support()
+    """Span of eigenvectors with |eigenvalue| > rank_tol * max|eigenvalue|, read
+    off the unclamped ``_spectrum``: ``Subspace.full`` for a certified matrix,
+    with no eigendecomposition; the zero operator yields the empty subspace."""
+    return _spectrum(hermitize(h), rank_tol).support()
 
 
 def _certified_full_rank(a: np.ndarray, rank_tol: float) -> bool:

@@ -101,38 +101,27 @@ def quantum_pool(prior, s1, s2, tol: Tolerances = Tolerances()) -> PoolingReport
     space, and the prior's pseudo-inverse is its inverse, applied to s2 with
     one LU solve.  Any other state is decomposed once.
     """
-    (h, prior_spectrum), (a, supp1), (b, supp2) = _checked_states(
-        tol, ("prior",), prior=prior, s1=s1, s2=s2)
-    return _pool(h, prior_spectrum, a, b, supp1, supp2, None, tol)
+    (_, _, prior_op), (a, _, op1), (b, _, op2) = _checked_states(tol, prior=prior, s1=s1, s2=s2)
+    return _pool(prior_op, a, b, op1.support(), op2.support(), None, tol)
 
 
-def _product(prior, prior_spectrum, a, b) -> np.ndarray:
-    """The pooling product a prior⁺ b: ``a @ solve(prior, b)`` when
-    ``prior_spectrum`` is None (a prior certified positive definite), else
-    ``a @ prior_spectrum.pinv() @ b``.  Overflow is not warned about: it
-    leaves non-finite entries, which the caller reports as InvalidParameterError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if prior_spectrum is not None:
-            return a @ prior_spectrum.pinv() @ b
-        try:
-            return a @ np.linalg.solve(prior, b)
-        except np.linalg.LinAlgError:  # positive definite, so only non-finite pivots fail
-            raise InvalidParameterError(_OVERFLOW) from None
-
-
-def _pool(prior, prior_spectrum, a, b, supp1, supp2, verdict, tol: Tolerances) -> PoolingReport:
-    """``quantum_pool`` from the symmetrized prior and its spectrum (None for a
-    prior certified positive definite) and the posteriors' supports; ``verdict``
-    is their compatibility when the caller has decided it, else None.  A
-    full-rank prior's support is the whole space, which holds both supports."""
-    if prior_spectrum is not None and not prior_spectrum.kept.all():
-        proj = prior_spectrum.support().projector()
+def _pool(prior, a, b, supp1, supp2, verdict, tol: Tolerances) -> PoolingReport:
+    """``quantum_pool`` from the prior's clamped ``_spectrum``, the posteriors and
+    their supports; ``verdict`` is their compatibility if the caller decided it,
+    else None.  A full-rank prior's support holds both supports.  An overflowing
+    product is not warned about: its non-finite entries are InvalidParameterError."""
+    if not prior.full_rank:
+        proj = prior.support().projector()
         for name, supp in (("s1", supp1), ("s2", supp2)):
             if max_norm(proj @ supp.projector() @ proj - supp.projector()) > SUBSPACE_TOL:
                 raise PriorSupportError(f"support of {name} escapes the prior's support")
     if not (verdict or _support_verdict(supp1, supp2)).compatible:
         raise IncompatibleAssignmentsError("incompatible assignments: disjoint supports")
-    t = _product(prior, prior_spectrum, a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            t = prior.pool_product(a, b)
+        except np.linalg.LinAlgError:  # positive definite, so only non-finite pivots fail
+            raise InvalidParameterError(_OVERFLOW) from None
     if not np.isfinite(t).all():
         raise InvalidParameterError(_OVERFLOW)
     if not t.any():  # the supports meet, so only underflow leaves nothing

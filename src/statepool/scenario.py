@@ -18,8 +18,8 @@ from .compatibility import CompatibilityVerdict, _support_verdict
 from .errors import (DimensionMismatchError, IncompatibleAssignmentsError, InvalidParameterError,
                      StatePoolError)
 from .linalg import (
-    EXACT_TOL, TRACE_TOL, Tolerances, _checked_states, _clamped, _state_support,
-    _uncertified_spectrum, as_matrix, hermitize, max_norm,
+    EXACT_TOL, TRACE_TOL, Tolerances, _checked_states, _spectrum, as_matrix, hermitize,
+    max_norm,
 )
 from .pooling import PoolingReport, _pool
 
@@ -103,6 +103,10 @@ class _ClosedForm(Channel):
 
     dim: int
 
+    def __post_init__(self):
+        if _integer(self.dim, "dim") < 1:
+            raise InvalidParameterError(f"dim {self.dim} < 1")
+
 
 def _unit_interval(x, what: str = "strength") -> float:
     try:
@@ -129,6 +133,7 @@ class _Mixture(_ClosedForm):
     strength: float
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "strength", _unit_interval(self.strength))
 
 
@@ -166,6 +171,7 @@ class ReplacementChannel(_ClosedForm):
     target: int
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0 <= _integer(self.target, "target") < self.dim:
             raise InvalidParameterError(f"target {self.target} outside [0, {self.dim})")
         object.__setattr__(self, "target", range(self.dim)[self.target])
@@ -205,7 +211,7 @@ class ScenarioConfig:
 
     ``prior`` is the input checked (Hermitian within the default ``herm_tol``, PSD,
     unit trace) and symmetrized, bit for bit; the pooling prior is fixed here, once,
-    with its clamped Spectrum, or None when one Cholesky certified it positive definite.
+    as its clamped ``_spectrum``.
     """
 
     prior: np.ndarray = field(repr=False)
@@ -213,13 +219,13 @@ class ScenarioConfig:
     tol: Tolerances = Tolerances()
     seed: int = 0
     evolved_by: UnitaryDynamics | None = None
-    _pooling_prior: tuple = field(init=False, repr=False, compare=False)  # (matrix, Spectrum)
+    _pooling_prior: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.tol, Tolerances):
             raise InvalidParameterError(f"tol is a {type(self.tol).__name__}, not a Tolerances")
-        ((prior, spectrum),) = _checked_states(Tolerances(self.tol.rank_tol), ("prior",),
-                                               prior=self.prior)
+        ((_, prior, pooling_prior),) = _checked_states(Tolerances(self.tol.rank_tol),
+                                                       prior=self.prior)
         tr = float(np.real(np.trace(prior)))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density operator has trace {tr!r}, expected 1")
@@ -244,9 +250,8 @@ class ScenarioConfig:
         object.__setattr__(self, "prior", prior)
         if self.evolved_by is not None:  # pool against its unitary image, symmetrized, unchecked
             m = self.evolved_by.apply(prior)
-            prior = (m + m.conj().T) / 2
-            spectrum = _clamped(_uncertified_spectrum(prior, self.tol.rank_tol))
-        object.__setattr__(self, "_pooling_prior", (prior, spectrum))
+            pooling_prior = _spectrum((m + m.conj().T) / 2, self.tol.rank_tol).clamped()
+        object.__setattr__(self, "_pooling_prior", pooling_prior)
         object.__setattr__(self, "pipelines", pipelines)
 
 
@@ -289,16 +294,16 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     return _judge(cfg._pooling_prior, sigma1, sigma2, cfg.tol)
 
 
-def _judge(pooling_prior: tuple, sigma1, sigma2, tol: Tolerances) -> ScenarioResult:
-    """Supports, verdict, then pooling or its error payload, against (matrix, Spectrum)."""
+def _judge(pooling_prior, sigma1, sigma2, tol: Tolerances) -> ScenarioResult:
+    """Supports, verdict, then pooling or its error payload, against a clamped ``_spectrum``."""
     # hermitize checks the posteriors, which the certificate cannot: a Channel may return NaN
-    supp1, supp2 = (_state_support(_uncertified_spectrum(a, tol.rank_tol), a.shape[0])
+    supp1, supp2 = (_spectrum(a, tol.rank_tol).clamped().support()
                     for a in map(hermitize, (sigma1, sigma2)))
     verdict = _support_verdict(supp1, supp2)
     try:
         if not verdict.compatible:
             raise IncompatibleAssignmentsError(verdict.diagnostics)
-        pooling = _pool(*pooling_prior, sigma1, sigma2, supp1, supp2, verdict, tol)
+        pooling = _pool(pooling_prior, sigma1, sigma2, supp1, supp2, verdict, tol)
     except StatePoolError as exc:
         return ScenarioResult(sigma1, sigma2, verdict, None, exc.payload())
     return ScenarioResult(sigma1, sigma2, verdict, pooling)

@@ -27,7 +27,8 @@ from statepool.linalg import Tolerances
 from statepool.pooling import quantum_pool
 from statepool.regions import make_hybrid
 from statepool.scenario import (
-    AgentPipeline, Channel, DepolarizingChannel, ScenarioConfig, UnitaryDynamics,
+    AgentPipeline, Channel, DephasingChannel, DepolarizingChannel, ReplacementChannel,
+    ScenarioConfig, UnitaryDynamics,
     adversarial_instance, batch_report, haar_unitary, random_instance,
     run_scenario,
 )
@@ -489,3 +490,17 @@ def test_typed_hybrid_fields_still_read():
 def test_int_strength_beyond_float_range(strength):
     with pytest.raises(InvalidParameterError, match="integer beyond float range"):
         DepolarizingChannel(2, strength)
+
+
+@pytest.mark.parametrize("cls, dim, param, message", [
+    (DepolarizingChannel, -2, 0.5, "dim -2 < 1"),
+    (DepolarizingChannel, 0, 0.5, "dim 0 < 1"),
+    (DepolarizingChannel, 2.0, 0.5, "dim 2.0 is not an integer"),
+    (DepolarizingChannel, -1, 7.0, "dim -1 < 1"),  # dim before strength
+    (DephasingChannel, True, 0.1, "dim True is not an integer"),
+    (ReplacementChannel, 1.5, 1, "dim 1.5 is not an integer"),
+    (ReplacementChannel, 0, 0, "dim 0 < 1"),  # dim before target
+])
+def test_closed_form_channel_checks_its_dim(cls, dim, param, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        cls(dim, param)

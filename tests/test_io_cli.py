@@ -1,5 +1,6 @@
 import hashlib
 import json
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -234,6 +235,21 @@ class TestCli:
         code, out = run_cli(capsys, "compat-quantum", str(bad), str(bad))
         assert code == 2
         assert json.loads(out)["error"] == "malformed_input"
+
+    def test_scenario_run_reads_stdin(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cfg.json"
+        assert main(["randgen", "--dim", "2", "--seed", "0", "--output", str(path)]) == 0
+        want = run_cli(capsys, "scenario-run", str(path))
+        monkeypatch.setattr("sys.stdin", StringIO(path.read_text()))
+        assert run_cli(capsys, "scenario-run", "-") == want
+        assert want[0] == 0
+
+    def test_non_json_on_stdin_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", StringIO("{not json"))
+        code, out = run_cli(capsys, "scenario-run", "-")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"] == "malformed_input" and payload["message"].startswith("-: ")
 
     def test_output_to_file(self, tmp_path, capsys):
         a = write_json(tmp_path / "a.json", io.matrix_to_json(np.eye(2) / 2))

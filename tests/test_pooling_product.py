@@ -9,8 +9,8 @@ import pytest
 
 from statepool import scenario
 from statepool.errors import NonHermitianPoolingProductError
-from statepool.linalg import Spectrum, _certified_full_rank, hermitize
-from statepool.pooling import _pool, _product, quantum_pool
+from statepool.linalg import Spectrum, _certified_full_rank, _spectrum, hermitize
+from statepool.pooling import _pool, quantum_pool
 from statepool.scenario import batch_report
 
 from oracles import rand_unitary, spectral_pool
@@ -55,8 +55,8 @@ def test_solve_is_no_less_accurate_than_the_pseudo_inverse(d, kappa):
             prior, s1, s2 = commuting_bayes_draw(d, kappa, seed)
             assert _certified_full_rank(prior, 1e-10)
             exact = mp_matrix(s1) * mpmath.inverse(mp_matrix(prior)) * mp_matrix(s2)
-            solved = relative_error(_product(prior, None, s1, s2), exact)
-            inverted = relative_error(_product(prior, Spectrum.of(prior), s1, s2), exact)
+            solved = relative_error(_spectrum(prior, 1e-10).pool_product(s1, s2), exact)
+            inverted = relative_error(Spectrum.of(prior).pool_product(s1, s2), exact)
             assert solved <= inverted
 
 
@@ -82,9 +82,10 @@ def test_batch_verdicts_do_not_move(monkeypatch):
     rows = batch_report(dims, 2, noise, 3)
     decomposed = []
 
-    def pool_on_the_spectrum(prior, spectrum, *rest):
-        decomposed.append(spectrum is None)
-        return _pool(prior, spectrum or Spectrum.of(prior, rest[-1].rank_tol), *rest)
+    def pool_on_the_spectrum(prior, *rest):
+        certified = not isinstance(prior, Spectrum)
+        decomposed.append(certified)
+        return _pool(Spectrum.of(prior.a, rest[-1].rank_tol) if certified else prior, *rest)
 
     monkeypatch.setattr(scenario, "_pool", pool_on_the_spectrum)
     oracle = batch_report(dims, 2, noise, 3)

@@ -22,7 +22,7 @@ from statepool.errors import (
     StatePoolError,
 )
 from statepool.linalg import (
-    Spectrum, Subspace, Tolerances, _certified_full_rank, hermitize, max_norm,
+    Spectrum, Subspace, Tolerances, _certified_full_rank, _spectrum, hermitize, max_norm,
     subspace_intersection, support_projector,
 )
 from statepool.pooling import _pool, quantum_pool
@@ -396,6 +396,7 @@ class TestFullRankCertificate:
         (np.diag([1.0, -0.5]), 2),  # indefinite: eigh keeps both
         (np.diag([-1.0, -1.0]), 2),  # negative trace
         (np.diag([1.0, 0.0, 0.0]), 1),
+        (np.diag([1.0, -1e-9]), 2),  # unclamped: -1e-9 is past the cut, so it stays
     ])
     def test_falls_back_to_eigh(self, monkeypatch, m, rank):
         c = Counter(monkeypatch)
@@ -477,8 +478,8 @@ def _pool_recomputing_the_prior(cfg):
     """``run_scenario``'s pooling step with the prior decomposed afresh."""
     sigma1, sigma2 = (run_pipeline(p, cfg.prior) for p in cfg.pipelines)
     supp1, supp2 = (Spectrum.of(s, cfg.tol.rank_tol).support() for s in (sigma1, sigma2))
-    return _pool(cfg.prior, Spectrum.of(cfg.prior, cfg.tol.rank_tol), sigma1, sigma2, supp1,
-                 supp2, None, cfg.tol)
+    return _pool(Spectrum.of(cfg.prior, cfg.tol.rank_tol), sigma1, sigma2, supp1, supp2, None,
+                 cfg.tol)
 
 
 def evolved_configs(d):
@@ -512,10 +513,10 @@ class TestPriorSpectrumFromTheDensityCheck:
     def test_kept_spectrum_is_that_of_the_checked_prior(self, rank_tol):
         cfg = dataclasses.replace(random_instance(4, 5, 0.5), tol=Tolerances(rank_tol=rank_tol))
         fresh = Spectrum.of(cfg.prior, cfg.tol.rank_tol)
-        prior, spectrum = cfg._pooling_prior
-        assert prior is cfg.prior
+        spectrum = cfg._pooling_prior
         if rank_tol == 1e-10:  # one Cholesky certifies the prior: no spectrum is kept
-            assert fresh.kept.all() and spectrum is None
+            assert spectrum.a is cfg.prior
+            assert fresh.kept.all() and not isinstance(spectrum, Spectrum)
             return
         assert not fresh.kept.all()  # a cut at 0.2 drops an eigenvalue: the certificate fails
         assert np.array_equal(spectrum.w, fresh.w)
@@ -530,8 +531,8 @@ class TestPriorSpectrumFromTheDensityCheck:
         cfg = ScenarioConfig(prior, (AgentPipeline("W"), AgentPipeline("T")))
         assert np.linalg.eigvalsh(prior).min() < 0
         assert np.array_equal(cfg.prior, (prior + prior.conj().T) / 2)
-        assert cfg._pooling_prior[1].w.min() == 0
-        assert cfg._pooling_prior[1].support().rank == 2
+        assert cfg._pooling_prior.w.min() == 0
+        assert cfg._pooling_prior.support().rank == 2
         res, want = run_scenario(cfg), _pool_recomputing_the_prior(cfg)
         assert res.pooling_error is None
         assert io.dumps(io.pooling_report_to_json(res.pooling)) == io.dumps(
@@ -556,7 +557,7 @@ class TestPriorSpectrumFromTheDensityCheck:
         c = Counter(monkeypatch)
         cfg = ScenarioConfig(prior, (AgentPipeline("W"), AgentPipeline("T")))
         assert c.count("eigh") == 1 and c.count("eigvalsh", "svd") == 0
-        assert cfg._pooling_prior[1].support().rank == d - 1
+        assert cfg._pooling_prior.support().rank == d - 1
 
     @pytest.mark.parametrize("d, rank", [(d, r) for d in (2, 3, 4, 8) for r in range(1, d)])
     def test_rank_deficient_config_decodes_to_the_same_bytes(self, d, rank):
@@ -586,9 +587,9 @@ class TestPriorSpectrumFromTheDensityCheck:
         calls = []
         monkeypatch.setattr(Subspace, "projector", lambda self: calls.append(self) or np.eye(3))
         s = np.diag([0.5, 0.5, 0.0])
-        for spectrum in (Spectrum.of(np.eye(3) / 3), None):
-            _pool(np.eye(3) / 3, spectrum, s, s, Spectrum.of(s).support(),
-                  Spectrum.of(s).support(), None, Tolerances())
+        for prior in (Spectrum.of(np.eye(3) / 3), _spectrum(np.eye(3) / 3, 1e-10)):
+            _pool(prior, s, s, Spectrum.of(s).support(), Spectrum.of(s).support(), None,
+                  Tolerances())
         assert calls == []
 
 
