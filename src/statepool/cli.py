@@ -8,11 +8,13 @@ pooling product, ...) with a machine-readable {"error": ...} payload, 2
 malformed input, an out-of-range argument or a usage error (an unknown
 flag, ...) with a {"error": "malformed_input"} payload.  Numeric output has
 17 significant digits and no timestamps, so identical runs are byte-identical.
+The argument parser is built once per process, on the first ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -33,7 +35,7 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # not JSON, not UTF-8, an int beyond the digit limit
         raise MalformedInputError(f"{path}: {exc}") from exc
 
 
@@ -41,9 +43,12 @@ def _write(payload, path: str) -> None:
     text = io.dumps(payload)
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise MalformedInputError(f"{path}: {exc}") from exc
 
 
 def _write_verdict(verdict, path: str) -> int:
@@ -166,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("scenario-batch", _cmd_scenario_batch,
             "batch compatibility/pooling statistics over generated instances")
-    p.add_argument("--dim", type=int, nargs="+", default=[2])
+    p.add_argument("--dim", type=int, nargs="+", default=(2,))
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--noise", type=float, nargs="+", default=[0.5])
+    p.add_argument("--noise", type=float, nargs="+", default=(0.5,))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--generator", choices=GENERATORS, default="random")
 
@@ -180,9 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state on the parser, and every default is immutable
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:  # --help; a usage error is MalformedInputError
         return exc.code or 0

@@ -1,9 +1,10 @@
 """Fuzzed CLI: every subcommand ends in exit 0, 1 or 2, never a traceback.
 
 Each example writes fuzzed JSON files (arbitrary JSON, near-valid matrices,
-distributions, tables and mutated scenario configs, or text that is not
-JSON) and runs ``cli.main`` on them with fuzzed option values.  Whatever the
-exit code, standard output must be one JSON document, and for exit 1 and 2
+distributions, tables and mutated scenario configs, text that is not JSON,
+bytes that are not UTF-8, or an integer past the 4300-digit limit) and runs
+``cli.main`` on them with fuzzed option values.  Whatever the exit code,
+standard output must be one JSON document, and for exit 1 and 2
 it must be an ``{"error": ...}`` payload or, from ``compat-*``, the
 verdict ``"compatible": false``.  An exception escaping ``main``
 fails the test with its traceback.
@@ -142,8 +143,13 @@ FILE_KINDS = {
 }
 
 
+NOT_JSON = ["{not json", "", "[1, 2",
+            b"\xff\xfe{}",  # not UTF-8
+            "1" * 4301]  # past the interpreter's 4300-digit limit on int(str)
+
+
 def file_contents(kind):
-    return st.one_of(FILE_KINDS[kind], ANY_JSON, st.sampled_from(["{not json", "", "[1, 2"]))
+    return st.one_of(FILE_KINDS[kind], ANY_JSON, st.sampled_from(NOT_JSON))
 
 
 def value(strategy):
@@ -197,8 +203,10 @@ def run(contents, argv):
         paths = []
         for i, obj in enumerate(contents):
             paths.append(os.path.join(tmp, f"{i}.json"))
-            with open(paths[-1], "w", encoding="utf-8") as fh:
-                fh.write(obj if isinstance(obj, str) else json.dumps(obj))
+            if not isinstance(obj, (str, bytes)):
+                obj = json.dumps(obj)
+            with open(paths[-1], "wb") as fh:
+                fh.write(obj if isinstance(obj, bytes) else obj.encode())
         out = _io.StringIO()
         with contextlib.redirect_stdout(out), np.errstate(all="ignore"):
             code = main([argv[0], *paths, *argv[1:]])

@@ -1,11 +1,13 @@
+import argparse
 import hashlib
 import json
-from io import StringIO
+import sys
+from io import BytesIO, StringIO, TextIOWrapper
 
 import numpy as np
 import pytest
 
-from statepool import io
+from statepool import cli, io
 from statepool.cli import main
 from statepool.compatibility import ProbabilityDistribution, classical_compatible, quantum_compatible
 from statepool.errors import DimensionMismatchError
@@ -17,6 +19,8 @@ from statepool.scenario import (
 )
 
 from oracles import kraus_list_config, rand_density, rand_psd
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: Python < 3.10.7
 
 
 def write_json(path, obj):
@@ -251,9 +255,83 @@ class TestCli:
         payload = json.loads(out)
         assert payload["error"] == "malformed_input" and payload["message"].startswith("-: ")
 
+    @pytest.mark.parametrize("bad", [
+        pytest.param(b"\xff\xfe{}", id="not-utf8"),
+        pytest.param(b"1" * (DIGIT_LIMIT + 1), id="int-beyond-digit-limit",
+                     marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no integer digit limit")),
+    ])
+    @pytest.mark.parametrize("command, n_files", [
+        ("scenario-run", 1), ("compat-quantum", 2), ("pool-classical", 3), ("suffstat", 1),
+    ])
+    @pytest.mark.parametrize("via_stdin", [False, True], ids=["file", "stdin"])
+    def test_undecodable_input_exit_2(self, tmp_path, capsys, monkeypatch, bad, command, n_files,
+                                      via_stdin):
+        path = tmp_path / "bad.json"
+        path.write_bytes(bad)
+        paths = [str(path)] * n_files
+        if via_stdin:  # strict UTF-8, as sys.stdin is outside the POSIX locale
+            monkeypatch.setattr("sys.stdin", TextIOWrapper(BytesIO(bad), encoding="utf-8"))
+            paths[0] = "-"
+        code, out = run_cli(capsys, command, *paths)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"] == "malformed_input"
+        assert payload["message"].startswith(f"{paths[0]}: ")
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, where):
+        target = str(tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path)
+        code, out = run_cli(capsys, "randgen", "--output", target)
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"] == "malformed_input"
+        assert payload["message"].startswith(f"{target}: ")
+
     def test_output_to_file(self, tmp_path, capsys):
         a = write_json(tmp_path / "a.json", io.matrix_to_json(np.eye(2) / 2))
         out_path = tmp_path / "out.json"
         code, _ = run_cli(capsys, "compat-quantum", a, a, "--output", str(out_path))
         assert code == 0
         assert json.loads(out_path.read_text())["compatible"] is True
+
+
+def test_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
+    """One parser serves every ``main`` call: valid runs, usage errors and
+    --help give the same bytes in any order, and it is built only once."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(io.dumps(io.scenario_config_to_json(random_instance(2, 3, 0.5))))
+    argvs = [
+        ("randgen", "--dim", "3", "--seed", "5"),
+        ("scenario-run", str(cfg), "--rank-tol", "1e-9"),
+        ("scenario-run", str(cfg)),
+        ("scenario-batch",),  # every default, --dim and --noise included
+        ("scenario-batch", "--dim", "2", "--count", "100", "--noise", "0.5", "--seed", "0"),
+        ("scenario-batch", "--dim", "2", "3", "--count", "2", "--noise", "0", "1",
+         "--generator", "adversarial"),
+        ("randgen", "--bogus"),
+        ("no-such-command",),
+        ("scenario-batch", "--generator", "bogus"),
+        ("randgen", "--dim", "1"),
+        ("--help",),
+        ("scenario-batch", "--help"),
+    ]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser()
+    per_build = len(built)  # the top-level parser and one per subcommand
+    built.clear()
+    cli._shared_parser.cache_clear()
+
+    forward = {argv: run_cli(capsys, *argv) for argv in argvs}
+    backward = {argv: run_cli(capsys, *argv) for argv in reversed(argvs)}
+    assert forward == backward
+    assert len(built) == per_build
+    assert [forward[argv][0] for argv in argvs] == [0] * 6 + [2] * 4 + [0] * 2
+    assert forward[argvs[3]] == forward[argvs[4]]
+    assert forward[("--help",)][1] == cli.build_parser().format_help()
