@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
-import numpy as np
 
 from . import io
 from .compatibility import ConditionalDistribution, classical_compatible, quantum_compatible
@@ -41,14 +41,28 @@ def _read_json(path: str):
 
 def _write(payload, path: str) -> None:
     text = io.dumps(payload)
-    if path == "-":
-        sys.stdout.write(text)
-        return
     try:
+        if path == "-":
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a full or closed stdout fails here, not at interpreter exit
+            return
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise MalformedInputError(f"{path}: {exc}") from exc
+
+
+def _report(payload, code: int) -> int:
+    """Print an error ``payload`` to stdout and return ``code``; if stdout cannot take
+    it, return 2 with stdout pointed at the null device, so the exit flush cannot fail."""
+    try:
+        _write(payload, "-")
+        return code
+    except MalformedInputError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
 
 
 def _write_verdict(verdict, path: str) -> int:
@@ -89,10 +103,10 @@ def _cmd_suffstat(args) -> int:
         cond = ConditionalDistribution(
             tuple(obj["given_outcomes"]),
             tuple(obj["out_outcomes"]),
-            np.asarray(obj["table"], dtype=float),
+            obj["table"],
         )
         classes = [sorted(c) for c in minimal_sufficient_statistic(cond).classes]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # labels that do not sort
+    except (KeyError, TypeError, ValueError) as exc:  # labels that do not sort
         raise MalformedInputError(f"bad conditional table: {exc}") from exc
     _write({"classes": classes}, args.output)
     return 0
@@ -198,14 +212,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help; a usage error is MalformedInputError
         return exc.code or 0
     except (MalformedInputError, InvalidParameterError) as exc:
-        sys.stdout.write(io.dumps({"error": "malformed_input", "message": str(exc)}))
-        return 2
+        return _report({"error": "malformed_input", "message": str(exc)}, 2)
     except StatePoolError as exc:
         payload = exc.payload()
         if isinstance(exc, IncompatibleAssignmentsError):
             payload["compatible"] = False
-        sys.stdout.write(io.dumps(payload))
-        return 1
+        return _report(payload, 1)
 
 
 if __name__ == "__main__":

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import DimensionMismatchError, InvalidParameterError
 from .linalg import (
-    EXACT_TOL, SUM_TOL, SUPPORT_TOL, TRACE_TOL, Subspace, Tolerances, _checked_states,
+    EXACT_TOL, SUM_TOL, SUPPORT_TOL, Subspace, Tolerances, _checked_states, _integer, _reals,
     as_matrix, max_norm, subspace_intersection,
 )
 from .regions import HybridState, quantum_bayes
@@ -31,7 +31,7 @@ class ProbabilityDistribution:
 
     def __post_init__(self):
         outcomes = tuple(self.outcomes)
-        p = np.asarray(self.probs, dtype=float).reshape(-1)
+        p = _reals(self.probs, "probability").reshape(-1)
         if len(outcomes) != p.size:
             raise ValueError("outcomes and probs have different lengths")
         if len(set(outcomes)) != len(outcomes):
@@ -64,7 +64,7 @@ class ConditionalDistribution:
     table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
+        t = _reals(self.table, "conditional probability")
         gy = tuple(self.given_outcomes)
         ox = tuple(self.out_outcomes)
         if t.shape != (len(ox), len(gy)):
@@ -146,8 +146,8 @@ def verify_objective_classical(
     p = np.asarray(joint, dtype=float)
     if p.ndim != 3 or p.shape[0] != len(q1.outcomes):
         raise ValueError(f"joint must have shape (|Y|, |X1|, |X2|), got {p.shape}")
-    if not (0 <= x1 < p.shape[1] and 0 <= x2 < p.shape[2]):
-        raise KeyError(f"outcome ({x1}, {x2}) absent from joint of shape {p.shape}")
+    if not (0 <= _integer(x1, "x1") < p.shape[1] and 0 <= _integer(x2, "x2") < p.shape[2]):
+        raise InvalidParameterError(f"outcome ({x1}, {x2}) absent from joint of shape {p.shape}")
     if abs(p.sum() - 1.0) > EXACT_TOL or np.any(p < -EXACT_TOL):
         raise ValueError("joint is not a normalized distribution")
     if p[:, x1, x2].sum() <= EXACT_TOL:  # condition 1: P(X1=x1, X2=x2) > 0
@@ -205,8 +205,9 @@ def verify_objective_quantum(s1, s2, hybrid: HybridState, x1: int, x2: int) -> b
     if len(hybrid.classical_dims) != 2:
         raise ValueError("witness hybrid must carry exactly two classical registers")
     d1, d2 = hybrid.classical_dims
-    if not (0 <= x1 < d1 and 0 <= x2 < d2):
-        raise KeyError(f"outcome ({x1}, {x2}) absent from registers {hybrid.classical_dims}")
+    if not (0 <= _integer(x1, "x1") < d1 and 0 <= _integer(x2, "x2") < d2):
+        raise InvalidParameterError(f"outcome ({x1}, {x2}) absent from registers "
+                                    f"{hybrid.classical_dims}")
     if hybrid.classical_weight((x1, x2)) <= EXACT_TOL:  # condition 1
         return False
     cond1 = sum(hybrid.block((x1, b)) for b in range(d2))
@@ -221,21 +222,25 @@ def verify_objective_quantum(s1, s2, hybrid: HybridState, x1: int, x2: int) -> b
 def verify_subjective_quantum(s1, s2, likelihoods, x_tilde) -> bool:
     """Check a witness for subjective quantum compatibility.
 
-    ``likelihoods`` maps outcomes x to PSD operators summing to the
-    identity within TRACE_TOL (a valid measurement).  True iff every
-    predictive probability Tr(likelihood(x) s_i) exceeds EXACT_TOL and the
-    quantum Bayes posteriors of the two agents agree at ``x_tilde`` within
-    EXACT_TOL in max-norm.
+    ``likelihoods`` maps outcomes x to PSD operators on the states' space
+    summing to the identity within EXACT_TOL (a valid measurement: their
+    square roots pass ``KrausChannel``'s trace-preservation check).  True
+    iff every predictive probability Tr(likelihood(x) s_i) exceeds EXACT_TOL
+    and the quantum Bayes posteriors of the two agents agree at ``x_tilde``
+    within EXACT_TOL in max-norm.
     """
+    s1, s2 = as_matrix(s1), as_matrix(s2)
     ops = {x: as_matrix(m) for x, m in dict(likelihoods).items()}
     if x_tilde not in ops:
-        raise KeyError(f"outcome {x_tilde!r} absent from likelihoods")
+        raise InvalidParameterError(f"outcome {x_tilde!r} absent from likelihoods")
+    if {m.shape for m in ops.values()} | {s2.shape} != {s1.shape}:
+        raise DimensionMismatchError("likelihoods and states act on different dims")
     total = sum(ops.values())
-    if max_norm(total - np.eye(total.shape[0])) > TRACE_TOL:
+    if not max_norm(total - np.eye(total.shape[0])) <= EXACT_TOL:  # NaN too
         raise ValueError("likelihoods do not sum to the identity")
     for sigma in (s1, s2):
         for m in ops.values():
-            if float(np.real(np.trace(m @ as_matrix(sigma)))) <= EXACT_TOL:
+            if float(np.real(np.trace(m @ sigma))) <= EXACT_TOL:
                 return False
     post1 = quantum_bayes(ops[x_tilde], s1)
     post2 = quantum_bayes(ops[x_tilde], s2)

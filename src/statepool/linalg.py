@@ -40,6 +40,13 @@ Conventions
   ``B1† B2`` are their cosines, and directions with ``cos >= 1 - SUBSPACE_TOL``
   are shared, the criterion ``eig(P + Q) >= 2 - SUBSPACE_TOL`` on an r1 x r2
   matrix.
+* One rule decides what a scalar argument is, ``_integer`` and ``_real``:
+  an integer is a Python or NumPy integer and a real number a
+  ``numbers.Real``, neither a bool, and neither beyond float range; a
+  string, a bool, None, a float where an integer is due or ``10**400`` is
+  InvalidParameterError, never cast, truncated or coerced.  Every function
+  taking a dim, an index, a seed, a strength or a tolerance calls one of
+  them, and ``_reals`` applies ``_real`` to each entry of a probability array.
 * An operand is validated once, where it enters: a public function checks
   it, then private cores (``_sqrt_psd``, ``regions._star``) trust it.  What
   the library builds itself (``Subspace.full``, eigenvector and
@@ -49,6 +56,8 @@ Conventions
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,13 +65,13 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidParameterError, NotPSDError
 
 PSD_TOL = 1e-8  # eigenvalue floor of every PSD decision, relative to max(max|w|, 1)
-TRACE_TOL = 1e-8  # |Tr - 1| of a unit-trace operator; max|sum - I| of a measurement
+TRACE_TOL = 1e-8  # |Tr - 1| of a unit-trace operator
 SUBSPACE_TOL = 1e-8  # orthonormality, principal-angle cut and containment of subspaces
 SUPPORT_TOL = 1e-12  # a probability, or Tr(L rho), above this is possible; below -this, invalid
 SUM_TOL = 1e-12  # |sum - 1| of a probability vector or a column of a conditional table
 EXACT_TOL = 1e-10  # slack of a relation exact for valid input: a witness's weights,
-# conditionals and normalization, a factorization, unitarity, Kraus trace preservation,
-# a hybrid joint's coherences across classical outcomes
+# conditionals and normalization, a factorization, unitarity, Kraus trace preservation and
+# a measurement's sum to I, a hybrid joint's coherences across classical outcomes
 PROPORTIONALITY_TOL = 1e-9  # max-norm between likelihoods after normalization
 
 
@@ -74,10 +83,39 @@ class Tolerances:
     herm_tol: float = 1e-8
 
     def __post_init__(self):
+        for name in ("rank_tol", "herm_tol"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not 0.0 <= self.rank_tol < 1.0:  # also rejects NaN
             raise InvalidParameterError(f"rank_tol {self.rank_tol!r} outside [0, 1)")
         if not 0.0 <= self.herm_tol < np.inf:
             raise InvalidParameterError(f"herm_tol {self.herm_tol!r} is not a finite value >= 0")
+
+
+def _real(x, what: str) -> float:
+    """``x`` as a float, once it is a real number, not a bool, within float range."""
+    if isinstance(x, bool) or not isinstance(x, (float, int, numbers.Real)):  # np.bool_ is no Real
+        raise InvalidParameterError(f"{what} {x!r} is not a real number")
+    try:
+        return float(x)
+    except OverflowError:
+        raise InvalidParameterError(f"{what} is an integer beyond float range") from None
+
+
+def _integer(x, what: str) -> int:
+    """``x`` as an int, once it is a Python or NumPy integer, not a bool, within float range."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise InvalidParameterError(f"{what} {x!r} is not an integer")
+    _real(x, what)
+    return int(x)
+
+
+def _reals(x, what: str) -> np.ndarray:
+    """``x`` as a float array, once ``_real`` accepts each entry as given, before numpy
+    would read a string, a bool or None as a number."""
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
+        for v in np.asarray(x, dtype=object).flat:
+            _real(v, what)
+    return np.asarray(x, dtype=float)
 
 
 def _psd_floor(w) -> float:
@@ -148,12 +186,12 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     in their original order, and Tr(result) == Tr(m).
     """
     a = as_matrix(m)
-    dims = [int(d) for d in dims]
-    if int(np.prod(dims)) != a.shape[0]:
+    dims = [_integer(d, "dim") for d in dims]
+    if math.prod(dims) != a.shape[0]:
         raise DimensionMismatchError(
             f"product of dims {dims} != matrix dimension {a.shape[0]}"
         )
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted({_integer(k, "keep index") for k in keep})
     if any(k < 0 or k >= len(dims) for k in keep):
         raise DimensionMismatchError(f"keep indices {keep} out of range for {len(dims)} factors")
     n = len(dims)
@@ -161,16 +199,16 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     # trace out discarded factors from the highest index down so positions stay valid
     for idx in sorted(set(range(n)) - set(keep), reverse=True):
         t = np.trace(t, axis1=idx, axis2=idx + t.ndim // 2)
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
+    d_keep = math.prod(dims[k] for k in keep)
     return t.reshape(d_keep, d_keep)
 
 
 def permute_factors(m, dims, perm) -> np.ndarray:
     """Reorder tensor factors: factor ``perm[i]`` of the input becomes factor ``i``."""
     a = as_matrix(m)
-    dims = [int(d) for d in dims]
+    dims = [_integer(d, "dim") for d in dims]
     n = len(dims)
-    perm = list(perm)
+    perm = [_integer(p, "perm entry") for p in perm]
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
     t = a.reshape(dims + dims)
@@ -183,15 +221,15 @@ def embed(op, dims, positions) -> np.ndarray:
     the full product space described by ``dims``, tensoring identities on
     every other factor."""
     a = as_matrix(op)
-    dims = [int(d) for d in dims]
-    positions = [int(p) for p in positions]
-    d_pos = int(np.prod([dims[p] for p in positions]))
+    dims = [_integer(d, "dim") for d in dims]
+    positions = [_integer(p, "position") for p in positions]
+    d_pos = math.prod(dims[p] for p in positions)
     if a.shape[0] != d_pos:
         raise DimensionMismatchError(
             f"operator dim {a.shape[0]} != product of factor dims {d_pos}"
         )
     rest = [i for i in range(len(dims)) if i not in positions]
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
+    d_rest = math.prod(dims[i] for i in rest)
     big = np.kron(a, np.eye(d_rest))
     # big currently has factor order positions + rest; permute back
     order = positions + rest

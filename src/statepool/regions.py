@@ -15,6 +15,7 @@ classical convention of only conditioning on possible events).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -22,8 +23,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ImpossibleConditioningError, NotPSDError
 from .linalg import (
-    EXACT_TOL, SUPPORT_TOL, TRACE_TOL, Spectrum, _sqrt_psd, as_matrix, check_hermitian, embed,
-    hermitize, max_norm, partial_trace,
+    EXACT_TOL, SUPPORT_TOL, TRACE_TOL, Spectrum, _integer, _sqrt_psd, as_matrix, check_hermitian,
+    embed, hermitize, max_norm, partial_trace,
 )
 
 
@@ -36,7 +37,7 @@ class RegionLabel:
     kind: str = "quantum"
 
     def __post_init__(self):
-        if self.dim < 1:
+        if _integer(self.dim, "dim") < 1:
             raise ValueError(f"region {self.name!r} has dim {self.dim} < 1")
         if self.kind not in ("quantum", "classical"):
             raise ValueError(f"unknown region kind {self.kind!r}")
@@ -62,7 +63,7 @@ class JointState:
         op = as_matrix(self.op)
         check_hermitian(op, "joint state")
         op = hermitize(op)
-        d = int(np.prod([r.dim for r in regions]))
+        d = math.prod(r.dim for r in regions)
         if op.shape[0] != d:
             raise DimensionMismatchError(
                 f"operator dim {op.shape[0]} != product of region dims {d}"
@@ -183,13 +184,13 @@ class HybridState:
     normalized: bool = True
 
     def __post_init__(self):
-        cdims = tuple(int(d) for d in self.classical_dims)
+        cdims = tuple(_integer(d, "classical dim") for d in self.classical_dims)
         blocks = {}
         qdim = None
         for key, block in dict(self.blocks).items():
             key = (key,) if isinstance(key, int) else tuple(key)
             if len(key) != len(cdims) or any(
-                not (0 <= k < d) for k, d in zip(key, cdims)
+                not (0 <= _integer(k, "outcome") < d) for k, d in zip(key, cdims)
             ):
                 raise ValueError(f"outcome {key} out of range for registers {cdims}")
             b = as_matrix(block)
@@ -212,7 +213,7 @@ class HybridState:
 
     @property
     def total_classical_dim(self) -> int:
-        return int(np.prod(self.classical_dims))
+        return math.prod(self.classical_dims)
 
     def block(self, key) -> np.ndarray:
         key = (key,) if isinstance(key, int) else tuple(key)
@@ -256,8 +257,8 @@ class HybridState:
         than that is dropped.
         """
         m = as_matrix(op)
-        cdims = tuple(int(d) for d in classical_dims)
-        nc = int(np.prod(cdims))
+        cdims = tuple(_integer(d, "classical dim") for d in classical_dims)
+        nc, quantum_dim = math.prod(cdims), _integer(quantum_dim, "quantum dim")
         if m.shape[0] != nc * quantum_dim:
             raise DimensionMismatchError("joint dim != classical x quantum dims")
         blocks = {}

@@ -18,8 +18,8 @@ from .compatibility import CompatibilityVerdict, _support_verdict
 from .errors import (DimensionMismatchError, IncompatibleAssignmentsError, InvalidParameterError,
                      StatePoolError)
 from .linalg import (
-    EXACT_TOL, TRACE_TOL, Tolerances, _checked_states, _spectrum, as_matrix, hermitize,
-    max_norm,
+    EXACT_TOL, TRACE_TOL, Tolerances, _checked_states, _integer, _real, _spectrum, as_matrix,
+    hermitize, max_norm,
 )
 from .pooling import PoolingReport, _pool
 
@@ -109,20 +109,10 @@ class _ClosedForm(Channel):
 
 
 def _unit_interval(x, what: str = "strength") -> float:
-    try:
-        p = float(x)
-    except OverflowError:  # an int beyond float range
-        raise InvalidParameterError(f"{what} outside [0, 1]: an integer beyond float range") from None
+    p = _real(x, what)
     if not 0.0 <= p <= 1.0:  # also rejects NaN
         raise InvalidParameterError(f"{what} {p} outside [0, 1]")
     return p
-
-
-def _integer(x, what: str):
-    """``x`` itself, once it is known to be a Python or NumPy integer, not a bool."""
-    if type(x) is bool or not isinstance(x, (int, np.integer)):
-        raise InvalidParameterError(f"{what} {x!r} is not an integer")
-    return x
 
 
 @dataclass(frozen=True)
@@ -240,8 +230,7 @@ class ScenarioConfig:
             if p.steps and (p.steps[0].dim_in, p.steps[-1].dim_out) != (d, d):
                 raise DimensionMismatchError(f"pipeline {p.name!r} maps dim {p.steps[0].dim_in} "
                                              f"to {p.steps[-1].dim_out}, not the prior dim {d}")
-        if type(self.seed) is bool or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InvalidParameterError(f"seed {self.seed!r} is not an integer >= 0")
+        _seed((self.seed,))  # one integer
         if not isinstance(self.evolved_by, (UnitaryDynamics, type(None))):
             raise InvalidParameterError(
                 f"evolved_by is a {type(self.evolved_by).__name__}, not a UnitaryDynamics")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statepool import io
+from statepool import compatibility, io
 from statepool.compatibility import (
     ConditionalDistribution,
     ProbabilityDistribution,
@@ -20,9 +20,12 @@ from statepool.errors import (
     DimensionMismatchError, InvalidParameterError, NonHermitianPoolingProductError,
     StatePoolError,
 )
-from statepool.linalg import Tolerances, _certified_full_rank, hermitize, max_norm
+from statepool.linalg import (
+    Tolerances, _certified_full_rank, as_matrix, hermitize, max_norm, sqrt_psd,
+)
 from statepool.pooling import PoolingReport, quantum_pool
 from statepool.regions import make_hybrid
+from statepool.scenario import KrausChannel
 
 from oracles import (
     grid_distributions,
@@ -255,6 +258,79 @@ class TestVerifySubjectiveQuantum:
         with pytest.raises(ValueError, match="identity"):
             verify_subjective_quantum(np.eye(2) / 2, np.eye(2) / 2,
                                       {0: np.eye(2) / 2}, 0)
+
+    def test_measurement_sum_checked_at_the_kraus_threshold(self):
+        # within TRACE_TOL of I but not within EXACT_TOL: no measurement, as its
+        # square roots are no channel
+        likelihoods = [np.diag([1 + 1e-9, 0.0]), np.diag([0.0, 1.0])]
+        with pytest.raises(ValueError, match="identity"):
+            verify_subjective_quantum(np.eye(2) / 2, np.eye(2) / 2, dict(enumerate(likelihoods)), 0)
+        with pytest.raises(ValueError, match="trace preservation"):
+            KrausChannel(tuple(sqrt_psd(m) for m in likelihoods))
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 4), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           residual=st.one_of(st.just(0.0), st.floats(1e-13, 5e-11), st.floats(2e-10, 1e-6)))
+    def test_measurement_iff_square_roots_are_a_channel(self, d, n, seed, residual):
+        # effects U diag(w_x) U† with every w_x >= 0.05 sum to I within rounding; a
+        # Hermitian residual of max-norm ``residual``, drawn away from the EXACT_TOL
+        # cut, keeps the first effect PSD
+        rng = np.random.default_rng(seed)
+        u = rand_unitary(rng, d)
+        w = 0.05 + rng.random((n, d))
+        w /= w.sum(axis=0)
+        likelihoods = [(u * wx) @ u.conj().T for wx in w]
+        h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        likelihoods[0] = likelihoods[0] + residual * (h + h.conj().T) / max_norm(h + h.conj().T)
+
+        def rejects(call):
+            try:
+                call()
+            except ValueError:
+                return True
+            return False
+
+        rho = np.eye(d) / d
+        measurement = not rejects(
+            lambda: verify_subjective_quantum(rho, rho, dict(enumerate(likelihoods)), 0))
+        channel = not rejects(lambda: KrausChannel(tuple(sqrt_psd(m) for m in likelihoods)))
+        assert measurement == channel == (residual <= 1e-10)
+
+    def test_absent_outcome_is_invalid(self):
+        with pytest.raises(InvalidParameterError, match="absent"):
+            verify_subjective_quantum(np.eye(2) / 2, np.eye(2) / 2, {0: np.eye(2)}, 1)
+
+    @pytest.mark.parametrize("likelihoods, states", [
+        ({0: np.eye(3)}, (np.eye(2) / 2, np.eye(2) / 2)),
+        ({0: np.eye(2)}, (np.eye(3) / 3, np.eye(3) / 3)),
+        ({0: np.eye(2)}, (np.eye(2) / 2, np.eye(3) / 3)),
+        ({0: np.diag([1.0, 0]), 1: np.diag([0, 1.0, 1.0])}, (np.eye(2) / 2, np.eye(2) / 2)),
+    ], ids=["likelihood 3, states 2", "likelihood 2, states 3", "states 2 and 3",
+            "likelihoods 2 and 3"])
+    def test_dims_must_agree(self, likelihoods, states):
+        with pytest.raises(DimensionMismatchError, match="different dims"):
+            verify_subjective_quantum(*states, likelihoods, 0)
+
+    def test_states_converted_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(compatibility, "as_matrix",
+                            lambda m: calls.append(1) or as_matrix(m))
+        rng = np.random.default_rng(12)
+        povm = dict(enumerate(rand_povm(rng, 3, 4)))
+        rho = rand_density(rng, 3)
+        assert verify_subjective_quantum(rho, rho, povm, 0)
+        assert len(calls) == 2 + len(povm)  # s1, s2 and each likelihood
+
+
+@pytest.mark.parametrize("verify, witness", [
+    (verify_objective_classical, np.full((2, 2, 2), 1 / 8)),
+    (verify_objective_quantum, make_hybrid({(0, 0): np.eye(2) / 4, (1, 1): np.eye(2) / 4})),
+], ids=["classical", "quantum"])
+@pytest.mark.parametrize("x1, x2", [(2, 0), (0, 2), (-1, 0), (0, -1)])
+def test_objective_verifiers_absent_outcome_is_invalid(verify, witness, x1, x2):
+    states = (dist(0.5, 0.5),) * 2 if verify is verify_objective_classical else (np.eye(2) / 2,) * 2
+    with pytest.raises(InvalidParameterError, match="absent"):
+        verify(*states, witness, x1, x2)
 
 
 @pytest.mark.slow

@@ -117,7 +117,7 @@ class TestSeeds:
     @pytest.mark.parametrize("seed", [7.9, 7.0, True, -3, np.int64(-3), "7", None, [3, 1]])
     def test_config_seed_must_be_an_integer(self, seed):
         cfg = random_instance(2, 7, 0.5)
-        with pytest.raises(InvalidParameterError, match="is not an integer >= 0"):
+        with pytest.raises(InvalidParameterError, match=r"^seed .+ (is not an integer|< 0)$"):
             dataclasses.replace(cfg, seed=seed)
 
     @pytest.mark.parametrize("make", [random_instance, adversarial_instance])
@@ -299,15 +299,15 @@ REPLACEMENT = {"type": "replacement", "dim": 2, "target": 1}
 
 
 @pytest.mark.parametrize("step, message", [
-    ({**DEPOLARIZING, "strength": "0.5"}, '"strength" must be a number'),
-    ({**DEPOLARIZING, "strength": True}, '"strength" must be a number'),
-    ({**DEPOLARIZING, "strength": None}, '"strength" must be a number'),
+    ({**DEPOLARIZING, "strength": "0.5"}, "strength '0.5' is not a real number"),
+    ({**DEPOLARIZING, "strength": True}, "strength True is not a real number"),
+    ({**DEPOLARIZING, "strength": None}, "strength None is not a real number"),
     ({**DEPOLARIZING, "strength": 1.5}, "strength 1.5 outside"),
     ({**DEPOLARIZING, "strength": math.nan}, "strength nan outside"),
     ({**DEPOLARIZING, "strength": 10**400}, "bad scenario config"),
-    ({**DEPOLARIZING, "dim": 2.0}, '"dim" must be a positive integer'),
-    ({**DEPOLARIZING, "dim": True}, '"dim" must be a positive integer'),
-    ({**DEPOLARIZING, "dim": 0}, '"dim" must be a positive integer'),
+    ({**DEPOLARIZING, "dim": 2.0}, "dim 2.0 is not an integer"),
+    ({**DEPOLARIZING, "dim": True}, "dim True is not an integer"),
+    ({**DEPOLARIZING, "dim": 0}, "dim 0 < 1"),
     ({**DEPOLARIZING, "dim": 3}, "step input dim 3"),
     ({**DEPOLARIZING, "extra": 1}, 'exactly keys "type", "dim" and "strength"'),
     ({**DEPOLARIZING, "kraus": []}, 'exactly keys "type", "dim" and "strength"'),
@@ -315,8 +315,8 @@ REPLACEMENT = {"type": "replacement", "dim": 2, "target": 1}
     ({"type": "dephasing", "dim": 2, "target": 0}, 'exactly keys "type", "dim" and "strength"'),
     ({**REPLACEMENT, "target": -1}, r"target -1 outside \[0, 2\)"),
     ({**REPLACEMENT, "target": 5}, r"target 5 outside \[0, 2\)"),
-    ({**REPLACEMENT, "target": True}, '"target" must be an integer'),
-    ({**REPLACEMENT, "target": 1.0}, '"target" must be an integer'),
+    ({**REPLACEMENT, "target": True}, "target True is not an integer"),
+    ({**REPLACEMENT, "target": 1.0}, "target 1.0 is not an integer"),
     ({"type": "replacement", "dim": 2, "strength": 0.5}, 'exactly keys "type", "dim" and "target"'),
     ({"type": ["depolarizing"], "dim": 2, "strength": 0.5}, "unknown step type"),
 ])
@@ -336,16 +336,16 @@ def test_malformed_named_step_rejected(tmp_path, capsys, step, message):
 @pytest.mark.parametrize("field, value, message", [
     ("pool_against_evolved", "false", '"pool_against_evolved" must be a bool'),
     ("pool_against_evolved", 0, '"pool_against_evolved" must be a bool'),
-    ("seed", 7.9, '"seed" must be an integer >= 0'),
-    ("seed", 7.0, '"seed" must be an integer >= 0'),
-    ("seed", True, '"seed" must be an integer >= 0'),
-    ("seed", -1, '"seed" must be an integer >= 0'),
-    ("seed", "7", '"seed" must be an integer >= 0'),
-    ("rank_tol", "1e-3", '"rank_tol" must be a number'),
-    ("rank_tol", True, '"rank_tol" must be a number'),
-    ("herm_tol", "1e-8", '"herm_tol" must be a number'),
-    ("herm_tol", False, '"herm_tol" must be a number'),
-    ("herm_tol", None, '"herm_tol" must be a number'),
+    ("seed", 7.9, "seed 7.9 is not an integer"),
+    ("seed", 7.0, "seed 7.0 is not an integer"),
+    ("seed", True, "seed True is not an integer"),
+    ("seed", -1, "seed -1 < 0"),
+    ("seed", "7", "seed '7' is not an integer"),
+    ("rank_tol", "1e-3", "rank_tol '1e-3' is not a real number"),
+    ("rank_tol", True, "rank_tol True is not a real number"),
+    ("herm_tol", "1e-8", "herm_tol '1e-8' is not a real number"),
+    ("herm_tol", False, "herm_tol False is not a real number"),
+    ("herm_tol", None, "herm_tol None is not a real number"),
 ])
 def test_mistyped_config_field_rejected(tmp_path, capsys, field, value, message):
     cfg = _config(**{field: value})
@@ -464,10 +464,10 @@ HYBRID = io.hybrid_to_json(make_hybrid({(0,): HALF / 2, (1,): HALF / 2}))
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("classical_dims", [2.7], '"classical_dims" must be a list of integers'),
-    ("classical_dims", [2.0], '"classical_dims" must be a list of integers'),
-    ("classical_dims", [True], '"classical_dims" must be a list of integers'),
-    ("classical_dims", "2", '"classical_dims" must be a list of integers'),
+    ("classical_dims", [2.7], "classical dim 2.7 is not an integer"),
+    ("classical_dims", [2.0], "classical dim 2.0 is not an integer"),
+    ("classical_dims", [True], "classical dim True is not an integer"),
+    ("classical_dims", "2", '"classical_dims" must be a list'),
     ("normalized", "no", '"normalized" must be a bool'),
     ("normalized", 1, '"normalized" must be a bool'),
     ("blocks", [HYBRID["blocks"]], "bad hybrid state"),

@@ -1,8 +1,11 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from io import BytesIO, StringIO, TextIOWrapper
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,3 +338,21 @@ def test_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
     assert [forward[argv][0] for argv in argvs] == [0] * 6 + [2] * 4 + [0] * 2
     assert forward[argvs[3]] == forward[argvs[4]]
     assert forward[("--help",)][1] == cli.build_parser().format_help()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ("randgen", "--dim", "2", "--noise", "0.5"),  # fits the stdout buffer: fails at the flush
+    ("randgen", "--dim", "64", "--noise", "0.5"),  # fails in the write
+    ("randgen", "--dim", "1"),  # the malformed-input payload cannot be written either
+    ("scenario-batch", "--dim", "2", "--count", "1", "--seed", "1"),
+], ids=["d2", "d64", "bad-dim", "batch"])
+def test_full_stdout_exit_2(argv):
+    """A write to a full stdout is exit 2, with no traceback and no
+    "Exception ignored" report from the interpreter's exit flush."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-X", "dev", "-m", "statepool.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=120)
+    assert (proc.returncode, proc.stderr) == (2, "")
