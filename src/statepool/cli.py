@@ -40,7 +40,10 @@ def _read_json(path: str):
 
 
 def _write(payload, path: str) -> None:
-    text = io.dumps(payload)
+    _write_text(io.dumps(payload), path)
+
+
+def _write_text(text: str, path: str) -> None:
     try:
         if path == "-":
             sys.stdout.write(text)
@@ -136,6 +139,12 @@ def _cmd_randgen(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # in this parser and its subparsers: exit 2 with JSON
         raise MalformedInputError(message)
+
+    def _print_message(self, message, file):  # argparse drops an OSError from this write
+        if file is sys.stdout:
+            _write_text(message, "-")
+        else:
+            super()._print_message(message, file)
 
 
 def build_parser() -> argparse.ArgumentParser:

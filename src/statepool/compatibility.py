@@ -159,11 +159,19 @@ def verify_objective_classical(
     return True
 
 
+def _out_row(cond: ConditionalDistribution, x, what: str) -> int:
+    """``x`` as a row of ``cond.table``, once it is the index of an outcome of X."""
+    if not 0 <= _integer(x, what) < len(cond.out_outcomes):
+        raise InvalidParameterError(f"outcome {x} absent from the {len(cond.out_outcomes)} "
+                                    "outcomes of X")
+    return int(x)
+
+
 def classical_bayes_posterior(
     prior: ProbabilityDistribution, cond: ConditionalDistribution, x: int
 ):
     """(posterior over Y, predictive probability) for observing X = x."""
-    like = cond.table[x, :]
+    like = cond.table[_out_row(cond, x, "x"), :]
     unnorm = like * prior.probs
     w = float(unnorm.sum())
     if w <= 0:
@@ -184,6 +192,7 @@ def verify_subjective_classical(
     """
     if cond.given_outcomes != q1.outcomes or q1.outcomes != q2.outcomes:
         raise ValueError("conditional table and priors disagree on Out(Y)")
+    _out_row(cond, x_tilde, "x_tilde")
     for q in (q1, q2):
         for x in range(len(cond.out_outcomes)):
             if float((cond.table[x, :] * q.probs).sum()) <= EXACT_TOL:

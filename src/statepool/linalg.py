@@ -112,9 +112,8 @@ def _integer(x, what: str) -> int:
 def _reals(x, what: str) -> np.ndarray:
     """``x`` as a float array, once ``_real`` accepts each entry as given, before numpy
     would read a string, a bool or None as a number."""
-    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
-        for v in np.asarray(x, dtype=object).flat:
-            _real(v, what)
+    for v in np.asarray(x, dtype=object).flat:
+        _real(v, what)
     return np.asarray(x, dtype=float)
 
 

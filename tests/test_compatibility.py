@@ -9,6 +9,7 @@ from statepool import compatibility, io
 from statepool.compatibility import (
     ConditionalDistribution,
     ProbabilityDistribution,
+    classical_bayes_posterior,
     classical_compatible,
     quantum_compatible,
     verify_objective_classical,
@@ -188,6 +189,16 @@ class TestVerifySubjectiveClassical:
         q1, q2 = dist(1, 0), dist(1, 0)
         cond = self.cond([[0.0, 1.0], [1.0, 0.0]])  # X=0 never fires under q1
         assert verify_subjective_classical(q1, q2, cond, 1) is False
+
+    @pytest.mark.parametrize("x", [2, -1])
+    def test_absent_outcome_is_invalid(self, x):
+        # x = -1 once conditioned on the last outcome, even where condition 1 fails
+        q1, q2 = dist(0.5, 0.5), dist(0.2, 0.8)
+        for cond in (self.cond([[0.2, 0.6], [0.8, 0.4]]), self.cond([[0.0, 1.0], [1.0, 0.0]])):
+            with pytest.raises(InvalidParameterError, match="absent"):
+                verify_subjective_classical(q1, q2, cond, x)
+            with pytest.raises(InvalidParameterError, match="absent"):
+                classical_bayes_posterior(q1, cond, x)
 
 
 class TestVerifyObjectiveQuantum:

@@ -346,11 +346,18 @@ def test_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
     ("randgen", "--dim", "64", "--noise", "0.5"),  # fails in the write
     ("randgen", "--dim", "1"),  # the malformed-input payload cannot be written either
     ("scenario-batch", "--dim", "2", "--count", "1", "--seed", "1"),
-], ids=["d2", "d64", "bad-dim", "batch"])
-def test_full_stdout_exit_2(argv):
+    ("--help",),
+    ("scenario-batch", "--help"),
+], ids=["d2", "d64", "bad-dim", "batch", "help", "batch-help"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_full_stdout_exit_2(argv, unbuffered):
     """A write to a full stdout is exit 2, with no traceback and no
-    "Exception ignored" report from the interpreter's exit flush."""
+    "Exception ignored" report from the interpreter's exit flush, whether
+    stdout is buffered or written through (PYTHONUNBUFFERED)."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-X", "dev", "-m", "statepool.cli", *argv],
                               stdout=full, stderr=subprocess.PIPE, text=True, env=env,

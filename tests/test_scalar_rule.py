@@ -17,8 +17,8 @@ import pytest
 
 from statepool.cli import main
 from statepool.compatibility import (
-    ConditionalDistribution, ProbabilityDistribution, verify_objective_classical,
-    verify_objective_quantum,
+    ConditionalDistribution, ProbabilityDistribution, classical_bayes_posterior,
+    verify_objective_classical, verify_objective_quantum, verify_subjective_classical,
 )
 from statepool.errors import InvalidParameterError
 from statepool.linalg import Tolerances, embed, partial_trace, permute_factors
@@ -31,6 +31,7 @@ from statepool.scenario import (
 HALF = np.eye(2) / 2
 RHO4 = np.eye(4) / 4
 Q = ProbabilityDistribution((0, 1), [0.5, 0.5])
+COND = ConditionalDistribution((0, 1), (0, 1), [[0.2, 0.6], [0.8, 0.4]])
 JOINT = np.full((2, 2, 2), 1 / 8)
 HYBRID = make_hybrid({(0, 0): HALF, (1, 1): HALF})
 
@@ -64,6 +65,8 @@ INTEGER_SLOTS = {
     "verify_objective_classical x2": lambda v: verify_objective_classical(Q, Q, JOINT, 0, v),
     "verify_objective_quantum x1": lambda v: verify_objective_quantum(HALF, HALF, HYBRID, v, 0),
     "verify_objective_quantum x2": lambda v: verify_objective_quantum(HALF, HALF, HYBRID, 0, v),
+    "classical_bayes_posterior x": lambda v: classical_bayes_posterior(Q, COND, v),
+    "verify_subjective_classical x_tilde": lambda v: verify_subjective_classical(Q, Q, COND, v),
 }
 
 REAL_SLOTS = {
