@@ -21,9 +21,9 @@ import sys
 
 
 from . import io
-from .compatibility import ConditionalDistribution, classical_compatible, quantum_compatible
-from .errors import IncompatibleAssignmentsError, InvalidParameterError, StatePoolError
-from .io import MalformedInputError
+from .compatibility import classical_compatible, quantum_compatible
+from .errors import (IncompatibleAssignmentsError, InvalidParameterError, MalformedInputError,
+                     StatePoolError)
 from .linalg import Tolerances
 from .pooling import classical_pool, minimal_sufficient_statistic, quantum_pool
 from .scenario import GENERATORS, batch_report, random_instance, run_scenario
@@ -101,17 +101,8 @@ def _cmd_pool_quantum(args) -> int:
 
 
 def _cmd_suffstat(args) -> int:
-    obj = _read_json(args.table)
-    try:
-        cond = ConditionalDistribution(
-            tuple(obj["given_outcomes"]),
-            tuple(obj["out_outcomes"]),
-            obj["table"],
-        )
-        classes = [sorted(c) for c in minimal_sufficient_statistic(cond).classes]
-    except (KeyError, TypeError, ValueError) as exc:  # labels that do not sort
-        raise MalformedInputError(f"bad conditional table: {exc}") from exc
-    _write({"classes": classes}, args.output)
+    stat = minimal_sufficient_statistic(io.conditional_from_json(_read_json(args.table)))
+    _write({"classes": [sorted(c) for c in stat.classes]}, args.output)
     return 0
 
 
@@ -154,44 +145,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
+    def add(name, fn, help_, *files):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
         p.add_argument("--output", default="-", help="output path, - for stdout")
+        for f in files:  # input paths, - for stdin
+            p.add_argument(f)
         return p
 
-    p = add("compat-classical", _cmd_compat_classical,
-            "decide compatibility of two classical distributions")
-    p.add_argument("q1")
-    p.add_argument("q2")
-
+    add("compat-classical", _cmd_compat_classical,
+        "decide compatibility of two classical distributions", "q1", "q2")
     p = add("compat-quantum", _cmd_compat_quantum,
-            "decide compatibility of two density matrices")
-    p.add_argument("s1")
-    p.add_argument("s2")
+            "decide compatibility of two density matrices", "s1", "s2")
     p.add_argument("--rank-tol", type=float, default=Tolerances.rank_tol)
-
-    p = add("pool-classical", _cmd_pool_classical, "pool two classical posteriors")
-    p.add_argument("prior")
-    p.add_argument("q1")
-    p.add_argument("q2")
-
-    p = add("pool-quantum", _cmd_pool_quantum, "pool two quantum posteriors")
-    p.add_argument("prior")
-    p.add_argument("s1")
-    p.add_argument("s2")
+    add("pool-classical", _cmd_pool_classical, "pool two classical posteriors",
+        "prior", "q1", "q2")
+    p = add("pool-quantum", _cmd_pool_quantum, "pool two quantum posteriors", "prior", "s1", "s2")
     p.add_argument("--rank-tol", type=float, default=Tolerances.rank_tol)
     p.add_argument("--herm-tol", type=float, default=Tolerances.herm_tol)
-
-    p = add("suffstat", _cmd_suffstat,
-            "minimal sufficient statistic of a conditional table P(X|Y)")
-    p.add_argument("table")
-
-    p = add("scenario-run", _cmd_scenario_run, "run a two-agent scenario config")
-    p.add_argument("config")
+    add("suffstat", _cmd_suffstat, "minimal sufficient statistic of a conditional table P(X|Y)",
+        "table")
+    p = add("scenario-run", _cmd_scenario_run, "run a two-agent scenario config", "config")
     p.add_argument("--rank-tol", type=float)
     p.add_argument("--herm-tol", type=float)
-
     p = add("scenario-batch", _cmd_scenario_batch,
             "batch compatibility/pooling statistics over generated instances")
     p.add_argument("--dim", type=int, nargs="+", default=(2,))
@@ -199,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, nargs="+", default=(0.5,))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--generator", choices=GENERATORS, default="random")
-
     p = add("randgen", _cmd_randgen, "generate a random scenario config")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
@@ -220,7 +195,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:  # --help; a usage error is MalformedInputError
         return exc.code or 0
-    except (MalformedInputError, InvalidParameterError) as exc:
+    except InvalidParameterError as exc:  # MalformedInputError too
         return _report({"error": "malformed_input", "message": str(exc)}, 2)
     except StatePoolError as exc:
         payload = exc.payload()

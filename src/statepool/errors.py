@@ -17,6 +17,10 @@ class InvalidParameterError(StatePoolError):
     """A size, strength or option argument is outside its documented range."""
 
 
+class MalformedInputError(InvalidParameterError):
+    """The input JSON does not match the expected schema."""
+
+
 class DimensionMismatchError(StatePoolError):
     """Operands act on incompatible spaces."""
 

@@ -1,46 +1,50 @@
-"""JSON interchange for matrices, distributions, configs and results.
+"""JSON interchange for matrices, distributions, conditional tables, hybrid
+states, scenario configs and results.
 
 Matrix encoding: {"dim": n, "entries": [[re, im], ...]} with exactly n^2
-row-major entries, each a pair of finite reals.  Serialization prints
-floats with 17 significant digits so every value but a zero's sign ("-0"
-reads back as 0) round-trips exactly and repeated runs are byte-identical.
+row-major entries, each a pair of finite reals.  Floats are printed with 17
+significant digits, so every value but a zero's sign ("-0" reads back as 0)
+round-trips exactly and repeated runs are byte-identical.  Each matrix takes
+one C-level pass: the encoder spots a list of [float, float] pairs by its
+type and length sets, checks it with one numpy call and prints it with one
+"%.17g" format; the decoder converts with one ``np.array``.  Other lists go
+entry by entry with the same text and messages.  An integer entry beyond
+float range is non-finite input: MalformedInputError, CLI exit 2.
 
-Each matrix takes one C-level pass: the encoder spots a list of
-[float, float] pairs by its type and length sets, checks it with one
-numpy call and prints it with one "%.17g" format (the text of
-``format(x, ".17g")``); the decoder converts with one ``np.array``.  Other
-lists, and pairs those sets reject, go entry by entry with the same text
-and messages.  An integer entry beyond float range is non-finite input:
-MalformedInputError, CLI exit 2, as for a non-Hermitian compat-quantum state.
+One gate, ``_object``, decides which keys an object may have: every key its
+kind requires and none its encoder never writes, so a misspelled key is
+MalformedInputError, never dropped.  It checks every object io reads: a
+matrix, a distribution, a conditional table, a hybrid state, a config, a
+pipeline and each of the five kinds of pipeline step.
 
-Scenario pipeline steps: {"type": "unitary", "matrix": m} and
-{"type": "channel", "kraus": [m, ...]} for a ``UnitaryDynamics`` and a
-``KrausChannel``; the detector channels go by name and parameter,
+One table, ``_STEPS``, maps each step type to its exact class and its (JSON
+field, attribute) pairs; ``_step_to_json`` and ``_step_from_json`` read
+only it.  {"type": "unitary", "matrix": m} is a ``UnitaryDynamics``,
+{"type": "channel", "kraus": [m, ...]} a ``KrausChannel``, whatever channel
+the list came from, and the detector channels go by name and parameter:
 {"type": "depolarizing" | "dephasing", "dim": d, "strength": p} and
-{"type": "replacement", "dim": d, "target": t}, so a config holds no Kraus
-list for them and decodes to the closed-form channel.  A Kraus-list step
-still decodes, to a ``KrausChannel``, whatever channel it came from; any
-other step, a named channel's subclass too, is InvalidParameterError.
+{"type": "replacement", "dim": d, "target": t}.  A step of any other class,
+a subclass of one of these too, has no JSON form.
 
-Decoding checks the schema and leaves values to the constructors: io
-checks exact key sets, a list where a list is due, a matrix's "dim" and
-entries, and its own bool fields (``pool_against_evolved``,
-``normalized``).  A dim, seed, strength, target, tolerance or probability
-goes as read to the class that takes it, whose rule (``linalg._integer``,
+Beyond the gate, io checks a matrix's "dim" and entries, a hybrid state's
+block keys and "outcomes", and its own bool fields.  Every other value goes
+as read to the class that takes it, whose rule (``linalg._integer``,
 ``_real``) rejects a string, a bool, None or a float where an integer is
-due; that InvalidParameterError comes out as MalformedInputError.
+due; one guard, ``_guard``, turns whatever a constructor rejects while an
+object decodes into MalformedInputError.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from contextlib import suppress
 from itertools import chain
 
 import numpy as np
 
-from .compatibility import CompatibilityVerdict, ProbabilityDistribution
-from .errors import DimensionMismatchError, InvalidParameterError
+from .compatibility import CompatibilityVerdict, ConditionalDistribution, ProbabilityDistribution
+from .errors import DimensionMismatchError, InvalidParameterError, MalformedInputError
 from .linalg import Subspace, Tolerances
 from .pooling import PoolingReport
 from .regions import HybridState
@@ -50,11 +54,53 @@ from .scenario import (
 )
 
 
-class MalformedInputError(ValueError):
-    """The input JSON does not match the expected schema."""
+def _keys(what: str, keys: tuple, optional: tuple = ()) -> tuple:
+    """(required keys, allowed keys, message) of one kind of object, built once."""
+    def listed(names):
+        return ", ".join(f'"{k}"' for k in names[:-1]) + f' and "{names[-1]}"'
+    message = (f"{what} must have keys {listed(keys)}, and may also have {listed(optional)}"
+               if optional else f"{what} must have exactly keys {listed(keys)}")
+    return frozenset(keys), frozenset(keys + optional), message
 
 
-# --- serialization ---------------------------------------------------------
+def _object(obj, keys: tuple) -> dict:
+    """``obj``, once it is a JSON object with the keys ``_keys`` allows."""
+    required, allowed, message = keys
+    if not isinstance(obj, dict) or not required <= obj.keys() <= allowed:
+        raise MalformedInputError(message)
+    return obj
+
+
+def _field(obj, key, default, kind: type):
+    """``obj[key]`` (``default`` when absent), once it is exactly a ``kind``."""
+    if type(value := obj.get(key, default)) is not kind:  # exact: a JSON 1 is no bool
+        raise MalformedInputError(f'"{key}" must be a {kind.__name__}, got {value!r}')
+    return value
+
+
+_MATRIX = _keys("matrix object", ("dim", "entries"))
+_DISTRIBUTION = _keys("distribution object", ("outcomes", "probs"))
+_CONDITIONAL = _keys("conditional table", ("given_outcomes", "out_outcomes", "table"))
+_HYBRID = _keys("hybrid state", ("classical_dims", "blocks"), ("outcomes", "normalized"))
+_CONFIG = _keys("scenario config", ("prior", "pipelines"),
+                ("rank_tol", "herm_tol", "seed", "pool_against_evolved", "evolved_by"))
+_PIPELINE = _keys("pipeline", ("name", "steps"))
+
+
+def _guard(what: str):
+    """Decorate a decoder: a ValueError or TypeError a constructor raises while it
+    runs comes out as MalformedInputError, "bad ``what``: ..."."""
+    def decorate(decode):
+        @functools.wraps(decode)
+        def guarded(obj):
+            try:
+                return decode(obj)
+            except MalformedInputError:
+                raise
+            except (ValueError, TypeError) as exc:  # labels that do not hash or sort, too
+                raise MalformedInputError(f"bad {what}: {exc}") from exc
+        return guarded
+    return decorate
 
 
 def _fmt_float(x: float) -> str:
@@ -103,10 +149,7 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict) or set(obj) != {"dim", "entries"}:
-        raise MalformedInputError('matrix object must have exactly keys "dim" and "entries"')
-    dim = obj["dim"]
-    entries = obj["entries"]
+    dim, entries = _object(obj, _MATRIX)["dim"], obj["entries"]
     if type(dim) is not int or dim < 1:  # a JSON true is no dimension
         raise MalformedInputError(f'"dim" must be a positive integer, got {dim!r}')
     if not isinstance(entries, list) or len(entries) != dim * dim:
@@ -133,17 +176,18 @@ def distribution_to_json(p: ProbabilityDistribution) -> dict:
     return {"outcomes": list(p.outcomes), "probs": [float(x) for x in p.probs]}
 
 
+@_guard("distribution")
 def distribution_from_json(obj) -> ProbabilityDistribution:
-    if not isinstance(obj, dict) or set(obj) != {"outcomes", "probs"}:
-        raise MalformedInputError(
-            'distribution object must have exactly keys "outcomes" and "probs"'
-        )
-    if not isinstance(obj["outcomes"], list) or not isinstance(obj["probs"], list):
-        raise MalformedInputError('"outcomes" and "probs" must be lists')
-    try:
-        return ProbabilityDistribution(tuple(obj["outcomes"]), obj["probs"])
-    except (ValueError, TypeError) as exc:  # outcome labels that do not hash
-        raise MalformedInputError(str(exc)) from exc
+    _object(obj, _DISTRIBUTION)
+    return ProbabilityDistribution(tuple(_field(obj, "outcomes", None, list)),
+                                   _field(obj, "probs", None, list))
+
+
+@_guard("conditional table")
+def conditional_from_json(obj) -> ConditionalDistribution:
+    sorted(_object(obj, _CONDITIONAL)["out_outcomes"])  # suffstat writes its classes sorted
+    return ConditionalDistribution(tuple(obj["given_outcomes"]), tuple(obj["out_outcomes"]),
+                                   obj["table"])
 
 
 def hybrid_to_json(h: HybridState) -> dict:
@@ -157,33 +201,19 @@ def hybrid_to_json(h: HybridState) -> dict:
     }
 
 
-def _field(obj, key, default, ok, kind):
-    """``obj[key]`` (``default`` when absent), once ``ok`` accepts it; else
-    MalformedInputError saying the field must be ``kind``."""
-    value = obj.get(key, default)
-    if not ok(value):
-        raise MalformedInputError(f'"{key}" must be {kind}, got {value!r}')
-    return value
-
-
-def _is_bool(v) -> bool:
-    return type(v) is bool
-
-
+@_guard("hybrid state")
 def hybrid_from_json(obj) -> HybridState:
-    try:
-        for key in obj["blocks"]:  # ASCII digits, as hybrid_to_json writes them: "0,1"
-            if not all(s.isascii() and s.isdigit() for s in key.split(",")):
-                raise MalformedInputError(f"block key {key!r} is not comma-separated ASCII digits")
-        blocks = {tuple(map(int, key.split(","))): matrix_from_json(b)
-                  for key, b in obj["blocks"].items()}
-        dims = _field(obj, "classical_dims", None, lambda v: type(v) is list, "a list")
-        return HybridState(tuple(dims), blocks,
-                           normalized=_field(obj, "normalized", True, _is_bool, "a bool"))
-    except MalformedInputError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:  # "blocks" not an object
-        raise MalformedInputError(f"bad hybrid state: {exc}") from exc
+    if not isinstance(blocks := _object(obj, _HYBRID)["blocks"], dict):
+        raise TypeError(f'"blocks" is a {type(blocks).__name__}, not an object')
+    for key in blocks:  # ASCII digits, as hybrid_to_json writes them: "0,1"
+        if not (isinstance(key, str) and all(s.isascii() and s.isdigit() for s in key.split(","))):
+            raise MalformedInputError(f"block key {key!r} is not comma-separated ASCII digits")
+    blocks = {tuple(map(int, key.split(","))): matrix_from_json(b) for key, b in blocks.items()}
+    # compared as text, where true is not 1
+    if "outcomes" in obj and json.dumps(obj["outcomes"]) != json.dumps(sorted(map(list, blocks))):
+        raise MalformedInputError('"outcomes" must list the block keys, sorted')
+    return HybridState(tuple(_field(obj, "classical_dims", None, list)), blocks,
+                       normalized=_field(obj, "normalized", True, bool))
 
 
 def verdict_to_json(v: CompatibilityVerdict) -> dict:
@@ -208,59 +238,48 @@ def pooling_report_to_json(r: PoolingReport) -> dict:
     return out
 
 
-# --- scenario configs and results ------------------------------------------
-
-
-# Named steps: type name -> (class, parameter field); the class checks dim and the parameter.
-_NAMED_STEPS = {
-    "depolarizing": (DepolarizingChannel, "strength"),
-    "dephasing": (DephasingChannel, "strength"),
-    "replacement": (ReplacementChannel, "target"),
+# Step type -> (its exact class, (JSON field, attribute) pairs in constructor order).
+# The class checks every value; a field in _CODECS goes through its (encoder, decoder).
+_STEPS = {
+    "unitary": (UnitaryDynamics, (("matrix", "u"),)),
+    "channel": (KrausChannel, (("kraus", "kraus_ops"),)),
+    "depolarizing": (DepolarizingChannel, (("dim", "dim"), ("strength", "strength"))),
+    "dephasing": (DephasingChannel, (("dim", "dim"), ("strength", "strength"))),
+    "replacement": (ReplacementChannel, (("dim", "dim"), ("target", "target"))),
 }
-_STEP_NAMES = {cls: name for name, (cls, _) in _NAMED_STEPS.items()}
+_CODECS = {
+    "matrix": (matrix_to_json, matrix_from_json),
+    "kraus": (lambda ops: list(map(matrix_to_json, ops)),
+              lambda objs: tuple(map(matrix_from_json, objs))),
+}
+_AS_IS = (lambda v: v,) * 2
+_STEP_NAMES = {cls: name for name, (cls, _) in _STEPS.items()}
+_STEP_KEYS = {name: _keys(f"{name} step", ("type", *(f for f, _ in fields)))
+              for name, (_, fields) in _STEPS.items()}
 
 
 def _step_to_json(step) -> dict:
-    if (name := _STEP_NAMES.get(type(step))) is not None:
-        param = _NAMED_STEPS[name][1]
-        return {"type": name, "dim": step.dim, param: getattr(step, param)}
-    if isinstance(step, UnitaryDynamics):
-        return {"type": "unitary", "matrix": matrix_to_json(step.u)}
-    if isinstance(step, KrausChannel):
-        return {"type": "channel", "kraus": [matrix_to_json(k) for k in step.kraus_ops]}
-    raise InvalidParameterError(f"a {type(step).__name__} step has no JSON form")
-
-
-def _named_step_from_json(obj):
-    name = obj["type"]
-    cls, param = _NAMED_STEPS[name]
-    if set(obj) != {"type", "dim", param}:
-        raise MalformedInputError(f'{name} step must have exactly keys "type", "dim" and "{param}"')
-    return cls(obj["dim"], obj[param])
+    if (name := _STEP_NAMES.get(type(step))) is None:
+        raise InvalidParameterError(f"a {type(step).__name__} step has no JSON form")
+    return {"type": name, **{f: _CODECS.get(f, _AS_IS)[0](getattr(step, attr))
+                             for f, attr in _STEPS[name][1]}}
 
 
 def _step_from_json(obj):
     if not isinstance(obj, dict) or "type" not in obj:
         raise MalformedInputError('pipeline step needs a "type" field')
-    if isinstance(obj["type"], str) and obj["type"] in _NAMED_STEPS:
-        return _named_step_from_json(obj)
-    if obj["type"] == "unitary":
-        return UnitaryDynamics(matrix_from_json(obj["matrix"]))
-    if obj["type"] == "channel":
-        kraus = obj.get("kraus")
-        if not isinstance(kraus, list) or not kraus:
-            raise MalformedInputError('channel step needs a nonempty "kraus" list')
-        return KrausChannel(tuple(matrix_from_json(k) for k in kraus))
-    raise MalformedInputError(f'unknown step type {obj["type"]!r}')
+    if not isinstance(name := obj["type"], str) or name not in _STEPS:  # a list does not hash
+        raise MalformedInputError(f"unknown step type {name!r}")
+    cls, fields = _STEPS[name]
+    _object(obj, _STEP_KEYS[name])
+    return cls(*(_CODECS.get(f, _AS_IS)[1](obj[f]) for f, _ in fields))
 
 
 def scenario_config_to_json(cfg: ScenarioConfig) -> dict:
     out = {
         "prior": matrix_to_json(cfg.prior),
-        "pipelines": [
-            {"name": p.name, "steps": [_step_to_json(s) for s in p.steps]}
-            for p in cfg.pipelines
-        ],
+        "pipelines": [{"name": p.name, "steps": list(map(_step_to_json, p.steps))}
+                      for p in cfg.pipelines],
         "rank_tol": cfg.tol.rank_tol,
         "herm_tol": cfg.tol.herm_tol,
         "seed": int(cfg.seed),  # a NumPy integer is not JSON
@@ -271,26 +290,22 @@ def scenario_config_to_json(cfg: ScenarioConfig) -> dict:
     return out
 
 
+@_guard("scenario config")
 def scenario_config_from_json(obj) -> ScenarioConfig:
-    try:
-        pipelines = tuple(
-            AgentPipeline(p["name"], tuple(_step_from_json(s) for s in p["steps"]))
-            for p in obj["pipelines"]
-        )
-        evolved = obj.get("evolved_by")  # an absent key or null is no evolved_by
-        if _field(obj, "pool_against_evolved", False, _is_bool, "a bool") != (evolved is not None):
-            raise MalformedInputError('"pool_against_evolved" must be true iff "evolved_by" is set')
-        return ScenarioConfig(
-            prior=matrix_from_json(obj["prior"]),
-            pipelines=pipelines,
-            tol=Tolerances(**{k: obj[k] for k in ("rank_tol", "herm_tol") if k in obj}),
-            seed=obj.get("seed", 0),
-            evolved_by=None if evolved is None else UnitaryDynamics(matrix_from_json(evolved)),
-        )
-    except MalformedInputError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError(f"bad scenario config: {exc}") from exc
+    pipelines = tuple(
+        AgentPipeline(p["name"], tuple(map(_step_from_json, p["steps"])))
+        for p in (_object(p, _PIPELINE) for p in _object(obj, _CONFIG)["pipelines"])
+    )
+    evolved = obj.get("evolved_by")  # an absent key or null is no evolved_by
+    if _field(obj, "pool_against_evolved", False, bool) != (evolved is not None):
+        raise MalformedInputError('"pool_against_evolved" must be true iff "evolved_by" is set')
+    return ScenarioConfig(
+        prior=matrix_from_json(obj["prior"]),
+        pipelines=pipelines,
+        tol=Tolerances(**{k: obj[k] for k in ("rank_tol", "herm_tol") if k in obj}),
+        seed=obj.get("seed", 0),
+        evolved_by=None if evolved is None else UnitaryDynamics(matrix_from_json(evolved)),
+    )
 
 
 def scenario_result_to_json(res: ScenarioResult) -> dict:

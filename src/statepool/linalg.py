@@ -47,6 +47,8 @@ Conventions
   InvalidParameterError, never cast, truncated or coerced.  Every function
   taking a dim, an index, a seed, a strength or a tolerance calls one of
   them, and ``_reals`` applies ``_real`` to each entry of a probability array.
+  Tensor factors have one rule, ``_factors``: a dim < 1 is InvalidParameterError,
+  a position out of range or named twice DimensionMismatchError.
 * An operand is validated once, where it enters: a public function checks
   it, then private cores (``_sqrt_psd``, ``regions._star``) trust it.  What
   the library builds itself (``Subspace.full``, eigenvector and
@@ -107,6 +109,20 @@ def _integer(x, what: str) -> int:
         raise InvalidParameterError(f"{what} {x!r} is not an integer")
     _real(x, what)
     return int(x)
+
+
+def _factors(dims, positions, what: str) -> tuple:
+    """``dims`` and ``positions`` as int lists, once every dim is an integer >= 1
+    (else InvalidParameterError) and every position is the integer index of a
+    factor, none twice (else DimensionMismatchError)."""
+    dims = [_integer(d, "dim") for d in dims]
+    if min(dims, default=1) < 1:
+        raise InvalidParameterError(f"dim {min(dims)} < 1")
+    positions = [_integer(p, f"{what} entry") for p in positions]
+    if len(set(positions)) != len(positions) or not all(0 <= p < len(dims) for p in positions):
+        raise DimensionMismatchError(
+            f"{what} {positions} must name distinct factors in [0, {len(dims)})")
+    return dims, positions
 
 
 def _reals(x, what: str) -> np.ndarray:
@@ -181,19 +197,14 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     """Trace out all tensor factors not listed in ``keep``.
 
     ``dims`` are the factor dimensions (product must equal dim(m)); ``keep``
-    is an iterable of factor indices.  The result acts on the kept factors
+    is an iterable of distinct factor indices.  The result acts on the kept factors
     in their original order, and Tr(result) == Tr(m).
     """
     a = as_matrix(m)
-    dims = [_integer(d, "dim") for d in dims]
+    dims, keep = _factors(dims, keep, "keep")
     if math.prod(dims) != a.shape[0]:
-        raise DimensionMismatchError(
-            f"product of dims {dims} != matrix dimension {a.shape[0]}"
-        )
-    keep = sorted({_integer(k, "keep index") for k in keep})
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise DimensionMismatchError(f"keep indices {keep} out of range for {len(dims)} factors")
-    n = len(dims)
+        raise DimensionMismatchError(f"product of dims {dims} != matrix dimension {a.shape[0]}")
+    keep, n = sorted(keep), len(dims)
     t = a.reshape(dims + dims)
     # trace out discarded factors from the highest index down so positions stay valid
     for idx in sorted(set(range(n)) - set(keep), reverse=True):
@@ -205,11 +216,10 @@ def partial_trace(m, dims, keep) -> np.ndarray:
 def permute_factors(m, dims, perm) -> np.ndarray:
     """Reorder tensor factors: factor ``perm[i]`` of the input becomes factor ``i``."""
     a = as_matrix(m)
-    dims = [_integer(d, "dim") for d in dims]
+    dims, perm = _factors(dims, perm, "perm")
     n = len(dims)
-    perm = [_integer(p, "perm entry") for p in perm]
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"perm {perm} is not a permutation of 0..{n - 1}")
+    if len(perm) != n:
+        raise DimensionMismatchError(f"perm {perm} is not a permutation of 0..{n - 1}")
     t = a.reshape(dims + dims)
     t = t.transpose(perm + [n + p for p in perm])
     return t.reshape(a.shape)
@@ -220,8 +230,7 @@ def embed(op, dims, positions) -> np.ndarray:
     the full product space described by ``dims``, tensoring identities on
     every other factor."""
     a = as_matrix(op)
-    dims = [_integer(d, "dim") for d in dims]
-    positions = [_integer(p, "position") for p in positions]
+    dims, positions = _factors(dims, positions, "positions")
     d_pos = math.prod(dims[p] for p in positions)
     if a.shape[0] != d_pos:
         raise DimensionMismatchError(

@@ -169,6 +169,11 @@ def quantum_bayes(likelihood, prior) -> np.ndarray:
     return _star(like, rho) / p
 
 
+def _outcome(key) -> tuple:
+    """An outcome key as a tuple: a Python or NumPy integer is one register's outcome."""
+    return (key,) if isinstance(key, (int, np.integer)) else tuple(key)
+
+
 @dataclass(frozen=True)
 class HybridState:
     """Joint state of classical registers with one quantum region.
@@ -188,10 +193,8 @@ class HybridState:
         blocks = {}
         qdim = None
         for key, block in dict(self.blocks).items():
-            key = (key,) if isinstance(key, int) else tuple(key)
-            if len(key) != len(cdims) or any(
-                not (0 <= _integer(k, "outcome") < d) for k, d in zip(key, cdims)
-            ):
+            key = tuple(_integer(k, "outcome") for k in _outcome(key))
+            if len(key) != len(cdims) or any(not 0 <= k < d for k, d in zip(key, cdims)):
                 raise ValueError(f"outcome {key} out of range for registers {cdims}")
             b = as_matrix(block)
             if qdim is None:
@@ -216,8 +219,8 @@ class HybridState:
         return math.prod(self.classical_dims)
 
     def block(self, key) -> np.ndarray:
-        key = (key,) if isinstance(key, int) else tuple(key)
-        return self.blocks.get(key, np.zeros((self.quantum_dim, self.quantum_dim), complex))
+        return self.blocks.get(_outcome(key),
+                               np.zeros((self.quantum_dim, self.quantum_dim), complex))
 
     def classical_weight(self, key) -> float:
         return float(np.real(np.trace(self.block(key))))
@@ -283,16 +286,10 @@ def make_hybrid(blocks) -> HybridState:
     Integer keys describe a single classical register; tuple keys describe
     several.
     """
-    items = {}
-    width = None
-    for key, b in dict(blocks).items():
-        key = (key,) if isinstance(key, int) else tuple(key)
-        if width is None:
-            width = len(key)
-        elif len(key) != width:
-            raise ValueError("inconsistent outcome tuple lengths")
-        items[key] = as_matrix(b)
-    cdims = tuple(max(k[i] for k in items) + 1 for i in range(width))
+    items = {_outcome(key): as_matrix(b) for key, b in dict(blocks).items()}
+    if len(set(map(len, items))) > 1:
+        raise ValueError("inconsistent outcome tuple lengths")
+    cdims = tuple(max(column) + 1 for column in zip(*items))
     total = sum(float(np.real(np.trace(b))) for b in items.values())
     if total <= 0:
         raise ValueError("cannot normalize: total trace is not positive")

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compatibility import CompatibilityVerdict, _support_verdict
-from .errors import (DimensionMismatchError, IncompatibleAssignmentsError, InvalidParameterError,
-                     StatePoolError)
+from .errors import DimensionMismatchError, InvalidParameterError, StatePoolError
 from .linalg import (
     EXACT_TOL, TRACE_TOL, Tolerances, _checked_states, _integer, _real, _spectrum, as_matrix,
     hermitize, max_norm,
@@ -290,8 +289,6 @@ def _judge(pooling_prior, sigma1, sigma2, tol: Tolerances) -> ScenarioResult:
                     for a in map(hermitize, (sigma1, sigma2)))
     verdict = _support_verdict(supp1, supp2)
     try:
-        if not verdict.compatible:
-            raise IncompatibleAssignmentsError(verdict.diagnostics)
         pooling = _pool(pooling_prior, sigma1, sigma2, supp1, supp2, verdict, tol)
     except StatePoolError as exc:
         return ScenarioResult(sigma1, sigma2, verdict, None, exc.payload())

@@ -27,8 +27,8 @@ from statepool.linalg import Tolerances
 from statepool.pooling import quantum_pool
 from statepool.regions import make_hybrid
 from statepool.scenario import (
-    AgentPipeline, Channel, DephasingChannel, DepolarizingChannel, ReplacementChannel,
-    ScenarioConfig, UnitaryDynamics,
+    AgentPipeline, Channel, DephasingChannel, DepolarizingChannel, KrausChannel,
+    ReplacementChannel, ScenarioConfig, UnitaryDynamics,
     adversarial_instance, batch_report, haar_unitary, random_instance,
     run_scenario,
 )
@@ -440,8 +440,17 @@ class LouderDepolarizing(DepolarizingChannel):
     """A user's subclass of a named channel: its name would not decode to it."""
 
 
-@pytest.mark.parametrize("step", [NaNOffDiagonal(2), LouderDepolarizing(2, 0.5)],
-                         ids=["Channel", "DepolarizingChannel"])
+class TransposingKraus(KrausChannel):
+    """A user's subclass of a Kraus channel that overrides ``apply``: its
+    Kraus list would decode to a plain ``KrausChannel``, which does not."""
+
+    def apply(self, rho):
+        return super().apply(rho).T
+
+
+@pytest.mark.parametrize("step", [NaNOffDiagonal(2), LouderDepolarizing(2, 0.5),
+                                  TransposingKraus((np.eye(2),))],
+                         ids=["Channel", "DepolarizingChannel", "KrausChannel"])
 def test_step_without_a_json_form_is_rejected(step):
     cfg = ScenarioConfig(HALF, (AgentPipeline("W", (step,)), AgentPipeline("T")))
     with pytest.raises(InvalidParameterError, match=f"a {type(step).__name__} step has no JSON"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from statepool.errors import DimensionMismatchError, NotPSDError
+from statepool.errors import DimensionMismatchError, InvalidParameterError, NotPSDError
 from statepool.linalg import (
     Subspace,
     check_hermitian,
@@ -85,6 +85,30 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             partial_trace(np.eye(4), [2, 3], [0])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: partial_trace(np.eye(4) / 4, [-2, -2], [0]), InvalidParameterError),
+    (lambda: partial_trace(np.eye(1), [0], []), InvalidParameterError),
+    (lambda: partial_trace(np.eye(4) / 4, [2, 2], [-1]), DimensionMismatchError),
+    (lambda: partial_trace(np.eye(4) / 4, [2, 2], [0, 0]), DimensionMismatchError),
+    (lambda: embed(np.eye(2), [2, 2], [2]), DimensionMismatchError),
+    (lambda: embed(np.eye(2), [2, 2], [-1]), DimensionMismatchError),
+    (lambda: embed(np.eye(4), [2, 2], [0, 0]), DimensionMismatchError),
+    (lambda: embed(np.eye(2), [2, -1], [0]), InvalidParameterError),
+    (lambda: permute_factors(np.eye(4), [2, 2], [1, 1]), DimensionMismatchError),
+    (lambda: permute_factors(np.eye(4), [2, 2], [2, 0]), DimensionMismatchError),
+    (lambda: permute_factors(np.eye(4), [2, 2], [0]), DimensionMismatchError),
+    (lambda: permute_factors(np.eye(4), [4, 1, 0], [0, 1, 2]), InvalidParameterError),
+], ids=["partial_trace dims -2", "partial_trace dim 0", "partial_trace keep -1",
+        "partial_trace keep twice", "embed position 2", "embed position -1", "embed position twice",
+        "embed dim -1", "permute_factors entry twice", "permute_factors entry 2",
+        "permute_factors too short", "permute_factors dim 0"])
+def test_factor_dims_and_positions_rule(call, error):
+    """A dim < 1 is InvalidParameterError; a position out of range or named twice is
+    DimensionMismatchError, never a numpy error or another function's message."""
+    with pytest.raises(error, match=r"dim -?\d+ < 1|distinct factors|not a permutation"):
+        call()
 
 
 class TestEmbedPermute:

@@ -205,6 +205,12 @@ class TestHybrid:
         h = make_hybrid({0: rho / 2, 1: rho / 2})
         assert max_norm(h.quantum_marginal() - rho) < 1e-12
         assert h.classical_distribution() == pytest.approx([0.5, 0.5])
+        # a NumPy integer key is the Python integer
+        g = make_hybrid({np.int64(0): rho / 2, np.uint8(1): rho / 2})
+        assert g.classical_dims == h.classical_dims and sorted(g.blocks) == sorted(h.blocks)
+        assert np.array_equal(g.block(np.int32(1)), h.block(1))
+        assert HybridState((2,), {np.int64(1): rho}).classical_weight(np.int8(1)) == \
+            pytest.approx(1.0)
 
     def test_classically_correlated(self):
         h = make_hybrid({0: proj([1.0, 0.0]) / 2, 1: proj([0.0, 1.0]) / 2})

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from statepool import io, scenario
-from statepool.errors import DimensionMismatchError, NonHermitianPoolingProductError
+from statepool.errors import (
+    DimensionMismatchError, IncompatibleAssignmentsError, NonHermitianPoolingProductError,
+)
 from statepool.linalg import max_norm, partial_trace, tensor
 from statepool.pooling import quantum_pool
 from statepool.scenario import (
@@ -208,12 +210,13 @@ class TestRunScenario:
         assert max_norm(res.pooling.pooled - apply_channel(u, rho)) < 1e-10
 
     def test_pooling_error_is_the_payload_quantum_pool_raises(self):
-        cfg = random_instance(2, 0, 0.5)
-        res = run_scenario(cfg)
-        with pytest.raises(NonHermitianPoolingProductError) as raised:
-            quantum_pool(cfg.prior, res.sigma1, res.sigma2, cfg.tol)
-        # the same keys in the same order, the same bytes
-        assert io.dumps(res.pooling_error) == io.dumps(raised.value.payload())
+        for cfg, error in [(random_instance(2, 0, 0.5), NonHermitianPoolingProductError),
+                           (adversarial_instance(3, 0), IncompatibleAssignmentsError)]:
+            res = run_scenario(cfg)
+            with pytest.raises(error) as raised:
+                quantum_pool(cfg.prior, res.sigma1, res.sigma2, cfg.tol)
+            # the same keys in the same order, the same bytes
+            assert io.dumps(res.pooling_error) == io.dumps(raised.value.payload())
 
 
 class TestRandomInstance:
