@@ -9,10 +9,8 @@ from statepool import (
     DepolarizingChannel,
     NonHermitianPoolingProductError,
     ProbabilityDistribution,
-    apply_channel,
     classical_pool,
     minimal_sufficient_statistic,
-    pooled_map,
     quantum_pool,
 )
 from statepool.compatibility import ConditionalDistribution
@@ -33,7 +31,7 @@ rng = np.random.default_rng(0)
 g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
 rho = g.conj().T @ g
 rho /= np.trace(rho).real
-sigma = apply_channel(DepolarizingChannel(2, 0.5), rho)
+sigma = DepolarizingChannel(2, 0.5).apply(rho)
 print("\npool(rho, rho, sigma) == sigma:",
       np.allclose(quantum_pool(rho, rho, sigma).pooled, sigma))
 
@@ -56,11 +54,8 @@ stat = minimal_sufficient_statistic(cond)
 print("\nstatistic classes:", [sorted(c) for c in stat.classes])
 
 # The pooled assignment as a map on priors is well defined but non-linear.
-def assign(w):
-    ch = DepolarizingChannel(2, w)
-    return lambda r: apply_channel(ch, r)
-
-gamma = pooled_map(assign(0.5), assign(0.25))
+a1, a2 = DepolarizingChannel(2, 0.5).apply, DepolarizingChannel(2, 0.25).apply
+gamma = lambda r: quantum_pool(r, a1(r), a2(r))
 a, b = np.diag([0.8, 0.2]), np.diag([0.3, 0.7])
 lhs = gamma(0.5 * a + 0.5 * b).pooled
 rhs = 0.5 * gamma(a).pooled + 0.5 * gamma(b).pooled

@@ -44,7 +44,6 @@ from .pooling import (
     check_conditional_independence,
     classical_pool,
     minimal_sufficient_statistic,
-    pooled_map,
     quantum_minimal_sufficient_statistic,
     quantum_pool,
 )
@@ -70,12 +69,10 @@ from .scenario import (
     ScenarioResult,
     UnitaryDynamics,
     adversarial_instance,
-    apply_channel,
     batch_report,
     haar_unitary,
     random_density,
     random_instance,
-    run_pipeline,
     run_scenario,
 )
 

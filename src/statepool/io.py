@@ -27,11 +27,13 @@ the list came from, and the detector channels go by name and parameter:
 a subclass of one of these too, has no JSON form.
 
 Beyond the gate, io checks a matrix's "dim" and entries, a hybrid state's
-block keys and "outcomes", and its own bool fields.  Every other value goes
-as read to the class that takes it, whose rule (``linalg._integer``,
-``_real``) rejects a string, a bool, None or a float where an integer is
-due; one guard, ``_guard``, turns whatever a constructor rejects while an
-object decodes into MalformedInputError.
+block keys and "outcomes", that every field it iterates is a JSON list and
+each of its bool fields a bool (``_field``: a string is no list of its
+characters, an object no list of its keys), and that a pipeline's "name" is
+a string.  Every other value goes as read to the class that takes it, whose
+rule (``linalg._integer``, ``_real``) rejects a string, a bool, None or a
+float where an integer is due; one guard, ``_guard``, turns whatever a
+constructor rejects while an object decodes into MalformedInputError.
 """
 
 from __future__ import annotations
@@ -185,9 +187,10 @@ def distribution_from_json(obj) -> ProbabilityDistribution:
 
 @_guard("conditional table")
 def conditional_from_json(obj) -> ConditionalDistribution:
-    sorted(_object(obj, _CONDITIONAL)["out_outcomes"])  # suffstat writes its classes sorted
-    return ConditionalDistribution(tuple(obj["given_outcomes"]), tuple(obj["out_outcomes"]),
-                                   obj["table"])
+    _object(obj, _CONDITIONAL)
+    given, out = (_field(obj, key, None, list) for key in ("given_outcomes", "out_outcomes"))
+    sorted(out)  # suffstat writes its classes sorted
+    return ConditionalDistribution(tuple(given), tuple(out), obj["table"])
 
 
 def hybrid_to_json(h: HybridState) -> dict:
@@ -239,7 +242,8 @@ def pooling_report_to_json(r: PoolingReport) -> dict:
 
 
 # Step type -> (its exact class, (JSON field, attribute) pairs in constructor order).
-# The class checks every value; a field in _CODECS goes through its (encoder, decoder).
+# The class checks every value; a field in _CODECS goes through its (encoder of the
+# attribute, decoder of the field in the step object).
 _STEPS = {
     "unitary": (UnitaryDynamics, (("matrix", "u"),)),
     "channel": (KrausChannel, (("kraus", "kraus_ops"),)),
@@ -248,11 +252,11 @@ _STEPS = {
     "replacement": (ReplacementChannel, (("dim", "dim"), ("target", "target"))),
 }
 _CODECS = {
-    "matrix": (matrix_to_json, matrix_from_json),
+    "matrix": (matrix_to_json, lambda obj, f: matrix_from_json(obj[f])),
     "kraus": (lambda ops: list(map(matrix_to_json, ops)),
-              lambda objs: tuple(map(matrix_from_json, objs))),
+              lambda obj, f: tuple(map(matrix_from_json, _field(obj, f, None, list)))),
 }
-_AS_IS = (lambda v: v,) * 2
+_AS_IS = (lambda v: v, lambda obj, f: obj[f])
 _STEP_NAMES = {cls: name for name, (cls, _) in _STEPS.items()}
 _STEP_KEYS = {name: _keys(f"{name} step", ("type", *(f for f, _ in fields)))
               for name, (_, fields) in _STEPS.items()}
@@ -272,7 +276,7 @@ def _step_from_json(obj):
         raise MalformedInputError(f"unknown step type {name!r}")
     cls, fields = _STEPS[name]
     _object(obj, _STEP_KEYS[name])
-    return cls(*(_CODECS.get(f, _AS_IS)[1](obj[f]) for f, _ in fields))
+    return cls(*(_CODECS.get(f, _AS_IS)[1](obj, f) for f, _ in fields))
 
 
 def scenario_config_to_json(cfg: ScenarioConfig) -> dict:
@@ -292,10 +296,11 @@ def scenario_config_to_json(cfg: ScenarioConfig) -> dict:
 
 @_guard("scenario config")
 def scenario_config_from_json(obj) -> ScenarioConfig:
-    pipelines = tuple(
-        AgentPipeline(p["name"], tuple(map(_step_from_json, p["steps"])))
-        for p in (_object(p, _PIPELINE) for p in _object(obj, _CONFIG)["pipelines"])
-    )
+    pipelines = []
+    for p in _field(_object(obj, _CONFIG), "pipelines", None, list):
+        name = _field(_object(p, _PIPELINE), "name", None, str)
+        steps = _field(p, "steps", None, list)
+        pipelines.append(AgentPipeline(name, tuple(map(_step_from_json, steps))))
     evolved = obj.get("evolved_by")  # an absent key or null is no evolved_by
     if _field(obj, "pool_against_evolved", False, bool) != (evolved is not None):
         raise MalformedInputError('"pool_against_evolved" must be true iff "evolved_by" is set')

@@ -54,6 +54,9 @@ Conventions
   the library builds itself (``Subspace.full``, eigenvector and
   principal-angle bases, Haar unitaries) is orthonormal or unitary to
   O(d eps), far inside the tolerances, and skips re-checks (``_trusted``).
+* ``pseudo_inverse``, ``sqrt_psd`` and ``support_projector`` stay public
+  although no module here calls them: ``Spectrum`` is not exported, and each
+  gives a caller one spectral result without its eigenvectors and rank cut.
 """
 
 from __future__ import annotations

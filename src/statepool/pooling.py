@@ -221,19 +221,3 @@ def check_conditional_independence(h1, h2, joint):
                 reversed_residual, max_norm(joint[(a, b)] - h2[b] @ h1[a])
             )
     return residual <= EXACT_TOL, residual, reversed_residual
-
-
-def pooled_map(assign1, assign2):
-    """Closure form of the pooled assignment: rho -> pool(rho, assign1(rho), assign2(rho)).
-
-    ``assign1``/``assign2`` are deterministic maps from a prior to each
-    agent's posterior (e.g. channel applications).  The returned map is
-    non-linear in general: the matrix inverse does not distribute over
-    sums and the posteriors themselves depend on the prior.  Pooling
-    errors propagate from quantum_pool.
-    """
-
-    def gamma(rho) -> PoolingReport:
-        return quantum_pool(rho, assign1(rho), assign2(rho))
-
-    return gamma

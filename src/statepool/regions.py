@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ImpossibleConditioningError, NotPSDError
 from .linalg import (
-    EXACT_TOL, SUPPORT_TOL, TRACE_TOL, Spectrum, _integer, _sqrt_psd, as_matrix, check_hermitian,
-    embed, hermitize, max_norm, partial_trace,
+    EXACT_TOL, SUPPORT_TOL, TRACE_TOL, Spectrum, Tolerances, _integer, _sqrt_psd, as_matrix,
+    check_hermitian, embed, max_norm, partial_trace,
 )
 
 
@@ -62,7 +62,7 @@ class JointState:
             raise ValueError(f"duplicate region names in {names}")
         op = as_matrix(self.op)
         check_hermitian(op, "joint state")
-        op = hermitize(op)
+        op = (op + op.conj().T) / 2  # hermitize, unchecked
         d = math.prod(r.dim for r in regions)
         if op.shape[0] != d:
             raise DimensionMismatchError(
@@ -202,9 +202,10 @@ class HybridState:
             elif b.shape[0] != qdim:
                 raise DimensionMismatchError("blocks have differing quantum dims")
             check_hermitian(b, f"block at outcome {key}")
-            if not Spectrum.of(b).is_psd():
+            h = (b + b.conj().T) / 2  # hermitize, unchecked
+            if not Spectrum._of_hermitian(h, Tolerances.rank_tol).is_psd():
                 raise NotPSDError(f"block at outcome {key} is not PSD")
-            blocks[key] = hermitize(b)
+            blocks[key] = h
         if not blocks:
             raise ValueError("hybrid state needs at least one block")
         total = sum(float(np.real(np.trace(b))) for b in blocks.values())

@@ -24,16 +24,27 @@ from .pooling import PoolingReport, _pool
 
 
 class Channel:
-    """One pipeline step: a CPTP map from dim_in x dim_in to dim_out x dim_out matrices.
+    """One pipeline step: a map from dim_in x dim_in to dim_out x dim_out states.
 
-    A step is the map it applies to a state, nothing more: ``apply`` returns
-    (M + M†)/2 for M = ``_map(rho)`` unless a subclass overrides it.
+    A step is the map it applies to a state, nothing more; the library's own
+    steps are CPTP, but a step need not be linear.  ``apply`` is the one
+    checked entry: it validates ``rho`` (``as_matrix``) and its dim, then
+    returns ``_apply(rho)``.  ``_apply`` trusts its input, as ``run_scenario``
+    does for states the config checked; it returns (M + M†)/2 for
+    M = ``_map(r)`` unless a subclass overrides it.
     """
 
     dim_in = dim_out = property(lambda self: self.dim)  # square channels define ``dim``
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = self._map(rho)
+    def apply(self, rho) -> np.ndarray:
+        r = as_matrix(rho)
+        if r.shape[0] != self.dim_in:
+            raise DimensionMismatchError(
+                f"channel input dim {self.dim_in} != state dim {r.shape[0]}")
+        return self._apply(r)
+
+    def _apply(self, r: np.ndarray) -> np.ndarray:
+        out = self._map(r)
         return (out + out.conj().T) / 2
 
 
@@ -87,8 +98,8 @@ class UnitaryDynamics(Channel):
     def dim(self) -> int:
         return self.u.shape[0]
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return self.u @ rho @ self.u.conj().T
+    def _apply(self, r: np.ndarray) -> np.ndarray:
+        return self.u @ r @ self.u.conj().T
 
 
 @dataclass(frozen=True)
@@ -237,7 +248,7 @@ class ScenarioConfig:
             raise DimensionMismatchError(f"evolved_by dim {self.evolved_by.dim} != prior dim {d}")
         object.__setattr__(self, "prior", prior)
         if self.evolved_by is not None:  # pool against its unitary image, symmetrized, unchecked
-            m = self.evolved_by.apply(prior)
+            m = self.evolved_by._apply(prior)
             pooling_prior = _spectrum((m + m.conj().T) / 2, self.tol.rank_tol).clamped()
         object.__setattr__(self, "_pooling_prior", pooling_prior)
         object.__setattr__(self, "pipelines", pipelines)
@@ -252,25 +263,6 @@ class ScenarioResult:
     pooling_error: dict | None = None
 
 
-def _step(ch: Channel, r: np.ndarray) -> np.ndarray:
-    if r.shape[0] != ch.dim_in:
-        raise DimensionMismatchError(f"channel input dim {ch.dim_in} != state dim {r.shape[0]}")
-    return ch.apply(r)
-
-
-def apply_channel(ch: Channel, rho) -> np.ndarray:
-    """One channel applied to ``rho``; preserves trace and positivity."""
-    return _step(ch, as_matrix(rho))
-
-
-def run_pipeline(p: AgentPipeline, prior) -> np.ndarray:
-    """Left-to-right composition of the pipeline's steps applied to the prior."""
-    rho = as_matrix(prior)
-    for s in p.steps:
-        rho = _step(s, rho)
-    return rho
-
-
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run both pipelines, decide compatibility, attempt pooling.
 
@@ -278,8 +270,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     in the result (``pooling_error`` is the error's ``payload()``: its class
     and message, plus the Hermiticity residual when available).
     """
-    sigma1, sigma2 = (run_pipeline(p, cfg.prior) for p in cfg.pipelines)
-    return _judge(cfg._pooling_prior, sigma1, sigma2, cfg.tol)
+    posteriors = []
+    for p in cfg.pipelines:  # the prior and every step's dims were checked with the config
+        rho = cfg.prior
+        for s in p.steps:
+            rho = s._apply(rho)
+        posteriors.append(rho)
+    return _judge(cfg._pooling_prior, *posteriors, cfg.tol)
 
 
 def _judge(pooling_prior, sigma1, sigma2, tol: Tolerances) -> ScenarioResult:

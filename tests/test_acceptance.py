@@ -14,11 +14,10 @@ from statepool.linalg import max_norm
 from statepool.pooling import (
     check_conditional_independence,
     classical_pool,
-    pooled_map,
     quantum_pool,
 )
 from statepool.regions import quantum_bayes, star_product
-from statepool.scenario import DepolarizingChannel, apply_channel
+from statepool.scenario import DepolarizingChannel
 
 from oracles import (
     grid_distributions,
@@ -180,11 +179,8 @@ def test_09_pooled_map_nonlinearity_witness():
     # frozen regression triple: depolarizing assignments (weights 1/2, 1/4),
     # diagonal qubit priors diag(.8,.2) and diag(.3,.7), alpha = 1/2;
     # expected gap computed independently with exact rational arithmetic
-    def assign(weight):
-        ch = DepolarizingChannel(2, weight)
-        return lambda r: apply_channel(ch, r)
-
-    gamma = pooled_map(assign(0.5), assign(0.25))
+    a1, a2 = DepolarizingChannel(2, 0.5).apply, DepolarizingChannel(2, 0.25).apply
+    gamma = lambda r: quantum_pool(r, a1(r), a2(r))  # the pooled assignment map
     rho = np.diag([0.8, 0.2])
     rhop = np.diag([0.3, 0.7])
     mixed = gamma(0.5 * rho + 0.5 * rhop).pooled

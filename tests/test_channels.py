@@ -1,10 +1,12 @@
 """Closed-form noise channels against their explicit Kraus lists, and the channel protocol."""
 
+import re
+
 import numpy as np
 import pytest
 
 from statepool.errors import DimensionMismatchError, InvalidParameterError
-from statepool.linalg import max_norm
+from statepool.linalg import as_matrix, max_norm
 from statepool.scenario import (
     AgentPipeline,
     Channel,
@@ -12,11 +14,11 @@ from statepool.scenario import (
     DepolarizingChannel,
     KrausChannel,
     ReplacementChannel,
+    ScenarioConfig,
     UnitaryDynamics,
-    apply_channel,
     batch_report,
     random_instance,
-    run_pipeline,
+    run_scenario,
 )
 
 from oracles import (
@@ -65,8 +67,8 @@ def test_closed_form_matches_kraus_sum_and_formula(kind, dim, x):
     ch = BUILD[kind][0](dim, x)
     kraus = KrausChannel(tuple(BUILD[kind][1](dim, x)))
     for r in inputs(dim, seed=dim):
-        got = apply_channel(ch, r)
-        assert max_norm(got - apply_channel(kraus, r)) <= 1e-12
+        got = ch.apply(r)
+        assert max_norm(got - kraus.apply(r)) <= 1e-12
         assert max_norm(got - textbook(kind, dim, x, r)) <= 1e-12
 
 
@@ -82,8 +84,7 @@ def test_closed_form_repeats_the_kraus_sum_bit_for_bit(kind, dim, x):
 
 def test_running_a_random_instance_builds_no_kraus_list():
     cfg = random_instance(8, 3, 0.5)
-    for p in cfg.pipelines:
-        run_pipeline(p, cfg.prior)
+    run_scenario(cfg)
     for p in cfg.pipelines:
         assert all("kraus_ops" not in vars(s) for s in p.steps)
 
@@ -93,20 +94,26 @@ def test_unitary_step_is_exact_and_not_symmetrized():
     u = rand_unitary(rng, 3)
     rho = rand_density(rng, 3)
     step = UnitaryDynamics(u)
-    assert np.array_equal(run_pipeline(AgentPipeline("U", (step,)), rho), u @ rho @ u.conj().T)
+    assert np.array_equal(step.apply(rho), u @ rho @ u.conj().T)
+    cfg = ScenarioConfig(rho, (AgentPipeline("U", (step,)), AgentPipeline("I")))
+    assert np.array_equal(run_scenario(cfg).sigma1, u @ cfg.prior @ u.conj().T)
     assert step.dim_in == step.dim_out == 3
     assert not hasattr(step, "kraus_ops")
 
 
+class BitFlip(Channel):
+    """A user's step that defines only ``_map``."""
+
+    dim = 2
+
+    def _map(self, r):
+        return r[::-1, ::-1]
+
+
 def test_pipeline_accepts_any_channel_subclass():
-    class BitFlip(Channel):
-        dim = 2
-
-        def _map(self, r):
-            return r[::-1, ::-1]
-
     rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
-    out = run_pipeline(AgentPipeline("F", (BitFlip(), DephasingChannel(2, 1.0))), rho)
+    pipelines = (AgentPipeline("F", (BitFlip(), DephasingChannel(2, 1.0))), AgentPipeline("I"))
+    out = run_scenario(ScenarioConfig(rho, pipelines)).sigma1
     assert max_norm(out - np.diag([0.3, 0.7])) < 1e-15
 
 
@@ -115,10 +122,29 @@ def test_pipeline_rejects_non_channels():
         AgentPipeline("bad", (np.eye(2),))
 
 
-def test_first_step_input_dim_checked():
-    p = AgentPipeline("W", (DepolarizingChannel(3, 0.5),))
-    with pytest.raises(DimensionMismatchError, match="input dim 3"):
-        run_pipeline(p, np.eye(2) / 2)
+STEPS = {
+    "KrausChannel": KrausChannel((np.eye(2),)),
+    "UnitaryDynamics": UnitaryDynamics(np.eye(2)),
+    "DepolarizingChannel": DepolarizingChannel(2, 0.5),
+    "DephasingChannel": DephasingChannel(2, 0.5),
+    "ReplacementChannel": ReplacementChannel(2, 1),
+    "_map only": BitFlip(),
+}
+
+
+@pytest.mark.parametrize("step", STEPS.values(), ids=STEPS)
+def test_apply_checks_the_state_for_every_step_class(step):
+    # apply is the one checked entry: the same errors whatever the step's class
+    with pytest.raises(DimensionMismatchError, match="^channel input dim 2 != state dim 3$"):
+        step.apply(np.eye(3) / 3)
+    with pytest.raises(DimensionMismatchError, match="square matrix"):
+        step.apply(np.ones((2, 3)))
+    nan = np.full((2, 2), np.nan)
+    with pytest.raises(ValueError) as expected:
+        as_matrix(nan)
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        step.apply(nan)
+    assert step.apply([[1, 0], [0, 0]]).shape == (2, 2)  # a nested list is a state too
 
 
 @pytest.mark.parametrize("strength", [-0.1, 1.5, float("nan"), float("inf")])

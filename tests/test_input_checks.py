@@ -441,11 +441,11 @@ class LouderDepolarizing(DepolarizingChannel):
 
 
 class TransposingKraus(KrausChannel):
-    """A user's subclass of a Kraus channel that overrides ``apply``: its
+    """A user's subclass of a Kraus channel that overrides ``_apply``: its
     Kraus list would decode to a plain ``KrausChannel``, which does not."""
 
-    def apply(self, rho):
-        return super().apply(rho).T
+    def _apply(self, r):
+        return super()._apply(r).T
 
 
 @pytest.mark.parametrize("step", [NaNOffDiagonal(2), LouderDepolarizing(2, 0.5),

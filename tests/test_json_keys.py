@@ -116,6 +116,36 @@ def test_misspelled_rank_tol_is_exit_2(tmp_path, capsys):
     assert '"rank_tol"' in bad["message"]
 
 
+# object -> (document, path to the field, its wrong-kind value, the kind due)
+WRONG_KINDS = {
+    "given_outcomes": ("table", ("given_outcomes",), "01", "list"),
+    "out_outcomes": ("table", ("out_outcomes",), "ab", "list"),
+    "pipelines": ("config", ("pipelines",), {"Wanda": [], "Theo": []}, "list"),
+    "steps": ("config", ("pipelines", 0, "steps"), "unitary", "list"),
+    "kraus": ("config", ("pipelines", 1, "steps", 0, "kraus"), MATRIX, "list"),
+    "name": ("config", ("pipelines", 0, "name"), ["W"], "str"),
+}
+
+
+@pytest.mark.parametrize("key", WRONG_KINDS)
+def test_a_field_of_the_wrong_kind_is_exit_2(tmp_path, capsys, key):
+    # a string is no list of its characters, a matrix no list of its keys
+    doc, path, value, kind = WRONG_KINDS[key]
+    bad = copy.deepcopy(DOCUMENTS[doc])
+    obj = bad
+    for step in path[:-1]:
+        obj = obj[step]
+    obj[path[-1]] = value
+    message = f'"{key}" must be a {kind}, got {value!r}'
+    with pytest.raises(MalformedInputError) as raised:
+        DECODERS[doc](bad)
+    assert str(raised.value) == message
+    command, n_files = COMMANDS[doc]
+    (tmp_path / "in.json").write_text(json.dumps(bad))
+    assert main([command, *[str(tmp_path / "in.json")] * n_files]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "malformed_input", "message": message}
+
+
 def test_key_messages_name_the_keys():
     with pytest.raises(MalformedInputError) as raised:
         io.hybrid_from_json(HYBRID | {"quantum_dim": 2})

@@ -1,11 +1,12 @@
 """Detector channels written into configs by name.
 
 A depolarizing, dephasing or replacement step is written as its type name,
-dim and parameter, and read back through the validating factory as the
-closed-form channel, so no Kraus list is built, checked or applied on the
-``randgen`` -> ``scenario-run`` path.  A config that holds the same channels
-as Kraus lists still reads, and ``scenario-run`` gives the same bytes on
-both.  Malformed named steps are in ``test_input_checks.py``.
+dim and parameter, and read back as the closed-form channel by its class's
+constructor (one ``io._STEPS`` row), which checks the parameter, so no Kraus
+list is built, checked or applied on the ``randgen`` -> ``scenario-run`` path.
+A config that holds the same channels as Kraus lists still reads, and
+``scenario-run`` gives the same bytes on both.  Malformed named steps are
+in ``test_input_checks.py``.
 """
 
 import json

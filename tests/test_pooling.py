@@ -14,11 +14,10 @@ from statepool.pooling import (
     check_conditional_independence,
     classical_pool,
     minimal_sufficient_statistic,
-    pooled_map,
     quantum_minimal_sufficient_statistic,
     quantum_pool,
 )
-from statepool.scenario import DepolarizingChannel, apply_channel
+from statepool.scenario import DepolarizingChannel
 
 from oracles import rand_density, rand_herm, rand_prob, rand_psd
 
@@ -73,9 +72,28 @@ class TestQuantumPool:
     def test_left_and_right_absorption(self):
         rng = np.random.default_rng(2)
         rho = rand_density(rng, 3)
-        sigma = rand_density(rng, 3)
-        assert max_norm(quantum_pool(rho, rho, sigma).pooled - sigma) < 1e-10
-        assert max_norm(quantum_pool(rho, sigma, rho).pooled - sigma) < 1e-10
+        # a posterior drawn apart from the prior, and one a channel makes from it
+        for sigma in (rand_density(rng, 3), DepolarizingChannel(3, 0.4).apply(rho)):
+            assert max_norm(quantum_pool(rho, rho, sigma).pooled - sigma) < 1e-10
+            assert max_norm(quantum_pool(rho, sigma, rho).pooled - sigma) < 1e-10
+
+    def test_pooled_assignment_map_is_nonlinear(self):
+        # frozen fixture: depolarizing assignments (weights 1/2 and 1/4) on
+        # diagonal qubit priors diag(.8,.2) and diag(.3,.7), alpha = 1/2.
+        # Expected values computed independently with exact rational
+        # arithmetic on the diagonal entries s1_i * s2_i / r_i.
+        a1, a2 = DepolarizingChannel(2, 0.5).apply, DepolarizingChannel(2, 0.25).apply
+        rho = np.diag([0.8, 0.2])
+        rhop = np.diag([0.3, 0.7])
+        mix = 0.5 * rho + 0.5 * rhop
+        g_rho, g_rhop, g_mix = (quantum_pool(r, a1(r), a2(r)).pooled for r in (rho, rhop, mix))
+        assert max_norm(g_rho - np.diag([377 / 685, 308 / 685])) < 1e-12
+        assert max_norm(g_rhop - np.diag([98 / 215, 117 / 215])) < 1e-12
+        assert max_norm(g_mix - np.diag([8127 / 15860, 7733 / 15860])) < 1e-12
+        convex = 0.5 * g_rho + 0.5 * g_rhop
+        gap = max_norm(g_mix - convex)
+        assert gap == pytest.approx(0.00933172687599418, rel=1e-9)
+        assert gap > 1e-3
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 8))
@@ -211,42 +229,3 @@ class TestConditionalIndependence:
     def test_missing_pair(self):
         with pytest.raises(KeyError):
             check_conditional_independence({0: np.eye(2)}, {0: np.eye(2)}, {})
-
-
-class TestPooledMap:
-    def test_identity_assignments(self):
-        rng = np.random.default_rng(9)
-        gamma = pooled_map(lambda r: r, lambda r: r)
-        rho = rand_density(rng, 3)
-        assert max_norm(gamma(rho).pooled - rho) < 1e-10
-
-    def test_identity_and_fixed_channel(self):
-        rng = np.random.default_rng(10)
-        ch = DepolarizingChannel(3, 0.4)
-        gamma = pooled_map(lambda r: r, lambda r: apply_channel(ch, r))
-        rho = rand_density(rng, 3)
-        assert max_norm(gamma(rho).pooled - apply_channel(ch, rho)) < 1e-10
-
-    def test_nonlinearity_witness_regression(self):
-        # frozen fixture: depolarizing assignments (weights 1/2 and 1/4) on
-        # diagonal qubit priors diag(.8,.2) and diag(.3,.7), alpha = 1/2.
-        # Expected values computed independently with exact rational
-        # arithmetic on the diagonal entries s1_i * s2_i / r_i.
-        def assign(weight):
-            ch = DepolarizingChannel(2, weight)
-            return lambda r: apply_channel(ch, r)
-
-        gamma = pooled_map(assign(0.5), assign(0.25))
-        rho = np.diag([0.8, 0.2])
-        rhop = np.diag([0.3, 0.7])
-        mix = 0.5 * rho + 0.5 * rhop
-        g_rho = gamma(rho).pooled
-        g_rhop = gamma(rhop).pooled
-        g_mix = gamma(mix).pooled
-        assert max_norm(g_rho - np.diag([377 / 685, 308 / 685])) < 1e-12
-        assert max_norm(g_rhop - np.diag([98 / 215, 117 / 215])) < 1e-12
-        assert max_norm(g_mix - np.diag([8127 / 15860, 7733 / 15860])) < 1e-12
-        convex = 0.5 * g_rho + 0.5 * g_rhop
-        gap = max_norm(g_mix - convex)
-        assert gap == pytest.approx(0.00933172687599418, rel=1e-9)
-        assert gap > 1e-3

@@ -16,11 +16,9 @@ from statepool.scenario import (
     ScenarioConfig,
     UnitaryDynamics,
     adversarial_instance,
-    apply_channel,
     batch_report,
     haar_unitary,
     random_instance,
-    run_pipeline,
     run_scenario,
 )
 
@@ -39,11 +37,11 @@ class TestChannels:
         rng = np.random.default_rng(0)
         rho = rand_density(rng, 3)
         ch = KrausChannel((np.eye(3),))
-        assert max_norm(apply_channel(ch, rho) - rho) < 1e-12
+        assert max_norm(ch.apply(rho) - rho) < 1e-12
 
     def test_full_dephasing_kills_coherences(self):
         ch = KrausChannel((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-        assert max_norm(apply_channel(ch, proj([1, 1])) - np.eye(2) / 2) < 1e-12
+        assert max_norm(ch.apply(proj([1, 1])) - np.eye(2) / 2) < 1e-12
 
     def test_partial_trace_as_channel(self):
         # Kraus ops <i| (x) I implement Tr_A
@@ -51,7 +49,7 @@ class TestChannels:
         ra, rb = rand_density(rng, 2), rand_density(rng, 3)
         ops = tuple(np.kron(np.eye(2)[i, :].reshape(1, 2), np.eye(3)) for i in range(2))
         ch = KrausChannel(ops)
-        got = apply_channel(ch, tensor(ra, rb))
+        got = ch.apply(tensor(ra, rb))
         assert max_norm(got - partial_trace(tensor(ra, rb), [2, 3], [1])) < 1e-12
 
     def test_trace_preservation_enforced(self):
@@ -63,7 +61,7 @@ class TestChannels:
         for dim in (2, 4, 8):
             ch = DepolarizingChannel(dim, 0.7)
             for _ in range(10):
-                out = apply_channel(ch, rand_density(rng, dim))
+                out = ch.apply(rand_density(rng, dim))
                 assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
                 assert np.linalg.eigvalsh(out).min() >= -1e-10
 
@@ -72,22 +70,22 @@ class TestEvolve:
     def test_identity(self):
         rng = np.random.default_rng(3)
         rho = rand_density(rng, 2)
-        assert max_norm(apply_channel(UnitaryDynamics(np.eye(2)), rho) - rho) == 0
+        assert max_norm(UnitaryDynamics(np.eye(2)).apply(rho) - rho) == 0
 
     def test_hadamard_on_ket0(self):
-        got = apply_channel(UnitaryDynamics(HADAMARD), proj([1, 0]))
+        got = UnitaryDynamics(HADAMARD).apply(proj([1, 0]))
         assert max_norm(got - proj([1, 1])) < 1e-12
 
     def test_maximally_mixed_invariant(self):
         rng = np.random.default_rng(4)
         u = UnitaryDynamics(rand_unitary(rng, 4))
-        assert max_norm(apply_channel(u, np.eye(4) / 4) - np.eye(4) / 4) < 1e-12
+        assert max_norm(u.apply(np.eye(4) / 4) - np.eye(4) / 4) < 1e-12
 
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(5)
         rho = rand_density(rng, 5)
         u = UnitaryDynamics(rand_unitary(rng, 5))
-        assert np.allclose(np.linalg.eigvalsh(apply_channel(u, rho)),
+        assert np.allclose(np.linalg.eigvalsh(u.apply(rho)),
                            np.linalg.eigvalsh(rho), atol=1e-10)
 
     def test_non_unitary_rejected(self):
@@ -98,24 +96,24 @@ class TestEvolve:
 class TestPipelines:
     def test_empty_pipeline(self):
         rng = np.random.default_rng(6)
-        rho = rand_density(rng, 2)
-        assert max_norm(run_pipeline(AgentPipeline("idle"), rho) - rho) == 0
+        cfg = ScenarioConfig(rand_density(rng, 2), (AgentPipeline("idle"), AgentPipeline("I")))
+        assert run_scenario(cfg).sigma1 is cfg.prior
 
     def test_composition_order(self):
         rng = np.random.default_rng(7)
         rho = rand_density(rng, 2)
         u = UnitaryDynamics(rand_unitary(rng, 2))
         ch = DephasingChannel(2, 0.3)
-        p = AgentPipeline("W", (u, ch))
-        assert max_norm(run_pipeline(p, rho) - apply_channel(ch, apply_channel(u, rho))) < 1e-12
+        cfg = ScenarioConfig(rho, (AgentPipeline("W", (u, ch)), AgentPipeline("I")))
+        assert max_norm(run_scenario(cfg).sigma1 - ch.apply(u.apply(rho))) < 1e-12
 
     def test_fixed_instance_regression(self):
         # frozen posteriors for a fixed qubit instance, computed once
         rho = np.diag([0.6, 0.4])
         wanda = AgentPipeline("Wanda", (DephasingChannel(2, 0.5),))
         theo = AgentPipeline("Theo", (UnitaryDynamics(HADAMARD), DepolarizingChannel(2, 0.5)))
-        s1 = run_pipeline(wanda, rho)
-        s2 = run_pipeline(theo, rho)
+        res = run_scenario(ScenarioConfig(rho, (wanda, theo)))
+        s1, s2 = res.sigma1, res.sigma2
         assert max_norm(s1 - np.diag([0.6, 0.4])) < 1e-12
         want2 = np.array([[0.5, 0.05], [0.05, 0.5]])
         assert max_norm(s2 - want2) < 1e-12
@@ -207,7 +205,7 @@ class TestRunScenario:
         res = run_scenario(cfg)
         # both posteriors equal the evolved prior, so pooling against it is exact
         assert res.pooling is not None
-        assert max_norm(res.pooling.pooled - apply_channel(u, rho)) < 1e-10
+        assert max_norm(res.pooling.pooled - u.apply(rho)) < 1e-10
 
     def test_pooling_error_is_the_payload_quantum_pool_raises(self):
         for cfg, error in [(random_instance(2, 0, 0.5), NonHermitianPoolingProductError),

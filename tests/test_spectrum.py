@@ -28,7 +28,7 @@ from statepool.linalg import (
 from statepool.pooling import _pool, quantum_pool
 from statepool.scenario import (
     AgentPipeline, DephasingChannel, DepolarizingChannel, ScenarioConfig, UnitaryDynamics,
-    adversarial_instance, batch_report, haar_unitary, random_instance, run_pipeline, run_scenario,
+    adversarial_instance, batch_report, haar_unitary, random_instance, run_scenario,
 )
 
 from oracles import rand_density, rand_psd
@@ -255,10 +255,13 @@ class TestDecompositionCounts:
         (lambda: quantum_pool(np.eye(2) / 2, np.eye(2) / 2, np.eye(2) / 2), 3),
         (lambda: quantum_compatible(np.eye(2) / 2, np.eye(2) / 2), 2),
         (lambda: random_instance(2, 0), 1),  # the prior; its Haar unitaries are not re-checked
-    ], ids=["quantum_pool", "quantum_compatible", "random_instance"])
+        (lambda: regions.JointState((regions.RegionLabel("A", 2),), np.eye(2) / 2), 1),
+        (lambda: regions.HybridState((3,), {0: np.eye(2) / 8, 2: np.eye(2) / 8,
+                                            1: np.eye(2) / 4}), 3),  # one per block
+    ], ids=["quantum_pool", "quantum_compatible", "random_instance", "JointState",
+            "HybridState"])
     def test_each_state_validated_once(self, monkeypatch, call, validations):
-        calls, as_matrix = [], linalg.as_matrix
-        monkeypatch.setattr(linalg, "as_matrix", lambda m: calls.append(m) or as_matrix(m))
+        calls = count_as_matrix(monkeypatch)
         call()
         assert len(calls) == validations
 
@@ -274,14 +277,14 @@ class TestDecompositionCounts:
 
     @pytest.mark.parametrize("evolved", [False, True], ids=["plain", "evolved"])
     def test_evolved_scenario_validates_as_often_as_a_plain_one(self, monkeypatch, evolved):
-        # each pipeline's input and each posterior; the pooling prior was fixed,
-        # and checked, when the config was built
+        # each posterior, once; the prior, the pooling prior and every step's dims
+        # were checked when the config was built, so the pipelines run unchecked
         cfg = random_instance(4, 3, 0.5)
         if evolved:
             cfg = dataclasses.replace(cfg, evolved_by=cfg.pipelines[0].steps[0])
         calls = count_as_matrix(monkeypatch)
         run_scenario(cfg)
-        assert len(calls) == 4
+        assert len(calls) == 2
 
 
 def gram_checked(s: Subspace) -> Subspace:
@@ -409,8 +412,8 @@ class TestFullRankCertificate:
         res = run_scenario(cfg)
         assert not res.verdict.compatible and res.verdict.intersection_rank() == 0
         assert c.count("cholesky") == 2 and c.count("eigh") == 2  # both posteriors
-        for p in cfg.pipelines:
-            assert support_projector(run_pipeline(p, cfg.prior)).rank == 1
+        for sigma in (res.sigma1, res.sigma2):
+            assert support_projector(sigma).rank == 1
 
     @pytest.mark.parametrize("d", [1, 2, 64])
     def test_full_subspace_has_exactly_the_identity_basis(self, d):
@@ -475,8 +478,9 @@ def test_scenario_run_golden_bytes(tmp_path, capsys, d):
 
 
 def _pool_recomputing_the_prior(cfg):
-    """``run_scenario``'s pooling step with the prior decomposed afresh."""
-    sigma1, sigma2 = (run_pipeline(p, cfg.prior) for p in cfg.pipelines)
+    """``run_scenario``'s pooling step, on its posteriors, with the prior decomposed afresh."""
+    res = run_scenario(cfg)
+    sigma1, sigma2 = res.sigma1, res.sigma2
     supp1, supp2 = (Spectrum.of(s, cfg.tol.rank_tol).support() for s in (sigma1, sigma2))
     return _pool(Spectrum.of(cfg.prior, cfg.tol.rank_tol), sigma1, sigma2, supp1, supp2, None,
                  cfg.tol)
