@@ -25,10 +25,10 @@ Conventions
   the cut above keeps every eigenvalue, so it is positive definite with
   support ``Subspace.full`` and its inverse as pseudo-inverse, applied by
   one LU solve; else its ``Spectrum``.  Both answer ``is_psd``, ``clamped``,
-  ``support``, ``full_rank`` and ``pool_product``.  Every state that
-  ``_checked_states`` or a scenario hands on is clamped, so ``pinv`` never
-  inverts a clamped eigenvalue, no checked matrix is rebuilt, and a
-  posterior's support never holds a direction its prior's drops;
+  ``support``, ``full_rank`` and ``pool_product``.  ``_state`` (PSD test, then
+  ``clamped``) makes every state ``_checked_states`` or a scenario hands on, so
+  ``pinv`` never inverts a clamped eigenvalue, no checked matrix is rebuilt, and
+  a posterior's support never holds a direction its prior's drops;
   ``support_projector`` reads the unclamped support.
 * A caller sets ``rank_tol`` and ``herm_tol`` through one ``Tolerances``
   record, which rejects a NaN, infinite or negative value, or ``rank_tol >= 1``,
@@ -57,6 +57,7 @@ Conventions
 * ``pseudo_inverse``, ``sqrt_psd`` and ``support_projector`` stay public
   although no module here calls them: ``Spectrum`` is not exported, and each
   gives a caller one spectral result without its eigenvectors and rank cut.
+  Each checks its operand Hermitian (``_hermitian``), as ``star_product`` its ``phi``.
 """
 
 from __future__ import annotations
@@ -170,6 +171,14 @@ def check_hermitian(m, name: str, herm_tol: float = Tolerances.herm_tol) -> None
         raise InvalidParameterError(f"{name} is not Hermitian (residual {residual:.3e})")
 
 
+def _hermitian(m, name: str) -> np.ndarray:
+    """``m`` as a matrix, once ``as_matrix`` and ``check_hermitian`` at the default
+    ``herm_tol`` accept it; not symmetrized."""
+    a = as_matrix(m)
+    check_hermitian(a, name)
+    return a
+
+
 def _checked_states(tol: Tolerances, **states) -> list:
     """(matrix, symmetrized matrix, clamped ``_spectrum`` cut at ``tol.rank_tol``)
     for every state, once all are square matrices of one shape, Hermitian
@@ -181,11 +190,15 @@ def _checked_states(tol: Tolerances, **states) -> list:
     for name, m in mats.items():
         check_hermitian(m, name, tol.herm_tol)
     hermitian = {name: (m + m.conj().T) / 2 for name, m in mats.items()}  # hermitize, unchecked
-    found = {name: _spectrum(h, tol.rank_tol) for name, h in hermitian.items()}
-    for name, s in found.items():
-        if not s.is_psd():
-            raise InvalidParameterError(f"{name} is not PSD (eigenvalue {s.w.min():.3e})")
-    return [(mats[name], hermitian[name], s.clamped()) for name, s in found.items()]
+    return [(mats[name], h, _state(h, name, tol.rank_tol)) for name, h in hermitian.items()]
+
+
+def _state(h: np.ndarray, name: str, rank_tol: float) -> Spectrum | _FullRank:
+    """``_spectrum(h, rank_tol)`` clamped, once it is PSD; else InvalidParameterError."""
+    s = _spectrum(h, rank_tol)
+    if not s.is_psd():
+        raise InvalidParameterError(f"{name} is not PSD (eigenvalue {s.w.min():.3e})")
+    return s.clamped()
 
 
 def tensor(*ops) -> np.ndarray:
@@ -252,9 +265,9 @@ def sqrt_psd(h) -> np.ndarray:
     """PSD square root via spectral decomposition.
 
     Eigenvalues in [-PSD_TOL*scale, 0) are clamped to zero; anything more
-    negative raises NotPSDError.
+    negative raises NotPSDError.  A non-Hermitian ``h`` is InvalidParameterError.
     """
-    return _sqrt_psd(as_matrix(h))
+    return _sqrt_psd(_hermitian(h, "h"))
 
 
 def _sqrt_psd(a: np.ndarray) -> np.ndarray:
@@ -267,7 +280,7 @@ def _sqrt_psd(a: np.ndarray) -> np.ndarray:
 
 def pseudo_inverse(h) -> np.ndarray:
     """Moore-Penrose inverse of a Hermitian operator, restricted to its support."""
-    return Spectrum.of(h).pinv()
+    return Spectrum.of(_hermitian(h, "h")).pinv()
 
 
 @dataclass(frozen=True)
@@ -401,8 +414,9 @@ def _spectrum(a: np.ndarray, rank_tol: float) -> Spectrum | _FullRank:
 def support_projector(h, rank_tol: float = Tolerances.rank_tol) -> Subspace:
     """Span of eigenvectors with |eigenvalue| > rank_tol * max|eigenvalue|, read
     off the unclamped ``_spectrum``: ``Subspace.full`` for a certified matrix,
-    with no eigendecomposition; the zero operator yields the empty subspace."""
-    return _spectrum(hermitize(h), rank_tol).support()
+    with no eigendecomposition; the zero operator yields the empty subspace.  A
+    non-Hermitian ``h`` is InvalidParameterError."""
+    return _spectrum(hermitize(_hermitian(h, "h")), rank_tol).support()
 
 
 def _certified_full_rank(a: np.ndarray, rank_tol: float) -> bool:

@@ -102,20 +102,21 @@ def quantum_pool(prior, s1, s2, tol: Tolerances = Tolerances()) -> PoolingReport
     one LU solve.  Any other state is decomposed once.
     """
     (_, _, prior_op), (a, _, op1), (b, _, op2) = _checked_states(tol, prior=prior, s1=s1, s2=s2)
-    return _pool(prior_op, a, b, op1.support(), op2.support(), None, tol)
+    supp1, supp2 = op1.support(), op2.support()
+    return _pool(prior_op, a, b, supp1, supp2, _support_verdict(supp1, supp2), tol)
 
 
 def _pool(prior, a, b, supp1, supp2, verdict, tol: Tolerances) -> PoolingReport:
-    """``quantum_pool`` from the prior's clamped ``_spectrum``, the posteriors and
-    their supports; ``verdict`` is their compatibility if the caller decided it,
-    else None.  A full-rank prior's support holds both supports.  An overflowing
-    product is not warned about: its non-finite entries are InvalidParameterError."""
+    """``quantum_pool`` from the prior's clamped ``_spectrum``, the posteriors, their
+    supports and ``verdict``, the compatibility of those supports.  A full-rank
+    prior's support holds both supports.  An overflowing product is not warned
+    about: its non-finite entries are InvalidParameterError."""
     if not prior.full_rank:
         proj = prior.support().projector()
         for name, supp in (("s1", supp1), ("s2", supp2)):
             if max_norm(proj @ supp.projector() @ proj - supp.projector()) > SUBSPACE_TOL:
                 raise PriorSupportError(f"support of {name} escapes the prior's support")
-    if not (verdict or _support_verdict(supp1, supp2)).compatible:
+    if not verdict.compatible:
         raise IncompatibleAssignmentsError("incompatible assignments: disjoint supports")
     with np.errstate(over="ignore", invalid="ignore"):
         try:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ImpossibleConditioningError, NotPSDError
 from .linalg import (
-    EXACT_TOL, SUPPORT_TOL, TRACE_TOL, Spectrum, Tolerances, _integer, _sqrt_psd, as_matrix,
-    check_hermitian, embed, max_norm, partial_trace,
+    EXACT_TOL, SUPPORT_TOL, TRACE_TOL, Spectrum, Tolerances, _hermitian, _integer, _sqrt_psd,
+    as_matrix, check_hermitian, embed, max_norm, partial_trace,
 )
 
 
@@ -60,8 +60,7 @@ class JointState:
         names = [r.name for r in regions]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate region names in {names}")
-        op = as_matrix(self.op)
-        check_hermitian(op, "joint state")
+        op = _hermitian(self.op, "joint state")
         op = (op + op.conj().T) / 2  # hermitize, unchecked
         d = math.prod(r.dim for r in regions)
         if op.shape[0] != d:
@@ -106,11 +105,11 @@ def star_product(psi, phi, dims=None, apply_to=None) -> np.ndarray:
     With ``dims`` and ``apply_to`` given, ``phi`` acts on the tensor factors
     ``apply_to`` of the space described by ``dims`` and identities are
     inserted elsewhere; otherwise phi must act on the whole space of psi.
-    Requires phi PSD.  The result is Hermitian for Hermitian psi and PSD
-    for PSD psi.
+    Requires phi Hermitian (else InvalidParameterError) and PSD.  The result
+    is Hermitian for Hermitian psi and PSD for PSD psi.
     """
     psi = as_matrix(psi)
-    phi = as_matrix(phi)
+    phi = _hermitian(phi, "phi")
     if dims is None:
         big = phi
     else:
@@ -138,12 +137,12 @@ def condition(s: JointState, on) -> ConditionalState:
     ``on``; singular marginals condition on their support.
     """
     on_names = {on} if isinstance(on, str) else set(on)
-    spectrum = Spectrum.of(marginalize(s, on_names).op)
+    # the marginal and s.op are symmetrized JointState operands: decomposed and starred as they are
+    spectrum = Spectrum._of_hermitian(marginalize(s, on_names).op, Tolerances.rank_tol)
     if spectrum.support().is_empty:
         raise ImpossibleConditioningError("conditioning on impossible event (zero marginal)")
-    inv = spectrum.pinv()
     pos = [i for i, r in enumerate(s.regions) if r.name in on_names]
-    out = star_product(s.op, inv, dims=s.dims, apply_to=pos)
+    out = _star(s.op, embed(spectrum.pinv(), s.dims, pos))
     target = tuple(r for r in s.regions if r.name not in on_names)
     given = tuple(r for r in s.regions if r.name in on_names)
     return ConditionalState(target=target, given=given, op=out)

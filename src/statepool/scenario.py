@@ -17,7 +17,7 @@ import numpy as np
 from .compatibility import CompatibilityVerdict, _support_verdict
 from .errors import DimensionMismatchError, InvalidParameterError, StatePoolError
 from .linalg import (
-    EXACT_TOL, TRACE_TOL, Tolerances, _checked_states, _integer, _real, _spectrum, as_matrix,
+    EXACT_TOL, TRACE_TOL, Tolerances, _checked_states, _integer, _real, _state, as_matrix,
     hermitize, max_norm,
 )
 from .pooling import PoolingReport, _pool
@@ -247,9 +247,9 @@ class ScenarioConfig:
         if self.evolved_by is not None and self.evolved_by.dim != d:
             raise DimensionMismatchError(f"evolved_by dim {self.evolved_by.dim} != prior dim {d}")
         object.__setattr__(self, "prior", prior)
-        if self.evolved_by is not None:  # pool against its unitary image, symmetrized, unchecked
+        if self.evolved_by is not None:  # pool against its unitary image, symmetrized
             m = self.evolved_by._apply(prior)
-            pooling_prior = _spectrum((m + m.conj().T) / 2, self.tol.rank_tol).clamped()
+            pooling_prior = _state((m + m.conj().T) / 2, "evolved prior", self.tol.rank_tol)
         object.__setattr__(self, "_pooling_prior", pooling_prior)
         object.__setattr__(self, "pipelines", pipelines)
 
@@ -266,30 +266,28 @@ class ScenarioResult:
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Run both pipelines, decide compatibility, attempt pooling.
 
-    Never raises on incompatibility or pooling failure: those are reported
-    in the result (``pooling_error`` is the error's ``payload()``: its class
-    and message, plus the Hermiticity residual when available).
+    Raises, naming the pipeline, on a posterior not finite, of another dim or
+    not PSD (``_state``, no Hermiticity check at ``cfg.tol.herm_tol``); never on
+    incompatibility or pooling failure, reported as ``pooling_error``: the
+    error's ``payload()``, its class and message plus any Hermiticity residual.
     """
-    posteriors = []
+    posteriors, supports = [], []
     for p in cfg.pipelines:  # the prior and every step's dims were checked with the config
         rho = cfg.prior
         for s in p.steps:
             rho = s._apply(rho)
+        h = hermitize(rho)  # as_matrix: a step may return NaN, which the certificate passes
+        if h.shape != cfg.prior.shape:
+            raise DimensionMismatchError(f"pipeline {p.name!r} returns dim {h.shape[0]}, "
+                                         f"not the prior dim {cfg.prior.shape[0]}")
         posteriors.append(rho)
-    return _judge(cfg._pooling_prior, *posteriors, cfg.tol)
-
-
-def _judge(pooling_prior, sigma1, sigma2, tol: Tolerances) -> ScenarioResult:
-    """Supports, verdict, then pooling or its error payload, against a clamped ``_spectrum``."""
-    # hermitize checks the posteriors, which the certificate cannot: a Channel may return NaN
-    supp1, supp2 = (_spectrum(a, tol.rank_tol).clamped().support()
-                    for a in map(hermitize, (sigma1, sigma2)))
-    verdict = _support_verdict(supp1, supp2)
+        supports.append(_state(h, f"posterior of {p.name!r}", cfg.tol.rank_tol).support())
+    verdict = _support_verdict(*supports)
     try:
-        pooling = _pool(pooling_prior, sigma1, sigma2, supp1, supp2, verdict, tol)
+        pooling = _pool(cfg._pooling_prior, *posteriors, *supports, verdict, cfg.tol)
     except StatePoolError as exc:
-        return ScenarioResult(sigma1, sigma2, verdict, None, exc.payload())
-    return ScenarioResult(sigma1, sigma2, verdict, pooling)
+        return ScenarioResult(*posteriors, verdict, None, exc.payload())
+    return ScenarioResult(*posteriors, verdict, pooling)
 
 
 # ---------------------------------------------------------------------------

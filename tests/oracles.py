@@ -226,5 +226,6 @@ def spectral_verdict(s1, s2, tol=Tolerances()):
 
 def spectral_pool(prior, s1, s2, tol=Tolerances()):
     a, b = (np.asarray(s, dtype=complex) for s in (s1, s2))
-    return _pool(Spectrum.of(prior, tol.rank_tol), a, b, *_spectral_supports(tol, a, b),
-                 None, tol)
+    supp1, supp2 = _spectral_supports(tol, a, b)
+    return _pool(Spectrum.of(prior, tol.rank_tol), a, b, supp1, supp2,
+                 _support_verdict(supp1, supp2), tol)

@@ -21,7 +21,7 @@ import pytest
 from statepool import io
 from statepool.cli import main
 from statepool.compatibility import quantum_compatible
-from statepool.errors import InvalidParameterError
+from statepool.errors import DimensionMismatchError, InvalidParameterError
 from statepool.io import MalformedInputError
 from statepool.linalg import Tolerances
 from statepool.pooling import quantum_pool
@@ -433,6 +433,37 @@ def test_non_finite_posterior_is_rejected_not_judged():
     steps = (NaNOffDiagonal(2),)
     cfg = ScenarioConfig(np.eye(2) / 2, (AgentPipeline("W", steps), AgentPipeline("T")))
     with pytest.raises(ValueError, match="NaN or Inf"):
+        run_scenario(cfg)
+
+
+@dataclasses.dataclass(frozen=True)
+class Mapped(Channel):
+    """A user's step that returns ``f(r)``, whatever that is."""
+
+    dim: int
+    f: object
+
+    def _map(self, r):
+        return self.f(r)
+
+
+@pytest.mark.parametrize("f", [lambda r: -r, lambda r: np.diag([1.0, -0.2]) @ r],
+                         ids=["-rho", "diag(1, -0.2) rho"])
+def test_non_psd_posterior_is_rejected_not_judged(f):
+    # -rho used to read as incompatible, diag(1, -0.2) rho as a NotPSDError pooling payload
+    prior = np.array([[0.6, 0.1], [0.1, 0.4]])
+    step = Mapped(2, f)
+    cfg = ScenarioConfig(prior, (AgentPipeline("T"), AgentPipeline("W", (step,))))
+    with pytest.raises(InvalidParameterError, match="posterior of 'W' is not PSD"):
+        run_scenario(cfg)
+    with pytest.raises(InvalidParameterError, match="s2 is not PSD"):
+        quantum_compatible(prior, step.apply(prior))
+
+
+def test_posterior_of_another_dim_is_rejected_naming_its_pipeline():
+    step = Mapped(2, lambda r: np.eye(3) / 3)  # dim_out is 2, the map's output is not
+    cfg = ScenarioConfig(HALF, (AgentPipeline("W", (step,)), AgentPipeline("T")))
+    with pytest.raises(DimensionMismatchError, match="pipeline 'W' returns dim 3, not the prior"):
         run_scenario(cfg)
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from statepool import io, linalg, regions
 from statepool.cli import main
-from statepool.compatibility import quantum_compatible
+from statepool.compatibility import _support_verdict, quantum_compatible
 from statepool.errors import (
     DimensionMismatchError, ImpossibleConditioningError, IncompatibleAssignmentsError,
     InvalidParameterError, NonHermitianPoolingProductError, NotPSDError, PriorSupportError,
@@ -122,6 +122,10 @@ class TestSpectrum:
     def test_zero_operator(self):
         s = Spectrum.of(np.zeros((3, 3)))
         assert s.support().is_empty and max_norm(s.pinv()) == 0.0
+
+
+JOINT_2x3 = regions.JointState((regions.RegionLabel("A", 2), regions.RegionLabel("B", 3)),
+                               rand_density(np.random.default_rng(5), 6))
 
 
 def count_as_matrix(monkeypatch) -> list:
@@ -258,8 +262,11 @@ class TestDecompositionCounts:
         (lambda: regions.JointState((regions.RegionLabel("A", 2),), np.eye(2) / 2), 1),
         (lambda: regions.HybridState((3,), {0: np.eye(2) / 8, 2: np.eye(2) / 8,
                                             1: np.eye(2) / 4}), 3),  # one per block
+        # the joint (partial trace), its marginal (JointState), the marginal's
+        # pseudo-inverse (embed) and its embedding (permute_factors)
+        (lambda: regions.condition(JOINT_2x3, "B"), 4),
     ], ids=["quantum_pool", "quantum_compatible", "random_instance", "JointState",
-            "HybridState"])
+            "HybridState", "condition"])
     def test_each_state_validated_once(self, monkeypatch, call, validations):
         calls = count_as_matrix(monkeypatch)
         call()
@@ -482,8 +489,8 @@ def _pool_recomputing_the_prior(cfg):
     res = run_scenario(cfg)
     sigma1, sigma2 = res.sigma1, res.sigma2
     supp1, supp2 = (Spectrum.of(s, cfg.tol.rank_tol).support() for s in (sigma1, sigma2))
-    return _pool(Spectrum.of(cfg.prior, cfg.tol.rank_tol), sigma1, sigma2, supp1, supp2, None,
-                 cfg.tol)
+    return _pool(Spectrum.of(cfg.prior, cfg.tol.rank_tol), sigma1, sigma2, supp1, supp2,
+                 _support_verdict(supp1, supp2), cfg.tol)
 
 
 def evolved_configs(d):
@@ -591,9 +598,9 @@ class TestPriorSpectrumFromTheDensityCheck:
         calls = []
         monkeypatch.setattr(Subspace, "projector", lambda self: calls.append(self) or np.eye(3))
         s = np.diag([0.5, 0.5, 0.0])
+        supp = Spectrum.of(s).support()
         for prior in (Spectrum.of(np.eye(3) / 3), _spectrum(np.eye(3) / 3, 1e-10)):
-            _pool(prior, s, s, Spectrum.of(s).support(), Spectrum.of(s).support(), None,
-                  Tolerances())
+            _pool(prior, s, s, supp, supp, _support_verdict(supp, supp), Tolerances())
         assert calls == []
 
 

@@ -9,6 +9,7 @@ now reports as JSON instead of argparse usage text.  A stdlib-only scan
 
 import ast
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -18,8 +19,11 @@ import pytest
 
 from statepool import io
 from statepool.cli import main
+from statepool.compatibility import _support_verdict
 from statepool.errors import InvalidParameterError, NotPSDError
-from statepool.linalg import PSD_TOL, Spectrum, Subspace, Tolerances, max_norm, sqrt_psd
+from statepool.linalg import (
+    PSD_TOL, Spectrum, Subspace, Tolerances, max_norm, pseudo_inverse, sqrt_psd, support_projector,
+)
 from statepool.pooling import _pool, quantum_pool
 from statepool.regions import JointState, RegionLabel, star_product
 from statepool.scenario import (
@@ -27,6 +31,15 @@ from statepool.scenario import (
 )
 
 HALF = np.eye(2) / 2
+
+
+# SHA-256s of scenario-run on `randgen --dim d --noise 0`, whatever its herm_tol:
+# unitary-only posteriors, a NonHermitianPoolingProductError payload.
+NOISELESS_SHA256 = {
+    2: "c871a5f5bd8eef5a1b8ee01119885c6706801091a26e268d54ed658f086a2198",
+    8: "b79a1ad03552249ab0ae2772c2d64bf6e687d627805c083b005bf78153c4581a",
+    32: "283866df667f7070f2af7060648723208c47b99977d065bb07b274f0fe171163",
+}
 
 
 def run_cli(capsys, *argv):
@@ -82,8 +95,8 @@ class TestOnePSDFloor:
         # but, for x up to PSD_TOL * (1 + x), not below -PSD_TOL * max(max|w|, 1)
         x = PSD_TOL + excess
         s1, full = np.diag([1.0 + x, -x]), Subspace.full(2)
-        pool = lambda: _pool(Spectrum.of(np.eye(2)), s1, np.eye(2), full, full, None,
-                             Tolerances())
+        pool = lambda: _pool(Spectrum.of(np.eye(2)), s1, np.eye(2), full, full,
+                             _support_verdict(full, full), Tolerances())
         if accepted:
             assert pool().min_eigenvalue < -PSD_TOL
         else:
@@ -112,6 +125,30 @@ class TestOneHermiticityRule:
         cfg = ScenarioConfig(prior, (AgentPipeline("W"), AgentPipeline("T")),
                              tol=Tolerances(herm_tol=0.0))
         assert cfg.prior[0, 1] == cfg.prior[1, 0] == 5e-13
+
+    @pytest.mark.parametrize("d", sorted(NOISELESS_SHA256))
+    @pytest.mark.parametrize("herm_tol", ["0", "1e-300"])
+    def test_posteriors_are_not_rechecked_at_the_config_herm_tol(self, tmp_path, capsys, d,
+                                                                  herm_tol):
+        # unitary-only posteriors carry rounding asymmetry (6e-17 at d = 2); a
+        # Hermiticity check at herm_tol 0 would make this exit 2, not a pooling outcome
+        cfg = str(tmp_path / "cfg.json")
+        assert run_cli(capsys, "randgen", "--dim", str(d), "--noise", "0", "--output", cfg)[0] == 0
+        code, out = run_cli(capsys, "scenario-run", cfg, "--herm-tol", herm_tol)
+        assert code == 0
+        assert json.loads(out.out)["pooling_error"]["error"] == "NonHermitianPoolingProductError"
+        assert hashlib.sha256(out.out.encode()).hexdigest() == NOISELESS_SHA256[d]
+
+    @pytest.mark.parametrize("call", [
+        lambda m: sqrt_psd(m),
+        lambda m: pseudo_inverse(m),
+        lambda m: support_projector(m),
+        lambda m: star_product(np.eye(2), m),
+    ], ids=["sqrt_psd", "pseudo_inverse", "support_projector", "star_product"])
+    def test_public_spectral_entries_reject_a_non_hermitian_operand(self, call):
+        # each used to work silently on the Hermitian part [[0.5, 0.15], [0.15, 0.5]]
+        with pytest.raises(InvalidParameterError, match="is not Hermitian"):
+            call(np.array([[0.5, 0.3], [0.0, 0.5]]))
 
     @pytest.mark.parametrize("prior, word", [
         # max-norm 2, asymmetry 1.5e-8: above 1e-8, below 1e-8 * max-norm
