@@ -15,9 +15,14 @@ Conventions
 * ``tensor(a, b)`` is the Kronecker product with the LEFT factor as the
   FIRST region: index ``i*dim(b) + j`` of the product corresponds to basis
   state ``|i>|j>``.
-* At most one ``eigh`` per operator: support, pseudo-inverse, PSD test and
-  PSD square root all derive from one ``Spectrum``.  Its rank cut, written
-  once in ``Spectrum.of``, keeps ``|w| > rank_tol * max|w|``; PSD means
+* At most one ``eigh`` per operand value: support, pseudo-inverse, PSD test
+  and PSD square root all derive from one ``Spectrum``, and ``_eigh`` keeps the
+  last two decompositions, keyed by the symmetrized operand's dtype, shape and
+  bytes.  Two, because on the Bayes chain an operand recurs at most two
+  decompositions later (one prior square-rooted for two Bayes updates; two
+  rank-deficient posteriors judged, then pooled).  A hit returns the read-only
+  arrays ``eigh`` returned for those bytes, so no result moves.  The rank cut,
+  written once in ``Spectrum.of``, keeps ``|w| > rank_tol * max|w|``; PSD means
   ``min w >= -PSD_TOL * max(max|w|, 1)`` (``_psd_floor``), and eigenvalues
   between that floor and zero are clamped to zero.
 * A checked state is one operand, ``_spectrum``: ``_FullRank`` when one
@@ -333,6 +338,30 @@ class Subspace:
         return sub
 
 
+# On the Bayes chain an operand recurs at most two decompositions later: one prior is
+# square-rooted for both Bayes updates; two rank-deficient posteriors are judged, then
+# pooled.  A longer memo would only hold operands the chain does not revisit.
+_EIGH_KEPT = 2
+_eigh_memo: tuple = ()  # (key, w, v) entries, newest first; replaced whole, never mutated
+
+
+def _eigh(a: np.ndarray) -> tuple:
+    """``np.linalg.eigh(a)`` as read-only arrays, taken from the memo when one of the last
+    ``_EIGH_KEPT`` operands had ``a``'s dtype, shape and bytes: the bits eigh returned for
+    them.  A reader sees one whole memo tuple, so threads can at worst lose an entry to a
+    concurrent update, which costs a later miss, never a wrong result."""
+    global _eigh_memo
+    key = (a.dtype.str, a.shape, a.tobytes())
+    for entry in _eigh_memo:
+        if entry[0] == key:
+            return entry[1:]
+    w, v = np.linalg.eigh(a)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    _eigh_memo = ((key, w, v),) + _eigh_memo[: _EIGH_KEPT - 1]
+    return w, v
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """One eigendecomposition of a symmetrized operator: eigenvalues ``w``
@@ -350,7 +379,7 @@ class Spectrum:
     @classmethod
     def _of_hermitian(cls, a: np.ndarray, rank_tol: float) -> "Spectrum":
         """``Spectrum.of`` a matrix already symmetrized, which it equals bit for bit."""
-        w, v = np.linalg.eigh(a)
+        w, v = _eigh(a)
         return cls(w, v, rank_tol * float(np.abs(w).max()) if w.size else 0.0)
 
     @property

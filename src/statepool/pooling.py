@@ -99,7 +99,9 @@ def quantum_pool(prior, s1, s2, tol: Tolerances = Tolerances()) -> PoolingReport
     raise InvalidParameterError.  A state that one Cholesky certifies positive
     definite is not decomposed: a posterior's support is then the whole
     space, and the prior's pseudo-inverse is its inverse, applied to s2 with
-    one LU solve.  Any other state is decomposed once.
+    one LU solve.  Any other state is decomposed once, and not again when it was
+    one of the last two operands decomposed, as a posterior just judged by
+    ``quantum_compatible`` is.
     """
     (_, _, prior_op), (a, _, op1), (b, _, op2) = _checked_states(tol, prior=prior, s1=s1, s2=s2)
     supp1, supp2 = op1.support(), op2.support()

@@ -153,13 +153,16 @@ def quantum_bayes(likelihood, prior) -> np.ndarray:
 
     posterior = prior^{1/2} likelihood prior^{1/2} / Tr(likelihood prior).
     ``likelihood`` is the PSD operator for one observed outcome; ``prior``
-    is a density operator.  Raises ImpossibleConditioningError when the
-    predictive probability Tr(likelihood prior) is at most SUPPORT_TOL.
+    is a density operator.  Either one not Hermitian within the default
+    ``herm_tol`` is InvalidParameterError.  Raises ImpossibleConditioningError
+    when the predictive probability Tr(likelihood prior) is at most SUPPORT_TOL.
     """
     like = as_matrix(likelihood)
     rho = as_matrix(prior)
     if like.shape != rho.shape:
         raise DimensionMismatchError("likelihood and prior dims differ")
+    check_hermitian(like, "likelihood")
+    check_hermitian(rho, "prior")
     p = float((like @ rho).trace().real)
     if p <= SUPPORT_TOL:
         raise ImpossibleConditioningError(

@@ -369,7 +369,8 @@ def batch_report(dims, count: int, noise_grid, seed: int, generator: str = "rand
     """Fractions of compatible / Hermitian-poolable instances per (dim, noise) cell.
 
     Deterministic for a fixed seed: instance i in cell (d, g) uses the seed
-    sequence [seed, d, g, i].  ``generator`` is one of ``GENERATORS``.
+    sequence [seed, d, g, i].  ``generator`` is one of ``GENERATORS``.  A dim
+    or noise value named twice is InvalidParameterError: it would repeat a cell.
     Returns a list of row dicts.
     """
     _seed((seed,))  # one integer: the first entry of every child seed
@@ -377,10 +378,13 @@ def batch_report(dims, count: int, noise_grid, seed: int, generator: str = "rand
         raise InvalidParameterError("count must be >= 1")
     if generator not in GENERATORS:
         raise InvalidParameterError(f"unknown generator {generator!r}")
-    for dim in dims:  # every cell is checked before the first one runs
-        _dim(dim)
-    for noise in noise_grid:  # reported in the rows even where the generator ignores it
-        _unit_interval(noise, "noise_strength")
+    # every cell is checked before the first one runs, noise even where the generator
+    # ignores it (the rows report it); 0.0 and -0.0 are one value
+    grids = {"dim": [int(_dim(dim)) for dim in dims],
+             "noise": [_unit_interval(noise, "noise_strength") for noise in noise_grid]}
+    for what, values in grids.items():
+        if len(set(values)) != len(values):
+            raise InvalidParameterError(f"{what} grid {values} repeats a value")
     build = GENERATORS[generator]
     rows = []
     for dim in dims:

@@ -27,7 +27,7 @@ from statepool.linalg import Tolerances
 from statepool.pooling import quantum_pool
 from statepool.regions import make_hybrid
 from statepool.scenario import (
-    AgentPipeline, Channel, DephasingChannel, DepolarizingChannel, KrausChannel,
+    GENERATORS, AgentPipeline, Channel, DephasingChannel, DepolarizingChannel, KrausChannel,
     ReplacementChannel, ScenarioConfig, UnitaryDynamics,
     adversarial_instance, batch_report, haar_unitary, random_instance,
     run_scenario,
@@ -290,6 +290,29 @@ def test_overflow_exits_2_without_a_warning(tmp_path, command, objects, message)
 def test_adversarial_batch_rejects_noise_it_ignores(capsys):
     assert "noise" in assert_exit_2(capsys, "scenario-batch", "--generator", "adversarial",
                                     "--dim", "2", "--count", "1", "--noise", "inf")
+
+
+@pytest.mark.parametrize("dims, noise, what", [
+    ([2, 2], [0.5], "dim"),
+    ([2, np.int64(3), 3], [0.5], "dim"),
+    ([2], [0.5, 0.5], "noise"),
+    ([2], [0, 0.0], "noise"),
+    ([2], [0.0, -0.0], "noise"),  # one value
+])
+def test_batch_report_rejects_a_repeated_grid_value(monkeypatch, dims, noise, what):
+    # a repeated dim ran one cell twice; a repeated noise put two rows, seeded by the
+    # noise's position, under one (dim, noise) key
+    runs = []
+    monkeypatch.setitem(GENERATORS, "random", lambda *args: runs.append(args))
+    with pytest.raises(InvalidParameterError, match=f"^{what} grid .* repeats a value"):
+        batch_report(dims, 1, noise, 0)
+    assert runs == []  # rejected before the first cell ran
+
+
+@pytest.mark.parametrize("grid", [("--dim", "2", "2"), ("--noise", "0.5", "0.5"),
+                                  ("--noise", "0", "-0.0")])
+def test_scenario_batch_rejects_a_repeated_grid_value(capsys, grid):
+    assert "repeats a value" in assert_exit_2(capsys, "scenario-batch", "--count", "1", *grid)
 
 
 # --- named pipeline steps: exactly the named keys, each of its JSON type ---

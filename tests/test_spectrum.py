@@ -1,11 +1,12 @@
-"""One spectrum per operator: Spectrum-derived quantities, the principal-angle
+"""One spectrum per operand: Spectrum-derived quantities, the principal-angle
 intersection, the full-rank certificate, decomposition counts on the hot
-paths, and golden bytes."""
+paths, the memo of recent eigendecompositions, and golden bytes."""
 
 import dataclasses
 import hashlib
 import json
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from statepool.scenario import (
     adversarial_instance, batch_report, haar_unitary, random_instance, run_scenario,
 )
 
-from oracles import rand_density, rand_psd
+from oracles import rand_density, rand_herm, rand_psd
 
 TOL = 1e-8  # subspace_intersection's default
 
@@ -140,9 +141,12 @@ def count_as_matrix(monkeypatch) -> list:
 
 
 class Counter:
-    """Counts the dense decompositions and solves numpy.linalg is asked for."""
+    """Counts the dense decompositions and solves numpy.linalg is asked for.  It
+    empties linalg's memo of recent eigendecompositions first, so a count states
+    only the work of the calls it wraps."""
 
     def __init__(self, monkeypatch):
+        linalg._eigh_memo = ()
         self.calls = []
         for name in ("eigh", "eigvalsh", "svd", "cholesky", "solve"):
             monkeypatch.setattr(np.linalg, name, self._wrap(name, getattr(np.linalg, name)))
@@ -157,10 +161,9 @@ class Counter:
         return sum(1 for n, _ in self.calls if n in names)
 
 
-def bayes_case(d, commuting):
-    """A full-rank prior, the Bayes posteriors of two likelihoods and, for the
-    commuting pair, the pooled state rho^1/2 L1 L2 rho^1/2 / Tr(L1 L2 rho).
-    The other pair is a rank-d/2 projector P and I - P: disjoint supports."""
+def bayes_inputs(d, commuting):
+    """A full-rank prior and two likelihoods: commuting full-rank effects, or a
+    rank-d/2 projector P and I - P, whose posteriors have disjoint supports."""
     rng = np.random.default_rng([d, commuting])
     prior = rand_density(rng, d)
     u = haar(rng, d)
@@ -169,6 +172,13 @@ def bayes_case(d, commuting):
     else:
         proj = u[:, : d // 2] @ u[:, : d // 2].conj().T
         likes = [proj, np.eye(d) - proj]
+    return prior, likes
+
+
+def bayes_case(d, commuting):
+    """``bayes_inputs``' prior, the Bayes posteriors of its two likelihoods and, for
+    the commuting pair, the pooled state rho^1/2 L1 L2 rho^1/2 / Tr(L1 L2 rho)."""
+    prior, likes = bayes_inputs(d, commuting)
     s1, s2 = (regions.quantum_bayes(like, prior) for like in likes)
     return prior, s1, s2, regions.quantum_bayes(likes[0] @ likes[1], prior) if commuting else None
 
@@ -242,8 +252,26 @@ class TestDecompositionCounts:
         assert c.count("cholesky") == 2 and c.count("eigh") == 2
         with pytest.raises(IncompatibleAssignmentsError):
             quantum_pool(prior, s1, s2)
-        # the prior certified, both posteriors again; disjoint, so nothing is solved
-        assert c.count("cholesky") == 5 and c.count("eigh") == 4 and c.count("solve") == 0
+        # the prior certified, both posteriors' certificates fail again and their spectra
+        # come from the memo; disjoint, so nothing is solved
+        assert c.count("cholesky") == 5 and c.count("eigh") == 2 and c.count("solve") == 0
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    @pytest.mark.parametrize("commuting, eighs", [(True, 1), (False, 3)],
+                             ids=["full_rank", "complementary"])
+    def test_bayes_pool_instance(self, monkeypatch, d, commuting, eighs):
+        # both Bayes updates take the one prior's square root; rank-deficient
+        # posteriors are decomposed once for the verdict and the pool together
+        prior, likes = bayes_inputs(d, commuting)
+        c = Counter(monkeypatch)
+        s1, s2 = (regions.quantum_bayes(like, prior) for like in likes)
+        assert quantum_compatible(s1, s2).compatible == commuting
+        if commuting:
+            quantum_pool(prior, s1, s2)
+        else:
+            with pytest.raises(IncompatibleAssignmentsError):
+                quantum_pool(prior, s1, s2)
+        assert c.count("eigh") == eighs and c.count("eigvalsh") == commuting
 
     def test_condition_decomposes_the_marginal_once(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -292,6 +320,123 @@ class TestDecompositionCounts:
         calls = count_as_matrix(monkeypatch)
         run_scenario(cfg)
         assert len(calls) == 2
+
+
+MEMO_KINDS = ("random", "rank_deficient", "signed_zero")
+
+
+def memo_operand(kind, d, seed):
+    """A Hermitian matrix: indefinite, PSD of rank max(1, d/2), or a PSD diagonal
+    with zero entries whose real and imaginary parts carry random signs."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rand_herm(rng, d)
+    if kind == "rank_deficient":
+        return rand_psd(rng, d, rank=max(1, d // 2))
+    m = np.diag(np.where(rng.random(d) < 0.5, rng.uniform(0.1, 1.0, d), 0.0)).astype(complex)
+    zeros = np.empty((d, d), complex)
+    zeros.real, zeros.imag = (np.where(rng.random((d, d)) < 0.5, -0.0, 0.0) for _ in range(2))
+    return np.where(m == 0, zeros, m)
+
+
+def bits(w, v) -> tuple:
+    return w.tobytes(), v.tobytes()
+
+
+def eigh_bits(a) -> tuple:
+    """The bits ``np.linalg.eigh`` returns for ``hermitize(a)``, asked directly."""
+    return bits(*np.linalg.eigh(hermitize(a)))
+
+
+def memo_arrays() -> list:
+    return [arr for entry in linalg._eigh_memo for arr in entry[1:]]
+
+
+OPERANDS = (st.sampled_from(MEMO_KINDS), st.sampled_from([1, 2, 3, 8, 64]),
+            st.integers(0, 10_000))
+
+
+class TestEighMemoIsInvisible:
+    """linalg keeps its last two eigendecompositions; no result may tell."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(*OPERANDS)
+    def test_a_hit_returns_the_bits_of_a_miss(self, kind, d, seed):
+        a = memo_operand(kind, d, seed)
+        linalg._eigh_memo = ()
+        miss, hit = Spectrum.of(a), Spectrum.of(a)
+        assert hit.v is miss.v  # from the memo
+        assert bits(miss.w, miss.v) == bits(hit.w, hit.v) == eigh_bits(a)
+        # equal values are not equal bytes: flipping the sign of every zero entry
+        # is a new operand unless symmetrizing erased every flipped sign
+        twin = np.where(a == 0, -a, a)
+        same = hermitize(twin).tobytes() == hermitize(a).tobytes()
+        got = Spectrum.of(twin)
+        assert (got.v is miss.v) == same and bits(got.w, got.v) == eigh_bits(twin)
+
+    @settings(max_examples=60, deadline=None)
+    @given(*OPERANDS)
+    def test_an_operand_mutated_in_place_is_decomposed_afresh(self, kind, d, seed):
+        h = hermitize(memo_operand(kind, d, seed))
+        linalg._eigh_memo = ()
+        before = Spectrum._of_hermitian(h, Tolerances.rank_tol)
+        h[0, 0] += 1.0
+        after = Spectrum._of_hermitian(h, Tolerances.rank_tol)
+        assert after.v is not before.v
+        assert bits(after.w, after.v) == bits(*np.linalg.eigh(h))
+
+    @settings(max_examples=60, deadline=None)
+    @given(*OPERANDS)
+    def test_a_third_operand_evicts_the_oldest(self, kind, d, seed):
+        a, b, c = (memo_operand(kind, d, seed + k) for k in range(3))
+        assume(len({hermitize(x).tobytes() for x in (a, b, c)}) == 3)
+        linalg._eigh_memo = ()
+        first, _, third = (Spectrum.of(x) for x in (a, b, c))
+        again = Spectrum.of(a)
+        assert again.v is not first.v and bits(again.w, again.v) == eigh_bits(a)
+        assert Spectrum.of(c).v is third.v  # kept beside a
+
+    @settings(max_examples=60, deadline=None)
+    @given(*OPERANDS)
+    def test_entries_are_read_only_and_results_are_not(self, kind, d, seed):
+        a = memo_operand(kind, d, seed)
+        linalg._eigh_memo = ()
+        s = Spectrum.of(a)
+        for arr in (s.w, s.v):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        results = [s.support().basis, s.pinv(), linalg.pseudo_inverse(a),
+                   Spectrum.of(a).support().basis, s.clamped().support().basis]
+        if s.is_psd():
+            results.append(linalg.sqrt_psd(a))
+        assert len(linalg._eigh_memo) == 1  # every result above read the one entry
+        for r in results:
+            assert r.flags.writeable
+            assert not any(np.shares_memory(r, arr) for arr in memo_arrays())
+
+    def test_threads_sharing_the_memo_get_the_bits_of_eigh(self):
+        # four threads over three operands keep evicting each other's entries
+        ops = [memo_operand("random", 8, seed) for seed in range(3)]
+        want = [eigh_bits(a) for a in ops]
+        wrong, interval = [], sys.getswitchinterval()
+
+        def work(k):
+            for i in range(300):
+                s = Spectrum.of(ops[(k + i) % 3])
+                if bits(s.w, s.v) != want[(k + i) % 3] or len(linalg._eigh_memo) > 2:
+                    wrong.append((k, i))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and wrong == []
 
 
 def gram_checked(s: Subspace) -> Subspace:
@@ -343,8 +488,17 @@ class TestSkippedChecksAdmitOnlyWhatTheyWouldAdmit:
         (np.eye(2), np.eye(3) / 3, DimensionMismatchError),
         (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), ImpossibleConditioningError),
         (np.eye(2), np.diag([2.0, -1.0]), NotPSDError),
+        # neither operand is symmetrized into a posterior, nor handed back as one
+        (np.eye(2) / 2, [[0.5, 0.3], [0.0, 0.5]], "prior"),
+        ([[0.5, 0.3], [0.0, 0.5]], np.eye(2) / 2, "likelihood"),
+        ([[0.5, 0.3], [0.0, 0.5]], [[0.5, 0.3], [0.0, 0.5]], "likelihood"),
+        (np.diag([1.0, 1j]), np.eye(2) / 2, "likelihood"),
     ])
     def test_quantum_bayes_errors(self, like, prior, error):
+        if isinstance(error, str):  # the operand the InvalidParameterError names
+            with pytest.raises(InvalidParameterError, match=f"^{error} is not Hermitian"):
+                regions.quantum_bayes(like, prior)
+            return
         with pytest.raises(error):
             regions.quantum_bayes(like, prior)
 
