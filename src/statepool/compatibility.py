@@ -2,10 +2,11 @@
 
 Two flavors, classical and quantum, each in an objective and a subjective
 form.  The decision procedures implement the support-overlap criterion
-(two assignments are compatible iff their supports intersect); the
-``verify_*`` functions check supplied witnesses for the four definitional
-forms.  Witness *synthesis* is deliberately not provided: we only decide
-compatibility and verify witnesses handed to us.
+(two assignments are compatible iff their supports intersect, each cut by
+``linalg._rank_cut``, so a classical verdict is the quantum one on the
+diagonal states); the ``verify_*`` functions check supplied witnesses for
+the four definitional forms.  Witness *synthesis* is deliberately not
+provided: we only decide compatibility and verify witnesses handed to us.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
 from .linalg import (
-    EXACT_TOL, SUM_TOL, SUPPORT_TOL, Subspace, Tolerances, _checked_states, _integer, _reals,
-    as_matrix, max_norm, subspace_intersection,
+    EXACT_TOL, SUM_TOL, SUPPORT_TOL, Subspace, Tolerances, _checked_states, _integer, _rank_cut,
+    _reals, as_matrix, max_norm, subspace_intersection,
 )
-from .regions import HybridState, quantum_bayes
+from .regions import HybridState, _possible, quantum_bayes
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,9 @@ class ProbabilityDistribution:
         object.__setattr__(self, "probs", np.clip(p, 0.0, None))
 
     def support(self):
-        return {o for o, p in zip(self.outcomes, self.probs) if p > SUPPORT_TOL}
+        """The outcomes above ``_rank_cut`` at ``Tolerances.rank_tol``: the diagonal state's."""
+        cut = _rank_cut(self.probs, Tolerances.rank_tol)
+        return {o for o, p in zip(self.outcomes, self.probs) if p > cut}
 
     @classmethod
     def uniform(cls, outcomes) -> "ProbabilityDistribution":
@@ -102,8 +105,9 @@ class CompatibilityVerdict:
 def classical_compatible(
     q1: ProbabilityDistribution, q2: ProbabilityDistribution
 ) -> CompatibilityVerdict:
-    """Support-overlap decision: compatible iff some outcome has probability
-    above SUPPORT_TOL under both assignments."""
+    """Support-overlap decision: compatible iff some outcome lies in both supports
+    (``ProbabilityDistribution.support``), as ``quantum_compatible`` decides on the
+    diagonal states; the intersection names the shared outcomes."""
     if q1.outcomes != q2.outcomes:
         raise InvalidParameterError("distributions are over different outcome sets")
     shared = sorted(q1.support() & q2.support(), key=q1.outcomes.index)
@@ -169,13 +173,13 @@ def _out_row(cond: ConditionalDistribution, x, what: str) -> int:
 
 def classical_bayes_posterior(
     prior: ProbabilityDistribution, cond: ConditionalDistribution, x: int
-):
-    """(posterior over Y, predictive probability) for observing X = x."""
+) -> tuple[ProbabilityDistribution, float]:
+    """(posterior over Y, predictive probability w) for observing X = x: the diagonal
+    of ``quantum_bayes`` on the diagonal states.  ImpossibleConditioningError, with
+    ``quantum_bayes``'s message, when w is at most SUPPORT_TOL."""
     like = cond.table[_out_row(cond, x, "x"), :]
     unnorm = like * prior.probs
-    w = float(unnorm.sum())
-    if w <= 0:
-        return None, 0.0
+    w = _possible(float(unnorm.sum()))
     return ProbabilityDistribution(prior.outcomes, unnorm / w), w
 
 

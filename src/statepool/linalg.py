@@ -22,7 +22,8 @@ Conventions
   decompositions later (one prior square-rooted for two Bayes updates; two
   rank-deficient posteriors judged, then pooled).  A hit returns the read-only
   arrays ``eigh`` returned for those bytes, so no result moves.  The rank cut,
-  written once in ``Spectrum.of``, keeps ``|w| > rank_tol * max|w|``; PSD means
+  written once in ``_rank_cut``, keeps ``|w| > rank_tol * max|w|``, also of a
+  classical distribution, whose support is then its diagonal state's; PSD means
   ``min w >= -PSD_TOL * max(max|w|, 1)`` (``_psd_floor``), and eigenvalues
   between that floor and zero are clamped to zero.
 * A checked state is one operand, ``_spectrum``: ``_FullRank`` when one
@@ -78,7 +79,8 @@ from .errors import DimensionMismatchError, InvalidParameterError, NotPSDError
 PSD_TOL = 1e-8  # eigenvalue floor of every PSD decision, relative to max(max|w|, 1)
 TRACE_TOL = 1e-8  # |Tr - 1| of a unit-trace operator
 SUBSPACE_TOL = 1e-8  # orthonormality, principal-angle cut and containment of subspaces
-SUPPORT_TOL = 1e-12  # a probability, or Tr(L rho), above this is possible; below -this, invalid
+SUPPORT_TOL = 1e-12  # a probability below -this is invalid; a predictive probability (a
+# Bayes update's sum of L q, or Tr(L rho)) at most this is impossible.  It cuts no support.
 SUM_TOL = 1e-12  # |sum - 1| of a probability vector or a column of a conditional table
 EXACT_TOL = 1e-10  # slack of a relation exact for valid input: a witness's weights,
 # conditionals and normalization, a factorization, unitarity, Kraus trace preservation and
@@ -147,6 +149,11 @@ def _psd_floor(w) -> float:
     return -PSD_TOL * max(float(np.abs(w).max()), 1.0)
 
 
+def _rank_cut(w, rank_tol: float) -> float:
+    """|w| above rank_tol * max|w| spans the support; an empty spectrum has cut 0."""
+    return rank_tol * float(np.abs(w).max()) if w.size else 0.0
+
+
 def as_matrix(m) -> np.ndarray:
     """Validate and return ``m`` as a square complex matrix with finite entries."""
     a = np.asarray(m, dtype=complex)
@@ -172,7 +179,8 @@ def hermitize(m) -> np.ndarray:
 def check_hermitian(m, name: str, herm_tol: float = Tolerances.herm_tol) -> None:
     """Raise InvalidParameterError unless max_norm(M - M†) <= herm_tol * max(max_norm(M), 1)."""
     residual = max_norm(m - m.conj().T)
-    if residual > herm_tol and residual > herm_tol * max(max_norm(m), 1.0):  # the scale is >= 1
+    # the scale is >= 1, so a residual <= herm_tol passes without the cost of max_norm(m)
+    if residual > herm_tol and residual > herm_tol * max(max_norm(m), 1.0):
         raise InvalidParameterError(f"{name} is not Hermitian (residual {residual:.3e})")
 
 
@@ -380,7 +388,7 @@ class Spectrum:
     def _of_hermitian(cls, a: np.ndarray, rank_tol: float) -> "Spectrum":
         """``Spectrum.of`` a matrix already symmetrized, which it equals bit for bit."""
         w, v = _eigh(a)
-        return cls(w, v, rank_tol * float(np.abs(w).max()) if w.size else 0.0)
+        return cls(w, v, _rank_cut(w, rank_tol))
 
     @property
     def kept(self) -> np.ndarray:

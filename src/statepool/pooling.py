@@ -1,16 +1,15 @@
 """State pooling: combining two agents' posteriors with their shared prior.
 
-Classical rule: pooled(y) = c * q1(y) q2(y) / prior(y) on the prior's
-support.  Quantum rule: pooled = c * s1 @ pinv(prior) @ s2, valid when the
-agents' minimal sufficient statistics are conditionally independent given
-the system.  A non-Hermitian pooling product is diagnostic signal that the
-independence precondition fails, so it is an error, never silently
-symmetrized.
+Quantum rule: pooled = c * s1 @ pinv(prior) @ s2, valid when the agents'
+minimal sufficient statistics are conditionally independent given the system.
+Classical rule, c * q1(y) q2(y) / prior(y): the quantum rule on diagonal states.
+A non-Hermitian pooling product is diagnostic signal that the independence
+precondition fails, so it is an error, never silently symmetrized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,8 +19,8 @@ from .errors import (
     NonHermitianPoolingProductError, NotPSDError, PriorSupportError,
 )
 from .linalg import (
-    EXACT_TOL, PROPORTIONALITY_TOL, SUBSPACE_TOL, SUPPORT_TOL, Tolerances, _checked_states,
-    _psd_floor, as_matrix, max_norm,
+    EXACT_TOL, PROPORTIONALITY_TOL, SUBSPACE_TOL, Tolerances, _checked_states, _psd_floor,
+    as_matrix, max_norm,
 )
 
 _OVERFLOW = "pooling product overflows: inputs beyond float range"
@@ -59,32 +58,15 @@ class SufficientStatistic:
 def classical_pool(
     prior: ProbabilityDistribution, q1: ProbabilityDistribution, q2: ProbabilityDistribution
 ) -> PoolingReport:
-    """Pool two classical posteriors against their shared prior.
-
-    Entrywise q1*q2/prior on the prior's support (entries above SUPPORT_TOL),
-    renormalized.  Raises IncompatibleAssignmentsError when the posteriors'
-    supports are disjoint and PriorSupportError when their overlap escapes
-    the prior's support (Bayesian updating cannot resurrect zero-prior
-    outcomes).
-    """
+    """``quantum_pool`` on the diagonal states at the default ``Tolerances``, its pooled
+    diagonal read back over ``prior.outcomes``.  Different outcome sets are
+    InvalidParameterError; then, each support cut by ``ProbabilityDistribution.support``,
+    PriorSupportError if either posterior's support escapes the prior's, else
+    IncompatibleAssignmentsError if the two are disjoint."""
     if not (prior.outcomes == q1.outcomes == q2.outcomes):
         raise InvalidParameterError("distributions are over different outcome sets")
-    overlap = q1.support() & q2.support()
-    if not overlap:
-        raise IncompatibleAssignmentsError("agents incompatible, no pooled state")
-    if overlap - prior.support():
-        raise PriorSupportError(
-            f"prior excludes jointly supported outcome(s) {sorted(overlap - prior.support())}"
-        )
-    on_support = prior.probs > SUPPORT_TOL
-    unnorm = np.where(on_support, q1.probs * q2.probs / np.where(on_support, prior.probs, 1.0), 0.0)
-    total = float(unnorm.sum())
-    pooled = ProbabilityDistribution(prior.outcomes, unnorm / total)
-    return PoolingReport(
-        pooled=pooled,
-        normalization_c=1.0 / total,
-        min_eigenvalue=float(pooled.probs.min()),
-    )
+    r = quantum_pool(*(np.diag(q.probs) for q in (prior, q1, q2)))
+    return replace(r, pooled=ProbabilityDistribution(prior.outcomes, np.diagonal(r.pooled).real))
 
 
 def quantum_pool(prior, s1, s2, tol: Tolerances = Tolerances()) -> PoolingReport:

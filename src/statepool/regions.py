@@ -163,12 +163,16 @@ def quantum_bayes(likelihood, prior) -> np.ndarray:
         raise DimensionMismatchError("likelihood and prior dims differ")
     check_hermitian(like, "likelihood")
     check_hermitian(rho, "prior")
-    p = float((like @ rho).trace().real)
+    p = _possible(float((like @ rho).trace().real))
+    return _star(like, rho) / p
+
+
+def _possible(p: float) -> float:
+    """A predictive probability ``p`` once above SUPPORT_TOL, else ImpossibleConditioningError."""
     if p <= SUPPORT_TOL:
         raise ImpossibleConditioningError(
-            f"conditioning on impossible outcome (predictive probability {p:.3e})"
-        )
-    return _star(like, rho) / p
+            f"conditioning on impossible outcome (predictive probability {p:.3e})")
+    return p
 
 
 def _outcome(key) -> tuple:

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from statepool.compatibility import _support_verdict
+from statepool.errors import IncompatibleAssignmentsError, PriorSupportError
 from statepool.linalg import Spectrum, Tolerances
 from statepool.pooling import _pool
 from statepool.scenario import (
@@ -229,3 +230,43 @@ def spectral_pool(prior, s1, s2, tol=Tolerances()):
     supp1, supp2 = _spectral_supports(tol, a, b)
     return _pool(Spectrum.of(prior, tol.rank_tol), a, b, supp1, supp2,
                  _support_verdict(supp1, supp2), tol)
+
+
+# --- classical pooling in closed form ----------------------------------------
+# The classical rule written from its definition, with each support cut as the
+# quantum rule cuts a diagonal state's: entries above rank_tol times the largest.
+
+
+def diagonal_support(p, rank_tol=Tolerances.rank_tol):
+    """The mask of the entries of ``p`` above ``rank_tol * max|p|``."""
+    p = np.asarray(p, dtype=float)
+    return p > rank_tol * np.abs(p).max()
+
+
+def closed_form_pool(prior, q1, q2):
+    """(q1 q2 / prior on the prior's support, renormalized; the normalization c).
+
+    Raises PriorSupportError when either posterior's support leaves the prior's,
+    else IncompatibleAssignmentsError when the posteriors' supports are disjoint.
+    """
+    prior, q1, q2 = (np.asarray(p, dtype=float) for p in (prior, q1, q2))
+    on, s1, s2 = (diagonal_support(p) for p in (prior, q1, q2))
+    if (s1 & ~on).any() or (s2 & ~on).any():
+        raise PriorSupportError("a posterior's support leaves the prior's")
+    if not (s1 & s2).any():
+        raise IncompatibleAssignmentsError("disjoint supports")
+    unnorm = np.where(on, q1 * q2 / np.where(on, prior, 1.0), 0.0)
+    return unnorm / unnorm.sum(), 1.0 / unnorm.sum()
+
+
+# Diagonal instances over outcomes (a, b, c) on which classical pooling once
+# answered by rules of its own: (prior, q1, q2, pooling error, compatible).
+DIAGONAL_SUPPORT_CASES = [
+    # the posteriors share only a, inside the prior's support, but q1 also holds c
+    ([0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0], PriorSupportError, True),
+    # disjoint posteriors, q2 outside the prior's support: prior support is checked first
+    ([0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], PriorSupportError, False),
+    # the shared c carries 5e-11, under the relative cut 1e-10 * max
+    ([0.5, 0.5 - 5e-11, 5e-11], [1 - 5e-11, 0.0, 5e-11], [0.0, 1 - 5e-11, 5e-11],
+     IncompatibleAssignmentsError, False),
+]

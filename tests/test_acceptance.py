@@ -11,15 +11,12 @@ import numpy as np
 from statepool.cli import main
 from statepool.compatibility import ProbabilityDistribution, classical_compatible
 from statepool.linalg import max_norm
-from statepool.pooling import (
-    check_conditional_independence,
-    classical_pool,
-    quantum_pool,
-)
+from statepool.pooling import check_conditional_independence, quantum_pool
 from statepool.regions import quantum_bayes, star_product
 from statepool.scenario import DepolarizingChannel
 
 from oracles import (
+    closed_form_pool,
     grid_distributions,
     objective_witness_exists,
     rand_density,
@@ -93,9 +90,9 @@ def test_04_classical_embedding_of_quantum_pool():
         d = int(rng.integers(2, 9))
         prior, p1, p2 = (rand_prob(rng, d, full_support=True) for _ in range(3))
         qr = quantum_pool(np.diag(prior), np.diag(p1), np.diag(p2))
-        cr = classical_pool(dist(prior), dist(p1), dist(p2))
-        worst = max(worst, max_norm(np.diagonal(qr.pooled).real - cr.pooled.probs))
-    report(4, f"diagonal quantum_pool == classical_pool (worst {worst:.2e})",
+        want, _ = closed_form_pool(prior, p1, p2)
+        worst = max(worst, max_norm(np.diagonal(qr.pooled).real - want))
+    report(4, f"diagonal quantum_pool == closed-form classical pool (worst {worst:.2e})",
            worst <= 1e-10)
 
 

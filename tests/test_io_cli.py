@@ -21,7 +21,7 @@ from statepool.scenario import (
     AgentPipeline, KrausChannel, ScenarioConfig, random_instance, run_scenario,
 )
 
-from oracles import kraus_list_config, rand_density, rand_psd
+from oracles import DIAGONAL_SUPPORT_CASES, kraus_list_config, rand_density, rand_psd
 
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: Python < 3.10.7
 
@@ -165,6 +165,16 @@ class TestCli:
         code, out = run_cli(capsys, "pool-classical", prior, q1, q2)
         assert code == 0
         assert json.loads(out)["pooled"]["probs"] == [0.8, 0.2]
+
+    @pytest.mark.parametrize("prior, q1, q2, error, compatible", DIAGONAL_SUPPORT_CASES)
+    def test_classical_commands_follow_the_diagonal_case(self, tmp_path, capsys, prior, q1, q2,
+                                                         error, compatible):
+        files = [write_json(tmp_path / f"{name}.json", {"outcomes": [0, 1, 2], "probs": p})
+                 for name, p in (("prior", prior), ("q1", q1), ("q2", q2))]
+        code, out = run_cli(capsys, "pool-classical", *files)
+        assert (code, json.loads(out)["error"]) == (1, error.__name__)
+        code, out = run_cli(capsys, "compat-classical", *files[1:])
+        assert (code, json.loads(out)["compatible"]) == (0 if compatible else 1, compatible)
 
     @pytest.mark.parametrize("command", ["compat-classical", "pool-classical"])
     def test_classical_different_outcome_sets_exit_2(self, tmp_path, capsys, command):

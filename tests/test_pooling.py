@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from statepool.compatibility import ConditionalDistribution, ProbabilityDistribution
+from statepool.compatibility import (
+    ConditionalDistribution, ProbabilityDistribution, classical_bayes_posterior,
+    classical_compatible, quantum_compatible,
+)
 from statepool.errors import (
+    ImpossibleConditioningError,
     IncompatibleAssignmentsError,
     NonHermitianPoolingProductError,
     PriorSupportError,
@@ -17,9 +21,13 @@ from statepool.pooling import (
     quantum_minimal_sufficient_statistic,
     quantum_pool,
 )
+from statepool.regions import quantum_bayes
 from statepool.scenario import DepolarizingChannel
 
-from oracles import rand_density, rand_herm, rand_prob, rand_psd
+from oracles import (
+    DIAGONAL_SUPPORT_CASES, closed_form_pool, diagonal_support, rand_density, rand_herm,
+    rand_prob, rand_psd,
+)
 
 
 def dist(*probs):
@@ -55,6 +63,79 @@ class TestClassicalPool:
             r = classical_pool(prior, q1, q2)
             assert np.all(r.pooled.probs >= 0) and np.all(r.pooled.probs <= 1)
             assert r.pooled.probs.sum() == pytest.approx(1.0)
+
+
+@st.composite
+def diagonal_distributions(draw, n):
+    """A probability vector of length n: full support, or with random zeros and
+    entries log-uniform in [1e-13, 1e-9] times the largest."""
+    mass = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    kinds = draw(st.lists(st.sampled_from(["mass", "zero", "tiny"]), min_size=n, max_size=n))
+    kinds[draw(st.integers(0, n - 1))] = "mass"
+    if draw(st.booleans()):
+        kinds = ["mass"] * n
+    top = max(m for m, k in zip(mass, kinds) if k == "mass")
+    p = np.array([m if k == "mass" else 0.0 if k == "zero" else top * 10 ** draw(st.floats(-13, -9))
+                  for m, k in zip(mass, kinds)])
+    return p / p.sum()
+
+
+diagonal_triples = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(*[diagonal_distributions(n)] * 3))
+
+
+class TestClassicalIsTheDiagonalCase:
+    """The classical deciders and rules against the quantum ones on diagonal states,
+    and classical pooling against its closed form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(diagonal_triples)
+    @example(DIAGONAL_SUPPORT_CASES[0][:3])
+    @example(DIAGONAL_SUPPORT_CASES[1][:3])
+    @example(DIAGONAL_SUPPORT_CASES[2][:3])
+    def test_compatibility_and_pooling(self, triple):
+        prior, q1, q2 = (np.asarray(p, dtype=float) for p in triple)
+        verdict = classical_compatible(dist(*q1), dist(*q2))
+        quantum = quantum_compatible(np.diag(q1), np.diag(q2))
+        assert verdict.compatible is quantum.compatible
+        assert verdict.intersection_rank() == quantum.intersection_rank()
+        assert verdict.intersection == tuple(np.flatnonzero(diagonal_support(q1)
+                                                            & diagonal_support(q2)))
+        try:
+            want, c = closed_form_pool(prior, q1, q2)
+        except (PriorSupportError, IncompatibleAssignmentsError) as e:
+            with pytest.raises(type(e)):
+                classical_pool(dist(*prior), dist(*q1), dist(*q2))
+        else:
+            r = classical_pool(dist(*prior), dist(*q1), dist(*q2))
+            assert np.all(np.abs(r.pooled.probs - want) <= 1e-12 * want)
+            assert r.normalization_c == pytest.approx(c, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(*[diagonal_distributions(n)] * 2)))
+    @example(([1 - 5e-13, 5e-13], [0.0, 1.0]))
+    @example(([1.0, 0.0], [0.0, 1.0]))
+    def test_bayes_posterior(self, pair):
+        prior, row = np.asarray(pair[0], dtype=float), np.asarray(pair[1], dtype=float)
+        row = row / row.max()  # P(X = 0 | y): zeros, tiny entries and a 1
+        cond = ConditionalDistribution(tuple(range(row.size)), (0, 1), np.array([row, 1 - row]))
+        try:
+            want = np.diagonal(quantum_bayes(np.diag(row), np.diag(prior))).real
+        except ImpossibleConditioningError:
+            with pytest.raises(ImpossibleConditioningError, match="impossible outcome"):
+                classical_bayes_posterior(dist(*prior), cond, 0)
+        else:
+            posterior, _ = classical_bayes_posterior(dist(*prior), cond, 0)
+            assert max_norm(posterior.probs - want) <= 1e-12
+
+    @pytest.mark.parametrize("prior, q1, q2, error, compatible", DIAGONAL_SUPPORT_CASES)
+    def test_support_cases(self, prior, q1, q2, error, compatible):
+        with pytest.raises(error):
+            classical_pool(dist(*prior), dist(*q1), dist(*q2))
+        with pytest.raises(error):
+            quantum_pool(np.diag(prior), np.diag(q1), np.diag(q2))
+        assert classical_compatible(dist(*q1), dist(*q2)).compatible is compatible
+        assert quantum_compatible(np.diag(q1), np.diag(q2)).compatible is compatible
 
 
 class TestQuantumPool:
@@ -103,9 +184,9 @@ class TestQuantumPool:
         p1 = rand_prob(rng, dim, True)
         p2 = rand_prob(rng, dim, True)
         qr = quantum_pool(np.diag(prior), np.diag(p1), np.diag(p2))
-        cr = classical_pool(dist(*prior), dist(*p1), dist(*p2))
-        assert max_norm(np.diagonal(qr.pooled).real - cr.pooled.probs) < 1e-10
-        assert qr.normalization_c == pytest.approx(cr.normalization_c)
+        want, c = closed_form_pool(prior, p1, p2)
+        assert max_norm(np.diagonal(qr.pooled).real - want) < 1e-10
+        assert qr.normalization_c == pytest.approx(c)
 
     def test_incompatible_supports(self):
         p0 = np.diag([1.0, 0.0])
