@@ -16,16 +16,18 @@ Conventions
   FIRST region: index ``i*dim(b) + j`` of the product corresponds to basis
   state ``|i>|j>``.
 * At most one ``eigh`` per operand value: support, pseudo-inverse, PSD test
-  and PSD square root all derive from one ``Spectrum``, and ``_eigh`` keeps the
-  last two decompositions, keyed by the symmetrized operand's dtype, shape and
-  bytes.  Two, because on the Bayes chain an operand recurs at most two
-  decompositions later (one prior square-rooted for two Bayes updates; two
-  rank-deficient posteriors judged, then pooled).  A hit returns the read-only
-  arrays ``eigh`` returned for those bytes, so no result moves.  The rank cut,
-  written once in ``_rank_cut``, keeps ``|w| > rank_tol * max|w|``, also of a
-  classical distribution, whose support is then its diagonal state's; PSD means
-  ``min w >= -PSD_TOL * max(max|w|, 1)`` (``_psd_floor``), and eigenvalues
-  between that floor and zero are clamped to zero.
+  and PSD square root all derive from one ``Spectrum``.  Across calls,
+  ``_memoized`` keeps the last ``_MEMO_KEPT`` values the Bayes chain hands to
+  several calls, each keyed by its operand's dtype, shape and bytes: a checked
+  state with its ``Tolerances`` (``_checked_states``), a prior's PSD root
+  (``_root``, for ``quantum_bayes``) and the verdict on an ordered pair of
+  checked states.  A hit is the read-only value the miss made, so no result
+  moves and nothing is checked twice; an error is never kept, and the scenario
+  path never reads the memo.  The rank cut, written once in ``_rank_cut``,
+  keeps ``|w| > rank_tol * max|w|``, also of a classical distribution, whose
+  support is then its diagonal state's; PSD means ``min w >= -PSD_TOL *
+  max(max|w|, 1)`` (``_psd_floor``), and eigenvalues between that floor and
+  zero are clamped to zero.
 * A checked state is one operand, ``_spectrum``: ``_FullRank`` when one
   Cholesky certifies it (``_certified_full_rank``), which holds only where
   the cut above keeps every eigenvalue, so it is positive definite with
@@ -193,17 +195,36 @@ def _hermitian(m, name: str) -> np.ndarray:
 
 
 def _checked_states(tol: Tolerances, **states) -> list:
-    """(matrix, symmetrized matrix, clamped ``_spectrum`` cut at ``tol.rank_tol``)
-    for every state, once all are square matrices of one shape, Hermitian
-    within ``tol.herm_tol`` and PSD; else an error that names the first
-    offending state, Hermiticity of every state before PSD."""
+    """(matrix, key, clamped ``_spectrum`` cut at ``tol.rank_tol``, its support) for
+    every state, once all are square matrices of one shape, Hermitian within
+    ``tol.herm_tol`` and PSD; else an error that names the first offending state,
+    Hermiticity of every state before PSD.  The key is the matrix's dtype, shape and
+    bytes with ``tol``: a state the memo holds under it passed these checks, so it
+    is not checked again."""
     mats = {name: as_matrix(m) for name, m in states.items()}
     if len({m.shape for m in mats.values()}) > 1:
         raise DimensionMismatchError(f"states {', '.join(mats)} have different dims")
+    keys = {name: _key("state", m, tol) for name, m in mats.items()}
+    found = {name: _recall(key) for name, key in keys.items()}
     for name, m in mats.items():
-        check_hermitian(m, name, tol.herm_tol)
-    hermitian = {name: (m + m.conj().T) / 2 for name, m in mats.items()}  # hermitize, unchecked
-    return [(mats[name], h, _state(h, name, tol.rank_tol)) for name, h in hermitian.items()]
+        if found[name] is None:
+            check_hermitian(m, name, tol.herm_tol)
+    for name, m in mats.items():
+        if found[name] is None:  # _memoized: a value named twice is checked once
+            found[name] = _memoized(keys[name], lambda: _checked(m, name, tol.rank_tol), _held)
+    return [(mats[name], keys[name], *found[name]) for name in mats]
+
+
+def _checked(m: np.ndarray, name: str, rank_tol: float) -> tuple:
+    """(``_state`` of ``m`` symmetrized, its support), for ``m`` checked Hermitian."""
+    op = _state((m + m.conj().T) / 2, name, rank_tol)  # hermitize, unchecked
+    return op, op.support()
+
+
+def _held(checked: tuple) -> tuple:
+    """The arrays a ``_checked`` pair holds."""
+    op, support = checked
+    return ((op.a,) if isinstance(op, _FullRank) else (op.w, op.v)) + (support.basis,)
 
 
 def _state(h: np.ndarray, name: str, rank_tol: float) -> Spectrum | _FullRank:
@@ -291,6 +312,11 @@ def _sqrt_psd(a: np.ndarray) -> np.ndarray:
     return s.psd_function(np.sqrt)
 
 
+def _root(rho: np.ndarray) -> np.ndarray:
+    """``_sqrt_psd(rho)``, read-only, from the memo when it holds ``rho``'s bytes."""
+    return _memoized(_key("root", rho), lambda: _sqrt_psd(rho), lambda root: (root,))
+
+
 def pseudo_inverse(h) -> np.ndarray:
     """Moore-Penrose inverse of a Hermitian operator, restricted to its support."""
     return Spectrum.of(_hermitian(h, "h")).pinv()
@@ -346,28 +372,46 @@ class Subspace:
         return sub
 
 
-# On the Bayes chain an operand recurs at most two decompositions later: one prior is
-# square-rooted for both Bayes updates; two rank-deficient posteriors are judged, then
-# pooled.  A longer memo would only hold operands the chain does not revisit.
-_EIGH_KEPT = 2
-_eigh_memo: tuple = ()  # (key, w, v) entries, newest first; replaced whole, never mutated
+# The operands the Bayes chain hands to several calls, most recently used first: checked
+# states, a prior's PSD root, the verdict on a pair of states.  A prior's checked state
+# comes back 7 distinct values later (the last instance's two posteriors and their
+# verdict, the root, then this instance's two posteriors and verdict), so 8 entries make
+# every repeat among one prior's instances a hit.  A longer memo would only hold values
+# the chain does not revisit.
+_MEMO_KEPT = 8
+_memo: tuple = ()  # (key, value) entries; replaced whole, never mutated
 
 
-def _eigh(a: np.ndarray) -> tuple:
-    """``np.linalg.eigh(a)`` as read-only arrays, taken from the memo when one of the last
-    ``_EIGH_KEPT`` operands had ``a``'s dtype, shape and bytes: the bits eigh returned for
-    them.  A reader sees one whole memo tuple, so threads can at worst lose an entry to a
-    concurrent update, which costs a later miss, never a wrong result."""
-    global _eigh_memo
-    key = (a.dtype.str, a.shape, a.tobytes())
-    for entry in _eigh_memo:
+def _key(kind: str, m: np.ndarray, *rest) -> tuple:
+    return (kind, m.dtype.str, m.shape, m.tobytes(), *rest)
+
+
+def _recall(key):
+    """The value the memo holds under ``key``, now its newest entry, or None.  A reader
+    sees one whole memo tuple, so threads can at worst lose an entry to a concurrent
+    update, which costs a later miss, never a wrong result."""
+    global _memo
+    memo = _memo
+    for i, entry in enumerate(memo):
         if entry[0] == key:
-            return entry[1:]
-    w, v = np.linalg.eigh(a)
-    w.setflags(write=False)
-    v.setflags(write=False)
-    _eigh_memo = ((key, w, v),) + _eigh_memo[: _EIGH_KEPT - 1]
-    return w, v
+            if i:
+                _memo = (entry,) + memo[:i] + memo[i + 1:]
+            return entry[1]
+    return None
+
+
+def _memoized(key, compute, arrays):
+    """The memo's value under ``key``; else ``compute()``, kept as the newest entry with
+    every array ``arrays(value)`` names read-only, the oldest evicted.  What ``compute``
+    raises is not kept."""
+    global _memo
+    value = _recall(key)
+    if value is None:
+        value = compute()
+        for a in arrays(value):
+            a.setflags(write=False)
+        _memo = ((key, value),) + _memo[: _MEMO_KEPT - 1]
+    return value
 
 
 @dataclass(frozen=True)
@@ -387,7 +431,7 @@ class Spectrum:
     @classmethod
     def _of_hermitian(cls, a: np.ndarray, rank_tol: float) -> "Spectrum":
         """``Spectrum.of`` a matrix already symmetrized, which it equals bit for bit."""
-        w, v = _eigh(a)
+        w, v = np.linalg.eigh(a)
         return cls(w, v, _rank_cut(w, rank_tol))
 
     @property

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compatibility import ProbabilityDistribution, _support_verdict
+from .compatibility import ProbabilityDistribution, _verdict
 from .errors import (
     DimensionMismatchError, IncompatibleAssignmentsError, InvalidParameterError,
     NonHermitianPoolingProductError, NotPSDError, PriorSupportError,
@@ -81,13 +81,13 @@ def quantum_pool(prior, s1, s2, tol: Tolerances = Tolerances()) -> PoolingReport
     raise InvalidParameterError.  A state that one Cholesky certifies positive
     definite is not decomposed: a posterior's support is then the whole
     space, and the prior's pseudo-inverse is its inverse, applied to s2 with
-    one LU solve.  Any other state is decomposed once, and not again when it was
-    one of the last two operands decomposed, as a posterior just judged by
-    ``quantum_compatible`` is.
+    one LU solve.  Any other state is decomposed once.  A state among the last
+    operands checked, as a posterior just judged by ``quantum_compatible`` is, is
+    not checked again, and that pair's verdict is not made again.
     """
-    (_, _, prior_op), (a, _, op1), (b, _, op2) = _checked_states(tol, prior=prior, s1=s1, s2=s2)
-    supp1, supp2 = op1.support(), op2.support()
-    return _pool(prior_op, a, b, supp1, supp2, _support_verdict(supp1, supp2), tol)
+    (_, _, prior_op, _), first, second = _checked_states(tol, prior=prior, s1=s1, s2=s2)
+    (a, _, _, supp1), (b, _, _, supp2) = first, second
+    return _pool(prior_op, a, b, supp1, supp2, _verdict(first, second), tol)
 
 
 def _pool(prior, a, b, supp1, supp2, verdict, tol: Tolerances) -> PoolingReport:

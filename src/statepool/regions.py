@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ImpossibleConditioningError, NotPSDError
 from .linalg import (
-    EXACT_TOL, SUPPORT_TOL, TRACE_TOL, Spectrum, Tolerances, _hermitian, _integer, _sqrt_psd,
-    as_matrix, check_hermitian, embed, max_norm, partial_trace,
+    EXACT_TOL, SUPPORT_TOL, TRACE_TOL, Spectrum, Tolerances, _hermitian, _integer, _root,
+    _sqrt_psd, as_matrix, check_hermitian, embed, max_norm, partial_trace,
 )
 
 
@@ -164,7 +164,8 @@ def quantum_bayes(likelihood, prior) -> np.ndarray:
     check_hermitian(like, "likelihood")
     check_hermitian(rho, "prior")
     p = _possible(float((like @ rho).trace().real))
-    return _star(like, rho) / p
+    root = _root(rho)
+    return root @ like @ root / p
 
 
 def _possible(p: float) -> float:

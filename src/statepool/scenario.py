@@ -17,7 +17,7 @@ import numpy as np
 from .compatibility import CompatibilityVerdict, _support_verdict
 from .errors import DimensionMismatchError, InvalidParameterError, StatePoolError
 from .linalg import (
-    EXACT_TOL, TRACE_TOL, Tolerances, _checked_states, _integer, _real, _state, as_matrix,
+    EXACT_TOL, TRACE_TOL, Tolerances, _integer, _real, _state, as_matrix, check_hermitian,
     hermitize, max_norm,
 )
 from .pooling import PoolingReport, _pool
@@ -224,8 +224,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if not isinstance(self.tol, Tolerances):
             raise InvalidParameterError(f"tol is a {type(self.tol).__name__}, not a Tolerances")
-        ((_, prior, pooling_prior),) = _checked_states(Tolerances(self.tol.rank_tol),
-                                                       prior=self.prior)
+        # not _checked_states: a config holds its checked prior, so its memo could hit
+        # only when a caller builds the same scenario again
+        m = as_matrix(self.prior)
+        check_hermitian(m, "prior")
+        prior = (m + m.conj().T) / 2  # hermitize, unchecked
+        pooling_prior = _state(prior, "prior", self.tol.rank_tol)
         tr = float(np.real(np.trace(prior)))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density operator has trace {tr!r}, expected 1")

@@ -9,13 +9,14 @@ import dataclasses
 import itertools
 import json
 
+import mpmath
 import numpy as np
 from scipy.optimize import linprog
 
 from statepool.compatibility import _support_verdict
 from statepool.errors import IncompatibleAssignmentsError, PriorSupportError
 from statepool.linalg import Spectrum, Tolerances
-from statepool.pooling import _pool
+from statepool.pooling import PoolingReport, _pool
 from statepool.scenario import (
     AgentPipeline, DephasingChannel, DepolarizingChannel, KrausChannel, ReplacementChannel,
 )
@@ -230,6 +231,25 @@ def spectral_pool(prior, s1, s2, tol=Tolerances()):
     supp1, supp2 = _spectral_supports(tol, a, b)
     return _pool(Spectrum.of(prior, tol.rank_tol), a, b, supp1, supp2,
                  _support_verdict(supp1, supp2), tol)
+
+
+def exact_pool(prior, s1, s2, digits=60):
+    """The pooling rule on the given floats, each operation at ``digits`` digits:
+    T = s1 prior^-1 s2 for an invertible ``prior``, as a PoolingReport of the pooled
+    state (T + T†) / (2 Tr T), c = 1 / Tr T and the residual max|T - T†| / max(max|T|, 1),
+    rounded to floats once, at the end.  Its outcome is not decided: it never raises."""
+    d = len(prior)
+    cells = [(i, j) for i in range(d) for j in range(d)]
+    with mpmath.workdps(digits):
+        prior, s1, s2 = (mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in m])
+                         for m in (prior, s1, s2))
+        t = s1 * mpmath.inverse(prior) * s2
+        tr = sum(t[i, i] for i in range(d)).real
+        scale = max(max(abs(t[i, j]) for i, j in cells), 1)
+        residual = max(abs(t[i, j] - mpmath.conj(t[j, i])) for i, j in cells) / scale
+        pooled = np.array([[complex((t[i, j] + mpmath.conj(t[j, i])) / (2 * tr)) for j in range(d)]
+                           for i in range(d)])
+        return PoolingReport(pooled, float(1 / tr), float(residual))
 
 
 # --- classical pooling in closed form ----------------------------------------

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statepool import compatibility, io
@@ -29,6 +29,7 @@ from statepool.regions import make_hybrid
 from statepool.scenario import KrausChannel
 
 from oracles import (
+    exact_pool,
     grid_distributions,
     objective_witness_exists,
     rand_density,
@@ -410,17 +411,33 @@ def pooled_or_error(pool, *args):
         return exc
 
 
+def eigh_backward_error(a) -> float:
+    """||V W V† - a||_2 / ||a||_2 + ||V† V - I||_2 for (W, V) of ``np.linalg.eigh(a)``:
+    the relative backward error of the decomposition with its loss of orthogonality."""
+    w, v = np.linalg.eigh(a)
+    return (np.linalg.norm((v * w) @ v.conj().T - a, 2) / np.linalg.norm(a, 2)
+            + np.linalg.norm(v.conj().T @ v - np.eye(len(a)), 2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([2, 8, 64]), st.sampled_from(["commuting", "noncommuting", "free"]),
        st.sampled_from(sorted(RANKS)), st.sampled_from(sorted(RANKS)),
        st.sampled_from(sorted(RANKS)), st.integers(0, 10_000))
+@example(d=2, kind="commuting", prior_rank="full", r1="full", r2="half", seed=181)
 def test_same_bytes_as_decomposing_every_input(d, kind, prior_rank, r1, r2, seed):
     """Verdicts, and pools against a prior that must be decomposed, are byte for
     byte those of the oracle that decomposes every input.  A prior that one
-    Cholesky certifies is solved against instead of inverted on its spectrum:
-    the outcome class is the same, and the pooled state, c and the residual
-    agree within d * cond(prior) * eps, the first-order sum of both paths'
-    backward errors (measured: at most 0.7 cond(prior) eps at d = 2, 8, 64)."""
+    Cholesky certifies is solved against instead of inverted on its spectrum,
+    and the outcome class is the same.  The pooled state, c and the residual
+    carry each path's error: an LU solve with backward error about d eps moves
+    them by about d cond(prior) eps to first order; an eigh with backward error
+    beta (``eigh_backward_error``) moves the oracle's inverse by beta cond(prior),
+    and rounding its pseudo-inverse and products adds about d cond(prior) eps.
+    At d = 2 and 8 the library is held to d cond(prior) eps of ``exact_pool`` on
+    the symmetrized prior it pools against; the oracle is no reference there
+    (the @example puts it 3.79 cond(prior) eps from the exact c at d = 2, the
+    library 0.41).  At d = 64, where the exact pool is slow, it is held to the
+    oracle within the sum of both bounds, (2 d eps + beta) cond(prior)."""
     prior, s1, s2 = drawn_inputs(d, kind, prior_rank, (r1, r2), seed)
     assert (io.dumps(io.verdict_to_json(quantum_compatible(s1, s2)))
             == io.dumps(io.verdict_to_json(spectral_verdict(s1, s2))))
@@ -430,7 +447,13 @@ def test_same_bytes_as_decomposing_every_input(d, kind, prior_rank, r1, r2, seed
         return
     got, want = (pooled_or_error(pool, prior, s1, s2) for pool in (quantum_pool, spectral_pool))
     assert type(got) is type(want)
-    bound = d * np.linalg.cond(prior) * np.finfo(float).eps
+    cond, eps = np.linalg.cond(prior), np.finfo(float).eps
+    if d > 8:
+        bound = (2 * d * eps + eigh_backward_error(hermitize(prior))) * cond
+    elif isinstance(want, (PoolingReport, NonHermitianPoolingProductError)):
+        bound, exact = d * cond * eps, exact_pool(hermitize(prior), s1, s2)
+        want = (exact if isinstance(want, PoolingReport)
+                else NonHermitianPoolingProductError(exact.hermiticity_residual))
     if isinstance(want, PoolingReport):
         assert max_norm(got.pooled - want.pooled) <= bound * max_norm(want.pooled)
         assert abs(got.normalization_c - want.normalization_c) <= bound * want.normalization_c

@@ -22,7 +22,7 @@ from statepool.scenario import (
     run_scenario,
 )
 
-from oracles import rand_density, rand_unitary
+from oracles import closed_form_pool, rand_density, rand_unitary
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
@@ -171,9 +171,6 @@ class TestRunScenario:
         assert res.pooling_error["error"] == "IncompatibleAssignmentsError"
 
     def test_commuting_diagonal_scenario_matches_classical(self):
-        from statepool.compatibility import ProbabilityDistribution
-        from statepool.pooling import classical_pool
-
         prior = np.diag([0.5, 0.3, 0.2])
         cfg = ScenarioConfig(
             prior=prior,
@@ -181,9 +178,8 @@ class TestRunScenario:
                        AgentPipeline("T", (DephasingChannel(3, 0.4),))),
         )
         res = run_scenario(cfg)
-        q = lambda m: ProbabilityDistribution((0, 1, 2), np.diagonal(m).real)
-        want = classical_pool(q(prior), q(res.sigma1), q(res.sigma2))
-        assert max_norm(np.diagonal(res.pooling.pooled).real - want.pooled.probs) < 1e-10
+        want, _ = closed_form_pool(*(np.diagonal(m).real for m in (prior, res.sigma1, res.sigma2)))
+        assert max_norm(np.diagonal(res.pooling.pooled).real - want) < 1e-10
 
     def test_identical_pipelines_always_compatible(self):
         for seed in range(20):

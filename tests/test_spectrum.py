@@ -1,6 +1,6 @@
 """One spectrum per operand: Spectrum-derived quantities, the principal-angle
 intersection, the full-rank certificate, decomposition counts on the hot
-paths, the memo of recent eigendecompositions, and golden bytes."""
+paths, the memo of recently checked operands, and golden bytes."""
 
 import dataclasses
 import hashlib
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from statepool import io, linalg, regions
 from statepool.cli import main
-from statepool.compatibility import _support_verdict, quantum_compatible
+from statepool.compatibility import CompatibilityVerdict, _support_verdict, quantum_compatible
 from statepool.errors import (
     DimensionMismatchError, ImpossibleConditioningError, IncompatibleAssignmentsError,
     InvalidParameterError, NonHermitianPoolingProductError, NotPSDError, PriorSupportError,
@@ -32,7 +32,7 @@ from statepool.scenario import (
     adversarial_instance, batch_report, haar_unitary, random_instance, run_scenario,
 )
 
-from oracles import rand_density, rand_herm, rand_psd
+from oracles import rand_density, rand_psd
 
 TOL = 1e-8  # subspace_intersection's default
 
@@ -142,11 +142,11 @@ def count_as_matrix(monkeypatch) -> list:
 
 class Counter:
     """Counts the dense decompositions and solves numpy.linalg is asked for.  It
-    empties linalg's memo of recent eigendecompositions first, so a count states
+    empties linalg's memo of recently checked operands first, so a count states
     only the work of the calls it wraps."""
 
     def __init__(self, monkeypatch):
-        linalg._eigh_memo = ()
+        linalg._memo = ()
         self.calls = []
         for name in ("eigh", "eigvalsh", "svd", "cholesky", "solve"):
             monkeypatch.setattr(np.linalg, name, self._wrap(name, getattr(np.linalg, name)))
@@ -181,6 +181,21 @@ def bayes_case(d, commuting):
     prior, likes = bayes_inputs(d, commuting)
     s1, s2 = (regions.quantum_bayes(like, prior) for like in likes)
     return prior, s1, s2, regions.quantum_bayes(likes[0] @ likes[1], prior) if commuting else None
+
+
+def bayes_group(d, seed):
+    """A full-rank prior and three likelihood pairs: commuting effects, effects
+    diagonal in two random bases, and complementary projectors P, I - P."""
+    rng = np.random.default_rng([d, seed, 3])
+    prior = rand_density(rng, d)
+
+    def effect(u):
+        return (u * rng.uniform(0.1, 1.0, d)) @ u.conj().T
+
+    u, basis = haar(rng, d), haar(rng, d)[:, : d // 2]
+    proj = basis @ basis.conj().T
+    return prior, [(effect(u), effect(u)), (effect(haar(rng, d)), effect(haar(rng, d))),
+                   (proj, np.eye(d) - proj)]
 
 
 class TestDecompositionCounts:
@@ -250,11 +265,13 @@ class TestDecompositionCounts:
         verdict = quantum_compatible(s1, s2)
         assert not verdict.compatible and verdict.intersection_rank() == 0
         assert c.count("cholesky") == 2 and c.count("eigh") == 2
+        assert c.count("svd") == 1
         with pytest.raises(IncompatibleAssignmentsError):
             quantum_pool(prior, s1, s2)
-        # the prior certified, both posteriors' certificates fail again and their spectra
-        # come from the memo; disjoint, so nothing is solved
-        assert c.count("cholesky") == 5 and c.count("eigh") == 2 and c.count("solve") == 0
+        # the prior certified; both posteriors and their verdict come from the memo,
+        # so no certificate fails again and no SVD runs; disjoint, so nothing is solved
+        assert c.count("cholesky") == 3 and c.count("eigh") == 2 and c.count("solve") == 0
+        assert c.count("svd") == 1
 
     @pytest.mark.parametrize("d", [2, 8, 64])
     @pytest.mark.parametrize("commuting, eighs", [(True, 1), (False, 3)],
@@ -272,6 +289,40 @@ class TestDecompositionCounts:
             with pytest.raises(IncompatibleAssignmentsError):
                 quantum_pool(prior, s1, s2)
         assert c.count("eigh") == eighs and c.count("eigvalsh") == commuting
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_bayes_pool_group(self, monkeypatch, d):
+        # per group: the prior's root, one eigh; the six posteriors, one Cholesky each,
+        # and one eigh each of the two complementary ones; the prior's state, one
+        # Cholesky; the complementary verdict, one SVD.  A prior met again after
+        # three others costs the same: a group touches more values than the memo holds.
+        groups = [bayes_group(d, seed) for seed in range(4)]
+        c = Counter(monkeypatch)
+        costs = []
+        for prior, pairs in groups + groups[:1]:
+            c.calls.clear()
+            for like1, like2 in pairs:
+                s1, s2 = (regions.quantum_bayes(like, prior) for like in (like1, like2))
+                quantum_compatible(s1, s2)
+                try:
+                    quantum_pool(prior, s1, s2)
+                except StatePoolError:
+                    pass
+            costs.append({n: c.count(n) for n in ("cholesky", "svd", "eigh", "eigvalsh", "solve")})
+        assert costs[0] == {"cholesky": 7, "svd": 1, "eigh": 3, "eigvalsh": 1, "solve": 2}
+        assert costs == [costs[0]] * 5
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_batch_report_costs_the_same_twice(self, monkeypatch, d):
+        # the scenario path never reads the memo: each instance certifies its prior
+        # and both posteriors and solves once, however often it is run
+        c = Counter(monkeypatch)
+        costs = []
+        for _ in range(2):
+            c.calls.clear()
+            batch_report([d], 1, [0.0, 0.5], 6)
+            costs.append({n: c.count(n) for n in ("cholesky", "svd", "eigh", "eigvalsh", "solve")})
+        assert costs == [{"cholesky": 6, "svd": 0, "eigh": 0, "eigvalsh": 0, "solve": 2}] * 2
 
     def test_condition_decomposes_the_marginal_once(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -322,15 +373,15 @@ class TestDecompositionCounts:
         assert len(calls) == 2
 
 
-MEMO_KINDS = ("random", "rank_deficient", "signed_zero")
+MEMO_KINDS = ("full_rank", "rank_deficient", "signed_zero")
 
 
-def memo_operand(kind, d, seed):
-    """A Hermitian matrix: indefinite, PSD of rank max(1, d/2), or a PSD diagonal
+def memo_state(kind, d, seed):
+    """A state: a random density matrix, PSD of rank max(1, d/2), or a PSD diagonal
     with zero entries whose real and imaginary parts carry random signs."""
     rng = np.random.default_rng(seed)
-    if kind == "random":
-        return rand_herm(rng, d)
+    if kind == "full_rank":
+        return rand_density(rng, d)
     if kind == "rank_deficient":
         return rand_psd(rng, d, rank=max(1, d // 2))
     m = np.diag(np.where(rng.random(d) < 0.5, rng.uniform(0.1, 1.0, d), 0.0)).astype(complex)
@@ -339,93 +390,162 @@ def memo_operand(kind, d, seed):
     return np.where(m == 0, zeros, m)
 
 
-def bits(w, v) -> tuple:
-    return w.tobytes(), v.tobytes()
+def checked(a, tol=Tolerances()):
+    """The clamped ``_spectrum`` ``_checked_states`` hands on for the one state ``a``."""
+    ((_, _, op, _),) = linalg._checked_states(tol, s=a)
+    return op
 
 
-def eigh_bits(a) -> tuple:
-    """The bits ``np.linalg.eigh`` returns for ``hermitize(a)``, asked directly."""
-    return bits(*np.linalg.eigh(hermitize(a)))
+def bits(op) -> tuple:
+    """The bytes of a checked state's arrays and of its support's basis."""
+    arrays = (op.a,) if isinstance(op, linalg._FullRank) else (op.w, op.v)
+    return tuple(x.tobytes() for x in arrays) + (op.support().basis.tobytes(),)
+
+
+def fresh_bits(a) -> tuple:
+    """``bits`` of ``a`` checked with no memo: symmetrized, ``_state``, as on a miss."""
+    return bits(linalg._state(hermitize(a), "s", Tolerances.rank_tol))
 
 
 def memo_arrays() -> list:
-    return [arr for entry in linalg._eigh_memo for arr in entry[1:]]
+    """Every array the memo holds, found by walking its values."""
+    found = []
+
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            found.append(x)
+        elif isinstance(x, tuple):
+            for y in x:
+                walk(y)
+        elif dataclasses.is_dataclass(x):
+            for f in dataclasses.fields(x):
+                walk(getattr(x, f.name))
+
+    for _, value in linalg._memo:
+        walk(value)
+    return found
+
+
+def outcome_bytes(call) -> str:
+    """``call()``'s result, or the error it raised, as text."""
+    try:
+        out = call()
+    except StatePoolError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(out, np.ndarray):
+        return out.tobytes().hex()
+    if isinstance(out, CompatibilityVerdict):
+        return io.dumps(io.verdict_to_json(out))
+    return io.dumps(io.pooling_report_to_json(out))
 
 
 OPERANDS = (st.sampled_from(MEMO_KINDS), st.sampled_from([1, 2, 3, 8, 64]),
             st.integers(0, 10_000))
 
 
-class TestEighMemoIsInvisible:
-    """linalg keeps its last two eigendecompositions; no result may tell."""
+class TestMemoIsInvisible:
+    """linalg keeps the last checked states, prior roots and verdicts; no result may tell."""
 
     @settings(max_examples=100, deadline=None)
     @given(*OPERANDS)
     def test_a_hit_returns_the_bits_of_a_miss(self, kind, d, seed):
-        a = memo_operand(kind, d, seed)
-        linalg._eigh_memo = ()
-        miss, hit = Spectrum.of(a), Spectrum.of(a)
-        assert hit.v is miss.v  # from the memo
-        assert bits(miss.w, miss.v) == bits(hit.w, hit.v) == eigh_bits(a)
+        a = memo_state(kind, d, seed)
+        linalg._memo = ()
+        miss, hit = checked(a), checked(a)
+        assert hit is miss  # from the memo
+        assert bits(miss) == fresh_bits(a)
         # equal values are not equal bytes: flipping the sign of every zero entry
-        # is a new operand unless symmetrizing erased every flipped sign
+        # is a new operand unless the matrix has no zero entry
         twin = np.where(a == 0, -a, a)
-        same = hermitize(twin).tobytes() == hermitize(a).tobytes()
-        got = Spectrum.of(twin)
-        assert (got.v is miss.v) == same and bits(got.w, got.v) == eigh_bits(twin)
+        got = checked(twin)
+        assert (got is miss) == (twin.tobytes() == a.tobytes())
+        assert bits(got) == fresh_bits(twin)
+
+    @settings(max_examples=40, deadline=None)
+    @given(*OPERANDS)
+    def test_every_result_has_the_bytes_of_an_empty_memo(self, kind, d, seed):
+        rng = np.random.default_rng(seed)
+        prior, like = rand_density(rng, d), rand_psd(rng, d)
+        s1, s2 = memo_state(kind, d, seed), memo_state(kind, d, seed + 1)
+
+        def pool():
+            return quantum_pool(prior, s1, s2)
+
+        for call in (lambda: regions.quantum_bayes(like, prior),
+                     lambda: quantum_compatible(s1, s2),
+                     lambda: quantum_compatible(s1, s2, Tolerances(rank_tol=0.3)), pool):
+            linalg._memo = ()
+            cold = outcome_bytes(call)
+            assert outcome_bytes(call) == cold
+        # a pool after the verdict reads both posteriors and their verdict from the memo
+        linalg._memo = ()
+        quantum_compatible(s1, s2)
+        assert outcome_bytes(pool) == cold
 
     @settings(max_examples=60, deadline=None)
     @given(*OPERANDS)
-    def test_an_operand_mutated_in_place_is_decomposed_afresh(self, kind, d, seed):
-        h = hermitize(memo_operand(kind, d, seed))
-        linalg._eigh_memo = ()
-        before = Spectrum._of_hermitian(h, Tolerances.rank_tol)
-        h[0, 0] += 1.0
-        after = Spectrum._of_hermitian(h, Tolerances.rank_tol)
-        assert after.v is not before.v
-        assert bits(after.w, after.v) == bits(*np.linalg.eigh(h))
+    def test_an_operand_changed_in_place_is_checked_again(self, kind, d, seed):
+        a = memo_state(kind, d, seed)
+        linalg._memo = ()
+        before = checked(a)
+        a[0, 0] += 1.0  # as_matrix hands on a complex array itself, so the memo saw this one
+        after = checked(a)
+        assert after is not before and bits(after) == fresh_bits(a)
+        a[0, 0] = -1.0 - 2 * max_norm(a)
+        with pytest.raises(InvalidParameterError, match="s is not PSD"):
+            checked(a)
 
     @settings(max_examples=60, deadline=None)
     @given(*OPERANDS)
-    def test_a_third_operand_evicts_the_oldest(self, kind, d, seed):
-        a, b, c = (memo_operand(kind, d, seed + k) for k in range(3))
-        assume(len({hermitize(x).tobytes() for x in (a, b, c)}) == 3)
-        linalg._eigh_memo = ()
-        first, _, third = (Spectrum.of(x) for x in (a, b, c))
-        again = Spectrum.of(a)
-        assert again.v is not first.v and bits(again.w, again.v) == eigh_bits(a)
-        assert Spectrum.of(c).v is third.v  # kept beside a
+    def test_the_least_recently_used_entry_is_evicted(self, kind, d, seed):
+        ops = [memo_state(kind, d, seed + k) for k in range(linalg._MEMO_KEPT + 1)]
+        assume(len({a.tobytes() for a in ops}) == len(ops))
+        linalg._memo = ()
+        first = [checked(a) for a in ops[:-1]]  # fills the memo
+        assert checked(ops[0]) is first[0]  # a hit, now the newest entry
+        checked(ops[-1])  # evicts ops[1], the least recently used
+        assert len(linalg._memo) == linalg._MEMO_KEPT
+        again = checked(ops[1])
+        assert again is not first[1] and bits(again) == bits(first[1])
+        assert checked(ops[0]) is first[0]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(*OPERANDS)
     def test_entries_are_read_only_and_results_are_not(self, kind, d, seed):
-        a = memo_operand(kind, d, seed)
-        linalg._eigh_memo = ()
-        s = Spectrum.of(a)
-        for arr in (s.w, s.v):
+        rng = np.random.default_rng(seed)
+        prior, like = rand_density(rng, d), rand_psd(rng, d)
+        s1, s2 = memo_state(kind, d, seed), memo_state(kind, d, seed + 1)
+        linalg._memo = ()
+        results = [regions.quantum_bayes(like, prior), linalg.sqrt_psd(prior)]
+        quantum_compatible(s1, s2)
+        try:
+            results.append(quantum_pool(prior, s1, s2).pooled)
+        except StatePoolError:
+            pass
+        arrays = memo_arrays()
+        assert {key[0] for key, _ in linalg._memo} == {"root", "state", "verdict"}
+        for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0
-        results = [s.support().basis, s.pinv(), linalg.pseudo_inverse(a),
-                   Spectrum.of(a).support().basis, s.clamped().support().basis]
-        if s.is_psd():
-            results.append(linalg.sqrt_psd(a))
-        assert len(linalg._eigh_memo) == 1  # every result above read the one entry
-        for r in results:
+        for r in results + [prior, s1, s2]:  # nor does the memo freeze its callers' inputs
             assert r.flags.writeable
-            assert not any(np.shares_memory(r, arr) for arr in memo_arrays())
+            assert not any(np.shares_memory(r, arr) for arr in arrays)
 
-    def test_threads_sharing_the_memo_get_the_bits_of_eigh(self):
-        # four threads over three operands keep evicting each other's entries
-        ops = [memo_operand("random", 8, seed) for seed in range(3)]
-        want = [eigh_bits(a) for a in ops]
+    def test_threads_sharing_the_memo_get_the_bits_of_a_fresh_check(self):
+        # four threads over more states than the memo holds keep evicting each other's entries
+        ops = [memo_state(MEMO_KINDS[k % 3], 8, k) for k in range(linalg._MEMO_KEPT + 4)]
+        want = [fresh_bits(a) for a in ops]
         wrong, interval = [], sys.getswitchinterval()
 
         def work(k):
             for i in range(300):
-                s = Spectrum.of(ops[(k + i) % 3])
-                if bits(s.w, s.v) != want[(k + i) % 3] or len(linalg._eigh_memo) > 2:
-                    wrong.append((k, i))
+                j = (k + i) % len(ops)
+                try:
+                    if bits(checked(ops[j])) != want[j] or len(linalg._memo) > linalg._MEMO_KEPT:
+                        wrong.append((k, i))
+                except Exception as exc:  # a thread's exception would not fail the test
+                    wrong.append((k, i, exc))
 
         threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
         sys.setswitchinterval(1e-6)
@@ -437,6 +557,60 @@ class TestEighMemoIsInvisible:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and wrong == []
+
+    def test_a_looser_check_is_no_hit_for_a_stricter_one(self):
+        a = rand_density(np.random.default_rng(3), 4)
+        a[0, 1] += 1e-5  # relative residual about 1e-5: inside herm_tol 1e-3, outside 1e-8
+        linalg._memo = ()
+        assert quantum_compatible(a, a, Tolerances(herm_tol=1e-3)).compatible
+        with pytest.raises(InvalidParameterError, match="s1 is not Hermitian"):
+            quantum_compatible(a, a)
+        with pytest.raises(InvalidParameterError, match="s1 is not Hermitian"):
+            quantum_pool(np.eye(4) / 4, a, a)
+
+    # Hermiticity of every state is checked before any is kept, PSD state by state
+    @pytest.mark.parametrize("bad, message, kept", [
+        (np.diag([1.0, -0.5]), "s2 is not PSD", 1),
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "s2 is not Hermitian", 0),
+    ], ids=["not_psd", "not_hermitian"])
+    def test_a_rejected_operand_raises_again_on_every_call(self, bad, message, kept):
+        good = np.eye(2) / 2
+        linalg._memo = ()
+        messages = []
+        for _ in range(3):
+            for call in (lambda: quantum_compatible(good, bad),
+                         lambda: quantum_pool(good, good, bad)):
+                with pytest.raises(InvalidParameterError) as exc:
+                    call()
+                messages.append(str(exc.value))
+        assert messages == [messages[0]] * 6 and message in messages[0]
+        assert len(linalg._memo) == kept  # at most the good state's entry; no error
+
+    def test_a_prior_that_is_not_psd_raises_on_every_bayes_update(self):
+        linalg._memo = ()
+        for _ in range(3):
+            with pytest.raises(NotPSDError, match="eigenvalue -5.000e-01"):
+                regions.quantum_bayes(np.diag([1.0, 0.0]), np.diag([1.0, -0.5]))
+        assert linalg._memo == ()
+
+    def test_a_verdict_from_the_memo_is_frozen(self):
+        s1, s2 = np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.5, 0.5])
+        linalg._memo = ()
+        first = quantum_compatible(s1, s2)
+        again = quantum_compatible(s1, s2)
+        assert again is first and again.intersection.rank == 1
+        with pytest.raises(ValueError):
+            again.intersection.basis[0, 0] = 1.0
+        assert quantum_compatible(s2, s1) is not first  # the key is the ordered pair
+
+    def test_the_scenario_path_never_touches_the_memo(self):
+        cfg = random_instance(4, 3, 0.5)
+        quantum_compatible(cfg.prior, cfg.prior)
+        before = linalg._memo
+        for c in (cfg, dataclasses.replace(cfg, evolved_by=cfg.pipelines[0].steps[0])):
+            run_scenario(ScenarioConfig(cfg.prior, c.pipelines, evolved_by=c.evolved_by))
+        batch_report([2, 4], 2, [0.0, 0.5], 1)
+        assert linalg._memo is before
 
 
 def gram_checked(s: Subspace) -> Subspace:
