@@ -11,6 +11,14 @@ type and length sets, checks it with one numpy call and prints it with one
 entry by entry with the same text and messages.  An integer entry beyond
 float range is non-finite input: MalformedInputError, CLI exit 2.
 
+From 256 pairs on (d >= 16) a kernel prints the text "%.17g" would, without
+the float printer.  Its domain is |x| in (0, 1) with decimal exponent X >= -4,
+where "%g" is fixed point: "0.", -X - 1 zeros, then the 17 digits of
+round(|x| * 10**(16 - X)), which Dekker's exact product gives as an integer.
+An exact tie, a digit count off by one and every value outside the domain (a
+zero of either sign, |x| >= 1, |x| < 1e-4) go to "%.17g".  Below the gate,
+numpy's cost per call outweighs what the kernel saves.
+
 One gate, ``_object``, decides which keys an object may have: every key its
 kind requires and none its encoder never writes, so a misspelled key is
 MalformedInputError, never dropped.  It checks every object io reads: a
@@ -111,6 +119,62 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# The fixed-point kernel (module docstring): "%.17g" of v is "-" if v's sign bit is
+# set, "0.", -X - 1 zeros, then N = round(|v| * 10**(16 - X)) without trailing zeros.
+_KERNEL_PAIRS = 256  # d >= 16: below it, numpy's cost per call outweighs the gain
+_SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter: v = hi + lo, 26 significant bits each
+_SCALES = np.array([1e17, 1e18, 1e19, 1e20])  # 10**(16 - X) for X = -1 .. -4
+
+
+def _split(v):
+    c = _SPLIT * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+_SCALES_HI, _SCALES_LO = _split(_SCALES)
+_PREFIXES = np.array([sign + "0." + "0" * zeros for sign in ("", "-") for zeros in range(4)],
+                     dtype=object)  # at 4 * signbit + (-X - 1)
+
+
+def _fixed_point(a: np.ndarray):
+    """(index into ``_PREFIXES``, N, indices left to the float printer) of each value
+    of ``a``; a function of its own, so its float temporaries are freed on return."""
+    ax = np.abs(a)
+    with np.errstate(divide="ignore"):  # log10(0) is -inf: clipped, then outside
+        x = np.clip(np.floor(np.log10(ax)), -5, 0).astype(np.int64)
+    inside = (x >= -4) & (x <= -1)  # %g's fixed-point bound, and |v| < 1; 0 is -5
+    k = np.where(inside, -1 - x, 0)
+    v = np.where(inside, ax, 0.5)  # outside values take no part in the arithmetic
+    p = v * _SCALES[k]
+    v_hi, v_lo = _split(v)
+    hi, lo = _SCALES_HI[k], _SCALES_LO[k]
+    e = ((v_hi * hi - p) + v_hi * lo + v_lo * hi) + v_lo * lo  # p + e == v * 10**(16 - X)
+    whole = np.floor(e)
+    frac = e - whole
+    n = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    # An exact tie goes to the float printer, and so does any N without 17 digits: a
+    # log10 one too low gives 10**17 or more, one too high 10**16 or less.  N = 10**16
+    # goes there too, so no value just below 10**X can round up into the range.
+    fallback = np.flatnonzero(~inside | (frac == 0.5) | (n <= 10 ** 16) | (n >= 10 ** 17))
+    return k + 4 * np.signbit(a), n, fallback
+
+
+def _print_pairs(a: np.ndarray) -> str:
+    """The pairs of the finite float array ``a`` as "[%.17g, %.17g]", joined by ", "."""
+    row, n, fallback = _fixed_point(a)
+    n[fallback] = 1
+    zeros = np.flatnonzero(n % 10 == 0)
+    while zeros.size:  # drop trailing zeros
+        n[zeros] //= 10
+        zeros = zeros[n[zeros] % 10 == 0]
+    prefixes, digits = _PREFIXES[row].tolist(), n.tolist()
+    for i, value in zip(fallback.tolist(), a[fallback].tolist()):
+        prefixes[i], digits[i] = "%.17g" % value, ""
+    pairs = tuple(chain.from_iterable(zip(prefixes, digits)))
+    return ", ".join(["[%s%s, %s%s]"] * (a.size // 2)) % pairs
+
+
 def _is_pair_list(obj) -> bool:
     """Whether ``obj`` is a nonempty list of plain two-element lists, by C-level sets."""
     return bool(obj) and set(map(type, obj)) == {list} and set(map(len, obj)) == {2}
@@ -129,8 +193,10 @@ def _encode(obj) -> str:
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         if _is_pair_list(obj) and set(map(type, flat := list(chain(*obj)))) == {float}:
-            if not (finite := np.isfinite(flat)).all():
+            if not (finite := np.isfinite(a := np.array(flat))).all():
                 _fmt_float(flat[int(np.argmin(finite))])  # raises, naming the first one
+            if len(obj) >= _KERNEL_PAIRS:
+                return "[" + _print_pairs(a) + "]"
             return "[" + ", ".join(["[%.17g, %.17g]"] * len(obj)) % tuple(flat) + "]"
         return "[" + ", ".join(_encode(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)}")

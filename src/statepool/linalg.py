@@ -347,13 +347,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
-    def contains(self, vec) -> bool:
-        v = np.asarray(vec, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            return True
-        return float(np.linalg.norm(self.projector() @ v - v)) <= SUBSPACE_TOL * nrm
-
     @classmethod
     def empty(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, np.zeros((ambient_dim, 0)))

@@ -4,6 +4,7 @@ golden bytes of the configs the CLI round trip exchanges."""
 
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,10 +32,46 @@ floats = st.one_of(
 )
 
 
+def tie(z, j):
+    """The odd multiple (2j + 1) / 2**(17 + z): for j in ``tie_range(z)`` it lies in
+    [10**-z, 10**(1 - z)), exactly halfway between two 17-digit decimals."""
+    return (2 * j + 1) / 2 ** (17 + z)
+
+
+def tie_range(z):
+    return 2 ** (16 + z) // 10 ** z + 1, 2 ** (16 + z) * 10 // 10 ** z - 1
+
+
+def neighbours(x, steps=3):
+    """``x`` and the ``steps`` floats on either side of it."""
+    out = [x]
+    for toward in (0.0, 2.0):
+        y = x
+        for _ in range(steps):
+            out.append(y := float(np.nextafter(y, toward)))
+    return out
+
+
+# Around the fixed-point kernel's domain, |x| in (0, 1) with decimal exponent >= -4:
+# its bounds and decades, the float below 1, and (in EDGE_FLOATS) zeros of both
+# signs, subnormals and values >= 1.
+KERNEL_EDGES = EDGE_FLOATS + [1 - 2.0 ** -53] + [
+    v for b in (1e-4, 1e-3, 0.01, 0.1, 1.0) for v in neighbours(b)]
+ties = st.integers(1, 4).flatmap(lambda z: st.integers(*tie_range(z)).map(lambda j: tie(z, j)))
+kernel_floats = st.one_of(st.sampled_from(KERNEL_EDGES), ties, floats)
+
+
 @st.composite
 def complex_matrices(draw):
-    d = draw(st.integers(1, 4))
-    parts = draw(st.lists(floats, min_size=2 * d * d, max_size=2 * d * d))
+    d = draw(st.one_of(st.integers(1, 4), st.sampled_from([16, 32, 64])))
+    if d <= 4:
+        parts = draw(st.lists(floats, min_size=2 * d * d, max_size=2 * d * d))
+    else:  # the kernel's sizes: a seeded spread over 1e-6 .. 10, edge floats sprinkled in
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        parts = rng.standard_normal(2 * d * d) * 10.0 ** rng.integers(-6, 2, 2 * d * d)
+        for i, v in draw(st.lists(st.tuples(st.integers(0, 2 * d * d - 1), kernel_floats),
+                                  max_size=100)):
+            parts[i] = v * (-1) ** i  # both signs of every edge
     return np.array(parts, dtype=float).view(complex).reshape(d, d)
 
 
@@ -69,13 +106,33 @@ class TestEncoder:
     @pytest.mark.parametrize("entries", [
         [[1.0, float("nan")], [float("inf"), 0.0]],
         [[1.0, 2.0], [float("-inf"), float("nan")]],
-    ])
+        [[0.5, -0.25]] * 40 + [[0.5, float("-inf")], [float("nan"), 0.5]] + [[0.5, 0.25]] * 214,
+    ], ids=["d2-nan", "d2-inf", "d16"])
     def test_non_finite_names_the_first_value(self, entries):
         with pytest.raises(ValueError) as new:
             io.dumps({"entries": entries})
         with pytest.raises(ValueError) as old:
             per_float_dumps({"entries": entries})
         assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize("d, kernel_calls", [(15, 0), (16, 1), (64, 1)])
+    def test_the_kernel_prints_from_d16_on(self, monkeypatch, d, kernel_calls):
+        calls, kernel = [], io._print_pairs
+        monkeypatch.setattr(io, "_print_pairs", lambda a: calls.append(a) or kernel(a))
+        m = np.random.default_rng(d).standard_normal((d, d)) * (1 + 1j) / d
+        assert io.dumps(io.matrix_to_json(m)) == per_float_dumps(per_float_matrix_json(m))
+        assert len(calls) == kernel_calls
+
+    def test_kernel_edges_print_as_the_float_printer(self):
+        rng = np.random.default_rng(5)
+        drawn = [(z, tie(z, int(j))) for z in range(1, 5) for j in rng.integers(*tie_range(z), 8)]
+        for z, v in drawn:  # exact ties, at exponent -z
+            assert (Fraction(v) * 10 ** (16 + z)).denominator == 2
+        values = np.array(KERNEL_EDGES + [v for _, v in drawn])
+        parts = rng.standard_normal(512) * 0.01
+        parts[:2 * values.size:2], parts[1:2 * values.size:2] = values, -values
+        m = parts.view(complex).reshape(16, 16)
+        assert io.dumps(io.matrix_to_json(m)) == per_float_dumps(per_float_matrix_json(m))
 
     @pytest.mark.parametrize("obj", [
         [[1, 2], [3, 4]],
@@ -285,3 +342,25 @@ def test_kraus_list_config_d16_golden_bytes(tmp_path, capsys):
     code, result = run_cli(capsys, "scenario-run", write_json(tmp_path / "cfg.json", legacy))
     assert code == 0
     assert hashlib.sha256(result.encode()).hexdigest() == GOLDEN_D16[1]
+
+
+# SHA-256 of `randgen --dim 64 --seed 101` at noise 0.0 (the prior and two unitaries)
+# and 0.5 (the detector channels by name, too), and of `scenario-run` on each, taken
+# with the float printer on every value.  d = 64 is above the kernel's gate, so these
+# are the bytes the kernel writes.
+GOLDEN_D64 = {
+    "0.0": ("7dff5bc5f84e430fae27c7d5607709e0dc8a90c0e920990b2e18e4c7d7361b40",
+            "32ec08351dc2b8eb1b8f48a204c63caeead95567866457bc8515f3504143d971"),
+    "0.5": ("da38fa729e9f5808919681ff8351ef8de138cedc0317dd357313229ded3fecea",
+            "ab23885ac8c234c980d4010c0bcb119832a9bb2a811b2a5b03fb008034e65c3c"),
+}
+
+
+@pytest.mark.parametrize("noise", sorted(GOLDEN_D64))
+def test_randgen_and_scenario_run_d64_golden_bytes(tmp_path, capsys, noise):
+    code, config = run_cli(capsys, "randgen", "--dim", "64", "--noise", noise, "--seed", "101")
+    assert code == 0
+    assert hashlib.sha256(config.encode()).hexdigest() == GOLDEN_D64[noise][0]
+    code, result = run_cli(capsys, "scenario-run", write_json(tmp_path / "cfg.json", config))
+    assert code == 0
+    assert hashlib.sha256(result.encode()).hexdigest() == GOLDEN_D64[noise][1]
