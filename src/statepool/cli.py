@@ -89,14 +89,14 @@ def _cmd_compat_quantum(args) -> int:
 
 def _cmd_pool_classical(args) -> int:
     prior, q1, q2 = _read_all(io.distribution_from_json, args.prior, args.q1, args.q2)
-    _write(io.pooling_report_to_json(classical_pool(prior, q1, q2)), args.output)
+    _write(io.pooling_report_to_json.tree(classical_pool(prior, q1, q2)), args.output)
     return 0
 
 
 def _cmd_pool_quantum(args) -> int:
     prior, s1, s2 = _read_all(io.matrix_from_json, args.prior, args.s1, args.s2)
     report = quantum_pool(prior, s1, s2, Tolerances(args.rank_tol, args.herm_tol))
-    _write(io.pooling_report_to_json(report), args.output)
+    _write(io.pooling_report_to_json.tree(report), args.output)
     return 0
 
 
@@ -111,7 +111,7 @@ def _cmd_scenario_run(args) -> int:
     if isinstance(obj, dict):  # override before the config is built and checked
         obj |= {k: v for k in ("rank_tol", "herm_tol") if (v := getattr(args, k)) is not None}
     res = run_scenario(io.scenario_config_from_json(obj))
-    _write(io.scenario_result_to_json(res), args.output)
+    _write(io.scenario_result_to_json.tree(res), args.output)
     return 0
 
 
@@ -123,7 +123,7 @@ def _cmd_scenario_batch(args) -> int:
 
 def _cmd_randgen(args) -> int:
     cfg = random_instance(args.dim, args.seed, args.noise)
-    _write(io.scenario_config_to_json(cfg), args.output)
+    _write(io.scenario_config_to_json.tree(cfg), args.output)
     return 0
 
 

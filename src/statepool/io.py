@@ -4,20 +4,31 @@ states, scenario configs and results.
 Matrix encoding: {"dim": n, "entries": [[re, im], ...]} with exactly n^2
 row-major entries, each a pair of finite reals.  Floats are printed with 17
 significant digits, so every value but a zero's sign ("-0" reads back as 0)
-round-trips exactly and repeated runs are byte-identical.  Each matrix takes
-one C-level pass: the encoder spots a list of [float, float] pairs by its
-type and length sets, checks it with one numpy call and prints it with one
-"%.17g" format; the decoder converts with one ``np.array``.  Other lists go
-entry by entry with the same text and messages.  An integer entry beyond
-float range is non-finite input: MalformedInputError, CLI exit 2.
+round-trips exactly and repeated runs are byte-identical.
+
+A writer that holds matrices (``matrix_to_json``, ``hybrid_to_json``,
+``pooling_report_to_json``, ``scenario_config_to_json``,
+``scenario_result_to_json``) is defined once, as a tree in which each
+matrix's "entries" is a ``_Pairs``: the matrix's contiguous (n^2, 2) float
+view.  The public name returns the tree as plain JSON lists; ``cli`` prints
+the tree itself (``writer.tree``), so each matrix goes from its array to
+the printer with one finiteness check, and no list of pairs is built.
+``dumps`` of a plain list of [float, float] pairs, spotted by its type and
+length sets, converts it to the same array and prints it the same way.  The
+decoder converts with one ``np.array``.  Other lists go entry by entry with
+the same text and messages.  An integer entry beyond float range is
+non-finite input: MalformedInputError, CLI exit 2.
 
 From 256 pairs on (d >= 16) a kernel prints the text "%.17g" would, without
-the float printer.  Its domain is |x| in (0, 1) with decimal exponent X >= -4,
-where "%g" is fixed point: "0.", -X - 1 zeros, then the 17 digits of
-round(|x| * 10**(16 - X)), which Dekker's exact product gives as an integer.
-An exact tie, a digit count off by one and every value outside the domain (a
-zero of either sign, |x| >= 1, |x| < 1e-4) go to "%.17g".  Below the gate,
-numpy's cost per call outweighs what the kernel saves.
+the float printer.  Its domain is a zero of either sign ("0", "-0") and |x|
+in (0, 1) with decimal exponent X >= -6.  There N, the 17 digits of
+round(|x| * 10**(16 - X)) with trailing zeros dropped, is an integer that
+Dekker's exact product gives, since 10**(16 - X) is an exact double up to
+10**22.  For X >= -4 "%g" is fixed point: "0.", -X - 1 zeros, then N; for
+X = -5 and -6 it is the exponent form: N's first digit, ".", the rest of N,
+then "e-05" or "e-06".  An exact tie, a digit count off by one and every
+value outside the domain (|x| >= 1, |x| < 1e-6) go to "%.17g".  Below the
+gate, numpy's cost per call outweighs what the kernel saves.
 
 One gate, ``_object``, decides which keys an object may have: every key its
 kind requires and none its encoder never writes, so a misspelled key is
@@ -119,11 +130,14 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# The fixed-point kernel (module docstring): "%.17g" of v is "-" if v's sign bit is
-# set, "0.", -X - 1 zeros, then N = round(|v| * 10**(16 - X)) without trailing zeros.
+# The fixed-point kernel (module docstring) prints "%.17g" of v from its decimal exponent X
+# and N = round(|v| * 10**(16 - X)) without trailing zeros: "-" if v's sign bit is set,
+# then "0.", -X - 1 zeros and N for X = -1 .. -4, or N's first digit, "." and the rest
+# of N, then "e-0{-X}", for X = -5, -6; a zero is "0".
 _KERNEL_PAIRS = 256  # d >= 16: below it, numpy's cost per call outweighs the gain
 _SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter: v = hi + lo, 26 significant bits each
-_SCALES = np.array([1e17, 1e18, 1e19, 1e20])  # 10**(16 - X) for X = -1 .. -4
+_SCALES = np.array([1e17, 1e18, 1e19, 1e20, 1e21, 1e22])  # 10**(16 - X), X = -1 .. -6: exact
+_POWERS = 10 ** np.arange(17, dtype=np.int64)  # searchsorted(_POWERS, N, "right"): N's digits
 
 
 def _split(v):
@@ -133,17 +147,23 @@ def _split(v):
 
 
 _SCALES_HI, _SCALES_LO = _split(_SCALES)
-_PREFIXES = np.array([sign + "0." + "0" * zeros for sign in ("", "-") for zeros in range(4)],
-                     dtype=object)  # at 4 * signbit + (-X - 1)
+# A prefix is the sign, a head ("", "0.", "1.", .. "9.") and up to 15 zeros: the fixed
+# form's -X - 1, or the leading zeros of what follows an exponent form's first digit.
+_PREFIXES = np.array([[[sign + head + "0" * zeros for zeros in range(16)]
+                       for head in ("", *(f"{lead}." for lead in range(10)))]
+                      for sign in ("", "-")], dtype=object)  # at (signbit, head, zeros)
+_PAIR_FORMATS = np.array([f"[%s%s{re}, %s%s{im}]" for re in ("", "e-05", "e-06")
+                          for im in ("", "e-05", "e-06")], dtype=object)  # at 3 * re + im
 
 
 def _fixed_point(a: np.ndarray):
-    """(index into ``_PREFIXES``, N, indices left to the float printer) of each value
-    of ``a``; a function of its own, so its float temporaries are freed on return."""
+    """(-X - 1, N, indices left to the float printer) of each value of the flat array
+    ``a``, N = 0 for a zero; a function of its own, so its float temporaries are freed
+    on return."""
     ax = np.abs(a)
     with np.errstate(divide="ignore"):  # log10(0) is -inf: clipped, then outside
-        x = np.clip(np.floor(np.log10(ax)), -5, 0).astype(np.int64)
-    inside = (x >= -4) & (x <= -1)  # %g's fixed-point bound, and |v| < 1; 0 is -5
+        x = np.clip(np.floor(np.log10(ax)), -7, 0).astype(np.int64)
+    inside = (x >= -6) & (x <= -1)  # |v| < 1, and 10**(16 - X) an exact double; 0 is -7
     k = np.where(inside, -1 - x, 0)
     v = np.where(inside, ax, 0.5)  # outside values take no part in the arithmetic
     p = v * _SCALES[k]
@@ -156,28 +176,91 @@ def _fixed_point(a: np.ndarray):
     # An exact tie goes to the float printer, and so does any N without 17 digits: a
     # log10 one too low gives 10**17 or more, one too high 10**16 or less.  N = 10**16
     # goes there too, so no value just below 10**X can round up into the range.
-    fallback = np.flatnonzero(~inside | (frac == 0.5) | (n <= 10 ** 16) | (n >= 10 ** 17))
-    return k + 4 * np.signbit(a), n, fallback
+    zero = ax == 0
+    fallback = np.flatnonzero(~(inside | zero) | (frac == 0.5) | (n <= 10 ** 16)
+                              | (n >= 10 ** 17))
+    n[zero] = 0
+    return k, n, fallback
 
 
 def _print_pairs(a: np.ndarray) -> str:
-    """The pairs of the finite float array ``a`` as "[%.17g, %.17g]", joined by ", "."""
-    row, n, fallback = _fixed_point(a)
-    n[fallback] = 1
-    zeros = np.flatnonzero(n % 10 == 0)
+    """The rows of the finite (n, 2) float array ``a`` as "[%.17g, %.17g]", joined by ", "."""
+    a = a.reshape(-1)
+    k, n, fallback = _fixed_point(a)
+    n[fallback], k[fallback] = 1, 0  # a placeholder in the fixed form, replaced below
+    zeros = np.flatnonzero((n % 10 == 0) & (n > 0))
     while zeros.size:  # drop trailing zeros
         n[zeros] //= 10
         zeros = zeros[n[zeros] % 10 == 0]
-    prefixes, digits = _PREFIXES[row].tolist(), n.tolist()
+    head, shift = (n > 0).astype(np.int64), k.copy()  # "0." and -X - 1 zeros; "" for a zero
+    # X = -5, -6: N = lead * 10**m + rest, lead one digit, and rest > 0, for no double
+    # there rounds to 17 digits as D * 10**X (tests/test_matrix_json.py checks each D)
+    sci = np.flatnonzero(k >= 4)
+    m = np.searchsorted(_POWERS, n[sci], "right") - 1
+    lead, rest = np.divmod(n[sci], _POWERS[m])
+    head[sci], shift[sci], n[sci] = lead + 1, m - np.searchsorted(_POWERS, rest, "right"), rest
+    prefixes = _PREFIXES[np.signbit(a).astype(np.intp), head, shift].tolist()
+    digits = n.tolist()
     for i, value in zip(fallback.tolist(), a[fallback].tolist()):
         prefixes[i], digits[i] = "%.17g" % value, ""
-    pairs = tuple(chain.from_iterable(zip(prefixes, digits)))
-    return ", ".join(["[%s%s, %s%s]"] * (a.size // 2)) % pairs
+    args = [None] * a.size * 2
+    args[::2], args[1::2] = prefixes, digits
+    suffix = np.where(k >= 4, k - 3, 0)  # "", "e-05", "e-06"
+    return ", ".join(_PAIR_FORMATS[3 * suffix[::2] + suffix[1::2]].tolist()) % tuple(args)
+
+
+def _print_matrix(a: np.ndarray) -> str:
+    """The (n, 2) float array ``a`` as "[[re, im], ...]", each value as "%.17g" prints it."""
+    if not (finite := np.isfinite(a)).all():
+        _fmt_float(a.item(int(np.argmin(finite))))  # raises, naming the first one
+    if len(a) >= _KERNEL_PAIRS:
+        return "[" + _print_pairs(a) + "]"
+    return "[" + ", ".join(["[%.17g, %.17g]"] * len(a)) % tuple(a.reshape(-1).tolist()) + "]"
+
+
+class _Pairs:
+    """A matrix's "entries" in a writer's tree: its contiguous (n^2, 2) float view, which
+    ``_encode`` prints and ``_plain`` turns into the [[re, im], ...] lists."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+
+
+def _plain(obj):
+    """A writer's tree as plain JSON: every ``_Pairs`` as its lists of two floats."""
+    if isinstance(obj, _Pairs):
+        return obj.a.tolist()
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_plain(v) for v in obj]
+    return obj
+
+
+def _writer(tree):
+    """The public writer whose one definition is ``tree``, which builds the object with
+    each matrix's entries as a ``_Pairs``: the writer returns it as plain JSON, and
+    ``cli`` prints ``writer.tree``'s object, whose matrices need no lists."""
+    @functools.wraps(tree)
+    def to_json(obj):
+        return _plain(tree(obj))
+    to_json.tree = tree
+    return to_json
 
 
 def _is_pair_list(obj) -> bool:
     """Whether ``obj`` is a nonempty list of plain two-element lists, by C-level sets."""
     return bool(obj) and set(map(type, obj)) == {list} and set(map(len, obj)) == {2}
+
+
+def _float_pairs(obj):
+    """The (n, 2) float array of ``obj`` if it is a nonempty list of [float, float]
+    lists, else None; one C-level pass, by type and length sets."""
+    if _is_pair_list(obj) and set(map(type, flat := list(chain(*obj)))) == {float}:
+        return np.array(flat).reshape(-1, 2)
+    return None
 
 
 def _encode(obj) -> str:
@@ -191,13 +274,11 @@ def _encode(obj) -> str:
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {_encode(v)}" for k, v in obj.items())
         return "{" + items + "}"
+    if isinstance(obj, _Pairs):
+        return _print_matrix(obj.a)
     if isinstance(obj, (list, tuple)):
-        if _is_pair_list(obj) and set(map(type, flat := list(chain(*obj)))) == {float}:
-            if not (finite := np.isfinite(a := np.array(flat))).all():
-                _fmt_float(flat[int(np.argmin(finite))])  # raises, naming the first one
-            if len(obj) >= _KERNEL_PAIRS:
-                return "[" + _print_pairs(a) + "]"
-            return "[" + ", ".join(["[%.17g, %.17g]"] * len(obj)) % tuple(flat) + "]"
+        if (pairs := _float_pairs(obj)) is not None:
+            return _print_matrix(pairs)
         return "[" + ", ".join(_encode(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)}")
 
@@ -206,14 +287,13 @@ def dumps(obj) -> str:
     return _encode(obj) + "\n"
 
 
+@_writer
 def matrix_to_json(m) -> dict:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:  # the schema holds one "dim"
         raise DimensionMismatchError(f"cannot write a matrix of shape {a.shape}: not square")
-    return {
-        "dim": int(a.shape[0]),
-        "entries": np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist(),
-    }
+    return {"dim": int(a.shape[0]),
+            "entries": _Pairs(np.ascontiguousarray(a).view(float).reshape(-1, 2))}
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -259,12 +339,13 @@ def conditional_from_json(obj) -> ConditionalDistribution:
     return ConditionalDistribution(tuple(given), tuple(out), obj["table"])
 
 
+@_writer
 def hybrid_to_json(h: HybridState) -> dict:
     return {
         "classical_dims": list(h.classical_dims),
         "outcomes": [list(k) for k in sorted(h.blocks)],
         "blocks": {
-            ",".join(map(str, k)): matrix_to_json(b) for k, b in sorted(h.blocks.items())
+            ",".join(map(str, k)): matrix_to_json.tree(b) for k, b in sorted(h.blocks.items())
         },
         "normalized": h.normalized,
     }
@@ -293,10 +374,11 @@ def verdict_to_json(v: CompatibilityVerdict) -> dict:
     return out
 
 
+@_writer
 def pooling_report_to_json(r: PoolingReport) -> dict:
     classical = isinstance(r.pooled, ProbabilityDistribution)
     out = {
-        "pooled": distribution_to_json(r.pooled) if classical else matrix_to_json(r.pooled),
+        "pooled": distribution_to_json(r.pooled) if classical else matrix_to_json.tree(r.pooled),
         "normalization_c": float(r.normalization_c),
         "hermiticity_residual": float(r.hermiticity_residual),
         "min_eigenvalue": float(r.min_eigenvalue),
@@ -318,8 +400,8 @@ _STEPS = {
     "replacement": (ReplacementChannel, (("dim", "dim"), ("target", "target"))),
 }
 _CODECS = {
-    "matrix": (matrix_to_json, lambda obj, f: matrix_from_json(obj[f])),
-    "kraus": (lambda ops: list(map(matrix_to_json, ops)),
+    "matrix": (matrix_to_json.tree, lambda obj, f: matrix_from_json(obj[f])),
+    "kraus": (lambda ops: list(map(matrix_to_json.tree, ops)),
               lambda obj, f: tuple(map(matrix_from_json, _field(obj, f, None, list)))),
 }
 _AS_IS = (lambda v: v, lambda obj, f: obj[f])
@@ -345,9 +427,10 @@ def _step_from_json(obj):
     return cls(*(_CODECS.get(f, _AS_IS)[1](obj, f) for f, _ in fields))
 
 
+@_writer
 def scenario_config_to_json(cfg: ScenarioConfig) -> dict:
     out = {
-        "prior": matrix_to_json(cfg.prior),
+        "prior": matrix_to_json.tree(cfg.prior),
         "pipelines": [{"name": p.name, "steps": list(map(_step_to_json, p.steps))}
                       for p in cfg.pipelines],
         "rank_tol": cfg.tol.rank_tol,
@@ -356,7 +439,7 @@ def scenario_config_to_json(cfg: ScenarioConfig) -> dict:
         "pool_against_evolved": cfg.evolved_by is not None,
     }
     if cfg.evolved_by is not None:
-        out["evolved_by"] = matrix_to_json(cfg.evolved_by.u)
+        out["evolved_by"] = matrix_to_json.tree(cfg.evolved_by.u)
     return out
 
 
@@ -379,11 +462,12 @@ def scenario_config_from_json(obj) -> ScenarioConfig:
     )
 
 
+@_writer
 def scenario_result_to_json(res: ScenarioResult) -> dict:
     return {
-        "sigma1": matrix_to_json(res.sigma1),
-        "sigma2": matrix_to_json(res.sigma2),
+        "sigma1": matrix_to_json.tree(res.sigma1),
+        "sigma2": matrix_to_json.tree(res.sigma2),
         **verdict_to_json(res.verdict),
-        "pooling": pooling_report_to_json(res.pooling) if res.pooling else None,
+        "pooling": pooling_report_to_json.tree(res.pooling) if res.pooling else None,
         "pooling_error": res.pooling_error,
     }

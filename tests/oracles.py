@@ -106,6 +106,24 @@ def rand_unitary(rng, dim):
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
+def commuting_bayes_draw(d, kappa, seed):
+    """A prior with eigenvalues spread geometrically over condition number
+    ``kappa``, symmetrized, and the Bayes posteriors rho^1/2 L rho^1/2 (trace
+    one) of two likelihoods diagonal in one random basis."""
+    rng = np.random.default_rng([d, round(np.log10(kappa)), seed])
+    w = np.geomspace(1.0, 1.0 / kappa, d)
+    w /= w.sum()
+    u = rand_unitary(rng, d)
+    prior = (u * w) @ u.conj().T
+    prior = (prior + prior.conj().T) / 2
+    root = (u * np.sqrt(w)) @ u.conj().T
+    v = rand_unitary(rng, d)
+    posteriors = []
+    for _ in range(2):
+        s = root @ (v * rng.uniform(0.1, 1.0, d)) @ v.conj().T @ root
+        posteriors.append(s / np.trace(s).real)
+    return prior, *posteriors
+
 def rand_prob(rng, n, full_support=False):
     p = rng.random(n) + (0.05 if full_support else 0.0)
     return p / p.sum()

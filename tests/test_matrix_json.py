@@ -1,6 +1,8 @@
 """Matrix JSON in one pass per matrix: the text, bits and messages of the
-entry-by-entry encoder and decoder, the exit-2 cases at the boundary, and
-golden bytes of the configs the CLI round trip exchanges."""
+entry-by-entry encoder and decoder, the exit-2 cases at the boundary, the
+CLI printing each matrix from its array with the bytes of every public
+writer, and golden bytes of the configs the CLI round trip exchanges and of
+a pooled matrix."""
 
 import hashlib
 import json
@@ -11,15 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statepool import io
+from statepool import cli, io
 from statepool.cli import main
-from statepool.compatibility import quantum_compatible
+from statepool.compatibility import (
+    ProbabilityDistribution, classical_compatible, quantum_compatible,
+)
 from statepool.errors import InvalidParameterError
 from statepool.io import MalformedInputError
-from statepool.scenario import random_instance
+from statepool.pooling import classical_pool, quantum_pool
+from statepool.regions import make_hybrid
+from statepool.scenario import (
+    AgentPipeline, ScenarioConfig, UnitaryDynamics, random_instance, run_scenario,
+)
 
 from oracles import (
-    kraus_list_config, per_entry_matrix_entries, per_float_dumps, per_float_matrix_json,
+    commuting_bayes_draw, kraus_list_config, per_entry_matrix_entries, per_float_dumps,
+    per_float_matrix_json, rand_density, rand_unitary,
 )
 
 MAX = 1.7976931348623157e308
@@ -52,12 +61,15 @@ def neighbours(x, steps=3):
     return out
 
 
-# Around the fixed-point kernel's domain, |x| in (0, 1) with decimal exponent >= -4:
-# its bounds and decades, the float below 1, and (in EDGE_FLOATS) zeros of both
-# signs, subnormals and values >= 1.
-KERNEL_EDGES = EDGE_FLOATS + [1 - 2.0 ** -53] + [
-    v for b in (1e-4, 1e-3, 0.01, 0.1, 1.0) for v in neighbours(b)]
-ties = st.integers(1, 4).flatmap(lambda z: st.integers(*tie_range(z)).map(lambda j: tie(z, j)))
+# Around the kernel's domain, zeros of both signs (in EDGE_FLOATS) and |x| in (0, 1)
+# with decimal exponent X >= -6: its bounds and decades, the float below 1, the
+# fixed form's last decade (1e-4) and the exponent form's (1e-5, 1e-6), exponent-form
+# mantissas with zeros after the first digit (2e-05 prints 2.0000000000000002e-05),
+# short ones (2**-16 is 1.52587890625e-05) and both (21 / 2**20), and (in
+# EDGE_FLOATS) subnormals and values >= 1.
+KERNEL_EDGES = EDGE_FLOATS + [1 - 2.0 ** -53, 2e-05, 9e-06, 2.0 ** -16, 21 / 2 ** 20, 2.0 ** -17] + [
+    v for b in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 1.0) for v in neighbours(b)]
+ties = st.integers(1, 6).flatmap(lambda z: st.integers(*tie_range(z)).map(lambda j: tie(z, j)))
 kernel_floats = st.one_of(st.sampled_from(KERNEL_EDGES), ties, floats)
 
 
@@ -123,9 +135,19 @@ class TestEncoder:
         assert io.dumps(io.matrix_to_json(m)) == per_float_dumps(per_float_matrix_json(m))
         assert len(calls) == kernel_calls
 
+    def test_no_double_prints_a_one_digit_exponent_form(self):
+        # "%.17g" of v is "De-0z" only if |v * 10**(16 + z) - D * 10**16| <= 1/2.  The
+        # doubles near D * 10**-z lie more than 10**(-16 - z) apart, so only the nearest
+        # could; it does not, so the kernel's exponent form always has a "."
+        for z in (5, 6):
+            for d in range(1, 10):
+                v = float(f"{d}e-{z}")
+                assert np.spacing(v) > 10.0 ** (-16 - z)
+                assert "." in "%.17g" % v
+
     def test_kernel_edges_print_as_the_float_printer(self):
         rng = np.random.default_rng(5)
-        drawn = [(z, tie(z, int(j))) for z in range(1, 5) for j in rng.integers(*tie_range(z), 8)]
+        drawn = [(z, tie(z, int(j))) for z in range(1, 7) for j in rng.integers(*tie_range(z), 8)]
         for z, v in drawn:  # exact ties, at exponent -z
             assert (Fraction(v) * 10 ** (16 + z)).denominator == 2
         values = np.array(KERNEL_EDGES + [v for _, v in drawn])
@@ -364,3 +386,131 @@ def test_randgen_and_scenario_run_d64_golden_bytes(tmp_path, capsys, noise):
     code, result = run_cli(capsys, "scenario-run", write_json(tmp_path / "cfg.json", config))
     assert code == 0
     assert hashlib.sha256(result.encode()).hexdigest() == GOLDEN_D64[noise][1]
+
+
+class TestCliWritesFromArrays:
+    """The CLI hands each matrix to the printer as its own float view, and every
+    public writer returns plain JSON whose ``io.dumps`` is the CLI's bytes."""
+
+    @staticmethod
+    def watch(monkeypatch):
+        """Pair lists ``_encode`` turns back into arrays, and the arrays the kernel prints."""
+        rebuilt, printed = [], []
+        float_pairs, kernel = io._float_pairs, io._print_pairs
+
+        def counted(obj):
+            if (pairs := float_pairs(obj)) is not None:
+                rebuilt.append(pairs)
+            return pairs
+
+        monkeypatch.setattr(io, "_float_pairs", counted)
+        monkeypatch.setattr(io, "_print_pairs", lambda a: printed.append(a.copy()) or kernel(a))
+        return rebuilt, printed
+
+    @staticmethod
+    def inputs(tmp_path, command):
+        """(argv, the matrices the command prints, in order) at d = 64."""
+        cfg = random_instance(64, 101, 0.5)
+        if command == "randgen":
+            return (["randgen", "--dim", "64", "--noise", "0.5", "--seed", "101"],
+                    [cfg.prior] + [s.u for p in cfg.pipelines for s in p.steps
+                                   if isinstance(s, UnitaryDynamics)])
+        if command == "scenario-run":
+            res = run_scenario(cfg)
+            return ([command, write_json(tmp_path / "cfg.json", io.scenario_config_to_json(cfg))],
+                    [res.sigma1, res.sigma2] + ([res.pooling.pooled] if res.pooling else []))
+        states = commuting_bayes_draw(64, 10.0, 0)
+        paths = [write_json(tmp_path / f"{i}.json", io.matrix_to_json(m))
+                 for i, m in enumerate(states)]
+        return [command, *paths], [quantum_pool(*states).pooled]
+
+    @pytest.mark.parametrize("command", ["randgen", "scenario-run", "pool-quantum"])
+    def test_no_pair_list_is_built(self, tmp_path, capsys, monkeypatch, command):
+        argv, matrices = self.inputs(tmp_path, command)
+        rebuilt, printed = self.watch(monkeypatch)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert rebuilt == []
+        assert len(printed) == len(matrices) > 0
+        for a, m in zip(printed, matrices):
+            assert np.array_equal(a.view(np.uint64).reshape(-1), bits(m).reshape(-1))
+
+    @staticmethod
+    def evolved_config(d=16):
+        """Both agents apply the ``evolved_by`` unitary, so their posteriors pool."""
+        rng = np.random.default_rng(3)
+        u = UnitaryDynamics(rand_unitary(rng, d))
+        return ScenarioConfig(rand_density(rng, d), (AgentPipeline("a", (u,)),
+                                                     AgentPipeline("b", (u,))), evolved_by=u)
+
+    def cases(self, tmp_path, capsys, case):
+        """(a public writer's return value, the bytes the CLI writes for the same object)."""
+        def command(*argv):
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            return out
+
+        def written(writer, obj):
+            path = tmp_path / "written.json"
+            cli._write(writer.tree(obj), str(path))
+            return writer(obj), path.read_text()
+
+        def files(*objs):  # json.dumps keeps a zero's sign, so the CLI reads these bits
+            return [write_json(tmp_path / f"{i}.json", o) for i, o in enumerate(objs)]
+
+        cfg, evolved = random_instance(16, 101, 0.5), self.evolved_config()
+        states = commuting_bayes_draw(16, 10.0, 0)
+        q = [ProbabilityDistribution((0, 1, 2), p)
+             for p in ([0.5, 0.25, 0.25], [0.25, 0.75, 0.0], [0.0, 0.5, 0.5])]
+        if case == "config":
+            return io.scenario_config_to_json(cfg), command("randgen", "--dim", "16", "--seed", "101")
+        if case == "config, evolved_by":
+            return written(io.scenario_config_to_json, evolved)
+        if case == "config, Kraus lists":
+            return written(io.scenario_config_to_json, kraus_list_config(cfg))
+        if case in ("result, pooled", "result, pooling_error"):
+            c = evolved if case == "result, pooled" else cfg
+            res = run_scenario(c)
+            assert (res.pooling is None) == (case == "result, pooling_error")
+            out = command("scenario-run", *files(io.scenario_config_to_json(c)))
+            return io.scenario_result_to_json(res), out
+        if case == "report, quantum":
+            out = command("pool-quantum", *files(*map(io.matrix_to_json, states)))
+            return io.pooling_report_to_json(quantum_pool(*states)), out
+        if case == "report, classical":
+            out = command("pool-classical", *files(*map(io.distribution_to_json, q)))
+            return io.pooling_report_to_json(classical_pool(*q)), out
+        if case == "hybrid":
+            return written(io.hybrid_to_json, make_hybrid({0: states[1] / 2, 1: states[2] / 2}))
+        if case == "verdict, quantum":
+            out = command("compat-quantum", *files(*map(io.matrix_to_json, states[1:])))
+            return io.verdict_to_json(quantum_compatible(*states[1:])), out
+        out = command("compat-classical", *files(*map(io.distribution_to_json, q[1:])))
+        return io.verdict_to_json(classical_compatible(*q[1:])), out
+
+    @pytest.mark.parametrize("case", [
+        "config", "config, evolved_by", "config, Kraus lists", "result, pooled",
+        "result, pooling_error", "report, quantum", "report, classical", "hybrid",
+        "verdict, quantum", "verdict, classical",
+    ])
+    def test_the_two_views_of_every_writer_agree(self, tmp_path, capsys, case):
+        obj, written = self.cases(tmp_path, capsys, case)
+        assert json.loads(json.dumps(obj)) == obj
+        assert io.dumps(obj) == written
+
+
+# SHA-256 of `pool-quantum` on commuting_bayes_draw(d, 10.0, 0): a prior of
+# condition number 10 and two posteriors that pool, so the kernel prints the
+# pooled matrix.  Taken when the CLI printed each matrix from its pair lists.
+GOLDEN_POOLED = {
+    16: "211da5e31f150c294aacd74da1f2fb93cc459c6524692d87f177b5abccc9be18",
+    64: "9632a9598d6c465e79d524eed030f2a142b441b1c1b5d7b1acebf2dc2edd363d",
+}
+
+
+@pytest.mark.parametrize("d", sorted(GOLDEN_POOLED))
+def test_pool_quantum_golden_bytes(tmp_path, capsys, d):
+    paths = [write_json(tmp_path / f"{name}.json", io.dumps(io.matrix_to_json(m)))
+             for name, m in zip(("prior", "s1", "s2"), commuting_bayes_draw(d, 10.0, 0))]
+    code, out = run_cli(capsys, "pool-quantum", *paths)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_POOLED[d]

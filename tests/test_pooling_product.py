@@ -4,34 +4,15 @@ prior's eigendecomposition.  Its accuracy against a 40-digit reference, a
 pinned draw only the solve pools, and batch verdicts that do not move."""
 
 import mpmath
-import numpy as np
 import pytest
 
 from statepool import scenario
 from statepool.errors import NonHermitianPoolingProductError
-from statepool.linalg import Spectrum, _certified_full_rank, _spectrum, hermitize
+from statepool.linalg import Spectrum, _certified_full_rank, _spectrum
 from statepool.pooling import _pool, quantum_pool
 from statepool.scenario import batch_report
 
-from oracles import rand_unitary, spectral_pool
-
-
-def commuting_bayes_draw(d, kappa, seed):
-    """A prior with eigenvalues spread geometrically over condition number
-    ``kappa``, symmetrized, and the Bayes posteriors rho^1/2 L rho^1/2 (trace
-    one) of two likelihoods diagonal in one random basis."""
-    rng = np.random.default_rng([d, round(np.log10(kappa)), seed])
-    w = np.geomspace(1.0, 1.0 / kappa, d)
-    w /= w.sum()
-    u = rand_unitary(rng, d)
-    prior = hermitize((u * w) @ u.conj().T)
-    root = (u * np.sqrt(w)) @ u.conj().T
-    v = rand_unitary(rng, d)
-    posteriors = []
-    for _ in range(2):
-        s = root @ (v * rng.uniform(0.1, 1.0, d)) @ v.conj().T @ root
-        posteriors.append(s / np.trace(s).real)
-    return prior, *posteriors
+from oracles import commuting_bayes_draw, spectral_pool
 
 
 def mp_matrix(m):
