@@ -29,13 +29,24 @@ from .pooling import classical_pool, minimal_sufficient_statistic, quantum_pool
 from .scenario import GENERATORS, batch_report, random_instance, run_scenario
 
 
-def _read_json(path: str):
+def _read_json(path: str, decode):
+    """``decode`` of the JSON at ``path`` (- for stdin), each large matrix read into its
+    array (``io._read``), with every outcome ``decode(json.load(...))`` would have."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:  # not JSON, not UTF-8, an int beyond the digit limit
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, ValueError) as exc:  # not UTF-8
+        raise MalformedInputError(f"{path}: {exc}") from exc
+    return io._read(text, decode, functools.partial(_parse, path))
+
+
+def _parse(path: str, text: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # not JSON, an int beyond the digit limit
         raise MalformedInputError(f"{path}: {exc}") from exc
 
 
@@ -74,7 +85,7 @@ def _write_verdict(verdict, path: str) -> int:
 
 
 def _read_all(decode, *paths):
-    return [decode(_read_json(p)) for p in paths]
+    return [_read_json(p, decode) for p in paths]
 
 
 def _cmd_compat_classical(args) -> int:
@@ -101,16 +112,18 @@ def _cmd_pool_quantum(args) -> int:
 
 
 def _cmd_suffstat(args) -> int:
-    stat = minimal_sufficient_statistic(io.conditional_from_json(_read_json(args.table)))
+    stat = minimal_sufficient_statistic(_read_json(args.table, io.conditional_from_json))
     _write({"classes": [sorted(c) for c in stat.classes]}, args.output)
     return 0
 
 
 def _cmd_scenario_run(args) -> int:
-    obj = _read_json(args.config)
-    if isinstance(obj, dict):  # override before the config is built and checked
-        obj |= {k: v for k in ("rank_tol", "herm_tol") if (v := getattr(args, k)) is not None}
-    res = run_scenario(io.scenario_config_from_json(obj))
+    def decode(obj):
+        if isinstance(obj, dict):  # override before the config is built and checked
+            obj |= {k: v for k in ("rank_tol", "herm_tol") if (v := getattr(args, k)) is not None}
+        return io.scenario_config_from_json(obj)
+
+    res = run_scenario(_read_json(args.config, decode))
     _write(io.scenario_result_to_json.tree(res), args.output)
     return 0
 

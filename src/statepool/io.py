@@ -3,8 +3,10 @@ states, scenario configs and results.
 
 Matrix encoding: {"dim": n, "entries": [[re, im], ...]} with exactly n^2
 row-major entries, each a pair of finite reals.  Floats are printed with 17
-significant digits, so every value but a zero's sign ("-0" reads back as 0)
-round-trips exactly and repeated runs are byte-identical.
+significant digits, so every value but a zero's sign round-trips exactly and
+repeated runs are byte-identical.  That sign is lost on purpose: -0.0 prints
+as "-0", a JSON int, which json reads as 0 and so does the reader below, on
+every path and at every size.
 
 A writer that holds matrices (``matrix_to_json``, ``hybrid_to_json``,
 ``pooling_report_to_json``, ``scenario_config_to_json``,
@@ -14,10 +16,32 @@ view.  The public name returns the tree as plain JSON lists; ``cli`` prints
 the tree itself (``writer.tree``), so each matrix goes from its array to
 the printer with one finiteness check, and no list of pairs is built.
 ``dumps`` of a plain list of [float, float] pairs, spotted by its type and
-length sets, converts it to the same array and prints it the same way.  The
-decoder converts with one ``np.array``.  Other lists go entry by entry with
-the same text and messages.  An integer entry beyond float range is
-non-finite input: MalformedInputError, CLI exit 2.
+length sets, converts it to the same array and prints it the same way.
+``matrix_from_json`` converts such a list with one ``np.array``; other lists
+go entry by entry with the same text and messages.  An integer entry beyond
+float range is non-finite input: MalformedInputError, CLI exit 2.
+
+``cli`` reads each file through ``_read``, which reads every "entries" of at
+least 512 pairs (d >= 23) in the writer's layout ("[[", ", ", "], [", "]]")
+straight into its (n^2, 2) array, a ``_Pairs`` that ``matrix_from_json``
+takes after its "dim" check, so no list of pairs is built on the way in
+either; a "dim" written just before the "entries" that makes it smaller
+spares the scan.  Each value is the float json and ``np.array`` make of its
+token.
+The kernel reads "-"?, one digit, ".", f digits, then "e-0X" or nothing: the
+printer's fixed point and exponent forms.  There the value is N / 10**k, N
+the digits and k = f + X <= 22, so 10**k is an exact double: below 2**53 one
+division rounds correctly, and above it the quotient moves by the residual
+N - q * 10**k, which Dekker's product gives, and is kept only where the next
+residual proves it the nearest double.  It reads an int of up to 18 digits
+as N, and "-0" as 0, as json does.  A near-tie, and every other token
+("1e-07", "1E-3", a longer int), goes to ``int`` or ``float`` as json would
+take it, once it matches JSON's number grammar.  Any other layout is left to
+``json.loads``.  A token JSON rejects, an int beyond float range, non-ASCII
+text, a constant ("NaN"), a tree that does not decode or an array
+``matrix_from_json`` never took (a duplicate key, an "entries" that is no
+matrix's) sends the whole text back to ``json.loads``, so every outcome,
+error or not, is its outcome.
 
 From 256 pairs on (d >= 16) a kernel prints the text "%.17g" would, without
 the float printer.  Its domain is a zero of either sign ("0", "-0") and |x|
@@ -59,6 +83,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from contextlib import suppress
 from itertools import chain
 
@@ -136,8 +161,8 @@ def _fmt_float(x: float) -> str:
 # of N, then "e-0{-X}", for X = -5, -6; a zero is "0".
 _KERNEL_PAIRS = 256  # d >= 16: below it, numpy's cost per call outweighs the gain
 _SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter: v = hi + lo, 26 significant bits each
-_SCALES = np.array([1e17, 1e18, 1e19, 1e20, 1e21, 1e22])  # 10**(16 - X), X = -1 .. -6: exact
-_POWERS = 10 ** np.arange(17, dtype=np.int64)  # searchsorted(_POWERS, N, "right"): N's digits
+_TENS = np.array([float(10 ** k) for k in range(23)])  # 10**k, an exact double up to 10**22
+_POWERS = 10 ** np.arange(18, dtype=np.int64)  # searchsorted(_POWERS, N, "right"): N's digits
 
 
 def _split(v):
@@ -146,7 +171,18 @@ def _split(v):
     return hi, v - hi
 
 
-_SCALES_HI, _SCALES_LO = _split(_SCALES)
+_TENS_HI, _TENS_LO = _split(_TENS)
+
+
+def _times_ten(v, k):
+    """(p, e) with p + e == v * 10**k exactly, p the rounded product: Dekker's product,
+    exact for the positive v of the kernels, which neither overflow nor underflow."""
+    p = v * _TENS[k]
+    v_hi, v_lo = _split(v)
+    hi, lo = _TENS_HI[k], _TENS_LO[k]
+    return p, ((v_hi * hi - p) + v_hi * lo + v_lo * hi) + v_lo * lo
+
+
 # A prefix is the sign, a head ("", "0.", "1.", .. "9.") and up to 15 zeros: the fixed
 # form's -X - 1, or the leading zeros of what follows an exponent form's first digit.
 _PREFIXES = np.array([[[sign + head + "0" * zeros for zeros in range(16)]
@@ -166,10 +202,7 @@ def _fixed_point(a: np.ndarray):
     inside = (x >= -6) & (x <= -1)  # |v| < 1, and 10**(16 - X) an exact double; 0 is -7
     k = np.where(inside, -1 - x, 0)
     v = np.where(inside, ax, 0.5)  # outside values take no part in the arithmetic
-    p = v * _SCALES[k]
-    v_hi, v_lo = _split(v)
-    hi, lo = _SCALES_HI[k], _SCALES_LO[k]
-    e = ((v_hi * hi - p) + v_hi * lo + v_lo * hi) + v_lo * lo  # p + e == v * 10**(16 - X)
+    p, e = _times_ten(v, 17 + k)  # p + e == v * 10**(16 - X)
     whole = np.floor(e)
     frac = e - whole
     n = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
@@ -219,8 +252,9 @@ def _print_matrix(a: np.ndarray) -> str:
 
 
 class _Pairs:
-    """A matrix's "entries" in a writer's tree: its contiguous (n^2, 2) float view, which
-    ``_encode`` prints and ``_plain`` turns into the [[re, im], ...] lists."""
+    """A matrix's "entries" as its contiguous (n^2, 2) float array: in a writer's tree,
+    which ``_encode`` prints and ``_plain`` turns into the [[re, im], ...] lists, and in
+    the tree ``_read`` decodes, where ``matrix_from_json`` takes it (``a`` is then None)."""
 
     __slots__ = ("a",)
 
@@ -248,6 +282,157 @@ def _writer(tree):
         return _plain(tree(obj))
     to_json.tree = tree
     return to_json
+
+
+# The reader (module docstring) takes a matrix's "entries" from the text into its (n^2, 2)
+# array where the writer's layout holds them, from _READ_PAIRS pairs on.
+_READ_PAIRS = 512  # d >= 23: below it, numpy's cost per call outweighs the gain
+_ENTRIES = '"entries": [['
+_DIM = re.compile(r'"dim": ([0-9]+), \Z')  # before _ENTRIES, in the writer's key order
+_NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")  # JSON's grammar
+_MARGIN = 1 - 2.0 ** -40  # a residual this close to half an ulp is a near-tie
+
+
+def _words(*rows):
+    """Rows of 24 bytes as rows of three 64-bit words, the same bytes in memory order."""
+    return np.array(rows, np.uint8).view(np.uint64)
+
+
+# A window is the 24 bytes that end at a mantissa's last digit, as three words; byte
+# masks work on all eight bytes of a word at once (fraction: 0xff on its last f bytes).
+_FRACTION = _words(*([0] * (24 - f) + [255] * f for f in range(25)))
+_LOW, _SIX, _HIGH, _THREES = (_words([v] * 24)[0, 0] for v in (0x0F, 0x06, 0xF0, 0x30))
+_HEAD = _words([255] * 6 + [0] * 18)[0, 0]  # a window's first six bytes: N's digits take 18
+_PLACES = np.zeros((9, 2))  # N's last 18 digits, as 9 two-digit values, in two exact blocks
+_PLACES[:4, 0], _PLACES[4:, 1] = 100.0 ** np.arange(3, -1, -1), 100.0 ** np.arange(4, -1, -1)
+
+
+def _json_number(token: bytes) -> float:
+    """The float ``json.loads`` and then ``np.array`` make of the ASCII ``token``: an int
+    through ``int``, so "-0" is +0.0, and the other forms through ``float``."""
+    if (m := _NUMBER.fullmatch(token)) is None:
+        raise ValueError(f"{token!r} is not a JSON number")
+    return float(token) if m.group(1) or m.group(2) else float(int(token))
+
+
+def _nearest(n, k):
+    """The double nearest n / 10**k for each int64 n < 10**18 and k <= 22, NaN at a
+    near-tie.  Below 2**53 n and 10**k are exact doubles, so one division rounds
+    correctly.  Above it the quotient q takes Newton's step by its residual
+    r = n - q * 10**k, which Dekker's product gives rounded once (q * 10**k = p + e
+    exactly, and p, within two ulps of n, is an integer); the new quotient is kept
+    where its residual, r less the step times 10**k, is within half the ulp below it."""
+    tens = _TENS[k]
+    q = n / tens
+    p, e = _times_ten(q, k)
+    r = (n - p.astype(np.int64)).astype(float) - e
+    step = q + r / tens
+    r = r - (step - q) * tens  # the step, a few ulps, is exact; r errs by < 2**-49 half-ulps
+    near = 2 * np.abs(r) < (step - np.nextafter(step, 0)) * tens * _MARGIN
+    return np.where(n < 2 ** 53, q, np.where(near, step, np.nan))
+
+
+def _fraction(b: np.ndarray, end, f):
+    """(F, read): F the integer the ``f`` bytes of ``b`` that end at each ``end`` spell
+    where they are ASCII digits with none but "0" before the last 18, and ``read`` where
+    they are; a function of its own, so its window temporaries are freed on return."""
+    digits = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((np.zeros(24, np.uint8), b)), 24)[end + 1].view(np.uint64)
+    bad = np.take(_FRACTION, np.clip(f, 0, 24), axis=0)
+    digits &= bad  # the fraction's bytes, 0 elsewhere
+    bad &= _THREES  # in place, as each step below: 0 where a fraction byte is "0" .. "9"
+    bad ^= digits & _HIGH
+    digits &= _LOW
+    bad |= (digits + _SIX) & _HIGH
+    read = (bad[:, 0] | bad[:, 1] | bad[:, 2] | (digits[:, 0] & _HEAD)) == 0
+    del bad
+    digits = digits.view(np.uint8)
+    blocks = ((digits[:, 6::2] * np.uint8(10) + digits[:, 7::2]) @ _PLACES).astype(np.int64)
+    return blocks[:, 0] * 10 ** 10 + blocks[:, 1], read
+
+
+def _read_pairs(b: np.ndarray) -> np.ndarray | None:
+    """The (n, 2) float array of the ASCII bytes ``b``, "[[re, im], [re, im], ...]" with
+    the writer's separators (", " in a pair, "], [" between pairs), or None with others.
+    Every value is the float ``json.loads`` and ``np.array`` make of its token; a token
+    that is no JSON number (one with a space or a bracket, too) raises ValueError, and
+    an int beyond float range OverflowError."""
+    commas = np.flatnonzero(b == 44)
+    inner, outer = commas[::2], commas[1::2]
+    if (commas.size % 2 == 0 or (b[inner + 1] != 32).any() or (b[outer - 1] != 93).any()
+            or (b[outer + 1] != 32).any() or (b[outer + 2] != 91).any()):
+        return None
+    first, last = np.empty(commas.size + 1, np.intp), np.empty(commas.size + 1, np.intp)
+    first[0], first[1::2], first[2::2] = 2, inner + 2, outer + 3
+    last[-1], last[:-1:2], last[1:-1:2] = b.size - 3, inner - 1, outer - 2
+    if (last < first).any():  # an empty token
+        return None
+    # The kernel reads "-"?, one digit, ".", f >= 1 digits (the fraction), then "e-0X"
+    # (X = 1..9) or nothing: N / 10**k, N its digits, k = f + X <= 22; and an int of
+    # at most 18 digits, "-"? then "0" or a digit string without a leading "0": N.
+    neg = b[first] == 45
+    lead = b[first + neg] - 48  # uint8: a non-digit is 10 or more
+    sci = ((last - first >= 5) & (b[last - 3] == 101) & (b[last - 2] == 45)
+           & (b[last - 1] == 48) & (b[last] - 49 < 9))
+    end = last - 4 * sci  # the mantissa's last byte
+    point = b[first + neg + 1] == 46
+    f = end - first - neg - 1 + 2 * ~point  # an int's digits are its "fraction"
+    k = (f + sci * (b[last] - 48)) * point
+    n, read = _fraction(b, end, f)
+    read &= np.where(point, (lead < 10) & (f >= 1) & (k <= 22) & ((lead == 0) | (f <= 17)),
+                     ~sci & (f >= 1) & (f <= 18) & ((lead != 0) | (f == 1)))
+    n = (n + lead * _POWERS[np.minimum(f, 17)] * point) * read
+    # json reads "-0", an int, as 0, and "-0.0" as -0.0
+    values = _nearest(n, k * read) * (1 - 2 * (neg & (point | (n > 0))))
+    if (rest := np.flatnonzero(~read | np.isnan(values))).size:
+        raw = b.tobytes()
+        values[rest] = [_json_number(raw[i:j + 1])
+                        for i, j in zip(first[rest].tolist(), last[rest].tolist())]
+    return values.reshape(-1, 2)
+
+
+def _read_tree(text: str):
+    """(tree, holders): ``tree`` is ``json.loads(text)`` with each "entries" of at
+    least ``_READ_PAIRS`` pairs that ``_read_pairs`` reads as a ``_Pairs``, ``holders``
+    those in text order.  None if it reads none.  Each read array stands in the text
+    as "NaN", which json hands to ``parse_constant``; a constant the text already holds
+    takes an array out of turn, so the last "NaN" finds none and the read fails."""
+    if not text.isascii():
+        return None
+    pieces, held, at, stop = [], [], 0, 0  # the text up to ``at`` is in ``pieces``
+    while (found := text.find(_ENTRIES, stop)) >= 0:
+        start = stop = found + len(_ENTRIES) - 2  # the entries' "[["
+        # the writer puts "dim" just before: a matrix it calls small is left unscanned
+        dim = _DIM.search(text, max(found - 24, 0), found)
+        if dim and int(dim[1]) ** 2 < _READ_PAIRS:
+            continue
+        if (stop := text.find("]]", start) + 2) < 2:
+            break
+        span = np.frombuffer(text[start:stop].encode("ascii"), np.uint8)
+        # one "[" opens the entries, and one each pair
+        if np.count_nonzero(span == 91) > _READ_PAIRS and (a := _read_pairs(span)) is not None:
+            pieces += [text[at:start], "NaN"]
+            held.append(_Pairs(a))
+            at = stop
+    if not held:
+        return None
+    given = iter(held)
+    return json.loads("".join(pieces) + text[at:], parse_constant=lambda _: next(given)), held
+
+
+def _read(text: str, decode, loads):
+    """``decode(loads(text))``: its value, or what it raises, with each matrix's
+    "entries" the reader reads handed to ``matrix_from_json`` as a ``_Pairs``.  Where
+    the text has a token JSON rejects, where that tree does not decode, or where it
+    decodes but leaves a read array that ``matrix_from_json`` never took (an "entries"
+    that is no matrix's, a duplicate key), it decodes again from ``loads(text)``."""
+    with suppress(Exception):  # what loads(text) then raises is what the caller reports
+        if (read := _read_tree(text)) is not None:
+            tree, held = read
+            out = decode(tree)
+            if all(h.a is None for h in held):
+                return out
+    return decode(loads(text))
 
 
 def _is_pair_list(obj) -> bool:
@@ -296,10 +481,9 @@ def matrix_to_json(m) -> dict:
             "entries": _Pairs(np.ascontiguousarray(a).view(float).reshape(-1, 2))}
 
 
-def matrix_from_json(obj) -> np.ndarray:
-    dim, entries = _object(obj, _MATRIX)["dim"], obj["entries"]
-    if type(dim) is not int or dim < 1:  # a JSON true is no dimension
-        raise MalformedInputError(f'"dim" must be a positive integer, got {dim!r}')
+def _complex_entries(entries, dim: int):
+    """The flat complex array of the JSON list ``entries``, None if an int in it is
+    beyond float range."""
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise MalformedInputError(f'"entries" must hold exactly {dim * dim} pairs')
     reals = list(chain(*entries)) if _is_pair_list(entries) else None
@@ -312,9 +496,19 @@ def matrix_from_json(obj) -> np.ndarray:
             ):
                 raise MalformedInputError(f"entry {i} is not a [re, im] pair of reals")
         reals = list(chain(*entries))
-    flat = None
     with suppress(OverflowError):  # an int beyond float range, as non-finite as 1e400
-        flat = np.array(reals, dtype=float).view(complex)
+        return np.array(reals, dtype=float).view(complex)
+    return None
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    dim, entries = _object(obj, _MATRIX)["dim"], obj["entries"]
+    if type(dim) is not int or dim < 1:  # a JSON true is no dimension
+        raise MalformedInputError(f'"dim" must be a positive integer, got {dim!r}')
+    if isinstance(entries, _Pairs) and len(entries.a) == dim * dim:  # the reader's array
+        flat, entries.a = entries.a.view(complex), None  # taken: _read checks each was
+    else:
+        flat = _complex_entries(entries, dim)
     if flat is None or not np.all(np.isfinite(flat)):
         raise MalformedInputError("matrix entries must be finite")
     return flat.reshape(dim, dim)

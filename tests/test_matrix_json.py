@@ -6,7 +6,10 @@ a pooled matrix."""
 
 import hashlib
 import json
+import sys
+import warnings
 from fractions import Fraction
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -514,3 +517,238 @@ def test_pool_quantum_golden_bytes(tmp_path, capsys, d):
     code, out = run_cli(capsys, "pool-quantum", *paths)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_POOLED[d]
+
+
+def json_load_read(path, decode):
+    """``cli._read_json`` as it was before the reader: ``json.load``, then ``decode``."""
+    try:
+        if path == "-":
+            obj = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise MalformedInputError(f"{path}: {exc}") from exc
+    return decode(obj)
+
+
+def longest_list(obj):
+    """The length of the longest JSON list in ``obj``."""
+    if isinstance(obj, dict):
+        return max(map(longest_list, obj.values()), default=0)
+    if isinstance(obj, list):
+        return max(len(obj), *map(longest_list, obj))
+    return 0
+
+
+def ascii_bytes(text):
+    return np.frombuffer(text.encode("ascii"), np.uint8)
+
+
+def read_both(text):
+    """(the reader's, json.loads's) decode of the matrix JSON ``text``."""
+    return (io._read(text, io.matrix_from_json, json.loads),
+            io.matrix_from_json(json.loads(text)))
+
+
+class TestReader:
+    """The reader hands ``matrix_from_json`` the bits ``json.loads`` and ``np.array`` give."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(complex_matrices())
+    def test_reads_the_printers_text_as_json_does(self, m):
+        for text in (io.dumps(io.matrix_to_json(m)), json.dumps(io.matrix_to_json(m))):
+            new, old = read_both(text)  # "%.17g" and repr spellings
+            assert np.array_equal(bits(new), bits(old))
+
+    def test_reads_the_kernel_edges_as_json_does(self):
+        rng = np.random.default_rng(7)
+        values = np.array(KERNEL_EDGES + [tie(z, int(j)) for z in range(1, 7)
+                                          for j in rng.integers(*tie_range(z), 8)])
+        parts = rng.standard_normal(2048) * 10.0 ** rng.integers(-8, 1, 2048)
+        parts[:2 * values.size:2], parts[1:2 * values.size:2] = values, -values
+        m = parts.view(complex).reshape(32, 32)
+        for text in (io.dumps(io.matrix_to_json(m)), json.dumps(io.matrix_to_json(m))):
+            new, old = read_both(text)
+            assert np.array_equal(bits(new), bits(old))
+
+    @pytest.mark.parametrize("d", [2, 64])
+    def test_minus_zero_reads_back_as_plus_zero(self, monkeypatch, d):
+        # "-0.0" prints as "-0", a JSON int, which json reads as 0: at d = 2 through
+        # json.loads, at d = 64 through the reader; "-0.0", a float, keeps its sign
+        kernel, calls = io._read_pairs, []
+        monkeypatch.setattr(io, "_read_pairs", lambda span: calls.append(1) or kernel(span))
+        m = np.full((d, d), complex(-0.0, -0.0))
+        m[0, 0] = 0.5
+        printed = io.dumps(io.matrix_to_json(m))
+        assert "[-0, -0]" in printed
+        new, old = read_both(printed)
+        assert np.array_equal(bits(new), bits(m + 0.0)) and np.array_equal(bits(old), bits(new))
+        new, old = read_both(json.dumps(io.matrix_to_json(m)))  # "-0.0"
+        assert np.array_equal(bits(new), bits(m)) and np.array_equal(bits(old), bits(new))
+        assert len(calls) == (2 if d * d >= io._READ_PAIRS else 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10 ** 18 - 1), st.integers(0, 22))
+    def test_nearest_is_the_correctly_rounded_quotient(self, n, k):
+        got = io._nearest(np.array([n], np.int64), np.array([k]))[0]
+        want = float(Fraction(n, 10 ** k))  # correctly rounded
+        assert got == want or (np.isnan(got) and n >= 2 ** 53)
+
+    def test_nearest_checks_each_quotient(self, monkeypatch):
+        # below 10, as the kernel's quotients are, none of these is near a tie; with no
+        # margin to spare every quotient above 2**53 is one, and each token the kernel
+        # reads goes to float instead, with the same bits
+        rng = np.random.default_rng(3)
+        k = rng.integers(15, 23, 1000)
+        n = rng.integers(2 ** 53, 10 ** np.minimum(k + 1, 18))
+        near = io._nearest(n, k)
+        assert not np.isnan(near).any()
+        assert near.tolist() == [float(Fraction(int(a), 10 ** int(b))) for a, b in zip(n, k)]
+        m = random_instance(32, 5, 0.0).prior
+        text = io.dumps(io.matrix_to_json(m))
+        monkeypatch.setattr(io, "_MARGIN", 0.0)
+        assert np.isnan(io._nearest(n, k)).all()
+        new, old = read_both(text)
+        assert np.array_equal(bits(new), bits(old))
+
+    @pytest.mark.parametrize("span", [
+        "[[0.5, 0.25],[0.5, 0.25]]", "[[0.5,0.25], [0.5, 0.25]]", "[[0.5, 0.25] , [0.5, 0.25]]",
+        "[[0.5, 0.25], [0.5]]", "[[0.5, 0.25, 0.5], [0.25]]", "[[0.5, ], [0.5, 0.25]]",
+        "[[0.5, 0.25]\n, [0.5, 0.25]]", "[[0.5, 0.25], [0.5, 0.25],]",
+    ])
+    def test_other_layouts_are_left_to_json(self, span):
+        assert io._read_pairs(ascii_bytes(span)) is None
+
+    @pytest.mark.parametrize("token", ["01", "-00", "1.", ".5", "+1", "1_0", "0x1", "1e", "--1",
+                                       "0.5e-05e-05", "0.5.5", "1" * 5000,
+                                       " 0.5", "0.5 ", "[0.5"])  # json reads these texts
+    def test_a_token_json_rejects_raises(self, token):
+        with pytest.raises(ValueError):
+            io._read_pairs(ascii_bytes(f"[[0.5, {token}], [0.5, 0.25]]"))
+
+    @pytest.mark.parametrize("token, value", [
+        ("0", 0.0), ("-0", 0.0), ("-0.0", -0.0), ("7", 7.0), ("-12", -12.0), ("1E-3", 1e-3),
+        ("1e-03", 1e-3), ("1e+00", 1.0), ("12.5", 12.5), ("1.5e-07", 1.5e-07), ("9.5", 9.5),
+        ("1.7976931348623157e+308", MAX), ("5e-324", 5e-324), ("1e400", float("inf")),
+        ("0.30000000000000004", 0.30000000000000004), ("9007199254740993", 2.0 ** 53),
+        ("-999999999999999999", -1e18), ("1234567890123456789", 1234567890123456789.0),
+        ("2" * 400 + "e-400", float("2" * 400 + "e-400")),
+    ])
+    def test_each_token_is_what_json_reads(self, token, value):
+        a = io._read_pairs(ascii_bytes(f"[[0.5, {token}], [{token}, 0.25]]"))
+        want = np.float64(value).view(np.uint64)
+        assert a.view(np.uint64)[[0, 1], [1, 0]].tolist() == [want, want]
+
+    def test_an_int_beyond_float_range_raises(self):
+        with pytest.raises(OverflowError):
+            io._read_pairs(ascii_bytes("[[0.5, 1" + "0" * 400 + "], [0.5, 0.25]]"))
+
+
+class TestCliReadsIntoArrays:
+    """The CLI reads each matrix of ``io._READ_PAIRS`` pairs or more into its array: no
+    list of its pairs is built, and the decoded matrices are json.load's bits."""
+
+    @staticmethod
+    def watch(monkeypatch):
+        """The "entries" type and the result of each ``matrix_from_json`` call, and the
+        longest list of each ``json.loads`` result."""
+        received, decoded, lists = [], [], []
+        decode, loads = io.matrix_from_json, json.loads
+
+        def counted(obj):
+            received.append(type(obj["entries"]))
+            decoded.append(m := decode(obj))
+            return m
+
+        def parsed(text, **kwargs):
+            tree = loads(text, **kwargs)
+            lists.append(longest_list(tree))
+            return tree
+
+        monkeypatch.setattr(io, "matrix_from_json", counted)
+        monkeypatch.setattr(json, "loads", parsed)
+        return received, decoded, lists
+
+    @pytest.mark.parametrize("command", ["scenario-run", "scenario-run -", "pool-quantum"])
+    def test_no_pair_list_is_built(self, tmp_path, capsys, monkeypatch, command):
+        if command == "pool-quantum":
+            argv = [command, *(write_json(tmp_path / f"{i}.json", io.dumps(io.matrix_to_json(m)))
+                               for i, m in enumerate(commuting_bayes_draw(64, 10.0, 0)))]
+        else:
+            cfg = io.dumps(io.scenario_config_to_json(random_instance(64, 101, 0.5)))
+            argv = [*command.split(), write_json(tmp_path / "cfg.json", cfg)][:2]
+
+        def run(*patches):
+            if command.endswith("-"):
+                monkeypatch.setattr("sys.stdin", StringIO(cfg))
+            for patch in patches:
+                monkeypatch.setattr(cli, "_read_json", patch)
+            watched = self.watch(monkeypatch)
+            out = run_cli(capsys, *argv)
+            monkeypatch.undo()
+            return out, watched
+
+        out, (received, decoded, lists) = run()
+        assert out[0] == 0
+        assert received == [io._Pairs] * len(decoded) and len(decoded) == 3
+        assert len(lists) == len(argv) - 1 and max(lists) < io._READ_PAIRS  # one loads per file
+        old, (_, want, _) = run(json_load_read)  # the prior, unitaries and posteriors
+        assert out == old
+        assert [bits(m).tolist() for m in decoded] == [bits(m).tolist() for m in want]
+
+
+def hostile(text, case):
+    """``text``, a config, with one token or separator of its prior, or one key, changed."""
+    start = text.index('"entries": [[') + len('"entries": [[')
+    token = text[start:text.index(",", start)]
+    entries = text[start - 2:text.index("]]", start) + 2]
+    dim = text[text.index('"dim": '):text.index(", ", text.index('"dim": '))]
+    edits = {
+        "small dim": lambda: text.replace(dim, '"dim": 2', 1),
+        "entries first": lambda: text.replace(f'{dim}, "entries": {entries}',
+                                              f'"entries": {entries}, {dim}', 1),
+        "newline": lambda: text[:start] + text[start:].replace(", ", ",\n", 1),
+        "no space": lambda: text[:start] + text[start:].replace(", ", ",", 1),
+        "duplicate key": lambda: text.replace('"entries": ' + entries,
+                                              f'"entries": {entries}, "entries": {entries}', 1),
+        "entries in a step": lambda: text.replace('"type": "unitary"',
+                                                  f'"type": "unitary", "entries": {entries}', 1),
+        "escaped key": lambda: text.replace('"entries": [[', '"entrie\\u0073": [[', 1),
+        "quote in a key": lambda: text.replace('"dim": ', f'"\\"entries": {entries}, "dim": ', 1),
+        "u0022 in a name": lambda: text.replace('"name": "',
+                                                '"name": "\\u0022entries\\u0022: [[', 1),
+        "BOM": lambda: "\ufeff" + text,
+        "non-ASCII digit": lambda: (text[:start] + token.replace("1", "\u0661", 1)
+                                    + text[start + len(token):]),
+    }
+    if case in edits:
+        return edits[case]()
+    return text[:start] + case + text[start + len(token):]
+
+
+HOSTILE = ["1E-3", "1e-03", "1e+00", "-0", "-0.0", "01", "1.", ".5", "+1", "1_0", "NaN",
+           "Infinity", "-Infinity", "1e400", "1" + "0" * 399, "1" + "0" * 4999,
+           "0.015353609576118119", "1.5353609576118119e-2", "0.0153536095761181190",
+           "newline", "no space", "small dim", "entries first", "duplicate key",
+           "entries in a step", "escaped key", "quote in a key", "u0022 in a name", "BOM",
+           "non-ASCII digit"]
+
+
+@pytest.mark.parametrize("d, noise", [(32, "0"), (64, "0.5")])
+def test_hostile_spellings_read_as_json_load_reads_them(tmp_path, capsys, monkeypatch, d, noise):
+    code, config = run_cli(capsys, "randgen", "--dim", str(d), "--noise", noise, "--seed", "101")
+    assert code == 0
+    outcomes = set()
+    for case in HOSTILE:
+        path = write_json(tmp_path / "cfg.json", hostile(config, case))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            new = run_cli(capsys, "scenario-run", path)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == [], case
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_read_json", json_load_read)
+            old = run_cli(capsys, "scenario-run", path)
+        assert new == old, case
+        outcomes.add(new[0])
+    assert outcomes == {0, 2}
