@@ -21,13 +21,16 @@ length sets, converts it to the same array and prints it the same way.
 go entry by entry with the same text and messages.  An integer entry beyond
 float range is non-finite input: MalformedInputError, CLI exit 2.
 
-``cli`` reads each file through ``_read``, which reads every "entries" of at
-least 512 pairs (d >= 23) in the writer's layout ("[[", ", ", "], [", "]]")
-straight into its (n^2, 2) array, a ``_Pairs`` that ``matrix_from_json``
-takes after its "dim" check, so no list of pairs is built on the way in
-either; a "dim" written just before the "entries" that makes it smaller
-spares the scan.  Each value is the float json and ``np.array`` make of its
-token.
+``cli`` reads each file through ``_read``, which reads the "entries" arrays in
+the writer's layout ("[[", ", ", "], [", "]]") straight into their (n^2, 2)
+arrays, each a ``_Pairs`` that ``matrix_from_json`` takes after its "dim"
+check, so no list of pairs is built on the way in either.  An "entries" of
+1024 pairs or more (d >= 32) is read with a kernel call of its own.  The
+others go, in text order, into runs that each end once they hold 1024
+pairs, and a run of 512 pairs or more is read with one call, so the three
+256-pair matrices of a d = 16 config take one.  A text with 512 "[" or
+fewer holds too few pairs for any run: no "entries" in it is looked for.
+Each value is the float json and ``np.array`` make of its token.
 The kernel reads "-"?, one digit, ".", f digits, then "e-0X" or nothing: the
 printer's fixed point and exponent forms.  There the value is N / 10**k, N
 the digits and k = f + X <= 22, so 10**k is an exact double: below 2**53 one
@@ -36,23 +39,30 @@ N - q * 10**k, which Dekker's product gives, and is kept only where the next
 residual proves it the nearest double.  It reads an int of up to 18 digits
 as N, and "-0" as 0, as json does.  A near-tie, and every other token
 ("1e-07", "1E-3", a longer int), goes to ``int`` or ``float`` as json would
-take it, once it matches JSON's number grammar.  Any other layout is left to
-``json.loads``.  A token JSON rejects, an int beyond float range, non-ASCII
+take it, once it matches JSON's number grammar.  A run in any other layout
+is left to ``json.loads``.  A token JSON rejects, an int beyond float range, non-ASCII
 text, a constant ("NaN"), a tree that does not decode or an array
 ``matrix_from_json`` never took (a duplicate key, an "entries" that is no
 matrix's) sends the whole text back to ``json.loads``, so every outcome,
 error or not, is its outcome.
 
-From 256 pairs on (d >= 16) a kernel prints the text "%.17g" would, without
-the float printer.  Its domain is a zero of either sign ("0", "-0") and |x|
-in (0, 1) with decimal exponent X >= -6.  There N, the 17 digits of
+``dumps`` walks the tree once into a list of parts and joins it once.  It
+checks each matrix's finiteness where the matrix stands, so the first
+non-finite value in document order is the one named.  A matrix of 1024
+pairs or more is printed there, with a kernel call of its own; the smaller
+ones are printed after the walk, in runs that each end once they hold 1024
+pairs.  A run of 256 pairs or more takes one kernel call, whose text a
+newline after each matrix's last pair parts into the matrices'; a smaller
+run prints each value with "%.17g", since there numpy's cost per call
+outweighs what the kernel saves.  The kernel prints the text "%.17g" would,
+without the float printer.  Its domain is a zero of either sign ("0", "-0")
+and |x| in (0, 1) with decimal exponent X >= -6.  There N, the 17 digits of
 round(|x| * 10**(16 - X)) with trailing zeros dropped, is an integer that
 Dekker's exact product gives, since 10**(16 - X) is an exact double up to
 10**22.  For X >= -4 "%g" is fixed point: "0.", -X - 1 zeros, then N; for
 X = -5 and -6 it is the exponent form: N's first digit, ".", the rest of N,
 then "e-05" or "e-06".  An exact tie, a digit count off by one and every
-value outside the domain (|x| >= 1, |x| < 1e-6) go to "%.17g".  Below the
-gate, numpy's cost per call outweighs what the kernel saves.
+value outside the domain (|x| >= 1, |x| < 1e-6) go to "%.17g".
 
 One gate, ``_object``, decides which keys an object may have: every key its
 kind requires and none its encoder never writes, so a misspelled key is
@@ -85,7 +95,7 @@ import functools
 import json
 import re
 from contextlib import suppress
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -159,7 +169,8 @@ def _fmt_float(x: float) -> str:
 # and N = round(|v| * 10**(16 - X)) without trailing zeros: "-" if v's sign bit is set,
 # then "0.", -X - 1 zeros and N for X = -1 .. -4, or N's first digit, "." and the rest
 # of N, then "e-0{-X}", for X = -5, -6; a zero is "0".
-_KERNEL_PAIRS = 256  # d >= 16: below it, numpy's cost per call outweighs the gain
+_KERNEL_PAIRS = 256  # below it, numpy's cost per call outweighs the gain
+_GROUP_PAIRS = 1024  # a matrix this large is printed, and read, with a kernel call of its own
 _SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter: v = hi + lo, 26 significant bits each
 _TENS = np.array([float(10 ** k) for k in range(23)])  # 10**k, an exact double up to 10**22
 _POWERS = 10 ** np.arange(18, dtype=np.int64)  # searchsorted(_POWERS, N, "right"): N's digits
@@ -216,8 +227,9 @@ def _fixed_point(a: np.ndarray):
     return k, n, fallback
 
 
-def _print_pairs(a: np.ndarray) -> str:
-    """The rows of the finite (n, 2) float array ``a`` as "[%.17g, %.17g]", joined by ", "."""
+def _print_pairs(a: np.ndarray, ends=()) -> str:
+    """The rows of the finite (n, 2) float array ``a`` as "[%.17g, %.17g]", joined by ", ",
+    with a newline after each row that ends a matrix of a run: row i - 1, i in ``ends``."""
     a = a.reshape(-1)
     k, n, fallback = _fixed_point(a)
     n[fallback], k[fallback] = 1, 0  # a placeholder in the fixed form, replaced below
@@ -239,16 +251,34 @@ def _print_pairs(a: np.ndarray) -> str:
     args = [None] * a.size * 2
     args[::2], args[1::2] = prefixes, digits
     suffix = np.where(k >= 4, k - 3, 0)  # "", "e-05", "e-06"
-    return ", ".join(_PAIR_FORMATS[3 * suffix[::2] + suffix[1::2]].tolist()) % tuple(args)
+    formats = _PAIR_FORMATS[3 * suffix[::2] + suffix[1::2]].tolist()
+    for end in ends:  # "\n, " then parts the text of a run into its matrices'
+        formats[end - 1] += "\n"
+    return ", ".join(formats) % tuple(args)
 
 
-def _print_matrix(a: np.ndarray) -> str:
-    """The (n, 2) float array ``a`` as "[[re, im], ...]", each value as "%.17g" prints it."""
-    if not (finite := np.isfinite(a)).all():
-        _fmt_float(a.item(int(np.argmin(finite))))  # raises, naming the first one
-    if len(a) >= _KERNEL_PAIRS:
-        return "[" + _print_pairs(a) + "]"
-    return "[" + ", ".join(["[%.17g, %.17g]"] * len(a)) % tuple(a.reshape(-1).tolist()) + "]"
+def _print_run(arrays: list) -> list:
+    """The texts "[[re, im], ...]" of the finite (n, 2) float ``arrays``, each of fewer
+    than ``_GROUP_PAIRS`` rows: with one kernel call from ``_KERNEL_PAIRS`` rows in all
+    on, else each with one format, every value through "%.17g"."""
+    *ends, rows = accumulate(map(len, arrays))
+    if rows < _KERNEL_PAIRS:
+        return ["[" + ", ".join(["[%.17g, %.17g]"] * len(a)) % tuple(a.reshape(-1).tolist()) + "]"
+                for a in arrays]
+    return ["[" + text + "]" for text in _print_pairs(np.concatenate(arrays), ends).split("\n, ")]
+
+
+def _runs(items: list, pairs):
+    """``items`` in order, in runs that each end once they hold ``_GROUP_PAIRS`` pairs
+    (``pairs(item)`` each), and at the last item."""
+    run, held = [], 0
+    for item in items:
+        run.append(item)
+        if (held := held + pairs(item)) >= _GROUP_PAIRS:
+            yield run
+            run, held = [], 0
+    if run:
+        yield run
 
 
 class _Pairs:
@@ -285,10 +315,11 @@ def _writer(tree):
 
 
 # The reader (module docstring) takes a matrix's "entries" from the text into its (n^2, 2)
-# array where the writer's layout holds them, from _READ_PAIRS pairs on.
-_READ_PAIRS = 512  # d >= 23: below it, numpy's cost per call outweighs the gain
+# array where the writer's layout holds them, in runs of _READ_PAIRS pairs or more.
+_READ_PAIRS = 512  # below it, numpy's cost per call outweighs the gain
 _ENTRIES = '"entries": [['
-_DIM = re.compile(r'"dim": ([0-9]+), \Z')  # before _ENTRIES, in the writer's key order
+_BLOCK = 2 ** 16  # bytes a count of the text's "[" takes at a time
+_OPEN, _COMMA, _CLOSE = (np.frombuffer(b, np.uint8) for b in (b"[", b", ", b"]"))
 _NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")  # JSON's grammar
 _MARGIN = 1 - 2.0 ** -40  # a residual this close to half an ulp is a near-tie
 
@@ -391,26 +422,57 @@ def _read_pairs(b: np.ndarray) -> np.ndarray | None:
     return values.reshape(-1, 2)
 
 
-def _read_tree(text: str):
-    """(tree, holders): ``tree`` is ``json.loads(text)`` with each "entries" of at
-    least ``_READ_PAIRS`` pairs that ``_read_pairs`` reads as a ``_Pairs``, ``holders``
-    those in text order.  None if it reads none.  Each read array stands in the text
-    as "NaN", which json hands to ``parse_constant``; a constant the text already holds
-    takes an array out of turn, so the last "NaN" finds none and the read fails."""
-    if not text.isascii():
-        return None
-    pieces, held, at, stop = [], [], 0, 0  # the text up to ``at`` is in ``pieces``
+def _spans(text: str, raw: np.ndarray) -> list:
+    """(start, stop, pairs) of each "entries" array of ``text`` (``raw``, its bytes): from
+    its "[[" to the first "]]" after it, with one pair for each "[" but the first."""
+    spans, stop = [], 0
     while (found := text.find(_ENTRIES, stop)) >= 0:
-        start = stop = found + len(_ENTRIES) - 2  # the entries' "[["
-        # the writer puts "dim" just before: a matrix it calls small is left unscanned
-        dim = _DIM.search(text, max(found - 24, 0), found)
-        if dim and int(dim[1]) ** 2 < _READ_PAIRS:
-            continue
+        start = found + len(_ENTRIES) - 2
         if (stop := text.find("]]", start) + 2) < 2:
             break
-        span = np.frombuffer(text[start:stop].encode("ascii"), np.uint8)
-        # one "[" opens the entries, and one each pair
-        if np.count_nonzero(span == 91) > _READ_PAIRS and (a := _read_pairs(span)) is not None:
+        spans.append((start, stop, np.count_nonzero(raw[start:stop] == 91) - 1))
+    return spans
+
+
+def _read_run(raw: np.ndarray, run: list) -> list:
+    """The arrays of the spans ``run``, of fewer than ``_GROUP_PAIRS`` pairs each, read
+    with one ``_read_pairs`` call as one "[[re, im], ...]" array; Nones if it does not
+    read.  Where it reads, every "[" is a pair's, so each span holds the pairs it counts."""
+    pieces = [_OPEN]
+    for start, stop, _ in run:
+        pieces += [raw[start + 1:stop - 1], _COMMA]  # its pairs, "[re, im], ..., [re, im]"
+    pieces[-1] = _CLOSE
+    if (a := _read_pairs(np.concatenate(pieces))) is None:
+        return [None] * len(run)
+    return np.split(a, np.cumsum([pairs for _, _, pairs in run[:-1]]))
+
+
+def _read_tree(text: str):
+    """(tree, holders): ``tree`` is ``json.loads(text)`` with each "entries" that
+    ``_read_pairs`` reads as a ``_Pairs``, ``holders`` those in text order.  An
+    "entries" of ``_GROUP_PAIRS`` pairs or more is read alone, and the others in runs
+    (``_runs``), each read where it holds ``_READ_PAIRS`` pairs.  None if it reads none.
+    Each read array stands in the text as "NaN", which json hands to ``parse_constant``;
+    a constant the text already holds takes an array out of turn, so the last "NaN"
+    finds none and the read fails."""
+    if not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode("ascii"), np.uint8)
+    # each pair has a "[": count them a block at a time, so no text-sized temporary is made
+    counts = (np.count_nonzero(raw[i:i + _BLOCK] == 91) for i in range(0, raw.size, _BLOCK))
+    if not any(n > _READ_PAIRS for n in accumulate(counts)):  # too few pairs to read
+        return None
+    spans = _spans(text, raw)
+    read = dict.fromkeys(spans)
+    for span in spans:
+        if span[2] >= _GROUP_PAIRS:
+            read[span] = _read_pairs(raw[span[0]:span[1]])
+    for run in _runs([span for span in spans if span[2] < _GROUP_PAIRS], lambda span: span[2]):
+        if sum(pairs for _, _, pairs in run) >= _READ_PAIRS:
+            read.update(zip(run, _read_run(raw, run)))
+    pieces, held, at = [], [], 0  # the text up to ``at`` is in ``pieces``
+    for (start, stop, _), a in read.items():
+        if a is not None:
             pieces += [text[at:start], "NaN"]
             held.append(_Pairs(a))
             at = stop
@@ -448,28 +510,54 @@ def _float_pairs(obj):
     return None
 
 
-def _encode(obj) -> str:
-    """Deterministic JSON text with 17-significant-digit floats."""
+def _encode(obj, parts: list, small: list) -> None:
+    """Append the JSON text of ``obj`` to ``parts``, floats with 17 significant digits.
+    A matrix is checked for finiteness where it stands; one of ``_GROUP_PAIRS`` pairs or
+    more is printed there, and a smaller one left as a None slot, with (slot, array)
+    appended to ``small``."""
     if obj is None or isinstance(obj, (bool, str)):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_encode(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, _Pairs):
-        return _print_matrix(obj.a)
-    if isinstance(obj, (list, tuple)):
-        if (pairs := _float_pairs(obj)) is not None:
-            return _print_matrix(pairs)
-        return "[" + ", ".join(_encode(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj)}")
+        parts.append(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        parts.append(_fmt_float(obj))
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            parts.append(f"{', ' if i else ''}{json.dumps(str(k))}: ")
+            _encode(v, parts, small)
+        parts.append("}")
+    elif isinstance(obj, _Pairs) or (isinstance(obj, (list, tuple))
+                                     and (pairs := _float_pairs(obj)) is not None):
+        a = obj.a if isinstance(obj, _Pairs) else pairs
+        if not (finite := np.isfinite(a)).all():
+            _fmt_float(a.item(int(np.argmin(finite))))  # raises, naming the first one
+        if len(a) >= _GROUP_PAIRS:
+            parts += ["[", _print_pairs(a), "]"]
+        else:
+            small.append((len(parts), a))
+            parts.append(None)
+    elif isinstance(obj, (list, tuple)):
+        parts.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                parts.append(", ")
+            _encode(v, parts, small)
+        parts.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def dumps(obj) -> str:
-    return _encode(obj) + "\n"
+    """Deterministic JSON text of ``obj``: one walk into a list of parts, each run of
+    small matrices printed with one call (``_print_run``), and one join."""
+    parts, small = [], []
+    _encode(obj, parts, small)
+    for run in _runs(small, lambda item: len(item[1])):
+        for (slot, _), text in zip(run, _print_run([a for _, a in run])):
+            parts[slot] = text
+    parts.append("\n")
+    return "".join(parts)
 
 
 @_writer

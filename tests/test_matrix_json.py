@@ -1,8 +1,9 @@
-"""Matrix JSON in one pass per matrix: the text, bits and messages of the
-entry-by-entry encoder and decoder, the exit-2 cases at the boundary, the
-CLI printing each matrix from its array with the bytes of every public
-writer, and golden bytes of the configs the CLI round trip exchanges and of
-a pooled matrix."""
+"""Matrix JSON in one pass per matrix, and one kernel call per document's run
+of small matrices: the text, bits and messages of the entry-by-entry encoder
+and decoder, the exit-2 cases at the boundary, the CLI printing each matrix
+from its array with the bytes of every public writer, its kernel calls per
+document, and golden bytes of the configs the CLI round trip exchanges and
+of a pooled matrix."""
 
 import hashlib
 import json
@@ -130,12 +131,18 @@ class TestEncoder:
             per_float_dumps({"entries": entries})
         assert str(new.value) == str(old.value)
 
-    @pytest.mark.parametrize("d, kernel_calls", [(15, 0), (16, 1), (64, 1)])
-    def test_the_kernel_prints_from_d16_on(self, monkeypatch, d, kernel_calls):
+    # one matrix a document, then runs: 2 x 225 and 4 x 64 pairs reach 256, 3 x 64 do not,
+    # 5 x 256 make a run of 1024 and one of 256, and 1024 pairs are a run of their own
+    @pytest.mark.parametrize("dims, kernel_calls", [
+        ([15], 0), ([16], 1), ([64], 1), ([15, 15], 1), ([8] * 3, 0), ([8] * 4, 1),
+        ([16] * 5, 2), ([2, 32, 16], 2),
+    ], ids=["15-0", "16-1", "64-1", "15x2-1", "8x3-0", "8x4-1", "16x5-2", "2,32,16-2"])
+    def test_the_kernel_prints_from_d16_on(self, monkeypatch, dims, kernel_calls):
         calls, kernel = [], io._print_pairs
-        monkeypatch.setattr(io, "_print_pairs", lambda a: calls.append(a) or kernel(a))
-        m = np.random.default_rng(d).standard_normal((d, d)) * (1 + 1j) / d
-        assert io.dumps(io.matrix_to_json(m)) == per_float_dumps(per_float_matrix_json(m))
+        monkeypatch.setattr(io, "_print_pairs", lambda a, *ends: calls.append(a) or kernel(a, *ends))
+        ms = [np.random.default_rng(d).standard_normal((d, d)) * (1 + 1j) / d for d in dims]
+        assert (io.dumps([io.matrix_to_json(m) for m in ms])
+                == per_float_dumps([per_float_matrix_json(m) for m in ms]))
         assert len(calls) == kernel_calls
 
     def test_no_double_prints_a_one_digit_exponent_form(self):
@@ -407,7 +414,8 @@ class TestCliWritesFromArrays:
             return pairs
 
         monkeypatch.setattr(io, "_float_pairs", counted)
-        monkeypatch.setattr(io, "_print_pairs", lambda a: printed.append(a.copy()) or kernel(a))
+        monkeypatch.setattr(io, "_print_pairs",
+                            lambda a, *ends: printed.append(a.copy()) or kernel(a, *ends))
         return rebuilt, printed
 
     @staticmethod
@@ -572,10 +580,11 @@ class TestReader:
             new, old = read_both(text)
             assert np.array_equal(bits(new), bits(old))
 
-    @pytest.mark.parametrize("d", [2, 64])
+    @pytest.mark.parametrize("d", [2, 23, 64])
     def test_minus_zero_reads_back_as_plus_zero(self, monkeypatch, d):
         # "-0.0" prints as "-0", a JSON int, which json reads as 0: at d = 2 through
-        # json.loads, at d = 64 through the reader; "-0.0", a float, keeps its sign
+        # json.loads, at d = 23 (a run of one) and 64 through the reader; "-0.0", a
+        # float, keeps its sign
         kernel, calls = io._read_pairs, []
         monkeypatch.setattr(io, "_read_pairs", lambda span: calls.append(1) or kernel(span))
         m = np.full((d, d), complex(-0.0, -0.0))
@@ -735,7 +744,7 @@ HOSTILE = ["1E-3", "1e-03", "1e+00", "-0", "-0.0", "01", "1.", ".5", "+1", "1_0"
            "non-ASCII digit"]
 
 
-@pytest.mark.parametrize("d, noise", [(32, "0"), (64, "0.5")])
+@pytest.mark.parametrize("d, noise", [(16, "0.5"), (32, "0"), (64, "0.5")])
 def test_hostile_spellings_read_as_json_load_reads_them(tmp_path, capsys, monkeypatch, d, noise):
     code, config = run_cli(capsys, "randgen", "--dim", str(d), "--noise", noise, "--seed", "101")
     assert code == 0
@@ -752,3 +761,151 @@ def test_hostile_spellings_read_as_json_load_reads_them(tmp_path, capsys, monkey
         assert new == old, case
         outcomes.add(new[0])
     assert outcomes == {0, 2}
+
+
+def test_kraus_list_config_d16_reads_in_runs(tmp_path, capsys, monkeypatch):
+    legacy = io.dumps(io.scenario_config_to_json(kraus_list_config(random_instance(16, 101, 0.5))))
+    path = write_json(tmp_path / "cfg.json", legacy)
+
+    def run(*patches):
+        reads, reader = [], io._read_pairs
+        with monkeypatch.context() as patch:
+            for read_json in patches:
+                patch.setattr(cli, "_read_json", read_json)
+            patch.setattr(io, "_read_pairs", lambda b: reads.append(b.size) or reader(b))
+            received, decoded, _ = TestCliReadsIntoArrays.watch(patch)
+            return run_cli(capsys, "scenario-run", path), reads, received, decoded
+
+    out, reads, received, decoded = run()
+    old, _, _, want = run(json_load_read)
+    assert out == old and out[0] == 0
+    # 277 matrices of 256 pairs: 69 runs of four are read, and the last matrix, a run of
+    # its own below the gate, goes to json.loads
+    assert legacy.count('"entries"') == len(decoded) == 277 and len(reads) == 69
+    assert received.count(io._Pairs) == 276 and received.count(list) == 1
+    assert [bits(m).tolist() for m in decoded] == [bits(m).tolist() for m in want]
+
+
+class TestKernelCallsPerDocument:
+    """A CLI document's matrices of fewer than ``io._GROUP_PAIRS`` pairs share a kernel
+    call, one to print them and one to read them; a larger matrix keeps a call of its
+    own; and a text too small for the reader's gate is not searched."""
+
+    @staticmethod
+    def watch(monkeypatch):
+        """The rows of each print call, the bytes of each read call, and each search."""
+        calls = {"print": [], "read": [], "spans": []}
+        printer, reader, spans = io._print_pairs, io._read_pairs, io._spans
+        monkeypatch.setattr(io, "_print_pairs",
+                            lambda a, *ends: calls["print"].append(len(a)) or printer(a, *ends))
+        monkeypatch.setattr(io, "_read_pairs", lambda b: calls["read"].append(b.size) or reader(b))
+        monkeypatch.setattr(io, "_spans", lambda *args: calls["spans"].append(1) or spans(*args))
+        return calls
+
+    @pytest.mark.parametrize("d", [8, 16, 64])
+    def test_kernel_calls(self, tmp_path, capsys, monkeypatch, d):
+        cfg = str(tmp_path / "cfg.json")
+        calls = self.watch(monkeypatch)
+        argv = ["randgen", "--dim", str(d), "--noise", "0.5", "--seed", "101", "--output", cfg]
+        assert run_cli(capsys, *argv)[0] == 0
+        written, calls["print"] = calls["print"], []
+        code, out = run_cli(capsys, "scenario-run", cfg)
+        assert code == 0
+        with open(cfg, encoding="utf-8") as fh:
+            n_in = fh.read().count('"entries"')
+        n_out = out.count('"entries"')
+        assert n_in == 3 and n_out >= 2  # the prior and two unitaries; two or three states
+        if d == 8:  # 192 pairs a document: no kernel runs, no "entries" is looked for
+            assert calls == {"print": [], "read": [], "spans": []} and written == []
+        elif d == 16:
+            assert written == [256 * n_in] and calls["print"] == [256 * n_out]
+            assert len(calls["read"]) == len(calls["spans"]) == 1
+            assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_D16[1]
+        else:
+            assert written == [4096] * n_in and calls["print"] == [4096] * n_out
+            assert len(calls["read"]) == n_in and len(calls["spans"]) == 1
+
+
+# Writer trees of 1-6 matrices of dims that straddle the gates: 2 and 8 below
+# _KERNEL_PAIRS, 15 just below it and 16 at it, 17 above it, 23 above _READ_PAIRS, and
+# 32 at _GROUP_PAIRS, a run of its own.  Values: kernel edges, both zeros and the
+# printer's exponent forms (|x| in [1e-6, 1e-4)), over a seeded spread.
+exponent_forms = st.floats(1e-6, 1e-4, exclude_max=True)
+run_values = st.one_of(st.sampled_from(KERNEL_EDGES + [0.0, -0.0]), exponent_forms,
+                       exponent_forms.map(lambda v: -v))
+
+
+@st.composite
+def writer_trees(draw):
+    """(a writer's tree, its matrices in document order): each matrix stands in an
+    object, a list or a step, beside other values."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tree, matrices = {"seed": 0}, []
+    for i, d in enumerate(draw(st.lists(st.sampled_from([2, 8, 15, 16, 17, 23, 32]),
+                                        min_size=1, max_size=6))):
+        parts = rng.standard_normal(2 * d * d) * 10.0 ** rng.integers(-7, 1, 2 * d * d)
+        for j, v in draw(st.lists(st.tuples(st.integers(0, 2 * d * d - 1), run_values),
+                                  max_size=30)):
+            parts[j] = v
+        matrices.append(m := parts.view(complex).reshape(d, d))
+        node = io.matrix_to_json.tree(m)
+        tree[f"m{i}"] = draw(st.sampled_from([node, [0.5, node], {"type": "unitary",
+                                                                  "matrix": node}]))
+    return tree, matrices
+
+
+def matrices_in(obj):
+    """The matrices of a decoded tree, in document order."""
+    if isinstance(obj, dict):
+        if obj.keys() == {"dim", "entries"}:
+            return [io.matrix_from_json(obj)]
+        return [m for v in obj.values() for m in matrices_in(v)]
+    if isinstance(obj, list):
+        return [m for v in obj for m in matrices_in(v)]
+    return []
+
+
+class TestDocumentRuns:
+    """A document's small matrices are printed and read in runs, with the text, bits and
+    messages of the per-matrix encoder and of json.load."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(writer_trees())
+    def test_text_equals_the_per_float_encoder(self, drawn):
+        tree, _ = drawn
+        assert io.dumps(tree) == io.dumps(io._plain(tree)) == per_float_dumps(io._plain(tree))
+
+    @settings(max_examples=60, deadline=None)
+    @given(writer_trees())
+    def test_reads_each_matrix_as_json_load_does(self, drawn):
+        tree, matrices = drawn
+        text = io.dumps(tree)
+        new = io._read(text, matrices_in, json.loads)
+        old = matrices_in(json.loads(text))
+        assert [bits(m).tolist() for m in new] == [bits(m).tolist() for m in old]
+        assert [bits(m).tolist() for m in new] == [bits(m + 0.0).tolist() for m in matrices]
+        # every run that holds _READ_PAIRS pairs is read, so the reader reads iff they do,
+        # and each array it reads is one matrix's entries, whole
+        read = io._read_tree(text)
+        assert (read is not None) == (sum(m.size for m in matrices) >= io._READ_PAIRS)
+        if read is not None:
+            got = matrices_in(read[0])
+            assert all(held.a is None for held in read[1])
+            assert [bits(m).tolist() for m in got] == [bits(m).tolist() for m in old]
+
+    @settings(max_examples=60, deadline=None)
+    @given(writer_trees(), st.data())
+    def test_the_first_non_finite_value_is_named(self, drawn, data):
+        tree, matrices = drawn
+        # matrix j and each one after it get a non-finite value, the next one's another:
+        # only matrix j's may be named
+        j = data.draw(st.integers(0, len(matrices) - 1))
+        values = data.draw(st.permutations([np.nan, np.inf, -np.inf]))
+        for i, m in enumerate(matrices[j:]):
+            flat = m.reshape(-1).view(float)
+            flat[data.draw(st.integers(0, flat.size - 1))] = values[i % 3]
+        with pytest.raises(ValueError) as new:
+            io.dumps(tree)
+        with pytest.raises(ValueError) as old:
+            per_float_dumps(io._plain(tree))
+        assert str(new.value) == str(old.value)
