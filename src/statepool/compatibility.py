@@ -154,7 +154,8 @@ def verify_objective_classical(
     ``joint`` is P(Y, X1, X2) as an array of shape (|Y|, |X1|, |X2|) with Y
     indexed in the order of ``q1.outcomes``.  True iff the joint weight of
     (x1, x2) exceeds EXACT_TOL and both conditional slices P(Y | Xi=xi)
-    reproduce the respective assignment within EXACT_TOL.
+    reproduce the respective assignment within EXACT_TOL: the answer of
+    ``verify_objective_quantum`` on the diagonal states, with blocks diag P(Y, a, b).
     """
     p = np.asarray(joint, dtype=float)
     if p.ndim != 3 or p.shape[0] != len(q1.outcomes):
@@ -163,13 +164,9 @@ def verify_objective_classical(
         raise InvalidParameterError(f"outcome ({x1}, {x2}) absent from joint of shape {p.shape}")
     if abs(p.sum() - 1.0) > EXACT_TOL or np.any(p < -EXACT_TOL):
         raise ValueError("joint is not a normalized distribution")
-    if p[:, x1, x2].sum() <= EXACT_TOL:  # condition 1: P(X1=x1, X2=x2) > 0
-        return False
-    for q, slice_ in ((q1, p[:, x1, :].sum(axis=1)), (q2, p[:, :, x2].sum(axis=1))):
-        w = slice_.sum()
-        if w <= EXACT_TOL or np.max(np.abs(slice_ / w - q.probs)) > EXACT_TOL:
-            return False
-    return True
+    blocks = {(a, b): np.diag(p[:, a, b]) for a in range(p.shape[1]) for b in range(p.shape[2])}
+    hybrid = HybridState(p.shape[1:], blocks, normalized=False)
+    return verify_objective_quantum(np.diag(q1.probs), np.diag(q2.probs), hybrid, x1, x2)
 
 
 def _out_row(cond: ConditionalDistribution, x, what: str) -> int:
@@ -200,19 +197,15 @@ def verify_subjective_classical(
 
     True iff every predictive probability exceeds EXACT_TOL for both agents
     (condition 1) and the two Bayes posteriors agree at ``x_tilde`` within
-    EXACT_TOL.  A vanishing predictive probability is a failed condition, not
-    an error.
+    EXACT_TOL: ``verify_subjective_quantum`` on the diagonal states and
+    likelihoods.  A vanishing predictive probability is a failed condition,
+    not an error.
     """
     if cond.given_outcomes != q1.outcomes or q1.outcomes != q2.outcomes:
         raise ValueError("conditional table and priors disagree on Out(Y)")
-    _out_row(cond, x_tilde, "x_tilde")
-    for q in (q1, q2):
-        for x in range(len(cond.out_outcomes)):
-            if float((cond.table[x, :] * q.probs).sum()) <= EXACT_TOL:
-                return False
-    p1, _ = classical_bayes_posterior(q1, cond, x_tilde)
-    p2, _ = classical_bayes_posterior(q2, cond, x_tilde)
-    return float(np.max(np.abs(p1.probs - p2.probs))) <= EXACT_TOL
+    x_tilde = _out_row(cond, x_tilde, "x_tilde")
+    likelihoods = {x: np.diag(row) for x, row in enumerate(cond.table)}
+    return verify_subjective_quantum(np.diag(q1.probs), np.diag(q2.probs), likelihoods, x_tilde)
 
 
 def verify_objective_quantum(s1, s2, hybrid: HybridState, x1: int, x2: int) -> bool:

@@ -4,7 +4,7 @@ states, scenario configs and results.
 Matrix encoding: {"dim": n, "entries": [[re, im], ...]} with exactly n^2
 row-major entries, each a pair of finite reals.  Floats are printed with 17
 significant digits, so every value but a zero's sign round-trips exactly and
-repeated runs are byte-identical.  That sign is lost on purpose: -0.0 prints
+repeated writes are byte-identical.  That sign is lost on purpose: -0.0 prints
 as "-0", a JSON int, which json reads as 0 and so does the reader below, on
 every path and at every size.
 
@@ -21,15 +21,18 @@ length sets, converts it to the same array and prints it the same way.
 go entry by entry with the same text and messages.  An integer entry beyond
 float range is non-finite input: MalformedInputError, CLI exit 2.
 
+Both directions take a document's matrices, in text order, in runs of at most
+1024 pairs (``_runs``), and a larger matrix (d >= 32) is a run of its own.  A
+run is printed with one kernel call from 256 pairs and read with one from 512,
+so a d = 16 config's three matrices take one call each way.  A run of one goes
+to the kernel as its matrix's own array or its view of the text, a longer run
+as its rows or spans joined, parted after the call.
+
 ``cli`` reads each file through ``_read``, which reads the "entries" arrays in
 the writer's layout ("[[", ", ", "], [", "]]") straight into their (n^2, 2)
 arrays, each a ``_Pairs`` that ``matrix_from_json`` takes after its "dim"
-check, so no list of pairs is built on the way in either.  An "entries" of
-1024 pairs or more (d >= 32) is read with a kernel call of its own.  The
-others go, in text order, into runs that each end once they hold 1024
-pairs, and a run of 512 pairs or more is read with one call, so the three
-256-pair matrices of a d = 16 config take one.  A text with 512 "[" or
-fewer holds too few pairs for any run: no "entries" in it is looked for.
+check, so no list of pairs is built on the way in either.  A text with 512 "["
+or fewer holds too few pairs for any run, so no "entries" in it is looked for.
 Each value is the float json and ``np.array`` make of its token.
 The kernel reads "-"?, one digit, ".", f digits, then "e-0X" or nothing: the
 printer's fixed point and exponent forms.  There the value is N / 10**k, N
@@ -48,12 +51,10 @@ error or not, is its outcome.
 
 ``dumps`` walks the tree once into a list of parts and joins it once.  It
 checks each matrix's finiteness where the matrix stands, so the first
-non-finite value in document order is the one named.  A matrix of 1024
-pairs or more is printed there, with a kernel call of its own; the smaller
-ones are printed after the walk, in runs that each end once they hold 1024
-pairs.  A run of 256 pairs or more takes one kernel call, whose text a
-newline after each matrix's last pair parts into the matrices'; a smaller
-run prints each value with "%.17g", since there numpy's cost per call
+non-finite value in document order is the one named, and leaves it a slot
+between "[" and "]" that its run's text fills after the walk.  A newline after
+each matrix's last pair parts a longer run's kernel text; a run below 256
+pairs prints each value with "%.17g", since there numpy's cost per call
 outweighs what the kernel saves.  The kernel prints the text "%.17g" would,
 without the float printer.  Its domain is a zero of either sign ("0", "-0")
 and |x| in (0, 1) with decimal exponent X >= -6.  There N, the 17 digits of
@@ -170,7 +171,7 @@ def _fmt_float(x: float) -> str:
 # then "0.", -X - 1 zeros and N for X = -1 .. -4, or N's first digit, "." and the rest
 # of N, then "e-0{-X}", for X = -5, -6; a zero is "0".
 _KERNEL_PAIRS = 256  # below it, numpy's cost per call outweighs the gain
-_GROUP_PAIRS = 1024  # a matrix this large is printed, and read, with a kernel call of its own
+_GROUP_PAIRS = 1024  # most pairs a run holds: a matrix this large is a run of its own
 _SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter: v = hi + lo, 26 significant bits each
 _TENS = np.array([float(10 ** k) for k in range(23)])  # 10**k, an exact double up to 10**22
 _POWERS = 10 ** np.arange(18, dtype=np.int64)  # searchsorted(_POWERS, N, "right"): N's digits
@@ -258,25 +259,28 @@ def _print_pairs(a: np.ndarray, ends=()) -> str:
 
 
 def _print_run(arrays: list) -> list:
-    """The texts "[[re, im], ...]" of the finite (n, 2) float ``arrays``, each of fewer
-    than ``_GROUP_PAIRS`` rows: with one kernel call from ``_KERNEL_PAIRS`` rows in all
-    on, else each with one format, every value through "%.17g"."""
+    """The texts "[re, im], ..." of the finite (n, 2) float ``arrays``, a run: with one
+    kernel call from ``_KERNEL_PAIRS`` rows in all on, a lone array from its own memory;
+    else each with one format, every value through "%.17g"."""
     *ends, rows = accumulate(map(len, arrays))
     if rows < _KERNEL_PAIRS:
-        return ["[" + ", ".join(["[%.17g, %.17g]"] * len(a)) % tuple(a.reshape(-1).tolist()) + "]"
-                for a in arrays]
-    return ["[" + text + "]" for text in _print_pairs(np.concatenate(arrays), ends).split("\n, ")]
+        return [", ".join(["[%.17g, %.17g]"] * len(a)) % tuple(a.reshape(-1).tolist()) for a in arrays]
+    if not ends:
+        return [_print_pairs(arrays[0])]
+    return _print_pairs(np.concatenate(arrays), ends).split("\n, ")
 
 
 def _runs(items: list, pairs):
-    """``items`` in order, in runs that each end once they hold ``_GROUP_PAIRS`` pairs
-    (``pairs(item)`` each), and at the last item."""
+    """``items`` in order, in runs of at most ``_GROUP_PAIRS`` pairs (``pairs(item)``
+    each): a run ends before the item that would take it past them, so an item of
+    ``_GROUP_PAIRS`` pairs or more is a run of its own."""
     run, held = [], 0
     for item in items:
-        run.append(item)
-        if (held := held + pairs(item)) >= _GROUP_PAIRS:
+        held += (n := pairs(item))
+        if held > _GROUP_PAIRS and run:
             yield run
-            run, held = [], 0
+            run, held = [], n
+        run.append(item)
     if run:
         yield run
 
@@ -435,9 +439,11 @@ def _spans(text: str, raw: np.ndarray) -> list:
 
 
 def _read_run(raw: np.ndarray, run: list) -> list:
-    """The arrays of the spans ``run``, of fewer than ``_GROUP_PAIRS`` pairs each, read
-    with one ``_read_pairs`` call as one "[[re, im], ...]" array; Nones if it does not
-    read.  Where it reads, every "[" is a pair's, so each span holds the pairs it counts."""
+    """The arrays of the spans ``run`` of ``raw``, read with one ``_read_pairs`` call: a
+    lone span as its view, a longer run as one "[[re, im], ...]" array; Nones if it does
+    not read.  Where it reads, every "[" is a pair's, so each span holds the pairs it counts."""
+    if len(run) == 1:
+        return [_read_pairs(raw[run[0][0]:run[0][1]])]
     pieces = [_OPEN]
     for start, stop, _ in run:
         pieces += [raw[start + 1:stop - 1], _COMMA]  # its pairs, "[re, im], ..., [re, im]"
@@ -449,9 +455,9 @@ def _read_run(raw: np.ndarray, run: list) -> list:
 
 def _read_tree(text: str):
     """(tree, holders): ``tree`` is ``json.loads(text)`` with each "entries" that
-    ``_read_pairs`` reads as a ``_Pairs``, ``holders`` those in text order.  An
-    "entries" of ``_GROUP_PAIRS`` pairs or more is read alone, and the others in runs
-    (``_runs``), each read where it holds ``_READ_PAIRS`` pairs.  None if it reads none.
+    ``_read_pairs`` reads as a ``_Pairs``, ``holders`` those in text order.  The
+    "entries" go in runs (``_runs``), each read where it holds ``_READ_PAIRS`` pairs.
+    None if it reads none.
     Each read array stands in the text as "NaN", which json hands to ``parse_constant``;
     a constant the text already holds takes an array out of turn, so the last "NaN"
     finds none and the read fails."""
@@ -464,10 +470,7 @@ def _read_tree(text: str):
         return None
     spans = _spans(text, raw)
     read = dict.fromkeys(spans)
-    for span in spans:
-        if span[2] >= _GROUP_PAIRS:
-            read[span] = _read_pairs(raw[span[0]:span[1]])
-    for run in _runs([span for span in spans if span[2] < _GROUP_PAIRS], lambda span: span[2]):
+    for run in _runs(spans, lambda span: span[2]):
         if sum(pairs for _, _, pairs in run) >= _READ_PAIRS:
             read.update(zip(run, _read_run(raw, run)))
     pieces, held, at = [], [], 0  # the text up to ``at`` is in ``pieces``
@@ -510,11 +513,10 @@ def _float_pairs(obj):
     return None
 
 
-def _encode(obj, parts: list, small: list) -> None:
+def _encode(obj, parts: list, slots: list) -> None:
     """Append the JSON text of ``obj`` to ``parts``, floats with 17 significant digits.
-    A matrix is checked for finiteness where it stands; one of ``_GROUP_PAIRS`` pairs or
-    more is printed there, and a smaller one left as a None slot, with (slot, array)
-    appended to ``small``."""
+    A matrix is checked for finiteness where it stands and left as a None slot between
+    "[" and "]", with (slot, array) appended to ``slots``."""
     if obj is None or isinstance(obj, (bool, str)):
         parts.append(json.dumps(obj))
     elif isinstance(obj, (int, np.integer)):
@@ -525,24 +527,21 @@ def _encode(obj, parts: list, small: list) -> None:
         parts.append("{")
         for i, (k, v) in enumerate(obj.items()):
             parts.append(f"{', ' if i else ''}{json.dumps(str(k))}: ")
-            _encode(v, parts, small)
+            _encode(v, parts, slots)
         parts.append("}")
     elif isinstance(obj, _Pairs) or (isinstance(obj, (list, tuple))
                                      and (pairs := _float_pairs(obj)) is not None):
         a = obj.a if isinstance(obj, _Pairs) else pairs
         if not (finite := np.isfinite(a)).all():
             _fmt_float(a.item(int(np.argmin(finite))))  # raises, naming the first one
-        if len(a) >= _GROUP_PAIRS:
-            parts += ["[", _print_pairs(a), "]"]
-        else:
-            small.append((len(parts), a))
-            parts.append(None)
+        slots.append((len(parts) + 1, a))
+        parts += ["[", None, "]"]
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for i, v in enumerate(obj):
             if i:
                 parts.append(", ")
-            _encode(v, parts, small)
+            _encode(v, parts, slots)
         parts.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj)}")
@@ -550,12 +549,12 @@ def _encode(obj, parts: list, small: list) -> None:
 
 def dumps(obj) -> str:
     """Deterministic JSON text of ``obj``: one walk into a list of parts, each run of
-    small matrices printed with one call (``_print_run``), and one join."""
-    parts, small = [], []
-    _encode(obj, parts, small)
-    for run in _runs(small, lambda item: len(item[1])):
-        for (slot, _), text in zip(run, _print_run([a for _, a in run])):
-            parts[slot] = text
+    matrices printed with one call (``_print_run``), and one join."""
+    parts, slots = [], []
+    _encode(obj, parts, slots)
+    for run in _runs(slots, lambda slot: len(slot[1])):
+        for (at, _), text in zip(run, _print_run([a for _, a in run])):
+            parts[at] = text
     parts.append("\n")
     return "".join(parts)
 

@@ -15,7 +15,7 @@ from scipy.optimize import linprog
 
 from statepool.compatibility import _support_verdict
 from statepool.errors import IncompatibleAssignmentsError, PriorSupportError
-from statepool.linalg import Spectrum, Tolerances
+from statepool.linalg import EXACT_TOL, Spectrum, Tolerances
 from statepool.pooling import PoolingReport, _pool
 from statepool.scenario import (
     AgentPipeline, DephasingChannel, DepolarizingChannel, KrausChannel, ReplacementChannel,
@@ -295,6 +295,47 @@ def closed_form_pool(prior, q1, q2):
         raise IncompatibleAssignmentsError("disjoint supports")
     unnorm = np.where(on, q1 * q2 / np.where(on, prior, 1.0), 0.0)
     return unnorm / unnorm.sum(), 1.0 / unnorm.sum()
+
+
+# --- classical witnesses from their definitions -------------------------------
+# Each returns (verdict, margin): margin is the least distance from EXACT_TOL of
+# the quantities the verdict compared with it, so a caller can set aside draws
+# that rounding in the last bits could decide either way.
+
+
+class _Compared:
+    """``above(v)``: whether v > EXACT_TOL, with v kept for ``margin``."""
+
+    def __init__(self):
+        self.values = []
+
+    def above(self, v):
+        self.values.append(float(v))
+        return self.values[-1] > EXACT_TOL
+
+    def margin(self):
+        return min(abs(v - EXACT_TOL) for v in self.values)
+
+
+def objective_classical_witness(q1, q2, joint, x1, x2):
+    """Whether P(Y, X1, X2) = ``joint`` weighs (x1, x2) above EXACT_TOL and its
+    conditionals P(Y | X1 = x1), P(Y | X2 = x2) are ``q1``, ``q2`` within EXACT_TOL."""
+    p, c = np.asarray(joint, dtype=float), _Compared()
+    ok = c.above(p[:, x1, x2].sum()) and all(
+        c.above(w := slice_.sum()) and not c.above(np.max(np.abs(slice_ / w - q.probs)))
+        for q, slice_ in ((q1, p[:, x1, :].sum(axis=1)), (q2, p[:, :, x2].sum(axis=1))))
+    return ok, c.margin()
+
+
+def subjective_classical_witness(q1, q2, cond, x_tilde):
+    """Whether every predictive probability sum_y P(x | y) q(y) exceeds EXACT_TOL for
+    both agents and their Bayes posteriors at ``x_tilde`` agree within EXACT_TOL."""
+    c = _Compared()
+    ok = all(c.above((row * q.probs).sum()) for q in (q1, q2) for row in cond.table)
+    if ok:
+        post1, post2 = (cond.table[x_tilde] * q.probs for q in (q1, q2))
+        ok = not c.above(np.max(np.abs(post1 / post1.sum() - post2 / post2.sum())))
+    return ok, c.margin()
 
 
 # Diagonal instances over outcomes (a, b, c) on which classical pooling once

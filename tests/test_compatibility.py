@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from statepool import compatibility, io
@@ -31,6 +31,7 @@ from statepool.scenario import KrausChannel
 from oracles import (
     exact_pool,
     grid_distributions,
+    objective_classical_witness,
     objective_witness_exists,
     rand_density,
     rand_povm,
@@ -39,6 +40,7 @@ from oracles import (
     rand_unitary,
     spectral_pool,
     spectral_verdict,
+    subjective_classical_witness,
 )
 
 
@@ -200,6 +202,70 @@ class TestVerifySubjectiveClassical:
                 verify_subjective_classical(q1, q2, cond, x)
             with pytest.raises(InvalidParameterError, match="absent"):
                 classical_bayes_posterior(q1, cond, x)
+
+
+KINDS = ("full rank", "rank-deficient", "zero weight")
+
+
+def drawn_distribution(rng, kind, p=None):
+    """A distribution over len(p) outcomes: when given, ``p`` itself a third of the time
+    and ``p`` with 1e-12 to 1e-8 of its mass moved, around the EXACT_TOL cut, another
+    third; else random, with zeros where ``kind`` is rank-deficient."""
+    if p is not None and p.sum() > 0 and (pick := rng.integers(3)) < 2:
+        q = p / p.sum()
+        moved = pick * min(10.0 ** rng.uniform(-12, -8), q.max())
+        q[np.argmax(q)] -= moved
+        q[rng.integers(q.size)] += moved
+        return ProbabilityDistribution(tuple(range(p.size)), q)
+    n = rng.integers(2, 5) if p is None else p.size
+    q = rng.random(n) * (rng.random(n) < 0.6 if kind == "rank-deficient" else 1)
+    q[rng.integers(n)] += q.sum() == 0
+    return ProbabilityDistribution(tuple(range(n)), q / q.sum())
+
+
+class TestClassicalVerifiersAnswerAsTheirDefinitions:
+    """The classical verifiers, which check the quantum witness on diagonal states,
+    answer as the definitional formulas in ``oracles``, on full-rank, rank-deficient
+    and zero-weight draws; a draw that rounding could decide either way (a compared
+    quantity within 1e-12 of EXACT_TOL) is set aside."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(KINDS))
+    def test_objective(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        shape = (rng.integers(1, 5), rng.integers(1, 4), rng.integers(1, 4))
+        x1, x2 = rng.integers(shape[1]), rng.integers(shape[2])
+        joint = rng.random(shape)
+        if kind == "rank-deficient":
+            joint *= rng.random(shape) < 0.5
+        elif kind == "zero weight":
+            joint[:, x1, x2 if rng.random() < 0.5 else slice(None)] = 0.0
+        joint.reshape(-1)[rng.integers(joint.size)] += joint.sum() == 0
+        joint /= joint.sum()
+        q1 = drawn_distribution(rng, kind, joint[:, x1, :].sum(axis=1))
+        q2 = drawn_distribution(rng, kind, joint[:, :, x2].sum(axis=1))
+        want, margin = objective_classical_witness(q1, q2, joint, x1, x2)
+        assume(margin > 1e-12)
+        assert verify_objective_classical(q1, q2, joint, x1, x2) is want
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(KINDS))
+    def test_subjective(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        q1 = drawn_distribution(rng, kind)
+        q2 = drawn_distribution(rng, kind, q1.probs)
+        n_x = rng.integers(1, 4)
+        table = rng.random((n_x, q1.probs.size))
+        if kind == "rank-deficient":
+            table *= rng.random(table.shape) < 0.5
+        elif kind == "zero weight":  # an outcome that q1's support never shows
+            table[rng.integers(n_x), q1.probs > 0] = 0.0
+        table[rng.integers(n_x), table.sum(axis=0) == 0] = 1.0
+        cond = ConditionalDistribution(q1.outcomes, tuple(range(n_x)), table / table.sum(axis=0))
+        x_tilde = rng.integers(n_x)
+        want, margin = subjective_classical_witness(q1, q2, cond, x_tilde)
+        assume(margin > 1e-12)
+        assert verify_subjective_classical(q1, q2, cond, x_tilde) is want
 
 
 class TestVerifyObjectiveQuantum:

@@ -308,6 +308,47 @@ class TestCli:
         assert json.loads(out_path.read_text())["compatible"] is True
 
 
+def _first_steps(cfg, *steps):
+    cfg["pipelines"][0]["steps"] = list(steps)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda cfg: cfg["pipelines"][0]["steps"][0].pop("type"),
+     'pipeline step needs a "type" field'),
+    (lambda cfg: _first_steps(cfg, {"type": "channel", "kraus": []}),
+     "bad scenario config: a channel needs at least one Kraus operator"),
+    (lambda cfg: _first_steps(cfg, {"type": "channel", "kraus": [
+        io.matrix_to_json(np.eye(2)), io.matrix_to_json(np.eye(1))]}),
+     "bad scenario config: Kraus operators have inconsistent shapes"),
+    (lambda cfg: cfg["pipelines"].append(cfg["pipelines"][0]),
+     "bad scenario config: exactly two agent pipelines required, got 3"),
+], ids=["step without type", "no Kraus operator", "Kraus operators of two shapes",
+        "three pipelines"])
+def test_config_rejections_exit_2(tmp_path, capsys, edit, message):
+    code, config = run_cli(capsys, "randgen", "--dim", "2", "--seed", "0")
+    assert code == 0
+    cfg = json.loads(config)
+    edit(cfg)
+    code, out = run_cli(capsys, "scenario-run", write_json(tmp_path / "cfg.json", cfg))
+    assert (code, json.loads(out)) == (2, {"error": "malformed_input", "message": message})
+
+
+def test_config_cut_inside_its_first_matrix_exit_2(tmp_path, capsys):
+    # a d = 32 prior holds enough pairs for the reader to look for "entries", and its
+    # span has no "]]": the reader reads nothing, and json.loads' message is reported
+    code, config = run_cli(capsys, "randgen", "--dim", "32", "--seed", "0")
+    assert code == 0
+    cut = config[:config.index("]]")]
+    assert io._spans(cut, np.frombuffer(cut.encode("ascii"), np.uint8)) == []
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(cut)
+    path = tmp_path / "cfg.json"
+    path.write_text(cut)
+    code, out = run_cli(capsys, "scenario-run", str(path))
+    assert (code, json.loads(out)) == (2, {"error": "malformed_input",
+                                           "message": f"{path}: {exc.value}"})
+
+
 def test_shared_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
     """One parser serves every ``main`` call: valid runs, usage errors and
     --help give the same bytes in any order, and it is built only once."""

@@ -398,6 +398,25 @@ def test_randgen_and_scenario_run_d64_golden_bytes(tmp_path, capsys, noise):
     assert hashlib.sha256(result.encode()).hexdigest() == GOLDEN_D64[noise][1]
 
 
+# SHA-256 of `randgen --dim 32 --noise 0 --seed 101` and of `scenario-run` on it,
+# taken when a matrix of 1024 pairs or more was printed and read on a path of its
+# own.  A d = 32 matrix holds exactly the 1024 pairs of a full run, so each is a run
+# of one.
+GOLDEN_D32 = ("7a57cad7840be45c1e9131f7703a1aa985cb8c17d362936a14402d74b106260a",
+              "e2ee6de9dd7b44583886c6f3c9d42a8766bae77f4448ad3304878311b315b496")
+
+
+def test_randgen_and_scenario_run_d32_golden_bytes(tmp_path, capsys, monkeypatch):
+    code, config = run_cli(capsys, "randgen", "--dim", "32", "--noise", "0", "--seed", "101")
+    assert code == 0
+    assert hashlib.sha256(config.encode()).hexdigest() == GOLDEN_D32[0]
+    code, result = run_cli(capsys, "scenario-run", write_json(tmp_path / "cfg.json", config))
+    assert code == 0
+    assert hashlib.sha256(result.encode()).hexdigest() == GOLDEN_D32[1]
+    monkeypatch.setattr("sys.stdin", StringIO(config))
+    assert run_cli(capsys, "scenario-run", "-") == (0, result)
+
+
 class TestCliWritesFromArrays:
     """The CLI hands each matrix to the printer as its own float view, and every
     public writer returns plain JSON whose ``io.dumps`` is the CLI's bytes."""
@@ -826,6 +845,46 @@ class TestKernelCallsPerDocument:
             assert len(calls["read"]) == n_in and len(calls["spans"]) == 1
 
 
+class TestRunsOfOne:
+    """A matrix of ``io._GROUP_PAIRS`` pairs or more is a run of its own: the kernel
+    prints it from the matrix's own array and reads it from its view of the text."""
+
+    @staticmethod
+    def watch(monkeypatch):
+        """Each writer's ``_Pairs``, the arrays the kernel prints and the bytes it reads."""
+        made, printed, read = [], [], []
+        printer, reader = io._print_pairs, io._read_pairs
+
+        class Recorded(io._Pairs):
+            __slots__ = ()
+
+            def __init__(self, a):
+                super().__init__(a)
+                made.append(self)
+
+        monkeypatch.setattr(io, "_Pairs", Recorded)
+        monkeypatch.setattr(io, "_print_pairs",
+                            lambda a, *ends: printed.append(a) or printer(a, *ends))
+        monkeypatch.setattr(io, "_read_pairs", lambda b: read.append(b) or reader(b))
+        return made, printed, read
+
+    @pytest.mark.parametrize("d", [32, 64])
+    def test_printed_from_its_array_and_read_from_its_view(self, tmp_path, capsys,
+                                                           monkeypatch, d):
+        cfg = str(tmp_path / "cfg.json")
+        made, printed, read = self.watch(monkeypatch)
+        for argv in (["randgen", "--dim", str(d), "--noise", "0.5", "--seed", "101",
+                      "--output", cfg], ["scenario-run", cfg]):
+            for seen in (made, printed, read):
+                seen.clear()
+            assert run_cli(capsys, *argv)[0] == 0
+            # the reader's arrays were taken by matrix_from_json; the writer's remain
+            written = [p.a for p in made if p.a is not None]
+            assert len(printed) == len(written) >= 2
+            assert all(np.shares_memory(a, w) for a, w in zip(printed, written))
+        assert len(read) == 3 and not any(b.flags.owndata for b in read)
+
+
 # Writer trees of 1-6 matrices of dims that straddle the gates: 2 and 8 below
 # _KERNEL_PAIRS, 15 just below it and 16 at it, 17 above it, 23 above _READ_PAIRS, and
 # 32 at _GROUP_PAIRS, a run of its own.  Values: kernel edges, both zeros and the
@@ -892,6 +951,26 @@ class TestDocumentRuns:
             got = matrices_in(read[0])
             assert all(held.a is None for held in read[1])
             assert [bits(m).tolist() for m in got] == [bits(m).tolist() for m in old]
+
+    # a d = 64 matrix before and after a run of d = 16 ones: (print rows, read pairs)
+    # of each kernel call; the lone d = 16 matrix of [16, 64] is below the reader's gate
+    @pytest.mark.parametrize("dims, prints, reads", [
+        ([64, 16, 16], [4096, 512], [4096, 512]), ([16, 64], [256, 4096], [4096]),
+    ], ids=["64,16,16", "16,64"])
+    def test_a_large_matrix_is_a_kernel_call_of_its_own(self, monkeypatch, dims, prints, reads):
+        rng = np.random.default_rng(len(dims))
+        matrices = [(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+                    * 10.0 ** rng.integers(-7, 1, (d, d)) for d in dims]
+        tree = {"seed": 0, **{f"m{i}": io.matrix_to_json.tree(m) for i, m in enumerate(matrices)}}
+        printed, read, printer, reader = [], [], io._print_pairs, io._read_pairs
+        monkeypatch.setattr(io, "_print_pairs",
+                            lambda a, *ends: printed.append(len(a)) or printer(a, *ends))
+        monkeypatch.setattr(io, "_read_pairs", lambda b: read.append(a := reader(b)) or a)
+        text = io.dumps(tree)
+        assert text == per_float_dumps(io._plain(tree))
+        new, old = io._read(text, matrices_in, json.loads), matrices_in(json.loads(text))
+        assert [bits(m).tolist() for m in new] == [bits(m).tolist() for m in old]
+        assert printed == prints and [len(a) for a in read] == reads
 
     @settings(max_examples=60, deadline=None)
     @given(writer_trees(), st.data())
