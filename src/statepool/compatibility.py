@@ -23,7 +23,7 @@ from .linalg import (
 from .regions import HybridState, _possible, quantum_bayes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityDistribution:
     """Distribution over a finite ordered outcome set."""
 
@@ -55,7 +55,7 @@ class ProbabilityDistribution:
         return cls(outcomes, np.full(len(outcomes), 1.0 / len(outcomes)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalDistribution:
     """Table P(X=x | Y=y), column-stochastic in y.
 
@@ -157,6 +157,8 @@ def verify_objective_classical(
     reproduce the respective assignment within EXACT_TOL: the answer of
     ``verify_objective_quantum`` on the diagonal states, with blocks diag P(Y, a, b).
     """
+    if q1.outcomes != q2.outcomes:
+        raise InvalidParameterError("distributions are over different outcome sets")
     p = np.asarray(joint, dtype=float)
     if p.ndim != 3 or p.shape[0] != len(q1.outcomes):
         raise ValueError(f"joint must have shape (|Y|, |X1|, |X2|), got {p.shape}")
@@ -215,7 +217,8 @@ def verify_objective_quantum(s1, s2, hybrid: HybridState, x1: int, x2: int) -> b
     the quantum region.  True iff the classical weight at (x1, x2) exceeds
     EXACT_TOL and each conditional state rho_{B | Xi = xi} (marginalizing
     the other register, then normalizing) equals the corresponding
-    assignment within EXACT_TOL in max-norm.
+    assignment within EXACT_TOL in max-norm.  A state whose dim is not the
+    hybrid's quantum dim is DimensionMismatchError.
     """
     if len(hybrid.classical_dims) != 2:
         raise ValueError("witness hybrid must carry exactly two classical registers")
@@ -223,13 +226,16 @@ def verify_objective_quantum(s1, s2, hybrid: HybridState, x1: int, x2: int) -> b
     if not (0 <= _integer(x1, "x1") < d1 and 0 <= _integer(x2, "x2") < d2):
         raise InvalidParameterError(f"outcome ({x1}, {x2}) absent from registers "
                                     f"{hybrid.classical_dims}")
+    s1, s2 = as_matrix(s1), as_matrix(s2)
+    if {s1.shape, s2.shape} != {(hybrid.quantum_dim,) * 2}:
+        raise DimensionMismatchError("states and witness act on different dims")
     if hybrid.classical_weight((x1, x2)) <= EXACT_TOL:  # condition 1
         return False
     cond1 = sum(hybrid.block((x1, b)) for b in range(d2))
     cond2 = sum(hybrid.block((a, x2)) for a in range(d1))
     for sigma, block in ((s1, cond1), (s2, cond2)):
         w = float(np.real(np.trace(block)))
-        if w <= EXACT_TOL or max_norm(block / w - as_matrix(sigma)) > EXACT_TOL:
+        if w <= EXACT_TOL or max_norm(block / w - sigma) > EXACT_TOL:
             return False
     return True
 

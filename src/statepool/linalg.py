@@ -17,8 +17,8 @@ Conventions
   state ``|i>|j>``.
 * At most one ``eigh`` per operand value: support, pseudo-inverse, PSD test
   and PSD square root all derive from one ``Spectrum``.  Across calls,
-  ``_memoized`` keeps the last ``_MEMO_KEPT`` values the Bayes chain hands to
-  several calls, each keyed by its operand's dtype, shape and bytes: a checked
+  ``_memoized`` keeps the last ``_MEMO_KEPT`` values it computed of those the
+  Bayes chain hands to several calls, keyed by dtype, shape and bytes: a checked
   state with its ``Tolerances`` (``_checked_states``), a prior's PSD root
   (``_root``, for ``quantum_bayes``) and the verdict on an ordered pair of
   checked states.  A hit is the read-only value the miss made, so no result
@@ -322,7 +322,7 @@ def pseudo_inverse(h) -> np.ndarray:
     return Spectrum.of(_hermitian(h, "h")).pinv()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of C^ambient_dim given by an orthonormal basis (columns)."""
 
@@ -365,12 +365,12 @@ class Subspace:
         return sub
 
 
-# The operands the Bayes chain hands to several calls, most recently used first: checked
-# states, a prior's PSD root, the verdict on a pair of states.  A prior's checked state
-# comes back 7 distinct values later (the last instance's two posteriors and their
-# verdict, the root, then this instance's two posteriors and verdict), so 8 entries make
-# every repeat among one prior's instances a hit.  A longer memo would only hold values
-# the chain does not revisit.
+# The operands the Bayes chain hands to several calls, newest insertion first: checked
+# states, a prior's PSD root, the verdict on a pair of states.  On one prior's three
+# instances the root is the 8th-newest entry when the third asks for it (behind the
+# prior's checked state and two instances' posteriors and verdict), and the prior's
+# checked state the 7th-newest when the third pools, so 8 entries make every repeat a
+# hit.  A longer memo would only hold values the chain does not revisit.
 _MEMO_KEPT = 8
 _memo: tuple = ()  # (key, value) entries; replaced whole, never mutated
 
@@ -380,26 +380,17 @@ def _key(kind: str, m: np.ndarray, *rest) -> tuple:
 
 
 def _recall(key):
-    """The value the memo holds under ``key``, now its newest entry, or None.  A reader
-    sees one whole memo tuple, so threads can at worst lose an entry to a concurrent
-    update, which costs a later miss, never a wrong result."""
-    global _memo
-    memo = _memo
-    for i, entry in enumerate(memo):
-        if entry[0] == key:
-            if i:
-                _memo = (entry,) + memo[:i] + memo[i + 1:]
-            return entry[1]
-    return None
+    """The value the memo holds under ``key``, or None."""
+    return next((value for k, value in _memo if k == key), None)
 
 
 def _memoized(key, compute, arrays):
     """The memo's value under ``key``; else ``compute()``, kept as the newest entry with
-    every array ``arrays(value)`` names read-only, the oldest evicted.  What ``compute``
-    raises is not kept."""
+    every array ``arrays(value)`` names read-only, the oldest insertion evicted.  What
+    ``compute`` raises is not kept.  Only a miss writes; a concurrent miss can at worst
+    lose an entry, which costs a later miss, never a wrong result."""
     global _memo
-    value = _recall(key)
-    if value is None:
+    if (value := _recall(key)) is None:
         value = compute()
         for a in arrays(value):
             a.setflags(write=False)
@@ -407,7 +398,7 @@ def _memoized(key, compute, arrays):
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """One eigendecomposition of a symmetrized operator: eigenvalues ``w``
     (ascending), eigenvector columns ``v``, and the rank cut: |w| > ``cut``
@@ -459,7 +450,7 @@ class Spectrum:
         return x @ self.pinv() @ y  # x a⁺ y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _FullRank:
     """A Hermitian ``a`` that ``_certified_full_rank`` proves positive definite with
     every eigenvalue kept: PSD, its own clamp, full support, a⁻¹ by one LU solve."""

@@ -26,7 +26,7 @@ from .linalg import (
 _OVERFLOW = "pooling product overflows: inputs beyond float range"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoolingReport:
     """Pooled assignment plus every residual a caller might want to audit."""
 

@@ -43,7 +43,7 @@ class RegionLabel:
             raise ValueError(f"unknown region kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointState:
     """Hermitian operator over an ordered list of regions.
 
@@ -77,7 +77,7 @@ class JointState:
         return [r.dim for r in self.regions]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalState:
     """Operator representing (target | given) on the full composite space."""
 
@@ -181,7 +181,7 @@ def _outcome(key) -> tuple:
     return (key,) if isinstance(key, (int, np.integer)) else tuple(key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HybridState:
     """Joint state of classical registers with one quantum region.
 

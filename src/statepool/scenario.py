@@ -48,7 +48,7 @@ class Channel:
         return (out + out.conj().T) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel(Channel):
     """CPTP map as a finite Kraus decomposition: rho -> sum K rho K†."""
 
@@ -73,7 +73,7 @@ class KrausChannel(Channel):
         return sum(k @ r @ k.conj().T for k in self.kraus_ops)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryDynamics(Channel):
     """Closed evolution rho -> U rho U†, exact: the output is not symmetrized."""
 
@@ -203,7 +203,7 @@ class AgentPipeline:
         object.__setattr__(self, "steps", steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Prior, the two agents' pipelines, tolerances, the generation seed and
     the unitary ``evolved_by``, if any: the posteriors are pooled against
@@ -258,7 +258,7 @@ class ScenarioConfig:
         object.__setattr__(self, "pipelines", pipelines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioResult:
     sigma1: np.ndarray = field(repr=False)
     sigma2: np.ndarray = field(repr=False)
@@ -391,8 +391,8 @@ def batch_report(dims, count: int, noise_grid, seed: int, generator: str = "rand
             raise InvalidParameterError(f"{what} grid {values} repeats a value")
     build = GENERATORS[generator]
     rows = []
-    for dim in dims:
-        for gi, noise in enumerate(noise_grid):
+    for dim in grids["dim"]:
+        for gi, noise in enumerate(grids["noise"]):
             n_compat = n_herm = 0
             residuals = []
             for i in range(count):

@@ -411,6 +411,25 @@ def test_objective_verifiers_absent_outcome_is_invalid(verify, witness, x1, x2):
         verify(*states, witness, x1, x2)
 
 
+def test_objective_quantum_states_of_another_dim_are_a_mismatch():
+    hybrid = make_hybrid({(0, 0): np.eye(3) / 3})
+    for s1, s2 in ((np.eye(2) / 2, np.eye(2) / 2), (np.eye(3) / 3, np.eye(2) / 2)):
+        with pytest.raises(DimensionMismatchError):
+            verify_objective_quantum(s1, s2, hybrid, 0, 0)
+        with pytest.raises(DimensionMismatchError):  # as the subjective verifier says
+            verify_subjective_quantum(s1, s2, {0: np.eye(3)}, 0)
+
+
+@pytest.mark.parametrize("outcomes", [("x", "y"), ("b", "a"), ("a", "b", "c")])
+def test_objective_classical_distributions_over_other_outcomes_are_invalid(outcomes):
+    q1 = ProbabilityDistribution(("a", "b"), [0.5, 0.5])
+    q2 = ProbabilityDistribution.uniform(outcomes)
+    with pytest.raises(InvalidParameterError, match="different outcome sets"):
+        verify_objective_classical(q1, q2, np.full((2, 1, 1), 0.5), 0, 0)
+    with pytest.raises(InvalidParameterError, match="different outcome sets"):
+        classical_compatible(q1, q2)
+
+
 @pytest.mark.slow
 def test_decision_procedure_matches_witness_search_on_grid():
     # exhaustive check of the support-overlap criterion against an

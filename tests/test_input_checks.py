@@ -175,6 +175,15 @@ class TestSeeds:
         ints = batch_report([2, 3], 2, [0.5], 4)
         assert batch_report([np.int64(2), np.uint8(3)], np.int32(2), [0.5], np.uint16(4)) == ints
 
+    @pytest.mark.parametrize("one_shot", ["dims", "noise"])
+    def test_a_generator_grid_gives_the_rows_of_a_list(self, one_shot):
+        # the grids are validated before the first cell runs, so each is iterated once
+        dims, noise = [2, 3], [0.0, 0.5]
+        rows = batch_report(dims, 2, noise, 4)
+        grids = {"dims": dims, "noise": noise}
+        grids[one_shot] = (v for v in grids[one_shot])
+        assert len(rows) == 4 and batch_report(grids["dims"], 2, grids["noise"], 4) == rows
+
     @pytest.mark.parametrize("seed", [0, 7, np.int64(7), np.uint8(7)])
     def test_config_seed_written_as_given(self, seed):
         cfg = dataclasses.replace(random_instance(2, 7, 0.5), seed=seed)

@@ -141,7 +141,7 @@ class TestEncoder:
         calls, kernel = [], io._print_pairs
         monkeypatch.setattr(io, "_print_pairs", lambda a, *ends: calls.append(a) or kernel(a, *ends))
         ms = [np.random.default_rng(d).standard_normal((d, d)) * (1 + 1j) / d for d in dims]
-        assert (io.dumps([io.matrix_to_json(m) for m in ms])
+        assert (io.dumps([io.matrix_to_json.tree(m) for m in ms])
                 == per_float_dumps([per_float_matrix_json(m) for m in ms]))
         assert len(calls) == kernel_calls
 
@@ -423,19 +423,13 @@ class TestCliWritesFromArrays:
 
     @staticmethod
     def watch(monkeypatch):
-        """Pair lists ``_encode`` turns back into arrays, and the arrays the kernel prints."""
-        rebuilt, printed = [], []
-        float_pairs, kernel = io._float_pairs, io._print_pairs
-
-        def counted(obj):
-            if (pairs := float_pairs(obj)) is not None:
-                rebuilt.append(pairs)
-            return pairs
-
-        monkeypatch.setattr(io, "_float_pairs", counted)
+        """What ``_plain`` turns into lists, and the arrays the kernel prints."""
+        listed, printed = [], []
+        plain, kernel = io._plain, io._print_pairs
+        monkeypatch.setattr(io, "_plain", lambda obj: listed.append(obj) or plain(obj))
         monkeypatch.setattr(io, "_print_pairs",
                             lambda a, *ends: printed.append(a.copy()) or kernel(a, *ends))
-        return rebuilt, printed
+        return listed, printed
 
     @staticmethod
     def inputs(tmp_path, command):
@@ -457,9 +451,9 @@ class TestCliWritesFromArrays:
     @pytest.mark.parametrize("command", ["randgen", "scenario-run", "pool-quantum"])
     def test_no_pair_list_is_built(self, tmp_path, capsys, monkeypatch, command):
         argv, matrices = self.inputs(tmp_path, command)
-        rebuilt, printed = self.watch(monkeypatch)
+        listed, printed = self.watch(monkeypatch)
         assert run_cli(capsys, *argv)[0] == 0
-        assert rebuilt == []
+        assert listed == []
         assert len(printed) == len(matrices) > 0
         for a, m in zip(printed, matrices):
             assert np.array_equal(a.view(np.uint64).reshape(-1), bits(m).reshape(-1))
@@ -493,6 +487,13 @@ class TestCliWritesFromArrays:
              for p in ([0.5, 0.25, 0.25], [0.25, 0.75, 0.0], [0.0, 0.5, 0.5])]
         if case == "config":
             return io.scenario_config_to_json(cfg), command("randgen", "--dim", "16", "--seed", "101")
+        if case == "config, d = 64":
+            return (io.scenario_config_to_json(random_instance(64, 101, 0.5)),
+                    command("randgen", "--dim", "64", "--noise", "0.5", "--seed", "101"))
+        if case == "result, d = 64":
+            big = random_instance(64, 101, 0.5)
+            out = command("scenario-run", *files(io.scenario_config_to_json(big)))
+            return io.scenario_result_to_json(run_scenario(big)), out
         if case == "config, evolved_by":
             return written(io.scenario_config_to_json, evolved)
         if case == "config, Kraus lists":
@@ -517,15 +518,29 @@ class TestCliWritesFromArrays:
         out = command("compat-classical", *files(*map(io.distribution_to_json, q[1:])))
         return io.verdict_to_json(classical_compatible(*q[1:])), out
 
+    # at d = 64 the CLI's tree prints each matrix as a run of one and the plain writer's
+    # lists print value by value, both with the kernel's and the float printer's forms
     @pytest.mark.parametrize("case", [
-        "config", "config, evolved_by", "config, Kraus lists", "result, pooled",
-        "result, pooling_error", "report, quantum", "report, classical", "hybrid",
-        "verdict, quantum", "verdict, classical",
+        "config", "config, d = 64", "config, evolved_by", "config, Kraus lists",
+        "result, pooled", "result, pooling_error", "result, d = 64", "report, quantum",
+        "report, classical", "hybrid", "verdict, quantum", "verdict, classical",
     ])
     def test_the_two_views_of_every_writer_agree(self, tmp_path, capsys, case):
         obj, written = self.cases(tmp_path, capsys, case)
         assert json.loads(json.dumps(obj)) == obj
         assert io.dumps(obj) == written
+        if case.endswith("d = 64"):
+            assert "e-05" in written and "e-07" in written
+
+    @pytest.mark.parametrize("d, runs", [(16, 1), (64, 3)])
+    def test_a_plain_document_never_reaches_the_kernel(self, monkeypatch, d, runs):
+        cfg = random_instance(d, 101, 0.5)
+        _, printed = self.watch(monkeypatch)
+        text = io.dumps(io.scenario_config_to_json.tree(cfg))
+        assert len(printed) == runs
+        printed.clear()
+        assert io.dumps(io.scenario_config_to_json(cfg)) == text
+        assert printed == []
 
 
 # SHA-256 of `pool-quantum` on commuting_bayes_draw(d, 10.0, 0): a prior of

@@ -497,17 +497,31 @@ class TestMemoIsInvisible:
 
     @settings(max_examples=60, deadline=None)
     @given(*OPERANDS)
-    def test_the_least_recently_used_entry_is_evicted(self, kind, d, seed):
+    def test_the_oldest_insertion_is_evicted(self, kind, d, seed):
         ops = [memo_state(kind, d, seed + k) for k in range(linalg._MEMO_KEPT + 1)]
         assume(len({a.tobytes() for a in ops}) == len(ops))
         linalg._memo = ()
         first = [checked(a) for a in ops[:-1]]  # fills the memo
-        assert checked(ops[0]) is first[0]  # a hit, now the newest entry
-        checked(ops[-1])  # evicts ops[1], the least recently used
+        assert checked(ops[0]) is first[0]  # a hit, still the oldest insertion
+        checked(ops[-1])  # evicts ops[0], though it was just used
         assert len(linalg._memo) == linalg._MEMO_KEPT
-        again = checked(ops[1])
-        assert again is not first[1] and bits(again) == bits(first[1])
-        assert checked(ops[0]) is first[0]
+        again = checked(ops[0])  # a miss, which evicts ops[1]
+        assert again is not first[0] and bits(again) == bits(first[0])
+        assert checked(ops[2]) is first[2]
+
+    def test_a_hit_leaves_the_memo_as_it_was(self):
+        rng = np.random.default_rng(4)
+        prior, like = rand_density(rng, 4), rand_psd(rng, 4)
+        s1, s2 = memo_state("full_rank", 4, 5), memo_state("rank_deficient", 4, 6)
+        calls = (lambda: regions.quantum_bayes(like, prior), lambda: quantum_compatible(s1, s2),
+                 lambda: quantum_pool(prior, s1, s2))
+        linalg._memo = ()
+        outcomes = [outcome_bytes(call) for call in calls]
+        memo = linalg._memo
+        assert len(memo) == 5  # the root, three checked states and the verdict
+        for call, outcome in zip(calls, outcomes):  # each a hit, the root's the oldest
+            assert outcome_bytes(call) == outcome
+            assert linalg._memo is memo
 
     @settings(max_examples=40, deadline=None)
     @given(*OPERANDS)
