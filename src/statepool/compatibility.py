@@ -161,11 +161,11 @@ def verify_objective_classical(
         raise InvalidParameterError("distributions are over different outcome sets")
     p = np.asarray(joint, dtype=float)
     if p.ndim != 3 or p.shape[0] != len(q1.outcomes):
-        raise ValueError(f"joint must have shape (|Y|, |X1|, |X2|), got {p.shape}")
+        raise DimensionMismatchError(f"joint must have shape (|Y|, |X1|, |X2|), got {p.shape}")
     if not (0 <= _integer(x1, "x1") < p.shape[1] and 0 <= _integer(x2, "x2") < p.shape[2]):
         raise InvalidParameterError(f"outcome ({x1}, {x2}) absent from joint of shape {p.shape}")
     if abs(p.sum() - 1.0) > EXACT_TOL or np.any(p < -EXACT_TOL):
-        raise ValueError("joint is not a normalized distribution")
+        raise InvalidParameterError("joint is not a normalized distribution")
     blocks = {(a, b): np.diag(p[:, a, b]) for a in range(p.shape[1]) for b in range(p.shape[2])}
     hybrid = HybridState(p.shape[1:], blocks, normalized=False)
     return verify_objective_quantum(np.diag(q1.probs), np.diag(q2.probs), hybrid, x1, x2)
@@ -204,7 +204,7 @@ def verify_subjective_classical(
     not an error.
     """
     if cond.given_outcomes != q1.outcomes or q1.outcomes != q2.outcomes:
-        raise ValueError("conditional table and priors disagree on Out(Y)")
+        raise InvalidParameterError("conditional table and priors disagree on Out(Y)")
     x_tilde = _out_row(cond, x_tilde, "x_tilde")
     likelihoods = {x: np.diag(row) for x, row in enumerate(cond.table)}
     return verify_subjective_quantum(np.diag(q1.probs), np.diag(q2.probs), likelihoods, x_tilde)
@@ -221,7 +221,7 @@ def verify_objective_quantum(s1, s2, hybrid: HybridState, x1: int, x2: int) -> b
     hybrid's quantum dim is DimensionMismatchError.
     """
     if len(hybrid.classical_dims) != 2:
-        raise ValueError("witness hybrid must carry exactly two classical registers")
+        raise InvalidParameterError("witness hybrid must carry exactly two classical registers")
     d1, d2 = hybrid.classical_dims
     if not (0 <= _integer(x1, "x1") < d1 and 0 <= _integer(x2, "x2") < d2):
         raise InvalidParameterError(f"outcome ({x1}, {x2}) absent from registers "
@@ -258,7 +258,7 @@ def verify_subjective_quantum(s1, s2, likelihoods, x_tilde) -> bool:
         raise DimensionMismatchError("likelihoods and states act on different dims")
     total = sum(ops.values())
     if not max_norm(total - np.eye(total.shape[0])) <= EXACT_TOL:  # NaN too
-        raise ValueError("likelihoods do not sum to the identity")
+        raise InvalidParameterError("likelihoods do not sum to the identity")
     for sigma in (s1, s2):
         for m in ops.values():
             if float(np.real(np.trace(m @ sigma))) <= EXACT_TOL:

@@ -20,14 +20,18 @@ Conventions
   ``_memoized`` keeps the last ``_MEMO_KEPT`` values it computed of those the
   Bayes chain hands to several calls, keyed by dtype, shape and bytes: a checked
   state with its ``Tolerances`` (``_checked_states``), a prior's PSD root
-  (``_root``, for ``quantum_bayes``) and the verdict on an ordered pair of
+  (``_root``, for ``quantum_bayes``, which checks a prior Hermitian only when
+  the memo holds no root of its bytes) and the verdict on an ordered pair of
   checked states.  A hit is the read-only value the miss made, so no result
-  moves and nothing is checked twice; an error is never kept, and the scenario
-  path never reads the memo.  The rank cut, written once in ``_rank_cut``,
-  keeps ``|w| > rank_tol * max|w|``, also of a classical distribution, whose
-  support is then its diagonal state's; PSD means ``min w >= -PSD_TOL *
-  max(max|w|, 1)`` (``_psd_floor``), and eigenvalues between that floor and
-  zero are clamped to zero.
+  moves and nothing is checked twice; ``_checked_states`` probes the memo once
+  per operand.  An error is never kept, and the scenario path never reads the
+  memo.  The rank cut, ``_rank_cut``, keeps ``|w| > rank_tol * max|w|``, also
+  of a classical distribution, whose support is then its diagonal state's; PSD
+  means ``min w >= -PSD_TOL * max(max|w|, 1)`` (``_psd_floor``), and
+  eigenvalues between that floor and zero are clamped to zero.  A ``Spectrum``
+  reads all three off the ends of ``eigh``'s ascending ``w`` (``_end_max``),
+  with the bits of the whole-array rules; its clamp is itself when ``w[0] > 0``,
+  and its mask ``kept`` is computed once.  A 0 x 0 operand reads no end.
 * A checked state is one operand, ``_spectrum``: ``_FullRank`` when one
   Cholesky certifies it (``_certified_full_rank``), which holds only where
   the cut above keeps every eigenvalue, so it is positive definite with
@@ -37,7 +41,9 @@ Conventions
   ``clamped``) makes every state ``_checked_states`` or a scenario hands on, so
   ``pinv`` never inverts a clamped eigenvalue, no checked matrix is rebuilt, and
   a posterior's support never holds a direction its prior's drops;
-  ``support_projector`` reads the unclamped support.
+  ``support_projector`` reads the unclamped support.  Every full support,
+  a ``run_scenario`` verdict's included, shares one read-only identity basis
+  per dim (``_identity``).
 * A caller sets ``rank_tol`` and ``herm_tol`` through one ``Tolerances``
   record, which rejects a NaN, infinite or negative value, or ``rank_tol >= 1``,
   as InvalidParameterError (CLI exit 2), never a verdict.  Every other
@@ -70,6 +76,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -88,6 +95,7 @@ EXACT_TOL = 1e-10  # slack of a relation exact for valid input: a witness's weig
 # conditionals and normalization, a factorization, unitarity, Kraus trace preservation and
 # a measurement's sum to I, a hybrid joint's coherences across classical outcomes
 PROPORTIONALITY_TOL = 1e-9  # max-norm between likelihoods after normalization
+_FOUR_EPS = 4 * float(np.finfo(float).eps)  # a power of two, so d * d * _FOUR_EPS is exact
 
 
 @dataclass(frozen=True)
@@ -156,6 +164,11 @@ def _rank_cut(w, rank_tol: float) -> float:
     return rank_tol * float(np.abs(w).max()) if w.size else 0.0
 
 
+def _end_max(w: np.ndarray) -> float:
+    """max|w| of an ascending ``w`` (as ``eigh`` returns it), read off its ends; 0 if empty."""
+    return max(abs(float(w[0])), abs(float(w[-1]))) if w.size else 0.0
+
+
 def as_matrix(m) -> np.ndarray:
     """Validate and return ``m`` as a square complex matrix with finite entries."""
     a = np.asarray(m, dtype=complex)
@@ -180,7 +193,7 @@ def hermitize(m) -> np.ndarray:
 
 def check_hermitian(m, name: str, herm_tol: float = Tolerances.herm_tol) -> None:
     """Raise InvalidParameterError unless max_norm(M - M†) <= herm_tol * max(max_norm(M), 1)."""
-    residual = max_norm(m - m.conj().T)
+    residual = float(np.abs(m - m.conj().T).max()) if m.size else 0.0  # max_norm(M - M†)
     # the scale is >= 1, so a residual <= herm_tol passes without the cost of max_norm(m)
     if residual > herm_tol and residual > herm_tol * max(max_norm(m), 1.0):
         raise InvalidParameterError(f"{name} is not Hermitian (residual {residual:.3e})")
@@ -205,13 +218,16 @@ def _checked_states(tol: Tolerances, **states) -> list:
     if len({m.shape for m in mats.values()}) > 1:
         raise DimensionMismatchError(f"states {', '.join(mats)} have different dims")
     keys = {name: _key("state", m, tol) for name, m in mats.items()}
-    found = {name: _recall(key) for name, key in keys.items()}
+    found = {name: _recall(key) for name, key in keys.items()}  # one probe per operand
     for name, m in mats.items():
         if found[name] is None:
             check_hermitian(m, name, tol.herm_tol)
+    made = {}  # the values this call checked, by key: a value named twice is checked once
     for name, m in mats.items():
-        if found[name] is None:  # _memoized: a value named twice is checked once
-            found[name] = _memoized(keys[name], lambda: _checked(m, name, tol.rank_tol), _held)
+        if found[name] is None:
+            if (key := keys[name]) not in made:
+                made[key] = _keep(key, _checked(m, name, tol.rank_tol), _held)
+            found[name] = made[key]
     return [(mats[name], keys[name], *found[name]) for name in mats]
 
 
@@ -222,9 +238,10 @@ def _checked(m: np.ndarray, name: str, rank_tol: float) -> tuple:
 
 
 def _held(checked: tuple) -> tuple:
-    """The arrays a ``_checked`` pair holds."""
+    """The arrays a ``_checked`` pair holds, a spectrum's cached ``kept`` included; a full
+    support's basis is already read-only."""
     op, support = checked
-    return ((op.a,) if isinstance(op, _FullRank) else (op.w, op.v)) + (support.basis,)
+    return ((op.a,) if isinstance(op, _FullRank) else (op.w, op.v, op.kept)) + (support.basis,)
 
 
 def _state(h: np.ndarray, name: str, rank_tol: float) -> Spectrum | _FullRank:
@@ -312,9 +329,11 @@ def _sqrt_psd(a: np.ndarray) -> np.ndarray:
     return s.psd_function(np.sqrt)
 
 
-def _root(rho: np.ndarray) -> np.ndarray:
-    """``_sqrt_psd(rho)``, read-only, from the memo when it holds ``rho``'s bytes."""
-    return _memoized(_key("root", rho), lambda: _sqrt_psd(rho), lambda root: (root,))
+def _root(rho: np.ndarray, key: tuple) -> np.ndarray:
+    """``_sqrt_psd(rho)``, read-only, kept under ``key = _key("root", rho)``, which
+    ``_recall`` missed.  Its one caller, ``quantum_bayes``, checks ``rho`` Hermitian at
+    the default ``herm_tol`` first, so a kept root stands for that check."""
+    return _keep(key, _sqrt_psd(rho), lambda root: (root,))
 
 
 def pseudo_inverse(h) -> np.ndarray:
@@ -353,8 +372,9 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        """The whole space in the identity basis, which is exactly orthonormal."""
-        return cls._trusted(ambient_dim, np.eye(ambient_dim, dtype=complex))
+        """The whole space in the identity basis, which is exactly orthonormal: one
+        read-only array per dim, shared by every call."""
+        return cls._trusted(ambient_dim, _identity(ambient_dim))
 
     @classmethod
     def _trusted(cls, ambient_dim: int, basis: np.ndarray) -> "Subspace":
@@ -363,6 +383,14 @@ class Subspace:
         object.__setattr__(sub, "ambient_dim", ambient_dim)
         object.__setattr__(sub, "basis", basis)
         return sub
+
+
+@functools.lru_cache(maxsize=8, typed=True)  # a run meets a few dims, each many times
+def _identity(d: int) -> np.ndarray:
+    """The d x d complex identity, read-only."""
+    eye = np.eye(d, dtype=complex)
+    eye.setflags(write=False)
+    return eye
 
 
 # The operands the Bayes chain hands to several calls, newest insertion first: checked
@@ -385,16 +413,22 @@ def _recall(key):
 
 
 def _memoized(key, compute, arrays):
-    """The memo's value under ``key``; else ``compute()``, kept as the newest entry with
-    every array ``arrays(value)`` names read-only, the oldest insertion evicted.  What
-    ``compute`` raises is not kept.  Only a miss writes; a concurrent miss can at worst
-    lose an entry, which costs a later miss, never a wrong result."""
-    global _memo
+    """The memo's value under ``key``; else ``compute()``, kept by ``_keep``.  What
+    ``compute`` raises is not kept."""
     if (value := _recall(key)) is None:
-        value = compute()
-        for a in arrays(value):
-            a.setflags(write=False)
-        _memo = ((key, value),) + _memo[: _MEMO_KEPT - 1]
+        value = _keep(key, compute(), arrays)
+    return value
+
+
+def _keep(key, value, arrays):
+    """``value``, kept under ``key``, which ``_recall`` missed, as the newest entry with
+    every array ``arrays(value)`` names read-only, the oldest insertion evicted.  Only
+    a miss writes; a concurrent miss can at worst lose an entry, which costs a later
+    miss, never a wrong result."""
+    global _memo
+    for a in arrays(value):
+        a.setflags(write=False)
+    _memo = ((key, value),) + _memo[: _MEMO_KEPT - 1]
     return value
 
 
@@ -416,9 +450,9 @@ class Spectrum:
     def _of_hermitian(cls, a: np.ndarray, rank_tol: float) -> "Spectrum":
         """``Spectrum.of`` a matrix already symmetrized, which it equals bit for bit."""
         w, v = np.linalg.eigh(a)
-        return cls(w, v, _rank_cut(w, rank_tol))
+        return cls(w, v, rank_tol * _end_max(w))
 
-    @property
+    @functools.cached_property
     def kept(self) -> np.ndarray:
         """Mask of the eigenvalues inside the support."""
         return np.abs(self.w) > self.cut
@@ -434,14 +468,18 @@ class Spectrum:
         return (self.v * inv) @ self.v.conj().T
 
     def is_psd(self) -> bool:
-        return bool(self.w.size == 0 or self.w.min() >= _psd_floor(self.w))
+        """``min w >= _psd_floor(w)``, read off the ends of ``w``."""
+        return not self.w.size or float(self.w[0]) >= -PSD_TOL * max(_end_max(self.w), 1.0)
 
     def psd_function(self, f) -> np.ndarray:
         """f applied to the eigenvalues clamped at zero (callers check ``is_psd`` first)."""
-        return (self.v * f(np.clip(self.w, 0.0, None))) @ self.v.conj().T
+        return (self.v * f(self.clamped().w)) @ self.v.conj().T
 
     def clamped(self) -> "Spectrum":
-        """This spectrum, checked PSD, with its negative eigenvalues set to 0: same ``v`` and cut."""
+        """This spectrum, checked PSD, with its negative eigenvalues set to 0: same ``v`` and
+        cut; itself when ``w[0] > 0``, where the clip would change no bit."""
+        if not self.w.size or self.w[0] > 0.0:
+            return self
         return Spectrum(np.clip(self.w, 0.0, None), self.v, self.cut)
 
     full_rank = property(lambda self: bool(self.kept.all()))
@@ -509,7 +547,7 @@ def _certified_full_rank(a: np.ndarray, rank_tol: float) -> bool:
     if not 0.0 < t < np.inf:
         return False
     shifted = a.copy()
-    shifted.flat[:: d + 1] -= (rank_tol + 4 * d * d * np.finfo(float).eps) * t
+    shifted.flat[:: d + 1] -= (rank_tol + d * d * _FOUR_EPS) * t
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

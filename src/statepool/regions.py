@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ImpossibleConditioningError, NotPSDError
 from .linalg import (
-    EXACT_TOL, SUPPORT_TOL, TRACE_TOL, Spectrum, Tolerances, _hermitian, _integer, _root,
-    _sqrt_psd, as_matrix, check_hermitian, embed, max_norm, partial_trace,
+    EXACT_TOL, SUPPORT_TOL, TRACE_TOL, Spectrum, Tolerances, _hermitian, _integer, _key, _recall,
+    _root, _sqrt_psd, as_matrix, check_hermitian, embed, max_norm, partial_trace,
 )
 
 
@@ -162,9 +162,12 @@ def quantum_bayes(likelihood, prior) -> np.ndarray:
     if like.shape != rho.shape:
         raise DimensionMismatchError("likelihood and prior dims differ")
     check_hermitian(like, "likelihood")
-    check_hermitian(rho, "prior")
+    key = _key("root", rho)
+    if (root := _recall(key)) is None:  # a prior the memo holds passed this very check
+        check_hermitian(rho, "prior")
     p = _possible(float((like @ rho).trace().real))
-    root = _root(rho)
+    if root is None:
+        root = _root(rho, key)
     return root @ like @ root / p
 
 

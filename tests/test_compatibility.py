@@ -577,3 +577,29 @@ class TestNonPSDBesideACertifiedState:
         not_hermitian = np.array([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(InvalidParameterError, match="^s2 is not Hermitian"):
             quantum_compatible(self.NOT_PSD, not_hermitian)
+
+
+HALF = np.eye(2) / 2
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: verify_objective_classical(dist(0.5, 0.5), dist(0.5, 0.5), np.full((2, 2), 0.25),
+                                        0, 0),
+     DimensionMismatchError, r"^joint must have shape \(\|Y\|, \|X1\|, \|X2\|\), got \(2, 2\)$"),
+    (lambda: verify_objective_classical(dist(0.5, 0.5), dist(0.5, 0.5), np.full((2, 1, 1), 0.4),
+                                        0, 0),
+     InvalidParameterError, "^joint is not a normalized distribution$"),
+    (lambda: verify_subjective_classical(
+        dist(0.5, 0.5), ProbabilityDistribution(("a", "b"), [0.5, 0.5]),
+        ConditionalDistribution((0, 1), (0, 1), np.eye(2)), 0),
+     InvalidParameterError, r"^conditional table and priors disagree on Out\(Y\)$"),
+    (lambda: verify_objective_quantum(HALF, HALF, make_hybrid({0: HALF}), 0, 0),
+     InvalidParameterError, "^witness hybrid must carry exactly two classical registers$"),
+    (lambda: verify_subjective_quantum(HALF, HALF, {0: HALF}, 0),
+     InvalidParameterError, "^likelihoods do not sum to the identity$"),
+], ids=["joint shape", "joint normalization", "Out(Y)", "two registers", "sum to I"])
+def test_a_verifier_raises_a_statepool_error_for_a_callers_mistake(call, error, message):
+    # each message as before, now a StatePoolError that is still a ValueError
+    with pytest.raises(error, match=message) as exc:
+        call()
+    assert type(exc.value) is error and isinstance(exc.value, ValueError)

@@ -35,6 +35,7 @@ from statepool.scenario import (
 from oracles import rand_density, rand_psd
 
 TOL = 1e-8  # subspace_intersection's default
+RANK_TOLS = (0.0, 1e-10, 1e-3, 0.2)
 
 
 def haar(rng, d):
@@ -100,6 +101,31 @@ class TestPrincipalAngleIntersection:
         assert subspace_intersection(p, q).rank == rank
 
 
+SPECTRUM_KINDS = ("psd", "rank_deficient", "negative_definite", "zero", "tiny_negative",
+                  "indefinite")
+
+
+def spectrum_kind(kind, d, scale, seed):
+    """A symmetrized matrix in a Haar basis: PSD, PSD with zero eigenvalues, negative
+    definite, PSD with eigenvalues inside the PSD floor (down to -PSD_TOL/2 of the
+    largest), or indefinite beyond it, its eigenvalues of order ``scale``; or zero,
+    every entry -0.0 - 0.0j half the time, whose eigenvalues eigh returns as -0.0."""
+    rng = np.random.default_rng([seed, d])
+    if kind == "zero":
+        return np.full((d, d), complex(-0.0, -0.0) if rng.random() < 0.5 else 0j)
+    w = scale * rng.uniform(0.01, 1.0, d)
+    if kind == "rank_deficient":
+        w[rng.random(d) < 0.5] = 0.0
+    elif kind == "negative_definite":
+        w = -w
+    elif kind == "tiny_negative":
+        w[: max(1, d // 2)] *= -0.5 * linalg.PSD_TOL * rng.random() / scale
+    elif kind == "indefinite":
+        w[0] = -w[0]
+    u = haar(rng, d)
+    return hermitize((u * w) @ u.conj().T)
+
+
 class TestSpectrum:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     def test_pinv_matches_numpy(self, d):
@@ -123,6 +149,31 @@ class TestSpectrum:
     def test_zero_operator(self):
         s = Spectrum.of(np.zeros((3, 3)))
         assert s.support().is_empty and max_norm(s.pinv()) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(SPECTRUM_KINDS), st.integers(1, 8), st.sampled_from(RANK_TOLS),
+           st.sampled_from([1e-6, 1.0, 1e6]), st.integers(0, 10_000))
+    def test_the_ends_of_w_decide_as_the_whole_array(self, kind, d, rank_tol, scale, seed):
+        # the cut, the PSD test, the support mask and the clamp read eigh's ascending
+        # w at its ends; each must have the bits of its rule applied to all of w
+        s = Spectrum._of_hermitian(spectrum_kind(kind, d, scale, seed), rank_tol)
+        w = s.w
+        assert (np.diff(w) >= 0).all()  # the premise: eigh's eigenvalues ascend
+        cut = linalg._rank_cut(w, rank_tol)
+        assert s.cut.hex() == cut.hex()
+        assert s.is_psd() is bool(w.min() >= linalg._psd_floor(w))
+        assert s.kept.dtype == bool and np.array_equal(s.kept, np.abs(w) > cut)
+        assert s.full_rank is bool((np.abs(w) > cut).all())
+        if s.is_psd():
+            clamped = s.clamped()
+            assert clamped.w.tobytes() == np.clip(w, 0.0, None).tobytes()
+            assert clamped.v is s.v and clamped.cut == s.cut
+            assert np.array_equal(clamped.kept, np.abs(np.clip(w, 0.0, None)) > cut)
+            assert clamped.support().basis.tobytes() == s.v[:, w > cut].tobytes()
+        if kind in ("psd", "tiny_negative"):
+            assert s.is_psd()
+        if kind == "negative_definite":
+            assert not s.is_psd()
 
 
 JOINT_2x3 = regions.JointState((regions.RegionLabel("A", 2), regions.RegionLabel("B", 3)),
@@ -373,6 +424,43 @@ class TestDecompositionCounts:
         assert len(calls) == 2
 
 
+class TestPriorCheckedOnce:
+    """quantum_bayes checks a prior Hermitian only when the memo holds no root of its bytes."""
+
+    def count_checks(self, monkeypatch) -> list:
+        names, check = [], regions.check_hermitian
+        monkeypatch.setattr(regions, "check_hermitian",
+                            lambda m, name, *a: names.append(name) or check(m, name, *a))
+        return names
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_six_updates_on_one_prior_check_it_once(self, monkeypatch, d):
+        prior, pairs = bayes_group(d, 0)
+        linalg._memo = ()
+        names = self.count_checks(monkeypatch)
+        likes = [like for pair in pairs for like in pair]
+        posteriors = [regions.quantum_bayes(like, prior) for like in likes]
+        assert names.count("prior") == 1 and names.count("likelihood") == 6
+        # the same bits as six updates that each check the prior with an empty memo
+        for like, post in zip(likes, posteriors):
+            linalg._memo = ()
+            assert regions.quantum_bayes(like, prior).tobytes() == post.tobytes()
+
+    def test_a_non_hermitian_neighbour_of_a_kept_prior_raises_every_time(self, monkeypatch):
+        prior, ((like, _), *_) = bayes_group(4, 1)
+        linalg._memo = ()
+        regions.quantum_bayes(like, prior)
+        bad = prior.copy()
+        bad[0, 1] += 1e-6  # relative residual about 1e-6, outside herm_tol 1e-8
+        names = self.count_checks(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(InvalidParameterError, match="^prior is not Hermitian"):
+                regions.quantum_bayes(like, bad)
+            regions.quantum_bayes(like, prior)  # still kept: no check
+        assert names == ["likelihood", "prior", "likelihood"] * 3
+        assert [key[0] for key, _ in linalg._memo] == ["root"]
+
+
 MEMO_KINDS = ("full_rank", "rank_deficient", "signed_zero")
 
 
@@ -538,6 +626,9 @@ class TestMemoIsInvisible:
             pass
         arrays = memo_arrays()
         assert {key[0] for key, _ in linalg._memo} == {"root", "state", "verdict"}
+        # a spectrum's support mask is cached on it, beside its fields
+        arrays += [value[0].kept for key, value in linalg._memo
+                   if key[0] == "state" and isinstance(value[0], Spectrum)]
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -627,6 +718,39 @@ class TestMemoIsInvisible:
         assert linalg._memo is before
 
 
+class TestEmptyOperands:
+    """0 x 0 operands: no end of an empty spectrum is read, and each outcome is pinned."""
+
+    Z = np.zeros((0, 0))
+
+    def test_spectrum(self):
+        s = Spectrum.of(self.Z)
+        assert s.w.size == 0 and s.cut == 0.0 and s.is_psd() and s.full_rank
+        assert s.clamped() is s and s.kept.shape == (0,) and s.support().is_empty
+
+    def test_quantum_compatible_is_incompatible(self):
+        linalg._memo = ()
+        verdict = quantum_compatible(self.Z, self.Z)
+        assert not verdict.compatible and verdict.intersection_rank() == 0
+
+    def test_quantum_pool_raises_incompatible(self):
+        linalg._memo = ()
+        with pytest.raises(IncompatibleAssignmentsError, match="disjoint supports"):
+            quantum_pool(self.Z, self.Z, self.Z)
+
+    def test_quantum_bayes_raises_impossible(self):
+        linalg._memo = ()
+        for _ in range(2):
+            with pytest.raises(ImpossibleConditioningError, match="0.000e"):
+                regions.quantum_bayes(self.Z, self.Z)
+
+    def test_spectral_functions(self):
+        assert support_projector(self.Z).is_empty and support_projector(self.Z).ambient_dim == 0
+        for f in (linalg.sqrt_psd, linalg.pseudo_inverse):
+            out = f(self.Z)
+            assert out.shape == (0, 0) and out.dtype == complex
+
+
 def gram_checked(s: Subspace) -> Subspace:
     """``s`` rebuilt through the public constructor, which runs the Gram check."""
     rebuilt = Subspace(s.ambient_dim, s.basis)
@@ -692,7 +816,6 @@ class TestSkippedChecksAdmitOnlyWhatTheyWouldAdmit:
 
 
 EPS = np.finfo(float).eps
-RANK_TOLS = (0.0, 1e-10, 1e-3, 0.2)
 
 
 def cut_ratio(d, rank_tol):
@@ -769,6 +892,15 @@ class TestFullRankCertificate:
         full = Subspace.full(d)
         assert full.ambient_dim == d and full.rank == d
         assert full.basis.dtype == complex and np.array_equal(full.basis, np.eye(d))
+        # one read-only identity per dim, shared by every call and every certified state
+        again = Subspace.full(d)
+        assert again is not full and again.basis is full.basis
+        assert not full.basis.flags.writeable
+        with pytest.raises(ValueError):
+            full.basis[0, 0] = 0.0
+        assert checked(rand_density(np.random.default_rng(d), d)).support().basis is full.basis
+        if d > 1:  # a scenario has d >= 2; both of its posteriors here are certified
+            assert run_scenario(random_instance(d, 1)).verdict.intersection.basis is full.basis
 
     def test_certified_support_is_the_full_space(self, monkeypatch):
         a = np.diag([0.5, 0.3, 0.2])
