@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
 from .linalg import (
-    EXACT_TOL, SUM_TOL, SUPPORT_TOL, Subspace, Tolerances, _checked_states, _integer, _memoized,
+    EXACT_TOL, SUM_TOL, SUPPORT_TOL, Subspace, Tolerances, _checked_states, _integer, _judged,
     _rank_cut, _reals, as_matrix, max_norm, subspace_intersection,
 )
 from .regions import HybridState, _possible, quantum_bayes
@@ -127,15 +127,7 @@ def quantum_compatible(s1, s2, tol: Tolerances = Tolerances()) -> CompatibilityV
     identity basis; any other state goes through one ``eigh``.  A state or pair
     of states among the last operands checked is not checked or judged again, so
     the same pair can return the same verdict object; its basis is read-only."""
-    return _verdict(*_checked_states(tol, s1=s1, s2=s2))
-
-
-def _verdict(first, second) -> CompatibilityVerdict:
-    """``_support_verdict`` of two ``_checked_states`` entries, memoized under their keys
-    in order."""
-    (_, key1, _, p), (_, key2, _, q) = first, second
-    return _memoized(("verdict", key1, key2), lambda: _support_verdict(p, q),
-                     lambda verdict: (verdict.intersection.basis,))
+    return _judged(*_checked_states(tol, s1=s1, s2=s2), _support_verdict)
 
 
 def _support_verdict(p: Subspace, q: Subspace) -> CompatibilityVerdict:

@@ -16,32 +16,32 @@ Conventions
   FIRST region: index ``i*dim(b) + j`` of the product corresponds to basis
   state ``|i>|j>``.
 * At most one ``eigh`` per operand value: support, pseudo-inverse, PSD test
-  and PSD square root all derive from one ``Spectrum``.  Across calls,
-  ``_memoized`` keeps the last ``_MEMO_KEPT`` values it computed of those the
-  Bayes chain hands to several calls, keyed by dtype, shape and bytes: a checked
-  state with its ``Tolerances`` (``_checked_states``), a prior's PSD root
-  (``_root``, for ``quantum_bayes``, which checks a prior Hermitian only when
-  the memo holds no root of its bytes) and the verdict on an ordered pair of
-  checked states.  A hit is the read-only value the miss made, so no result
-  moves and nothing is checked twice; ``_checked_states`` probes the memo once
-  per operand.  An error is never kept, and the scenario path never reads the
-  memo.  The rank cut, ``_rank_cut``, keeps ``|w| > rank_tol * max|w|``, also
-  of a classical distribution, whose support is then its diagonal state's; PSD
-  means ``min w >= -PSD_TOL * max(max|w|, 1)`` (``_psd_floor``), and
-  eigenvalues between that floor and zero are clamped to zero.  A ``Spectrum``
-  reads all three off the ends of ``eigh``'s ascending ``w`` (``_end_max``),
-  with the bits of the whole-array rules; its clamp is itself when ``w[0] > 0``,
-  and its mask ``kept`` is computed once.  A 0 x 0 operand reads no end.
+  and PSD square root (``root``, made once, read-only) all derive from one
+  ``Spectrum``.  Only this module touches the memo, which keeps the last
+  ``_MEMO_KEPT`` values of two kinds that the Bayes chain hands to several
+  calls: a checked state, keyed by its dtype, shape, bytes and ``Tolerances``
+  (``_checked_states``, ``_checked_state``), and the verdict on an ordered
+  pair of them (``_judged``).  So a prior given to ``quantum_bayes`` and
+  ``quantum_pool`` is one entry, checked by one rule, with one root.  A hit,
+  one probe, is the read-only value the miss made, so no result moves and
+  nothing is checked twice.  An error is never kept, and the scenario path
+  never reads the memo.  The rank cut, ``_rank_cut``, keeps
+  ``|w| > rank_tol * max|w|``, also of a classical distribution, whose support
+  is then its diagonal state's; PSD means ``min w >= -PSD_TOL * max(max|w|, 1)``
+  (``_psd_floor``), and eigenvalues between that floor and zero are clamped to
+  zero.  A ``Spectrum`` reads all three off the ends of ``eigh``'s ascending
+  ``w`` (``_end_max``), with the bits of the whole-array rules; its clamp is
+  itself when ``w[0] > 0``, and its mask ``kept`` is computed once.
 * A checked state is one operand, ``_spectrum``: ``_FullRank`` when one
   Cholesky certifies it (``_certified_full_rank``), which holds only where
   the cut above keeps every eigenvalue, so it is positive definite with
   support ``Subspace.full`` and its inverse as pseudo-inverse, applied by
   one LU solve; else its ``Spectrum``.  Both answer ``is_psd``, ``clamped``,
-  ``support``, ``full_rank`` and ``pool_product``.  ``_state`` (PSD test, then
-  ``clamped``) makes every state ``_checked_states`` or a scenario hands on, so
-  ``pinv`` never inverts a clamped eigenvalue, no checked matrix is rebuilt, and
-  a posterior's support never holds a direction its prior's drops;
-  ``support_projector`` reads the unclamped support.  Every full support,
+  ``support``, ``full_rank``, ``pool_product`` and ``root``.  ``_state`` (PSD
+  test, then ``clamped``) makes every state ``_checked_states`` or a scenario
+  hands on, so ``pinv`` never inverts a clamped eigenvalue, no checked matrix
+  is rebuilt, and a posterior's support never holds a direction its prior's
+  drops; ``support_projector`` reads the unclamped support.  Every full support,
   a ``run_scenario`` verdict's included, shares one read-only identity basis
   per dim (``_identity``).
 * A caller sets ``rank_tol`` and ``herm_tol`` through one ``Tolerances``
@@ -64,10 +64,11 @@ Conventions
   Tensor factors have one rule, ``_factors``: a dim < 1 is InvalidParameterError,
   a position out of range or named twice DimensionMismatchError.
 * An operand is validated once, where it enters: a public function checks
-  it, then private cores (``_sqrt_psd``, ``regions._star``) trust it.  What
-  the library builds itself (``Subspace.full``, eigenvector and
-  principal-angle bases, Haar unitaries) is orthonormal or unitary to
-  O(d eps), far inside the tolerances, and skips re-checks (``_trusted``).
+  it (``as_matrix``: square, nonempty, finite), then private cores
+  (``_sqrt_psd``, ``regions._star``) trust it.  What the library builds
+  itself (``Subspace.full``, eigenvector and principal-angle bases, Haar
+  unitaries) is orthonormal or unitary to O(d eps), far inside the
+  tolerances, and skips re-checks (``_trusted``).
 * ``pseudo_inverse``, ``sqrt_psd`` and ``support_projector`` stay public
   although no module here calls them: ``Spectrum`` is not exported, and each
   gives a caller one spectral result without its eigenvectors and rank cut.
@@ -160,20 +161,20 @@ def _psd_floor(w) -> float:
 
 
 def _rank_cut(w, rank_tol: float) -> float:
-    """|w| above rank_tol * max|w| spans the support; an empty spectrum has cut 0."""
-    return rank_tol * float(np.abs(w).max()) if w.size else 0.0
+    """|w| above rank_tol * max|w| spans the support."""
+    return rank_tol * float(np.abs(w).max())
 
 
 def _end_max(w: np.ndarray) -> float:
-    """max|w| of an ascending ``w`` (as ``eigh`` returns it), read off its ends; 0 if empty."""
-    return max(abs(float(w[0])), abs(float(w[-1]))) if w.size else 0.0
+    """max|w| of an ascending ``w`` (as ``eigh`` returns it), read off its ends."""
+    return max(abs(float(w[0])), abs(float(w[-1])))
 
 
 def as_matrix(m) -> np.ndarray:
-    """Validate and return ``m`` as a square complex matrix with finite entries."""
+    """Validate and return ``m`` as a nonempty square complex matrix with finite entries."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return a
@@ -192,8 +193,10 @@ def hermitize(m) -> np.ndarray:
 
 
 def check_hermitian(m, name: str, herm_tol: float = Tolerances.herm_tol) -> None:
-    """Raise InvalidParameterError unless max_norm(M - M†) <= herm_tol * max(max_norm(M), 1)."""
-    residual = float(np.abs(m - m.conj().T).max()) if m.size else 0.0  # max_norm(M - M†)
+    """Raise InvalidParameterError unless max_norm(M - M†) <= herm_tol * max(max_norm(M), 1).
+    An ``m`` that is no ndarray is read by ``as_matrix`` first."""
+    m = m if isinstance(m, np.ndarray) else as_matrix(m)
+    residual = float(np.abs(m - m.conj().T).max())  # max_norm(M - M†)
     # the scale is >= 1, so a residual <= herm_tol passes without the cost of max_norm(m)
     if residual > herm_tol and residual > herm_tol * max(max_norm(m), 1.0):
         raise InvalidParameterError(f"{name} is not Hermitian (residual {residual:.3e})")
@@ -211,37 +214,50 @@ def _checked_states(tol: Tolerances, **states) -> list:
     """(matrix, key, clamped ``_spectrum`` cut at ``tol.rank_tol``, its support) for
     every state, once all are square matrices of one shape, Hermitian within
     ``tol.herm_tol`` and PSD; else an error that names the first offending state,
-    Hermiticity of every state before PSD.  The key is the matrix's dtype, shape and
-    bytes with ``tol``: a state the memo holds under it passed these checks, so it
-    is not checked again."""
+    Hermiticity of every state before PSD.  A state the memo holds under its ``_key``
+    passed these checks, so it is not checked again."""
     mats = {name: as_matrix(m) for name, m in states.items()}
     if len({m.shape for m in mats.values()}) > 1:
         raise DimensionMismatchError(f"states {', '.join(mats)} have different dims")
-    keys = {name: _key("state", m, tol) for name, m in mats.items()}
+    keys = {name: _key(m, tol) for name, m in mats.items()}
     found = {name: _recall(key) for name, key in keys.items()}  # one probe per operand
     for name, m in mats.items():
         if found[name] is None:
             check_hermitian(m, name, tol.herm_tol)
-    made = {}  # the values this call checked, by key: a value named twice is checked once
-    for name, m in mats.items():
+    for name, m in mats.items():  # a miss probes again, so a value named twice is made once
         if found[name] is None:
-            if (key := keys[name]) not in made:
-                made[key] = _keep(key, _checked(m, name, tol.rank_tol), _held)
-            found[name] = made[key]
+            found[name] = _recall(keys[name]) or _keep(keys[name], _checked(m, name, tol.rank_tol))
     return [(mats[name], keys[name], *found[name]) for name in mats]
 
 
+def _checked_state(m: np.ndarray, name: str) -> Spectrum | _FullRank:
+    """The clamped ``_spectrum`` that ``_checked_states`` hands on for the one matrix ``m``,
+    already validated by ``as_matrix``, at the default ``Tolerances``."""
+    if (found := _recall(key := _key(m, _DEFAULT))) is None:
+        check_hermitian(m, name, _DEFAULT.herm_tol)
+        found = _keep(key, _checked(m, name, _DEFAULT.rank_tol))
+    return found[0]
+
+
+def _judged(first, second, judge):
+    """``judge(p, q)``, a verdict on the supports of two ``_checked_states`` entries, kept
+    under their keys in order with its ``intersection`` basis read-only."""
+    (_, key1, _, p), (_, key2, _, q) = first, second
+    if (verdict := _recall(key := ("verdict", key1, key2))) is None:
+        verdict = judge(p, q)
+        verdict.intersection.basis.setflags(write=False)
+        _keep(key, verdict)
+    return verdict
+
+
 def _checked(m: np.ndarray, name: str, rank_tol: float) -> tuple:
-    """(``_state`` of ``m`` symmetrized, its support), for ``m`` checked Hermitian."""
+    """(``_state`` of ``m`` symmetrized, its support), for ``m`` checked Hermitian, with
+    every array they hold read-only, a spectrum's cached ``kept`` included."""
     op = _state((m + m.conj().T) / 2, name, rank_tol)  # hermitize, unchecked
-    return op, op.support()
-
-
-def _held(checked: tuple) -> tuple:
-    """The arrays a ``_checked`` pair holds, a spectrum's cached ``kept`` included; a full
-    support's basis is already read-only."""
-    op, support = checked
-    return ((op.a,) if isinstance(op, _FullRank) else (op.w, op.v, op.kept)) + (support.basis,)
+    support = op.support()
+    for a in ((op.a,) if isinstance(op, _FullRank) else (op.w, op.v, op.kept)) + (support.basis,):
+        a.setflags(write=False)
+    return op, support
 
 
 def _state(h: np.ndarray, name: str, rank_tol: float) -> Spectrum | _FullRank:
@@ -318,22 +334,16 @@ def sqrt_psd(h) -> np.ndarray:
     Eigenvalues in [-PSD_TOL*scale, 0) are clamped to zero; anything more
     negative raises NotPSDError.  A non-Hermitian ``h`` is InvalidParameterError.
     """
-    return _sqrt_psd(_hermitian(h, "h"))
+    return _sqrt_psd(_hermitian(h, "h")).copy()  # a writeable result, not the read-only root
 
 
 def _sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """``sqrt_psd`` of a square matrix already validated by ``as_matrix``."""
+    """The read-only ``root`` of a square matrix already validated by ``as_matrix``,
+    symmetrized; NotPSDError unless it is PSD."""
     s = Spectrum._of_hermitian((a + a.conj().T) / 2, Tolerances.rank_tol)
     if not s.is_psd():
         raise NotPSDError(f"not PSD: eigenvalue {s.w.min():.3e}")
-    return s.psd_function(np.sqrt)
-
-
-def _root(rho: np.ndarray, key: tuple) -> np.ndarray:
-    """``_sqrt_psd(rho)``, read-only, kept under ``key = _key("root", rho)``, which
-    ``_recall`` missed.  Its one caller, ``quantum_bayes``, checks ``rho`` Hermitian at
-    the default ``herm_tol`` first, so a kept root stands for that check."""
-    return _keep(key, _sqrt_psd(rho), lambda root: (root,))
+    return s.root
 
 
 def pseudo_inverse(h) -> np.ndarray:
@@ -394,17 +404,19 @@ def _identity(d: int) -> np.ndarray:
 
 
 # The operands the Bayes chain hands to several calls, newest insertion first: checked
-# states, a prior's PSD root, the verdict on a pair of states.  On one prior's three
-# instances the root is the 8th-newest entry when the third asks for it (behind the
-# prior's checked state and two instances' posteriors and verdict), and the prior's
-# checked state the 7th-newest when the third pools, so 8 entries make every repeat a
-# hit.  A longer memo would only hold values the chain does not revisit.
-_MEMO_KEPT = 8
+# states and the verdict on a pair of them.  On one prior's three instances the prior's
+# checked state is inserted at the first Bayes update, then each instance inserts two
+# posteriors and their verdict, so the prior is the 10th-newest entry when the third
+# instance pools, and 10 entries make every repeat a hit.  A longer memo would only hold
+# values the chain does not revisit.
+_MEMO_KEPT = 10
 _memo: tuple = ()  # (key, value) entries; replaced whole, never mutated
+_DEFAULT = Tolerances()  # the one default a prior is checked at, so its keys share it
 
 
-def _key(kind: str, m: np.ndarray, *rest) -> tuple:
-    return (kind, m.dtype.str, m.shape, m.tobytes(), *rest)
+def _key(m: np.ndarray, tol: Tolerances) -> tuple:
+    """A checked state's memo key: the matrix's dtype, shape and bytes, with ``tol``."""
+    return "state", m.dtype.str, m.shape, m.tobytes(), tol
 
 
 def _recall(key):
@@ -412,22 +424,11 @@ def _recall(key):
     return next((value for k, value in _memo if k == key), None)
 
 
-def _memoized(key, compute, arrays):
-    """The memo's value under ``key``; else ``compute()``, kept by ``_keep``.  What
-    ``compute`` raises is not kept."""
-    if (value := _recall(key)) is None:
-        value = _keep(key, compute(), arrays)
-    return value
-
-
-def _keep(key, value, arrays):
-    """``value``, kept under ``key``, which ``_recall`` missed, as the newest entry with
-    every array ``arrays(value)`` names read-only, the oldest insertion evicted.  Only
-    a miss writes; a concurrent miss can at worst lose an entry, which costs a later
-    miss, never a wrong result."""
+def _keep(key, value):
+    """``value``, whose arrays are read-only, kept under ``key``, which ``_recall`` missed,
+    as the newest entry, the oldest insertion evicted.  Only a miss writes; a concurrent
+    miss can at worst lose an entry, which costs a later miss, never a wrong result."""
     global _memo
-    for a in arrays(value):
-        a.setflags(write=False)
     _memo = ((key, value),) + _memo[: _MEMO_KEPT - 1]
     return value
 
@@ -469,16 +470,19 @@ class Spectrum:
 
     def is_psd(self) -> bool:
         """``min w >= _psd_floor(w)``, read off the ends of ``w``."""
-        return not self.w.size or float(self.w[0]) >= -PSD_TOL * max(_end_max(self.w), 1.0)
+        return float(self.w[0]) >= -PSD_TOL * max(_end_max(self.w), 1.0)
 
-    def psd_function(self, f) -> np.ndarray:
-        """f applied to the eigenvalues clamped at zero (callers check ``is_psd`` first)."""
-        return (self.v * f(self.clamped().w)) @ self.v.conj().T
+    @functools.cached_property
+    def root(self) -> np.ndarray:
+        """The read-only PSD square root, of w clamped at 0 (callers check ``is_psd`` first)."""
+        root = (self.v * np.sqrt(self.clamped().w)) @ self.v.conj().T
+        root.setflags(write=False)
+        return root
 
     def clamped(self) -> "Spectrum":
         """This spectrum, checked PSD, with its negative eigenvalues set to 0: same ``v`` and
         cut; itself when ``w[0] > 0``, where the clip would change no bit."""
-        if not self.w.size or self.w[0] > 0.0:
+        if self.w[0] > 0.0:
             return self
         return Spectrum(np.clip(self.w, 0.0, None), self.v, self.cut)
 
@@ -501,6 +505,11 @@ class _FullRank:
 
     def clamped(self) -> "_FullRank":
         return self
+
+    @functools.cached_property
+    def root(self) -> np.ndarray:
+        """``Spectrum.root`` of ``a``: one ``eigh``, made the first time it is asked for."""
+        return Spectrum._of_hermitian(self.a, Tolerances.rank_tol).root
 
     def support(self) -> Subspace:
         return Subspace.full(self.a.shape[0])

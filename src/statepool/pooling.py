@@ -13,14 +13,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compatibility import ProbabilityDistribution, _verdict
+from .compatibility import ProbabilityDistribution, _support_verdict
 from .errors import (
     DimensionMismatchError, IncompatibleAssignmentsError, InvalidParameterError,
     NonHermitianPoolingProductError, NotPSDError, PriorSupportError,
 )
 from .linalg import (
-    EXACT_TOL, PROPORTIONALITY_TOL, SUBSPACE_TOL, Tolerances, _checked_states, _psd_floor,
-    as_matrix, max_norm,
+    EXACT_TOL, PROPORTIONALITY_TOL, SUBSPACE_TOL, Tolerances, _checked_states, _judged,
+    _psd_floor, as_matrix, max_norm,
 )
 
 _OVERFLOW = "pooling product overflows: inputs beyond float range"
@@ -87,7 +87,7 @@ def quantum_pool(prior, s1, s2, tol: Tolerances = Tolerances()) -> PoolingReport
     """
     (_, _, prior_op, _), first, second = _checked_states(tol, prior=prior, s1=s1, s2=s2)
     (a, _, _, supp1), (b, _, _, supp2) = first, second
-    return _pool(prior_op, a, b, supp1, supp2, _verdict(first, second), tol)
+    return _pool(prior_op, a, b, supp1, supp2, _judged(first, second, _support_verdict), tol)
 
 
 def _pool(prior, a, b, supp1, supp2, verdict, tol: Tolerances) -> PoolingReport:

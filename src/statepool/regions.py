@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ImpossibleConditioningError, NotPSDError
 from .linalg import (
-    EXACT_TOL, SUPPORT_TOL, TRACE_TOL, Spectrum, Tolerances, _hermitian, _integer, _key, _recall,
-    _root, _sqrt_psd, as_matrix, check_hermitian, embed, max_norm, partial_trace,
+    EXACT_TOL, SUPPORT_TOL, TRACE_TOL, Spectrum, Tolerances, _checked_state, _hermitian, _integer,
+    _sqrt_psd, as_matrix, check_hermitian, embed, max_norm, partial_trace,
 )
 
 
@@ -152,23 +152,20 @@ def quantum_bayes(likelihood, prior) -> np.ndarray:
     """Posterior state from the quantum Bayes rule.
 
     posterior = prior^{1/2} likelihood prior^{1/2} / Tr(likelihood prior).
-    ``likelihood`` is the PSD operator for one observed outcome; ``prior``
-    is a density operator.  Either one not Hermitian within the default
-    ``herm_tol`` is InvalidParameterError.  Raises ImpossibleConditioningError
-    when the predictive probability Tr(likelihood prior) is at most SUPPORT_TOL.
+    ``likelihood`` is the PSD operator for one observed outcome, and one not
+    Hermitian within the default ``herm_tol`` is InvalidParameterError; then
+    ``prior`` is checked as ``quantum_pool`` checks its prior at the default
+    ``Tolerances``, and its square root is that checked operand's ``root``.
+    Raises ImpossibleConditioningError when the predictive probability
+    Tr(likelihood prior) is at most SUPPORT_TOL.
     """
     like = as_matrix(likelihood)
     rho = as_matrix(prior)
     if like.shape != rho.shape:
         raise DimensionMismatchError("likelihood and prior dims differ")
     check_hermitian(like, "likelihood")
-    key = _key("root", rho)
-    if (root := _recall(key)) is None:  # a prior the memo holds passed this very check
-        check_hermitian(rho, "prior")
-    p = _possible(float((like @ rho).trace().real))
-    if root is None:
-        root = _root(rho, key)
-    return root @ like @ root / p
+    root = _checked_state(rho, "prior").root  # a prior is checked before its outcome
+    return root @ like @ root / _possible(float((like @ rho).trace().real))
 
 
 def _possible(p: float) -> float:

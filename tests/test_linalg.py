@@ -236,3 +236,12 @@ class TestSubspaceIntersection:
 def test_check_hermitian_rejects_far_from_hermitian():
     with pytest.raises(ValueError):
         check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), "m")
+
+
+def test_check_hermitian_reads_a_nested_list_as_a_matrix():
+    check_hermitian([[1.0, 2j], [-2j, 1.0]], "m")
+    with pytest.raises(InvalidParameterError, match="^m is not Hermitian"):
+        check_hermitian([[0.0, 1.0], [0.0, 0.0]], "m")
+    for bad in ([1.0, 2.0], [[]]):  # not square: a StatePoolError, not an AttributeError
+        with pytest.raises(DimensionMismatchError):
+            check_hermitian(bad, "m")

@@ -19,7 +19,7 @@ from statepool.cli import main
 from statepool.compatibility import CompatibilityVerdict, _support_verdict, quantum_compatible
 from statepool.errors import (
     DimensionMismatchError, ImpossibleConditioningError, IncompatibleAssignmentsError,
-    InvalidParameterError, NonHermitianPoolingProductError, NotPSDError, PriorSupportError,
+    InvalidParameterError, NonHermitianPoolingProductError, PriorSupportError,
     StatePoolError,
 )
 from statepool.linalg import (
@@ -138,7 +138,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     def test_sqrt_matches_scipy(self, d):
         m = rand_density(np.random.default_rng(10 + d), d)
-        assert max_norm(Spectrum.of(m).psd_function(np.sqrt) - scipy.linalg.sqrtm(m)) < 1e-10
+        assert max_norm(Spectrum.of(m).root - scipy.linalg.sqrtm(m)) < 1e-10
 
     def test_support_pinv_and_psd_share_the_one_cut(self):
         s = Spectrum.of(np.diag([2.0, 1e-12, 0.0, -1e-13]), rank_tol=1e-10)
@@ -249,6 +249,7 @@ def bayes_group(d, seed):
                    (proj, np.eye(d) - proj)]
 
 
+@pytest.mark.memo
 class TestDecompositionCounts:
     @pytest.mark.parametrize("d", [2, 8])
     @pytest.mark.parametrize("seed", [0, 7])
@@ -424,23 +425,43 @@ class TestDecompositionCounts:
         assert len(calls) == 2
 
 
+@pytest.mark.memo
 class TestPriorCheckedOnce:
-    """quantum_bayes checks a prior Hermitian only when the memo holds no root of its bytes."""
+    """quantum_bayes checks its prior as quantum_pool does, into one memo entry: a prior
+    the memo holds is neither checked nor decomposed again."""
 
     def count_checks(self, monkeypatch) -> list:
-        names, check = [], regions.check_hermitian
-        monkeypatch.setattr(regions, "check_hermitian",
-                            lambda m, name, *a: names.append(name) or check(m, name, *a))
+        """The names every ``check_hermitian`` call is given from now on, in regions
+        (the likelihood) and in linalg (every state)."""
+        names, check = [], linalg.check_hermitian
+        for module in (regions, linalg):
+            monkeypatch.setattr(module, "check_hermitian",
+                                lambda m, name, *a: names.append(name) or check(m, name, *a))
         return names
 
     @pytest.mark.parametrize("d", [2, 8, 64])
     def test_six_updates_on_one_prior_check_it_once(self, monkeypatch, d):
         prior, pairs = bayes_group(d, 0)
+        h = hermitize(prior)  # what the certificate and eigh are handed
+        seen = {"cholesky": [], "eigh": []}
+
+        def spy(name):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a: seen[name].append(a.copy()) or fn(a))
+
         linalg._memo = ()
         names = self.count_checks(monkeypatch)
+        spy("eigh")
+        spy("cholesky")
         likes = [like for pair in pairs for like in pair]
         posteriors = [regions.quantum_bayes(like, prior) for like in likes]
+        quantum_pool(prior, *posteriors[:2])
+        monkeypatch.undo()
         assert names.count("prior") == 1 and names.count("likelihood") == 6
+        assert sum(a.tobytes() == h.tobytes() for a in seen["eigh"]) == 1
+        # the certificate factors the prior shifted down its diagonal: equal off it
+        off = ~np.eye(d, dtype=bool)
+        assert sum(np.array_equal(a[off], h[off]) for a in seen["cholesky"]) == 1
         # the same bits as six updates that each check the prior with an empty memo
         for like, post in zip(likes, posteriors):
             linalg._memo = ()
@@ -458,7 +479,7 @@ class TestPriorCheckedOnce:
                 regions.quantum_bayes(like, bad)
             regions.quantum_bayes(like, prior)  # still kept: no check
         assert names == ["likelihood", "prior", "likelihood"] * 3
-        assert [key[0] for key, _ in linalg._memo] == ["root"]
+        assert [key[0] for key, _ in linalg._memo] == ["state"]
 
 
 MEMO_KINDS = ("full_rank", "rank_deficient", "signed_zero")
@@ -531,8 +552,9 @@ OPERANDS = (st.sampled_from(MEMO_KINDS), st.sampled_from([1, 2, 3, 8, 64]),
             st.integers(0, 10_000))
 
 
+@pytest.mark.memo
 class TestMemoIsInvisible:
-    """linalg keeps the last checked states, prior roots and verdicts; no result may tell."""
+    """linalg keeps the last checked states and verdicts; no result may tell."""
 
     @settings(max_examples=100, deadline=None)
     @given(*OPERANDS)
@@ -606,8 +628,8 @@ class TestMemoIsInvisible:
         linalg._memo = ()
         outcomes = [outcome_bytes(call) for call in calls]
         memo = linalg._memo
-        assert len(memo) == 5  # the root, three checked states and the verdict
-        for call, outcome in zip(calls, outcomes):  # each a hit, the root's the oldest
+        assert len(memo) == 4  # three checked states and the verdict
+        for call, outcome in zip(calls, outcomes):  # each a hit, the prior's the oldest
             assert outcome_bytes(call) == outcome
             assert linalg._memo is memo
 
@@ -625,10 +647,12 @@ class TestMemoIsInvisible:
         except StatePoolError:
             pass
         arrays = memo_arrays()
-        assert {key[0] for key, _ in linalg._memo} == {"root", "state", "verdict"}
-        # a spectrum's support mask is cached on it, beside its fields
-        arrays += [value[0].kept for key, value in linalg._memo
-                   if key[0] == "state" and isinstance(value[0], Spectrum)]
+        assert {key[0] for key, _ in linalg._memo} == {"state", "verdict"}
+        # a spectrum's support mask and a state's root are cached on it, beside its fields
+        ops = [value[0] for key, value in linalg._memo if key[0] == "state"]
+        arrays += [op.kept for op in ops if isinstance(op, Spectrum)]
+        arrays += [op.__dict__["root"] for op in ops if "root" in op.__dict__]
+        assert any("root" in op.__dict__ for op in ops)  # the prior's, made by quantum_bayes
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -694,9 +718,27 @@ class TestMemoIsInvisible:
     def test_a_prior_that_is_not_psd_raises_on_every_bayes_update(self):
         linalg._memo = ()
         for _ in range(3):
-            with pytest.raises(NotPSDError, match="eigenvalue -5.000e-01"):
+            with pytest.raises(InvalidParameterError,
+                               match=r"^prior is not PSD \(eigenvalue -5.000e-01\)"):
                 regions.quantum_bayes(np.diag([1.0, 0.0]), np.diag([1.0, -0.5]))
         assert linalg._memo == ()
+
+    @settings(max_examples=60, deadline=None)
+    @given(*OPERANDS)
+    def test_a_checked_state_has_the_root_of_sqrt_psd(self, kind, d, seed):
+        a = memo_state(kind, d, seed)
+        linalg._memo = ()
+        op = checked(a)
+        assert isinstance(op, linalg._FullRank) or kind != "full_rank"  # certified
+        assert op.root is op.root and op.root.tobytes() == linalg.sqrt_psd(a).tobytes()
+        assert not op.root.flags.writeable
+        like = rand_psd(np.random.default_rng(seed), d)
+        try:
+            posterior = regions.quantum_bayes(like, a)  # a posterior reads the kept root
+        except ImpossibleConditioningError:
+            posterior = np.zeros((d, d))
+        for r in (linalg.sqrt_psd(a), regions.star_product(like, a), posterior):
+            assert r.flags.writeable and not np.shares_memory(r, op.root)
 
     def test_a_verdict_from_the_memo_is_frozen(self):
         s1, s2 = np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.5, 0.5])
@@ -719,36 +761,21 @@ class TestMemoIsInvisible:
 
 
 class TestEmptyOperands:
-    """0 x 0 operands: no end of an empty spectrum is read, and each outcome is pinned."""
+    """A 0 x 0 operand is no state: as_matrix rejects it where it enters."""
 
     Z = np.zeros((0, 0))
 
-    def test_spectrum(self):
-        s = Spectrum.of(self.Z)
-        assert s.w.size == 0 and s.cut == 0.0 and s.is_psd() and s.full_rank
-        assert s.clamped() is s and s.kept.shape == (0,) and s.support().is_empty
-
-    def test_quantum_compatible_is_incompatible(self):
-        linalg._memo = ()
-        verdict = quantum_compatible(self.Z, self.Z)
-        assert not verdict.compatible and verdict.intersection_rank() == 0
-
-    def test_quantum_pool_raises_incompatible(self):
-        linalg._memo = ()
-        with pytest.raises(IncompatibleAssignmentsError, match="disjoint supports"):
-            quantum_pool(self.Z, self.Z, self.Z)
-
-    def test_quantum_bayes_raises_impossible(self):
-        linalg._memo = ()
-        for _ in range(2):
-            with pytest.raises(ImpossibleConditioningError, match="0.000e"):
-                regions.quantum_bayes(self.Z, self.Z)
-
-    def test_spectral_functions(self):
-        assert support_projector(self.Z).is_empty and support_projector(self.Z).ambient_dim == 0
-        for f in (linalg.sqrt_psd, linalg.pseudo_inverse):
-            out = f(self.Z)
-            assert out.shape == (0, 0) and out.dtype == complex
+    @pytest.mark.parametrize("call", [
+        lambda z: quantum_compatible(z, z), lambda z: quantum_pool(z, z, z),
+        lambda z: regions.quantum_bayes(z, z), linalg.sqrt_psd, linalg.pseudo_inverse,
+        support_projector, Spectrum.of,
+    ], ids=["quantum_compatible", "quantum_pool", "quantum_bayes", "sqrt_psd",
+            "pseudo_inverse", "support_projector", "Spectrum.of"])
+    def test_rejected_where_it_enters(self, call):
+        memo = linalg._memo
+        with pytest.raises(DimensionMismatchError, match=r"got shape \(0, 0\)"):
+            call(self.Z)
+        assert linalg._memo is memo
 
 
 def gram_checked(s: Subspace) -> Subspace:
@@ -799,7 +826,8 @@ class TestSkippedChecksAdmitOnlyWhatTheyWouldAdmit:
         (np.eye(2), np.full((3, 3), np.inf), ValueError),
         (np.eye(2), np.eye(3) / 3, DimensionMismatchError),
         (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), ImpossibleConditioningError),
-        (np.eye(2), np.diag([2.0, -1.0]), NotPSDError),
+        (np.eye(2), np.diag([2.0, -1.0]), InvalidParameterError),  # not PSD, as quantum_pool says
+        (np.diag([1.0, 0.0]), np.diag([0.0, -1.0]), InvalidParameterError),  # PSD before possible
         # neither operand is symmetrized into a posterior, nor handed back as one
         (np.eye(2) / 2, [[0.5, 0.3], [0.0, 0.5]], "prior"),
         ([[0.5, 0.3], [0.0, 0.5]], np.eye(2) / 2, "likelihood"),
@@ -985,6 +1013,7 @@ BATCH_SHA256 = "ce070398444727a77c3a69ffa1c3bab5a5f46efccba44fbef20df26d2b202fca
 
 
 class TestPriorSpectrumFromTheDensityCheck:
+    @pytest.mark.memo
     @pytest.mark.parametrize("d", [2, 8])
     def test_three_decompositions_per_scenario(self, monkeypatch, d):
         # one Cholesky certifies the prior in its density check and one each
