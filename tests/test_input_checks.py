@@ -576,3 +576,69 @@ def test_int_strength_beyond_float_range(strength):
 def test_closed_form_channel_checks_its_dim(cls, dim, param, message):
     with pytest.raises(InvalidParameterError, match=message):
         cls(dim, param)
+
+
+def _rejections():
+    """(id, call, error class, message regex) of the rejections no other test reaches."""
+    from statepool import regions
+    from statepool.compatibility import ConditionalDistribution, ProbabilityDistribution
+    from statepool.linalg import Subspace, embed
+    from statepool.pooling import SufficientStatistic, quantum_minimal_sufficient_statistic
+
+    a, b = regions.RegionLabel("A", 2), regions.RegionLabel("B", 2)
+    quarter = np.eye(2) / 4
+    return [
+        ("region-dim", lambda: regions.RegionLabel("A", 0), ValueError, "has dim 0 < 1"),
+        ("region-kind", lambda: regions.RegionLabel("A", 2, "hybrid"), ValueError,
+         "unknown region kind 'hybrid'"),
+        ("joint-duplicate-names", lambda: regions.JointState((a, a), np.eye(4) / 4),
+         ValueError, r"duplicate region names in \['A', 'A'\]"),
+        ("joint-dim", lambda: regions.JointState((a, b), HALF), DimensionMismatchError,
+         "operator dim 2 != product of region dims 4"),
+        ("joint-trace", lambda: regions.JointState((a,), np.eye(2)), ValueError,
+         "normalized joint state has trace 2"),
+        ("star-apply-to", lambda: regions.star_product(np.eye(4) / 4, HALF, dims=[2, 2]),
+         ValueError, "apply_to is required when dims is given"),
+        ("star-shape", lambda: regions.star_product(np.eye(3) / 3, HALF), DimensionMismatchError,
+         r"embedded factor shape \(2, 2\) != state shape \(3, 3\)"),
+        ("hybrid-outcome", lambda: regions.HybridState((2,), {2: HALF}), ValueError,
+         r"outcome \(2,\) out of range for registers \(2,\)"),
+        ("hybrid-dims", lambda: regions.HybridState((2,), {0: HALF / 2, 1: np.eye(3) / 6}),
+         DimensionMismatchError, "blocks have differing quantum dims"),
+        ("hybrid-no-blocks", lambda: regions.HybridState((2,), {}), ValueError,
+         "hybrid state needs at least one block"),
+        ("hybrid-trace", lambda: regions.HybridState((2,), {0: quarter}), ValueError,
+         "hybrid blocks have total trace 0.5, expected 1"),
+        ("from-joint-dims", lambda: regions.HybridState.from_joint(np.eye(4) / 4, (2,), 3),
+         DimensionMismatchError, r"joint dim != classical x quantum dims"),
+        ("make-hybrid-keys", lambda: make_hybrid({0: quarter, (0, 1): quarter}), ValueError,
+         "inconsistent outcome tuple lengths"),
+        ("make-hybrid-trace", lambda: make_hybrid({0: np.zeros((2, 2))}), ValueError,
+         "cannot normalize: total trace is not positive"),
+        ("negative-probability", lambda: ProbabilityDistribution((0, 1), [1.5, -0.5]),
+         ValueError, "negative probability -0.5"),
+        ("negative-conditional", lambda: ConditionalDistribution(
+            (0,), (0, 1), [[1.5], [-0.5]]), ValueError, "negative conditional probability"),
+        ("column-sums", lambda: ConditionalDistribution((0, 1), (0, 1), [[0.5, 1.0], [0.25, 0.0]]),
+         ValueError, "columns must sum to 1"),
+        ("statistic-partition", lambda: SufficientStatistic((0, 1, 2), ({0, 1}, {1, 2})),
+         ValueError, "classes must partition the outcome set"),
+        ("statistic-dims", lambda: quantum_minimal_sufficient_statistic(
+            {0: HALF, 1: np.eye(3) / 3}), DimensionMismatchError,
+         "likelihood operators have differing dims"),
+        ("batch-generator", lambda: batch_report([2], 1, [0.5], 0, generator="haar"),
+         InvalidParameterError, "unknown generator 'haar'"),
+        ("encode-type", lambda: io.dumps({"x": object()}), TypeError,
+         "cannot serialize <class 'object'>"),
+        ("embed-dim", lambda: embed(HALF, [2, 3], [1]), DimensionMismatchError,
+         "operator dim 2 != product of factor dims 3"),
+        ("subspace-orthonormal", lambda: Subspace(2, np.array([[1.0], [1.0]])), ValueError,
+         "basis columns are not orthonormal"),
+    ]
+
+
+@pytest.mark.parametrize("call, error, message",
+                         [pytest.param(*r[1:], id=r[0]) for r in _rejections()])
+def test_rejection(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
