@@ -26,7 +26,8 @@ class DimensionMismatchError(StatePoolError):
 
 
 class NotPSDError(StatePoolError):
-    """An operator required to be positive semidefinite is not."""
+    """A state the library computed, a pooled state, is not positive semidefinite.
+    A non-PSD input is InvalidParameterError."""
 
 
 class ImpossibleConditioningError(StatePoolError):

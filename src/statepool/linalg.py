@@ -28,17 +28,17 @@ Conventions
   never reads the memo.  The rank cut, ``_rank_cut``, keeps
   ``|w| > rank_tol * max|w|``, also of a classical distribution, whose support
   is then its diagonal state's; PSD means ``min w >= -PSD_TOL * max(max|w|, 1)``
-  (``_psd_floor``), and eigenvalues between that floor and zero are clamped to
-  zero.  A ``Spectrum`` reads all three off the ends of ``eigh``'s ascending
-  ``w`` (``_end_max``), with the bits of the whole-array rules; its clamp is
-  itself when ``w[0] > 0``, and its mask ``kept`` is computed once.
+  (``_is_psd``), and eigenvalues between that floor and zero are clamped to
+  zero.  All three are read off the ends of ``eigh``'s (or ``eigvalsh``'s)
+  ascending ``w`` (``_end_max``), with the bits of the whole-array rules; a
+  ``Spectrum``'s clamp is itself when ``w[0] > 0``; its ``kept`` is made once.
 * A checked state is one operand, ``_spectrum``: ``_FullRank`` when one
   Cholesky certifies it (``_certified_full_rank``), which holds only where
   the cut above keeps every eigenvalue, so it is positive definite with
   support ``Subspace.full`` and its inverse as pseudo-inverse, applied by
   one LU solve; else its ``Spectrum``.  Both answer ``is_psd``, ``clamped``,
-  ``support``, ``full_rank``, ``pool_product`` and ``root``.  ``_state`` (PSD
-  test, then ``clamped``) makes every state ``_checked_states`` or a scenario
+  ``support``, ``full_rank``, ``pool_product`` and ``root``.  ``_state`` (``_psd``
+  of ``_spectrum``) makes every state ``_checked_states`` or a scenario
   hands on, so ``pinv`` never inverts a clamped eigenvalue, no checked matrix
   is rebuilt, and a posterior's support never holds a direction its prior's
   drops; ``support_projector`` reads the unclamped support.  Every full support,
@@ -63,9 +63,12 @@ Conventions
   them, and ``_reals`` applies ``_real`` to each entry of a probability array.
   Tensor factors have one rule, ``_factors``: a dim < 1 is InvalidParameterError,
   a position out of range or named twice DimensionMismatchError.
-* An operand is validated once, where it enters: a public function checks
-  it (``as_matrix``: square, nonempty, finite), then private cores
-  (``_sqrt_psd``, ``regions._star``) trust it.  What the library builds
+* An operand is admitted once, where it enters, by the rules here: ``as_matrix``
+  (square, nonempty, finite), ``_hermitian`` (also Hermitian; symmetrized) and
+  ``_psd`` (PSD; clamped), the last two naming it in their InvalidParameterError;
+  private cores (``_sqrt_psd``, ``regions._star``) trust it.  ``_checked_states``'
+  states and ``quantum_bayes``' likelihood stay raw, as their bits key the memo
+  and enter products.  What the library builds
   itself (``Subspace.full``, eigenvector and principal-angle bases, Haar
   unitaries) is orthonormal or unitary to O(d eps), far inside the
   tolerances, and skips re-checks (``_trusted``).
@@ -84,7 +87,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidParameterError, NotPSDError
+from .errors import DimensionMismatchError, InvalidParameterError
 
 PSD_TOL = 1e-8  # eigenvalue floor of every PSD decision, relative to max(max|w|, 1)
 TRACE_TOL = 1e-8  # |Tr - 1| of a unit-trace operator
@@ -155,11 +158,6 @@ def _reals(x, what: str) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def _psd_floor(w) -> float:
-    """The most negative eigenvalue a PSD operator with nonempty spectrum ``w`` may have."""
-    return -PSD_TOL * max(float(np.abs(w).max()), 1.0)
-
-
 def _rank_cut(w, rank_tol: float) -> float:
     """|w| above rank_tol * max|w| spans the support."""
     return rank_tol * float(np.abs(w).max())
@@ -168,6 +166,11 @@ def _rank_cut(w, rank_tol: float) -> float:
 def _end_max(w: np.ndarray) -> float:
     """max|w| of an ascending ``w`` (as ``eigh`` returns it), read off its ends."""
     return max(abs(float(w[0])), abs(float(w[-1])))
+
+
+def _is_psd(w: np.ndarray) -> bool:
+    """Whether an ascending ``w`` has ``min w >= -PSD_TOL * max(max|w|, 1)``, off its ends."""
+    return float(w[0]) >= -PSD_TOL * max(_end_max(w), 1.0)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -203,11 +206,11 @@ def check_hermitian(m, name: str, herm_tol: float = Tolerances.herm_tol) -> None
 
 
 def _hermitian(m, name: str) -> np.ndarray:
-    """``m`` as a matrix, once ``as_matrix`` and ``check_hermitian`` at the default
-    ``herm_tol`` accept it; not symmetrized."""
+    """``m`` as a matrix symmetrized, (M + M†)/2, once ``as_matrix`` and ``check_hermitian``
+    at the default ``herm_tol`` accept it."""
     a = as_matrix(m)
     check_hermitian(a, name)
-    return a
+    return (a + a.conj().T) / 2
 
 
 def _checked_states(tol: Tolerances, **states) -> list:
@@ -261,8 +264,12 @@ def _checked(m: np.ndarray, name: str, rank_tol: float) -> tuple:
 
 
 def _state(h: np.ndarray, name: str, rank_tol: float) -> Spectrum | _FullRank:
-    """``_spectrum(h, rank_tol)`` clamped, once it is PSD; else InvalidParameterError."""
-    s = _spectrum(h, rank_tol)
+    """``_psd`` of ``_spectrum(h, rank_tol)``."""
+    return _psd(_spectrum(h, rank_tol), name)
+
+
+def _psd(s: Spectrum | _FullRank, name: str) -> Spectrum | _FullRank:
+    """``s`` clamped, once it is PSD; else InvalidParameterError naming ``name``."""
     if not s.is_psd():
         raise InvalidParameterError(f"{name} is not PSD (eigenvalue {s.w.min():.3e})")
     return s.clamped()
@@ -331,24 +338,20 @@ def embed(op, dims, positions) -> np.ndarray:
 def sqrt_psd(h) -> np.ndarray:
     """PSD square root via spectral decomposition.
 
-    Eigenvalues in [-PSD_TOL*scale, 0) are clamped to zero; anything more
-    negative raises NotPSDError.  A non-Hermitian ``h`` is InvalidParameterError.
+    Eigenvalues in [-PSD_TOL*scale, 0) are clamped to zero; anything more negative,
+    or a non-Hermitian ``h``, is InvalidParameterError.
     """
-    return _sqrt_psd(_hermitian(h, "h")).copy()  # a writeable result, not the read-only root
+    return _sqrt_psd(_hermitian(h, "h"), "h").copy()  # writeable, not the read-only root
 
 
-def _sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """The read-only ``root`` of a square matrix already validated by ``as_matrix``,
-    symmetrized; NotPSDError unless it is PSD."""
-    s = Spectrum._of_hermitian((a + a.conj().T) / 2, Tolerances.rank_tol)
-    if not s.is_psd():
-        raise NotPSDError(f"not PSD: eigenvalue {s.w.min():.3e}")
-    return s.root
+def _sqrt_psd(h: np.ndarray, name: str) -> np.ndarray:
+    """The read-only ``root`` of a symmetrized matrix ``h``, once ``_psd`` accepts it."""
+    return _psd(Spectrum._of_hermitian(h, Tolerances.rank_tol), name).root
 
 
 def pseudo_inverse(h) -> np.ndarray:
     """Moore-Penrose inverse of a Hermitian operator, restricted to its support."""
-    return Spectrum.of(_hermitian(h, "h")).pinv()
+    return Spectrum._of_hermitian(_hermitian(h, "h"), Tolerances.rank_tol).pinv()
 
 
 @dataclass(frozen=True, eq=False)
@@ -469,8 +472,7 @@ class Spectrum:
         return (self.v * inv) @ self.v.conj().T
 
     def is_psd(self) -> bool:
-        """``min w >= _psd_floor(w)``, read off the ends of ``w``."""
-        return float(self.w[0]) >= -PSD_TOL * max(_end_max(self.w), 1.0)
+        return _is_psd(self.w)
 
     @functools.cached_property
     def root(self) -> np.ndarray:
@@ -528,7 +530,7 @@ def support_projector(h, rank_tol: float = Tolerances.rank_tol) -> Subspace:
     off the unclamped ``_spectrum``: ``Subspace.full`` for a certified matrix,
     with no eigendecomposition; the zero operator yields the empty subspace.  A
     non-Hermitian ``h`` is InvalidParameterError."""
-    return _spectrum(hermitize(_hermitian(h, "h")), rank_tol).support()
+    return _spectrum(_hermitian(h, "h"), rank_tol).support()
 
 
 def _certified_full_rank(a: np.ndarray, rank_tol: float) -> bool:

@@ -19,8 +19,8 @@ from .errors import (
     NonHermitianPoolingProductError, NotPSDError, PriorSupportError,
 )
 from .linalg import (
-    EXACT_TOL, PROPORTIONALITY_TOL, SUBSPACE_TOL, Tolerances, _checked_states, _judged,
-    _psd_floor, as_matrix, max_norm,
+    EXACT_TOL, PROPORTIONALITY_TOL, SUBSPACE_TOL, Tolerances, _checked_states, _is_psd, _judged,
+    as_matrix, max_norm,
 )
 
 _OVERFLOW = "pooling product overflows: inputs beyond float range"
@@ -119,8 +119,8 @@ def _pool(prior, a, b, supp1, supp2, verdict, tol: Tolerances) -> PoolingReport:
     if tr <= 0:
         raise IncompatibleAssignmentsError(f"pooling product has nonpositive trace {tr:g}")
     pooled = (t + t.conj().T) / (2.0 * tr)
-    w = np.linalg.eigvalsh(pooled)
-    if w.min() < _psd_floor(w):
+    w = np.linalg.eigvalsh(pooled)  # ascending
+    if not _is_psd(w):
         raise NotPSDError(f"negative pooled eigenvalue beyond tolerance: {w.min():.3e}")
     return PoolingReport(
         pooled=pooled,

@@ -21,10 +21,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ImpossibleConditioningError, NotPSDError
+from .errors import DimensionMismatchError, ImpossibleConditioningError
 from .linalg import (
     EXACT_TOL, SUPPORT_TOL, TRACE_TOL, Spectrum, Tolerances, _checked_state, _hermitian, _integer,
-    _sqrt_psd, as_matrix, check_hermitian, embed, max_norm, partial_trace,
+    _psd, _sqrt_psd, as_matrix, check_hermitian, embed, max_norm, partial_trace,
 )
 
 
@@ -61,7 +61,6 @@ class JointState:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate region names in {names}")
         op = _hermitian(self.op, "joint state")
-        op = (op + op.conj().T) / 2  # hermitize, unchecked
         d = math.prod(r.dim for r in regions)
         if op.shape[0] != d:
             raise DimensionMismatchError(
@@ -105,28 +104,26 @@ def star_product(psi, phi, dims=None, apply_to=None) -> np.ndarray:
     With ``dims`` and ``apply_to`` given, ``phi`` acts on the tensor factors
     ``apply_to`` of the space described by ``dims`` and identities are
     inserted elsewhere; otherwise phi must act on the whole space of psi.
-    Requires phi Hermitian (else InvalidParameterError) and PSD.  The result
+    Requires phi Hermitian and PSD, else InvalidParameterError.  The result
     is Hermitian for Hermitian psi and PSD for PSD psi.
     """
     psi = as_matrix(psi)
     phi = _hermitian(phi, "phi")
-    if dims is None:
-        big = phi
-    else:
+    if dims is not None:
         if apply_to is None:
             raise ValueError("apply_to is required when dims is given")
         pos = [apply_to] if isinstance(apply_to, int) else list(apply_to)
-        big = embed(phi, dims, pos)
-    if big.shape != psi.shape:
+        phi = embed(phi, dims, pos)
+    if phi.shape != psi.shape:
         raise DimensionMismatchError(
-            f"embedded factor shape {big.shape} != state shape {psi.shape}"
+            f"embedded factor shape {phi.shape} != state shape {psi.shape}"
         )
-    return _star(psi, big)
+    return _star(psi, phi, "phi")
 
 
-def _star(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """``star_product`` of validated square matrices of one shape."""
-    root = _sqrt_psd(phi)
+def _star(psi: np.ndarray, phi: np.ndarray, name: str) -> np.ndarray:
+    """``star_product`` of validated square matrices of one shape, ``phi`` symmetrized."""
+    root = _sqrt_psd(phi, name)
     return root @ psi @ root
 
 
@@ -134,7 +131,8 @@ def condition(s: JointState, on) -> ConditionalState:
     """Conditional state of the remaining regions given the ones in ``on``.
 
     Star product of the joint with the pseudo-inverse of the marginal on
-    ``on``; singular marginals condition on their support.
+    ``on``; singular marginals condition on their support.  A pseudo-inverse
+    that is not PSD is InvalidParameterError naming its marginal.
     """
     on_names = {on} if isinstance(on, str) else set(on)
     # the marginal and s.op are symmetrized JointState operands: decomposed and starred as they are
@@ -142,7 +140,9 @@ def condition(s: JointState, on) -> ConditionalState:
     if spectrum.support().is_empty:
         raise ImpossibleConditioningError("conditioning on impossible event (zero marginal)")
     pos = [i for i, r in enumerate(s.regions) if r.name in on_names]
-    out = _star(s.op, embed(spectrum.pinv(), s.dims, pos))
+    big = embed(spectrum.pinv(), s.dims, pos)
+    name = f"pseudo-inverse of the marginal on {sorted(on_names)}"
+    out = _star(s.op, (big + big.conj().T) / 2, name)  # hermitize, unchecked
     target = tuple(r for r in s.regions if r.name not in on_names)
     given = tuple(r for r in s.regions if r.name in on_names)
     return ConditionalState(target=target, given=given, op=out)
@@ -203,15 +203,12 @@ class HybridState:
             key = tuple(_integer(k, "outcome") for k in _outcome(key))
             if len(key) != len(cdims) or any(not 0 <= k < d for k, d in zip(key, cdims)):
                 raise ValueError(f"outcome {key} out of range for registers {cdims}")
-            b = as_matrix(block)
+            h = _hermitian(block, name := f"block at outcome {key}")
             if qdim is None:
-                qdim = b.shape[0]
-            elif b.shape[0] != qdim:
+                qdim = h.shape[0]
+            elif h.shape[0] != qdim:
                 raise DimensionMismatchError("blocks have differing quantum dims")
-            check_hermitian(b, f"block at outcome {key}")
-            h = (b + b.conj().T) / 2  # hermitize, unchecked
-            if not Spectrum._of_hermitian(h, Tolerances.rank_tol).is_psd():
-                raise NotPSDError(f"block at outcome {key} is not PSD")
+            _psd(Spectrum._of_hermitian(h, Tolerances.rank_tol), name)
             blocks[key] = h
         if not blocks:
             raise ValueError("hybrid state needs at least one block")

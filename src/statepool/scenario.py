@@ -17,8 +17,8 @@ import numpy as np
 from .compatibility import CompatibilityVerdict, _support_verdict
 from .errors import DimensionMismatchError, InvalidParameterError, StatePoolError
 from .linalg import (
-    EXACT_TOL, TRACE_TOL, Tolerances, _integer, _real, _state, as_matrix, check_hermitian,
-    hermitize, max_norm,
+    EXACT_TOL, TRACE_TOL, Tolerances, _hermitian, _integer, _real, _state, as_matrix, hermitize,
+    max_norm,
 )
 from .pooling import PoolingReport, _pool
 
@@ -226,9 +226,7 @@ class ScenarioConfig:
             raise InvalidParameterError(f"tol is a {type(self.tol).__name__}, not a Tolerances")
         # not _checked_states: a config holds its checked prior, so its memo could hit
         # only when a caller builds the same scenario again
-        m = as_matrix(self.prior)
-        check_hermitian(m, "prior")
-        prior = (m + m.conj().T) / 2  # hermitize, unchecked
+        prior = _hermitian(self.prior, "prior")
         pooling_prior = _state(prior, "prior", self.tol.rank_tol)
         tr = float(np.real(np.trace(prior)))
         if abs(tr - 1.0) > TRACE_TOL:

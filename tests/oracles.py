@@ -15,7 +15,7 @@ from scipy.optimize import linprog
 
 from statepool.compatibility import _support_verdict
 from statepool.errors import IncompatibleAssignmentsError, PriorSupportError
-from statepool.linalg import EXACT_TOL, Spectrum, Tolerances
+from statepool.linalg import EXACT_TOL, PSD_TOL, Spectrum, Tolerances
 from statepool.pooling import PoolingReport, _pool
 from statepool.scenario import (
     AgentPipeline, DephasingChannel, DepolarizingChannel, KrausChannel, ReplacementChannel,
@@ -273,6 +273,12 @@ def exact_pool(prior, s1, s2, digits=60):
 # --- classical pooling in closed form ----------------------------------------
 # The classical rule written from its definition, with each support cut as the
 # quantum rule cuts a diagonal state's: entries above rank_tol times the largest.
+
+
+def psd_floor(w) -> float:
+    """The most negative eigenvalue a PSD operator with nonempty spectrum ``w`` may have,
+    from the whole array: -PSD_TOL * max(max|w|, 1)."""
+    return -PSD_TOL * max(float(np.abs(w).max()), 1.0)
 
 
 def diagonal_support(p, rank_tol=Tolerances.rank_tol):

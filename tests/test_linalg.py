@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from statepool.errors import DimensionMismatchError, InvalidParameterError, NotPSDError
+from statepool.errors import DimensionMismatchError, InvalidParameterError
 from statepool.linalg import (
     Subspace,
     check_hermitian,
@@ -155,7 +155,8 @@ class TestSqrtPsd:
             assert max_norm(r @ r - h) <= 1e-10 * max(max_norm(h), 1.0)
 
     def test_rejects_negative(self):
-        with pytest.raises(NotPSDError):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^h is not PSD \(eigenvalue -5\.000e-01\)"):
             sqrt_psd(np.diag([1.0, -0.5]))
 
 

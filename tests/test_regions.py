@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statepool import io
-from statepool.errors import ImpossibleConditioningError, InvalidParameterError, NotPSDError
+from statepool.errors import ImpossibleConditioningError, InvalidParameterError
 from statepool.io import MalformedInputError
 from statepool.linalg import max_norm, partial_trace, support_projector, tensor
 from statepool.regions import (
@@ -83,7 +83,8 @@ class TestStarProduct:
         assert max_norm(got - np.diag([0.25, 0.0])) < 1e-12
 
     def test_not_psd_factor_rejected(self):
-        with pytest.raises(NotPSDError):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^phi is not PSD \(eigenvalue -1\.000e\+00\)"):
             star_product(np.eye(2), np.diag([1.0, -1.0]))
 
     @settings(max_examples=40, deadline=None)
@@ -232,7 +233,8 @@ class TestHybrid:
             HybridState.from_joint(m, (2,), 2)
 
     def test_non_psd_block_rejected(self):
-        with pytest.raises(NotPSDError):
+        with pytest.raises(InvalidParameterError, match=r"^block at outcome \(0,\) is not PSD "
+                                                        r"\(eigenvalue -1\.000e\+00\)"):
             make_hybrid({0: np.diag([1.0, -0.5])})
 
     NON_HERMITIAN = {0: [[0.25, 0.3], [0.0, 0.25]], 1: np.eye(2) / 4}

@@ -32,7 +32,7 @@ from statepool.scenario import (
     adversarial_instance, batch_report, haar_unitary, random_instance, run_scenario,
 )
 
-from oracles import rand_density, rand_psd
+from oracles import psd_floor, rand_density, rand_psd
 
 TOL = 1e-8  # subspace_intersection's default
 RANK_TOLS = (0.0, 1e-10, 1e-3, 0.2)
@@ -161,7 +161,7 @@ class TestSpectrum:
         assert (np.diff(w) >= 0).all()  # the premise: eigh's eigenvalues ascend
         cut = linalg._rank_cut(w, rank_tol)
         assert s.cut.hex() == cut.hex()
-        assert s.is_psd() is bool(w.min() >= linalg._psd_floor(w))
+        assert s.is_psd() is bool(w.min() >= psd_floor(w))
         assert s.kept.dtype == bool and np.array_equal(s.kept, np.abs(w) > cut)
         assert s.full_rank is bool((np.abs(w) > cut).all())
         if s.is_psd():

@@ -85,7 +85,8 @@ class TestOnePSDFloor:
     @pytest.mark.parametrize("apply", [lambda m: sqrt_psd(m), lambda m: star_product(HALF, m)])
     def test_below_the_floor_rejected(self, apply):
         assert -1e-7 < -PSD_TOL < -1e-9  # the floor sits between the two edges tested
-        with pytest.raises(NotPSDError):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^(h|phi) is not PSD \(eigenvalue -1\.000e-07\)"):
             apply(np.diag([1.0, -1e-7]))
 
 
