@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
 from .linalg import (
-    EXACT_TOL, SUM_TOL, SUPPORT_TOL, Subspace, Tolerances, _checked_states, _integer, _judged,
-    _rank_cut, _reals, as_matrix, max_norm, subspace_intersection,
+    EXACT_TOL, SUM_TOL, SUPPORT_TOL, Subspace, Tolerances, _checked_states, _hermitian, _integer,
+    _judged, _rank_cut, _reals, _state, as_matrix, max_norm, subspace_intersection,
 )
 from .regions import HybridState, _possible, quantum_bayes
 
@@ -209,7 +209,8 @@ def verify_objective_quantum(s1, s2, hybrid: HybridState, x1: int, x2: int) -> b
     the quantum region.  True iff the classical weight at (x1, x2) exceeds
     EXACT_TOL and each conditional state rho_{B | Xi = xi} (marginalizing
     the other register, then normalizing) equals the corresponding
-    assignment within EXACT_TOL in max-norm.  A state whose dim is not the
+    assignment within EXACT_TOL in max-norm.  The states are checked as
+    ``quantum_compatible`` checks them, and a state whose dim is not the
     hybrid's quantum dim is DimensionMismatchError.
     """
     if len(hybrid.classical_dims) != 2:
@@ -218,7 +219,7 @@ def verify_objective_quantum(s1, s2, hybrid: HybridState, x1: int, x2: int) -> b
     if not (0 <= _integer(x1, "x1") < d1 and 0 <= _integer(x2, "x2") < d2):
         raise InvalidParameterError(f"outcome ({x1}, {x2}) absent from registers "
                                     f"{hybrid.classical_dims}")
-    s1, s2 = as_matrix(s1), as_matrix(s2)
+    (s1, *_), (s2, *_) = _checked_states(Tolerances(), s1=s1, s2=s2)
     if {s1.shape, s2.shape} != {(hybrid.quantum_dim,) * 2}:
         raise DimensionMismatchError("states and witness act on different dims")
     if hybrid.classical_weight((x1, x2)) <= EXACT_TOL:  # condition 1
@@ -237,10 +238,12 @@ def verify_subjective_quantum(s1, s2, likelihoods, x_tilde) -> bool:
 
     ``likelihoods`` maps outcomes x to PSD operators on the states' space
     summing to the identity within EXACT_TOL (a valid measurement: their
-    square roots pass ``KrausChannel``'s trace-preservation check).  True
-    iff every predictive probability Tr(likelihood(x) s_i) exceeds EXACT_TOL
-    and the quantum Bayes posteriors of the two agents agree at ``x_tilde``
-    within EXACT_TOL in max-norm.
+    square roots pass ``KrausChannel``'s trace-preservation check); an
+    effect that is not Hermitian and PSD is InvalidParameterError, and the
+    states are checked as ``quantum_compatible`` checks them.  True iff every
+    predictive probability Tr(likelihood(x) s_i) exceeds EXACT_TOL and the
+    quantum Bayes posteriors of the two agents agree at ``x_tilde`` within
+    EXACT_TOL in max-norm.
     """
     s1, s2 = as_matrix(s1), as_matrix(s2)
     ops = {x: as_matrix(m) for x, m in dict(likelihoods).items()}
@@ -251,6 +254,9 @@ def verify_subjective_quantum(s1, s2, likelihoods, x_tilde) -> bool:
     total = sum(ops.values())
     if not max_norm(total - np.eye(total.shape[0])) <= EXACT_TOL:  # NaN too
         raise InvalidParameterError("likelihoods do not sum to the identity")
+    _checked_states(Tolerances(), s1=s1, s2=s2)
+    for x, m in ops.items():
+        _state(_hermitian(m, name := f"likelihood {x!r}"), name, Tolerances.rank_tol)
     for sigma in (s1, s2):
         for m in ops.values():
             if float(np.real(np.trace(m @ sigma))) <= EXACT_TOL:

@@ -173,11 +173,16 @@ def _is_psd(w: np.ndarray) -> bool:
     return float(w[0]) >= -PSD_TOL * max(_end_max(w), 1.0)
 
 
-def as_matrix(m) -> np.ndarray:
-    """Validate and return ``m`` as a nonempty square complex matrix with finite entries."""
-    a = np.asarray(m, dtype=complex)
+def _square(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, once it is a nonempty square matrix; else DimensionMismatchError."""
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {a.shape}")
+    return a
+
+
+def as_matrix(m) -> np.ndarray:
+    """Validate and return ``m`` as a nonempty square complex matrix with finite entries."""
+    a = _square(np.asarray(m, dtype=complex))
     if not np.isfinite(a).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return a
@@ -197,8 +202,9 @@ def hermitize(m) -> np.ndarray:
 
 def check_hermitian(m, name: str, herm_tol: float = Tolerances.herm_tol) -> None:
     """Raise InvalidParameterError unless max_norm(M - M†) <= herm_tol * max(max_norm(M), 1).
-    An ``m`` that is no ndarray is read by ``as_matrix`` first."""
-    m = m if isinstance(m, np.ndarray) else as_matrix(m)
+    An ndarray ``m`` must be a nonempty square matrix (its entries are not re-checked);
+    any other ``m`` is read by ``as_matrix`` first."""
+    m = _square(m) if isinstance(m, np.ndarray) else as_matrix(m)
     residual = float(np.abs(m - m.conj().T).max())  # max_norm(M - M†)
     # the scale is >= 1, so a residual <= herm_tol passes without the cost of max_norm(m)
     if residual > herm_tol and residual > herm_tol * max(max_norm(m), 1.0):

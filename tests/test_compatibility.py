@@ -300,6 +300,16 @@ class TestVerifyObjectiveQuantum:
             assert verify_objective_quantum(s1, s2, hybrid, 0, 0)
             assert quantum_compatible(s1, s2).compatible
 
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_a_state_not_psd_is_invalid_not_false(self, slot):
+        # checked as quantum_compatible checks it, and named; it used to return False
+        states = [np.eye(2) / 2] * 2
+        states[slot] = np.diag([1.5, -0.5])
+        hybrid = make_hybrid({(0, 0): np.eye(2) / 4, (1, 1): np.eye(2) / 4})
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^s{slot + 1} is not PSD \(eigenvalue -5\.000e-01\)$"):
+            verify_objective_quantum(*states, hybrid, 0, 0)
+
 
 class TestVerifySubjectiveQuantum:
     def test_identical_priors_any_measurement(self):
@@ -377,6 +387,22 @@ class TestVerifySubjectiveQuantum:
     def test_absent_outcome_is_invalid(self):
         with pytest.raises(InvalidParameterError, match="absent"):
             verify_subjective_quantum(np.eye(2) / 2, np.eye(2) / 2, {0: np.eye(2)}, 1)
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_a_state_not_psd_is_named(self, slot):
+        # checked as quantum_compatible checks it; s1 used to be named "prior"
+        states = [np.eye(2) / 2] * 2
+        states[slot] = np.diag([1.5, -0.5])
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^s{slot + 1} is not PSD \(eigenvalue -5\.000e-01\)$"):
+            verify_subjective_quantum(*states, {0: np.eye(2)}, 0)
+
+    def test_an_effect_not_psd_is_invalid(self):
+        # these sum to I, and both predictive probabilities are 1/2: it used to return True
+        likelihoods = {0: np.diag([1.5, -0.5]), 1: np.diag([-0.5, 1.5])}
+        with pytest.raises(InvalidParameterError,
+                           match=r"^likelihood 0 is not PSD \(eigenvalue -5\.000e-01\)$"):
+            verify_subjective_quantum(np.eye(2) / 2, np.eye(2) / 2, likelihoods, 0)
 
     @pytest.mark.parametrize("likelihoods, states", [
         ({0: np.eye(3)}, (np.eye(2) / 2, np.eye(2) / 2)),

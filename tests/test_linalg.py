@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -246,3 +248,11 @@ def test_check_hermitian_reads_a_nested_list_as_a_matrix():
     for bad in ([1.0, 2.0], [[]]):  # not square: a StatePoolError, not an AttributeError
         with pytest.raises(DimensionMismatchError):
             check_hermitian(bad, "m")
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 3), (0, 0)], ids=["1-D", "2x3", "0x0"])
+def test_check_hermitian_rejects_an_ndarray_that_is_no_square_matrix(shape):
+    # as as_matrix says, from the shape alone: an ndarray's entries are not re-checked
+    message = f"expected a nonempty square matrix, got shape {shape}"
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+        check_hermitian(np.zeros(shape, complex), "m")

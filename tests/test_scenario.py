@@ -264,6 +264,21 @@ class TestBatchReport:
         batch_report([2, 3], 2, [0.0, 0.5], 1)
         assert len(calls) == 8
 
+    def test_a_generator_that_pools_reports_its_residuals(self, monkeypatch):
+        # empty pipelines: both posteriors are the prior, so rho rho^-1 rho pools
+        def unchanged(dim, seed, noise):
+            prior = rand_density(np.random.default_rng(seed), dim)
+            return run_scenario(ScenarioConfig(prior, (AgentPipeline("W"), AgentPipeline("T"))))
+
+        monkeypatch.setitem(scenario.GENERATORS, "unchanged", unchanged)
+        rows = batch_report([2, 5], count=4, noise_grid=[0.5], seed=3, generator="unchanged")
+        for row in rows:
+            results = [unchanged(row["dim"], [3, row["dim"], 0, i], 0.5) for i in range(4)]
+            residuals = [res.pooling.hermiticity_residual for res in results]
+            assert row["frac_compatible"] == row["frac_hermitian_pooling"] == 1.0
+            assert row["mean_hermiticity_residual"] == float(np.mean(residuals))
+        assert any(row["mean_hermiticity_residual"] > 0.0 for row in rows)
+
     def test_deterministic(self):
         a = batch_report([2], count=10, noise_grid=[0.3, 0.7], seed=5)
         b = batch_report([2], count=10, noise_grid=[0.3, 0.7], seed=5)

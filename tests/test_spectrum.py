@@ -249,7 +249,6 @@ def bayes_group(d, seed):
                    (proj, np.eye(d) - proj)]
 
 
-@pytest.mark.memo
 class TestDecompositionCounts:
     @pytest.mark.parametrize("d", [2, 8])
     @pytest.mark.parametrize("seed", [0, 7])
@@ -425,7 +424,6 @@ class TestDecompositionCounts:
         assert len(calls) == 2
 
 
-@pytest.mark.memo
 class TestPriorCheckedOnce:
     """quantum_bayes checks its prior as quantum_pool does, into one memo entry: a prior
     the memo holds is neither checked nor decomposed again."""
@@ -552,7 +550,6 @@ OPERANDS = (st.sampled_from(MEMO_KINDS), st.sampled_from([1, 2, 3, 8, 64]),
             st.integers(0, 10_000))
 
 
-@pytest.mark.memo
 class TestMemoIsInvisible:
     """linalg keeps the last checked states and verdicts; no result may tell."""
 
@@ -1013,7 +1010,6 @@ BATCH_SHA256 = "ce070398444727a77c3a69ffa1c3bab5a5f46efccba44fbef20df26d2b202fca
 
 
 class TestPriorSpectrumFromTheDensityCheck:
-    @pytest.mark.memo
     @pytest.mark.parametrize("d", [2, 8])
     def test_three_decompositions_per_scenario(self, monkeypatch, d):
         # one Cholesky certifies the prior in its density check and one each
