@@ -18,13 +18,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statepool import io
+from statepool import io, regions
 from statepool.cli import main
-from statepool.compatibility import quantum_compatible
+from statepool.compatibility import (
+    ConditionalDistribution, ProbabilityDistribution, quantum_compatible,
+)
 from statepool.errors import DimensionMismatchError, InvalidParameterError
 from statepool.io import MalformedInputError
-from statepool.linalg import Tolerances
-from statepool.pooling import quantum_pool
+from statepool.linalg import Subspace, Tolerances, embed
+from statepool.pooling import (
+    SufficientStatistic, quantum_minimal_sufficient_statistic, quantum_pool,
+)
 from statepool.regions import make_hybrid
 from statepool.scenario import (
     GENERATORS, AgentPipeline, Channel, DephasingChannel, DepolarizingChannel, KrausChannel,
@@ -580,11 +584,6 @@ def test_closed_form_channel_checks_its_dim(cls, dim, param, message):
 
 def _rejections():
     """(id, call, error class, message regex) of the rejections no other test reaches."""
-    from statepool import regions
-    from statepool.compatibility import ConditionalDistribution, ProbabilityDistribution
-    from statepool.linalg import Subspace, embed
-    from statepool.pooling import SufficientStatistic, quantum_minimal_sufficient_statistic
-
     a, b = regions.RegionLabel("A", 2), regions.RegionLabel("B", 2)
     quarter = np.eye(2) / 4
     return [
