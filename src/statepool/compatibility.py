@@ -17,10 +17,11 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
 from .linalg import (
-    EXACT_TOL, SUM_TOL, SUPPORT_TOL, Subspace, Tolerances, _checked_states, _hermitian, _integer,
-    _judged, _rank_cut, _reals, _state, as_matrix, max_norm, subspace_intersection,
+    EXACT_TOL, SUM_TOL, SUPPORT_TOL, Subspace, Tolerances, _checked_matrices, _checked_states,
+    _integer, _judged, _rank_cut, _reals, _state, as_matrix, check_hermitian, max_norm,
+    subspace_intersection,
 )
-from .regions import HybridState, _possible, quantum_bayes
+from .regions import HybridState, _bayes, _possible
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,13 +255,13 @@ def verify_subjective_quantum(s1, s2, likelihoods, x_tilde) -> bool:
     total = sum(ops.values())
     if not max_norm(total - np.eye(total.shape[0])) <= EXACT_TOL:  # NaN too
         raise InvalidParameterError("likelihoods do not sum to the identity")
-    _checked_states(Tolerances(), s1=s1, s2=s2)
+    (_, _, rho1, _), (_, _, rho2, _) = _checked_matrices(Tolerances(), {"s1": s1, "s2": s2})
     for x, m in ops.items():
-        _state(_hermitian(m, name := f"likelihood {x!r}"), name, Tolerances.rank_tol)
+        check_hermitian(m, name := f"likelihood {x!r}")
+        _state((m + m.conj().T) / 2, name, Tolerances.rank_tol)  # hermitize, unchecked
     for sigma in (s1, s2):
         for m in ops.values():
             if float(np.real(np.trace(m @ sigma))) <= EXACT_TOL:
                 return False
-    post1 = quantum_bayes(ops[x_tilde], s1)
-    post2 = quantum_bayes(ops[x_tilde], s2)
-    return max_norm(post1 - post2) <= EXACT_TOL
+    like = ops[x_tilde]  # each posterior from its state's checked root
+    return max_norm(_bayes(rho1.root, like, s1) - _bayes(rho2.root, like, s2)) <= EXACT_TOL

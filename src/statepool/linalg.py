@@ -15,8 +15,9 @@ Conventions
 * ``tensor(a, b)`` is the Kronecker product with the LEFT factor as the
   FIRST region: index ``i*dim(b) + j`` of the product corresponds to basis
   state ``|i>|j>``.
-* At most one ``eigh`` per operand value: support, pseudo-inverse, PSD test
-  and PSD square root (``root``, made once, read-only) all derive from one
+* At most one ``eigh`` per operand value, at its own dim (``regions`` embeds
+  roots, never decomposes an embedded operator): support, pseudo-inverse, PSD
+  test and PSD square root (``root``, made once, read-only) all derive from one
   ``Spectrum``.  Only this module touches the memo, which keeps the last
   ``_MEMO_KEPT`` values of two kinds that the Bayes chain hands to several
   calls: a checked state, keyed by its dtype, shape, bytes and ``Tolerances``
@@ -46,7 +47,9 @@ Conventions
   per dim (``_identity``).
 * A caller sets ``rank_tol`` and ``herm_tol`` through one ``Tolerances``
   record, which rejects a NaN, infinite or negative value, or ``rank_tol >= 1``,
-  as InvalidParameterError (CLI exit 2), never a verdict.  Every other
+  as InvalidParameterError (CLI exit 2), never a verdict; ``support_projector``,
+  ``Spectrum.of`` and ``check_hermitian``, which take one raw, apply the same two
+  rules (``_rank_tol``, ``_herm_tol``).  Every other
   threshold is a constant named below, which no caller sets; the other
   modules import theirs from here.  Hermiticity has one relative rule,
   ``check_hermitian``; ``hermitize`` only symmetrizes.
@@ -61,12 +64,13 @@ Conventions
   InvalidParameterError, never cast, truncated or coerced.  Every function
   taking a dim, an index, a seed, a strength or a tolerance calls one of
   them, and ``_reals`` applies ``_real`` to each entry of a probability array.
-  Tensor factors have one rule, ``_factors``: a dim < 1 is InvalidParameterError,
-  a position out of range or named twice DimensionMismatchError.
+  Tensor factors have one rule, ``_factors``: a scalar where a list of dims or
+  positions is due, or a dim < 1, is InvalidParameterError, a position out of
+  range or named twice DimensionMismatchError.
 * An operand is admitted once, where it enters, by the rules here: ``as_matrix``
   (square, nonempty, finite), ``_hermitian`` (also Hermitian; symmetrized) and
   ``_psd`` (PSD; clamped), the last two naming it in their InvalidParameterError;
-  private cores (``_sqrt_psd``, ``regions._star``) trust it.  ``_checked_states``'
+  private cores (``_sqrt_psd``, ``regions._bayes``) trust it.  ``_checked_states``'
   states and ``quantum_bayes``' likelihood stay raw, as their bits key the memo
   and enter products.  What the library builds
   itself (``Subspace.full``, eigenvector and principal-angle bases, Haar
@@ -110,12 +114,22 @@ class Tolerances:
     herm_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank_tol", "herm_tol"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
-        if not 0.0 <= self.rank_tol < 1.0:  # also rejects NaN
-            raise InvalidParameterError(f"rank_tol {self.rank_tol!r} outside [0, 1)")
-        if not 0.0 <= self.herm_tol < np.inf:
-            raise InvalidParameterError(f"herm_tol {self.herm_tol!r} is not a finite value >= 0")
+        object.__setattr__(self, "rank_tol", _rank_tol(self.rank_tol))
+        object.__setattr__(self, "herm_tol", _herm_tol(self.herm_tol))
+
+
+def _rank_tol(x) -> float:
+    """``x`` as a rank cut, once ``_real`` accepts it and it lies in [0, 1)."""
+    if not 0.0 <= (x := _real(x, "rank_tol")) < 1.0:  # also rejects NaN
+        raise InvalidParameterError(f"rank_tol {x!r} outside [0, 1)")
+    return x
+
+
+def _herm_tol(x) -> float:
+    """``x`` as a Hermiticity tolerance, once ``_real`` accepts it, finite and >= 0."""
+    if not 0.0 <= (x := _real(x, "herm_tol")) < np.inf:  # also rejects NaN
+        raise InvalidParameterError(f"herm_tol {x!r} is not a finite value >= 0")
+    return x
 
 
 def _real(x, what: str) -> float:
@@ -137,9 +151,12 @@ def _integer(x, what: str) -> int:
 
 
 def _factors(dims, positions, what: str) -> tuple:
-    """``dims`` and ``positions`` as int lists, once every dim is an integer >= 1
-    (else InvalidParameterError) and every position is the integer index of a
-    factor, none twice (else DimensionMismatchError)."""
+    """``dims`` and ``positions`` as int lists, once both are iterables, every dim is
+    an integer >= 1 (else InvalidParameterError) and every position is the integer
+    index of a factor, none twice (else DimensionMismatchError)."""
+    for xs, name in ((dims, "dims"), (positions, what)):
+        if not np.iterable(xs):  # a scalar, never iterated
+            raise InvalidParameterError(f"{name} {xs!r} is not a list")
     dims = [_integer(d, "dim") for d in dims]
     if min(dims, default=1) < 1:
         raise InvalidParameterError(f"dim {min(dims)} < 1")
@@ -203,8 +220,9 @@ def hermitize(m) -> np.ndarray:
 def check_hermitian(m, name: str, herm_tol: float = Tolerances.herm_tol) -> None:
     """Raise InvalidParameterError unless max_norm(M - M†) <= herm_tol * max(max_norm(M), 1).
     An ndarray ``m`` must be a nonempty square matrix (its entries are not re-checked);
-    any other ``m`` is read by ``as_matrix`` first."""
+    any other ``m`` is read by ``as_matrix`` first; ``herm_tol`` obeys ``_herm_tol``."""
     m = _square(m) if isinstance(m, np.ndarray) else as_matrix(m)
+    herm_tol = _herm_tol(herm_tol)
     residual = float(np.abs(m - m.conj().T).max())  # max_norm(M - M†)
     # the scale is >= 1, so a residual <= herm_tol passes without the cost of max_norm(m)
     if residual > herm_tol and residual > herm_tol * max(max_norm(m), 1.0):
@@ -228,6 +246,11 @@ def _checked_states(tol: Tolerances, **states) -> list:
     mats = {name: as_matrix(m) for name, m in states.items()}
     if len({m.shape for m in mats.values()}) > 1:
         raise DimensionMismatchError(f"states {', '.join(mats)} have different dims")
+    return _checked_matrices(tol, mats)
+
+
+def _checked_matrices(tol: Tolerances, mats: dict) -> list:
+    """``_checked_states`` of ``mats``, named matrices of one shape that ``as_matrix`` accepted."""
     keys = {name: _key(m, tol) for name, m in mats.items()}
     found = {name: _recall(key) for name, key in keys.items()}  # one probe per operand
     for name, m in mats.items():
@@ -283,6 +306,8 @@ def _psd(s: Spectrum | _FullRank, name: str) -> Spectrum | _FullRank:
 
 def tensor(*ops) -> np.ndarray:
     """Kronecker product of one or more matrices, left factor first."""
+    if not ops:
+        raise InvalidParameterError("tensor needs at least one matrix")
     out = as_matrix(ops[0])
     for op in ops[1:]:
         out = np.kron(out, as_matrix(op))
@@ -454,7 +479,7 @@ class Spectrum:
 
     @classmethod
     def of(cls, m, rank_tol: float = Tolerances.rank_tol) -> "Spectrum":
-        return cls._of_hermitian(hermitize(m), rank_tol)
+        return cls._of_hermitian(hermitize(m), _rank_tol(rank_tol))
 
     @classmethod
     def _of_hermitian(cls, a: np.ndarray, rank_tol: float) -> "Spectrum":
@@ -535,8 +560,8 @@ def support_projector(h, rank_tol: float = Tolerances.rank_tol) -> Subspace:
     """Span of eigenvectors with |eigenvalue| > rank_tol * max|eigenvalue|, read
     off the unclamped ``_spectrum``: ``Subspace.full`` for a certified matrix,
     with no eigendecomposition; the zero operator yields the empty subspace.  A
-    non-Hermitian ``h`` is InvalidParameterError."""
-    return _spectrum(_hermitian(h, "h"), rank_tol).support()
+    non-Hermitian ``h``, or a ``rank_tol`` ``_rank_tol`` rejects, is InvalidParameterError."""
+    return _spectrum(_hermitian(h, "h"), _rank_tol(rank_tol)).support()
 
 
 def _certified_full_rank(a: np.ndarray, rank_tol: float) -> bool:

@@ -10,7 +10,9 @@ be.  Conditioning is done with the non-commutative star product
 
 and the pseudo-inverse of the conditioning marginal, so conditioning on
 singular marginals restricts to the support instead of failing (the
-classical convention of only conditioning on possible events).
+classical convention of only conditioning on possible events).  Each
+operand is decomposed once, at its own dim, and its root is embedded:
+phi^{1/2}, and the marginal's 1/sqrt(w) on its support.
 """
 
 from __future__ import annotations
@@ -104,26 +106,20 @@ def star_product(psi, phi, dims=None, apply_to=None) -> np.ndarray:
     With ``dims`` and ``apply_to`` given, ``phi`` acts on the tensor factors
     ``apply_to`` of the space described by ``dims`` and identities are
     inserted elsewhere; otherwise phi must act on the whole space of psi.
-    Requires phi Hermitian and PSD, else InvalidParameterError.  The result
-    is Hermitian for Hermitian psi and PSD for PSD psi.
+    Requires phi Hermitian and PSD, else InvalidParameterError; its root is
+    taken at its own dim, then embedded.  The result is Hermitian for
+    Hermitian psi and PSD for PSD psi.
     """
     psi = as_matrix(psi)
-    phi = _hermitian(phi, "phi")
+    root = _sqrt_psd(_hermitian(phi, "phi"), "phi")
     if dims is not None:
         if apply_to is None:
             raise ValueError("apply_to is required when dims is given")
-        pos = [apply_to] if isinstance(apply_to, int) else list(apply_to)
-        phi = embed(phi, dims, pos)
-    if phi.shape != psi.shape:
+        root = embed(root, dims, apply_to if np.iterable(apply_to) else [apply_to])
+    if root.shape != psi.shape:
         raise DimensionMismatchError(
-            f"embedded factor shape {phi.shape} != state shape {psi.shape}"
+            f"embedded factor shape {root.shape} != state shape {psi.shape}"
         )
-    return _star(psi, phi, "phi")
-
-
-def _star(psi: np.ndarray, phi: np.ndarray, name: str) -> np.ndarray:
-    """``star_product`` of validated square matrices of one shape, ``phi`` symmetrized."""
-    root = _sqrt_psd(phi, name)
     return root @ psi @ root
 
 
@@ -131,21 +127,22 @@ def condition(s: JointState, on) -> ConditionalState:
     """Conditional state of the remaining regions given the ones in ``on``.
 
     Star product of the joint with the pseudo-inverse of the marginal on
-    ``on``; singular marginals condition on their support.  A pseudo-inverse
-    that is not PSD is InvalidParameterError naming its marginal.
+    ``on``; singular marginals condition on their support.  The marginal,
+    decomposed once and clamped (not PSD: InvalidParameterError naming it),
+    gives the root 1/sqrt(w) on its support, which is then embedded.
     """
     on_names = {on} if isinstance(on, str) else set(on)
-    # the marginal and s.op are symmetrized JointState operands: decomposed and starred as they are
-    spectrum = Spectrum._of_hermitian(marginalize(s, on_names).op, Tolerances.rank_tol)
-    if spectrum.support().is_empty:
+    # the marginal and s.op are symmetrized JointState operands: decomposed and used as they are
+    marginal = _psd(Spectrum._of_hermitian(marginalize(s, on_names).op, Tolerances.rank_tol),
+                    f"marginal on {sorted(on_names)}")
+    if not marginal.kept.any():
         raise ImpossibleConditioningError("conditioning on impossible event (zero marginal)")
     pos = [i for i, r in enumerate(s.regions) if r.name in on_names]
-    big = embed(spectrum.pinv(), s.dims, pos)
-    name = f"pseudo-inverse of the marginal on {sorted(on_names)}"
-    out = _star(s.op, (big + big.conj().T) / 2, name)  # hermitize, unchecked
+    w = np.where(marginal.kept, marginal.w, np.inf)  # 1/sqrt(inf) = 0 off the support
+    root = embed((marginal.v / np.sqrt(w)) @ marginal.v.conj().T, s.dims, pos)
     target = tuple(r for r in s.regions if r.name not in on_names)
     given = tuple(r for r in s.regions if r.name in on_names)
-    return ConditionalState(target=target, given=given, op=out)
+    return ConditionalState(target=target, given=given, op=root @ s.op @ root)
 
 
 def quantum_bayes(likelihood, prior) -> np.ndarray:
@@ -164,7 +161,11 @@ def quantum_bayes(likelihood, prior) -> np.ndarray:
     if like.shape != rho.shape:
         raise DimensionMismatchError("likelihood and prior dims differ")
     check_hermitian(like, "likelihood")
-    root = _checked_state(rho, "prior").root  # a prior is checked before its outcome
+    return _bayes(_checked_state(rho, "prior").root, like, rho)  # the prior before its outcome
+
+
+def _bayes(root: np.ndarray, like: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``quantum_bayes`` of checked operands: ``root`` is the prior ``rho``'s PSD square root."""
     return root @ like @ root / _possible(float((like @ rho).trace().real))
 
 

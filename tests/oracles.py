@@ -15,8 +15,9 @@ from scipy.optimize import linprog
 
 from statepool.compatibility import _support_verdict
 from statepool.errors import IncompatibleAssignmentsError, PriorSupportError
-from statepool.linalg import EXACT_TOL, PSD_TOL, Spectrum, Tolerances
+from statepool.linalg import EXACT_TOL, PSD_TOL, Spectrum, Tolerances, embed
 from statepool.pooling import PoolingReport, _pool
+from statepool.regions import marginalize
 from statepool.scenario import (
     AgentPipeline, DephasingChannel, DepolarizingChannel, KrausChannel, ReplacementChannel,
 )
@@ -268,6 +269,31 @@ def exact_pool(prior, s1, s2, digits=60):
         pooled = np.array([[complex((t[i, j] + mpmath.conj(t[j, i])) / (2 * tr)) for j in range(d)]
                            for i in range(d)])
         return PoolingReport(pooled, float(1 / tr), float(residual))
+
+
+# --- condition and star_product with the embedded operand decomposed --------
+# The algorithms before each operand was decomposed at its own dim: ``condition``
+# embeds the pseudo-inverse of the marginal and then takes the square root of
+# the embedding with an eigh of its own, and ``star_product`` embeds phi and
+# then takes its root.  Inputs must already be valid: Hermitian, phi PSD.
+
+
+def _embedded_root(big):
+    """The PSD square root of the embedded ``big`` from one eigh at its dim, w clamped at 0."""
+    w, v = np.linalg.eigh((big + big.conj().T) / 2)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def embedded_star_product(psi, phi, dims, apply_to):
+    root = _embedded_root(embed(phi, dims, [apply_to]))
+    return root @ psi @ root
+
+
+def embedded_condition(s, on):
+    """The operator of ``condition(s, on)`` for one region name ``on``."""
+    pos = [i for i, r in enumerate(s.regions) if r.name == on]
+    root = _embedded_root(embed(Spectrum.of(marginalize(s, on).op).pinv(), s.dims, pos))
+    return root @ s.op @ root
 
 
 # --- classical pooling in closed form ----------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from statepool import compatibility, io
+from statepool import io
 from statepool.compatibility import (
     ConditionalDistribution,
     ProbabilityDistribution,
@@ -22,7 +22,7 @@ from statepool.errors import (
     StatePoolError,
 )
 from statepool.linalg import (
-    Tolerances, _certified_full_rank, as_matrix, hermitize, max_norm, sqrt_psd,
+    Tolerances, _certified_full_rank, hermitize, max_norm, sqrt_psd,
 )
 from statepool.pooling import PoolingReport, quantum_pool
 from statepool.regions import make_hybrid
@@ -42,6 +42,7 @@ from oracles import (
     spectral_verdict,
     subjective_classical_witness,
 )
+from test_spectrum import count_as_matrix
 
 
 def dist(*probs):
@@ -416,9 +417,7 @@ class TestVerifySubjectiveQuantum:
             verify_subjective_quantum(*states, likelihoods, 0)
 
     def test_states_converted_once(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(compatibility, "as_matrix",
-                            lambda m: calls.append(1) or as_matrix(m))
+        calls = count_as_matrix(monkeypatch)  # in every namespace, linalg's included
         rng = np.random.default_rng(12)
         povm = dict(enumerate(rand_povm(rng, 3, 4)))
         rho = rand_density(rng, 3)

@@ -25,7 +25,7 @@ from statepool.compatibility import (
 )
 from statepool.errors import DimensionMismatchError, InvalidParameterError
 from statepool.io import MalformedInputError
-from statepool.linalg import Subspace, Tolerances, embed
+from statepool.linalg import Subspace, Tolerances, embed, partial_trace, permute_factors, tensor
 from statepool.pooling import (
     SufficientStatistic, quantum_minimal_sufficient_statistic, quantum_pool,
 )
@@ -631,6 +631,14 @@ def _rejections():
          "cannot serialize <class 'object'>"),
         ("embed-dim", lambda: embed(HALF, [2, 3], [1]), DimensionMismatchError,
          "operator dim 2 != product of factor dims 3"),
+        ("tensor-nothing", lambda: tensor(), InvalidParameterError,
+         "^tensor needs at least one matrix$"),
+        ("partial-trace-scalar-dims", lambda: partial_trace(np.eye(4), 4, [0]),
+         InvalidParameterError, "^dims 4 is not a list$"),
+        ("embed-scalar-dims", lambda: embed(np.eye(2), 2, [0]), InvalidParameterError,
+         "^dims 2 is not a list$"),
+        ("permute-scalar-perm", lambda: permute_factors(np.eye(4), [2, 2], 0),
+         InvalidParameterError, "^perm 0 is not a list$"),
         ("subspace-orthonormal", lambda: Subspace(2, np.array([[1.0], [1.0]])), ValueError,
          "basis columns are not orthonormal"),
     ]

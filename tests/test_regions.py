@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from statepool import io
 from statepool.errors import ImpossibleConditioningError, InvalidParameterError
 from statepool.io import MalformedInputError
-from statepool.linalg import max_norm, partial_trace, support_projector, tensor
+from statepool.linalg import Tolerances, max_norm, partial_trace, support_projector, tensor
 from statepool.regions import (
     HybridState,
     JointState,
@@ -18,7 +18,10 @@ from statepool.regions import (
     star_product,
 )
 
-from oracles import rand_density, rand_herm, rand_psd, rand_prob
+from oracles import (
+    embedded_condition, embedded_star_product, rand_density, rand_herm, rand_prob, rand_psd,
+    rand_unitary,
+)
 
 A = RegionLabel("A", 2)
 B = RegionLabel("B", 2)
@@ -27,6 +30,9 @@ B = RegionLabel("B", 2)
 def proj(v):
     v = np.asarray(v, dtype=complex)
     return np.outer(v, v.conj()) / np.vdot(v, v)
+
+
+EPS = float(np.finfo(float).eps)
 
 
 def product_joint(rng, da=2, db=2):
@@ -81,6 +87,17 @@ class TestStarProduct:
         # rho^{1/2} |0><0| rho^{1/2} for rho = diag(1/4, 3/4)
         got = star_product(proj([1.0, 0.0]), np.diag([0.25, 0.75]))
         assert max_norm(got - np.diag([0.25, 0.0])) < 1e-12
+
+    @pytest.mark.parametrize("apply_to", [np.int64(1), (1,), [np.int8(1)]],
+                             ids=["int64", "tuple", "int8 list"])
+    def test_apply_to_is_any_integer_or_list_of_them(self, apply_to):
+        psi, phi = np.eye(4) / 4, np.diag([0.3, 0.7])
+        assert np.array_equal(star_product(psi, phi, dims=[2, 2], apply_to=apply_to),
+                              star_product(psi, phi, dims=[2, 2], apply_to=1))
+
+    def test_apply_to_a_float_is_invalid(self):
+        with pytest.raises(InvalidParameterError, match="^positions entry 1.5 is not an integer$"):
+            star_product(np.eye(4) / 4, np.eye(2) / 2, dims=[2, 2], apply_to=1.5)
 
     def test_not_psd_factor_rejected(self):
         with pytest.raises(InvalidParameterError,
@@ -155,6 +172,94 @@ class TestCondition:
         s = JointState((A, B), tensor(np.zeros((2, 2)), np.eye(2)), normalized=False)
         with pytest.raises(ImpossibleConditioningError):
             condition(s, {"A"})
+
+    def test_marginal_within_the_psd_floor_is_clamped(self):
+        # the marginal's -1e-9 lies inside the PSD floor: clamped to 0, never inverted
+        s = JointState((A, B), np.kron(np.eye(2) / 2, np.diag([1 + 1e-9, -1e-9])))
+        want = np.kron(np.eye(2) / 2, np.diag([1.0, 0.0]))
+        assert max_norm(condition(s, "B").op - want) < 1e-12
+
+    def test_marginal_not_psd_is_named(self):
+        s = JointState((A, B), np.kron(np.eye(2) / 2, np.diag([1.5, -0.5])))
+        with pytest.raises(InvalidParameterError,
+                           match=r"^marginal on \['B'\] is not PSD \(eigenvalue -5\.000e-01\)"):
+            condition(s, "B")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 16), st.integers(0, 10_000))
+    def test_star_product_with_the_marginal_restores_the_joint(self, da, db, rank, seed):
+        # rho_{B|A} * rho_A = rho_AB, since a PSD joint's support lies in supp(rho_A) (x) B
+        rng = np.random.default_rng(seed)
+        m = rand_psd(rng, da * db, rank=min(rank, da * db))
+        s = JointState((RegionLabel("A", da), RegionLabel("B", db)), m / np.trace(m).real)
+        back = star_product(condition(s, "A").op, marginalize(s, "A").op,
+                            dims=[da, db], apply_to=0)
+        assert max_norm(back - s.op) < 1e-12
+
+
+DIM_PAIRS = st.integers(1, 32).flatmap(lambda da: st.tuples(st.just(da), st.integers(1, 32 // da)))
+
+
+def trace_one(m):
+    m = (m + m.conj().T) / 2
+    return m / np.trace(m).real
+
+
+def conditioning_joint(kind, da, db, rng):
+    """A trace-one PSD joint on A (x) B whose marginal on A is full rank, rank-deficient
+    (the joint lies in S (x) B for a random S of dim < d_A) or that of a product
+    rho_A (x) rho_B with rho_A of random rank."""
+    if kind == "full_rank" or da == 1:
+        return trace_one(rand_psd(rng, da * db))
+    if kind == "rank_deficient":
+        r = int(rng.integers(1, da))
+        lift = np.kron(rand_unitary(rng, da)[:, :r], np.eye(db))
+        return trace_one(lift @ rand_psd(rng, r * db, rank=int(rng.integers(1, r * db + 1)))
+                         @ lift.conj().T)
+    return trace_one(np.kron(rand_psd(rng, da, rank=int(rng.integers(1, da + 1))),
+                             rand_psd(rng, db)))
+
+
+def kept_condition_number(m):
+    """max w / min w over the eigenvalues of PSD ``m`` above the rank cut."""
+    w = np.linalg.eigvalsh(m)
+    w = w[np.abs(w) > Tolerances.rank_tol * np.abs(w).max()]
+    return w.max() / w.min()
+
+
+class TestOneDecompositionPerOperand:
+    """condition and star_product decompose each operand at its own dim.  They are pinned
+    to the embedded-operand algorithms of tests/oracles.py, within the rounding bounds
+    of each: d eps kappa for a root of a spectrum with condition number kappa, and, for
+    a numerically singular phi, sqrt(d eps) from the square roots of its zero eigenvalues."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["full_rank", "rank_deficient", "product"]), DIM_PAIRS,
+           st.integers(0, 10_000))
+    def test_condition_matches_the_embedded_pseudo_inverse(self, kind, dims, seed):
+        da, db = dims
+        s = JointState((RegionLabel("A", da), RegionLabel("B", db)),
+                       conditioning_joint(kind, da, db, np.random.default_rng(seed)))
+        want = embedded_condition(s, "A")
+        kappa = kept_condition_number(marginalize(s, "A").op)
+        gap = max_norm(condition(s, "A").op - want)
+        assert gap <= 16 * da * db * EPS * kappa * max_norm(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans(), DIM_PAIRS, st.integers(0, 1), st.integers(0, 10_000))
+    def test_star_product_matches_the_embedded_root(self, full_rank, dims, apply_to, seed):
+        rng = np.random.default_rng(seed)
+        dims = list(dims)
+        d, dphi = dims[0] * dims[1], dims[apply_to]
+        psi = trace_one(rand_psd(rng, d))
+        rank = dphi if full_rank or dphi == 1 else int(rng.integers(1, dphi))
+        phi = trace_one(rand_psd(rng, dphi, rank=rank))
+        want = embedded_star_product(psi, phi, dims, apply_to)
+        gap = max_norm(star_product(psi, phi, dims=dims, apply_to=apply_to) - want)
+        if rank == dphi:
+            assert gap <= 16 * d * EPS * kept_condition_number(phi) * max_norm(want)
+        else:  # trace-one psi and phi: |root| <= 1, and a zero eigenvalue's root <= sqrt(d eps)
+            assert gap <= 4 * np.sqrt(d * EPS)
 
 
 class TestQuantumBayes:

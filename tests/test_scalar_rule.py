@@ -21,7 +21,9 @@ from statepool.compatibility import (
     verify_objective_classical, verify_objective_quantum, verify_subjective_classical,
 )
 from statepool.errors import InvalidParameterError
-from statepool.linalg import Tolerances, embed, partial_trace, permute_factors
+from statepool.linalg import (
+    Spectrum, Tolerances, check_hermitian, embed, partial_trace, permute_factors, support_projector,
+)
 from statepool.regions import HybridState, RegionLabel, make_hybrid
 from statepool.scenario import (
     AgentPipeline, DephasingChannel, DepolarizingChannel, ReplacementChannel, ScenarioConfig,
@@ -72,6 +74,9 @@ INTEGER_SLOTS = {
 REAL_SLOTS = {
     "Tolerances rank_tol": lambda v: Tolerances(rank_tol=v),
     "Tolerances herm_tol": lambda v: Tolerances(herm_tol=v),
+    "support_projector rank_tol": lambda v: support_projector(HALF, v),
+    "Spectrum.of rank_tol": lambda v: Spectrum.of(HALF, v),
+    "check_hermitian herm_tol": lambda v: check_hermitian(HALF, "m", v),
     "DepolarizingChannel strength": lambda v: DepolarizingChannel(2, v),
     "DephasingChannel strength": lambda v: DephasingChannel(2, v),
     "random_instance noise": lambda v: random_instance(2, 0, v),

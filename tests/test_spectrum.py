@@ -382,8 +382,17 @@ class TestDecompositionCounts:
         )
         c = Counter(monkeypatch)
         regions.condition(s, "B")
-        assert [shape for n, shape in c.calls if n == "eigh"].count((3, 3)) == 1
-        assert c.count("eigvalsh", "svd") == 0
+        # the marginal at its own dim; its root is embedded, never decomposed again
+        assert c.calls == [("eigh", (3, 3))]
+
+    @pytest.mark.parametrize("dims, shape", [([2, 3], (3, 3)), (None, (6, 6))],
+                             ids=["embedded", "whole"])
+    def test_star_product_decomposes_phi_at_its_own_dim(self, monkeypatch, dims, shape):
+        rng = np.random.default_rng(6)
+        psi, phi = rand_density(rng, 6), rand_density(rng, shape[0])
+        c = Counter(monkeypatch)
+        regions.star_product(psi, phi, dims=dims, apply_to=1)
+        assert c.calls == [("eigh", shape)]
 
     @pytest.mark.parametrize("call, validations", [
         (lambda: quantum_pool(np.eye(2) / 2, np.eye(2) / 2, np.eye(2) / 2), 3),

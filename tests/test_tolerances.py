@@ -22,7 +22,8 @@ from statepool.cli import main
 from statepool.compatibility import _support_verdict
 from statepool.errors import InvalidParameterError, NotPSDError
 from statepool.linalg import (
-    PSD_TOL, Spectrum, Subspace, Tolerances, max_norm, pseudo_inverse, sqrt_psd, support_projector,
+    PSD_TOL, Spectrum, Subspace, Tolerances, check_hermitian, max_norm, pseudo_inverse, sqrt_psd,
+    support_projector,
 )
 from statepool.pooling import _pool, quantum_pool
 from statepool.regions import JointState, RegionLabel, star_product
@@ -42,6 +43,16 @@ NOISELESS_SHA256 = {
 }
 
 
+# each way a caller passes a tolerance -> (the field its rule names, the call with it as v)
+TOLERANCE_SLOTS = {
+    "rank_tol": ("rank_tol", lambda v: Tolerances(rank_tol=v)),
+    "herm_tol": ("herm_tol", lambda v: Tolerances(herm_tol=v)),
+    "support_projector": ("rank_tol", lambda v: support_projector(HALF, v)),
+    "Spectrum.of": ("rank_tol", lambda v: Spectrum.of(HALF, v)),
+    "check_hermitian": ("herm_tol", lambda v: check_hermitian(HALF, "m", v)),
+}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr()
@@ -55,15 +66,15 @@ class TestRecord:
         with pytest.raises(dataclasses.FrozenInstanceError):
             Tolerances().rank_tol = 0.5
 
-    @pytest.mark.parametrize("field, value", [
-        ("rank_tol", math.nan), ("rank_tol", math.inf), ("rank_tol", -math.inf),
-        ("rank_tol", -1e-300), ("rank_tol", 1.0), ("rank_tol", 2.0),
-        ("herm_tol", math.nan), ("herm_tol", math.inf), ("herm_tol", -math.inf),
-        ("herm_tol", -1e-300),
+    @pytest.mark.parametrize("slot, value", [
+        (slot, value) for slot, (field, _) in TOLERANCE_SLOTS.items() for value in (
+            (math.nan, math.inf, -math.inf, -1e-300)
+            + ((1.0, 2.0) if field == "rank_tol" else ()))
     ])
-    def test_rejects_naming_the_field(self, field, value):
-        with pytest.raises(InvalidParameterError, match=field):
-            Tolerances(**{field: value})
+    def test_rejects_naming_the_field(self, slot, value):
+        field, call = TOLERANCE_SLOTS[slot]
+        with pytest.raises(InvalidParameterError, match=f"^{field} "):
+            call(value)
 
     def test_psd_tol_is_no_option(self):
         # psd_tol=inf used to "pool" into a state with eigenvalue -0.5
