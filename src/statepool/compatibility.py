@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
 from .linalg import (
-    EXACT_TOL, SUM_TOL, SUPPORT_TOL, Subspace, Tolerances, _checked_matrices, _checked_states,
-    _integer, _judged, _rank_cut, _reals, _state, as_matrix, check_hermitian, max_norm,
+    EXACT_TOL, Subspace, Tolerances, _checked_matrices, _checked_states, _integer, _judged,
+    _probabilities, _rank_cut, _reals, _state, as_matrix, check_hermitian, max_norm,
     subspace_intersection,
 )
 from .regions import HybridState, _bayes, _possible
@@ -26,7 +26,8 @@ from .regions import HybridState, _bayes, _possible
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityDistribution:
-    """Distribution over a finite ordered outcome set."""
+    """Distribution over a finite ordered outcome set, admitted as its diagonal state by
+    ``linalg._probabilities``, else InvalidParameterError."""
 
     outcomes: tuple
     probs: np.ndarray = field(repr=False)
@@ -38,12 +39,8 @@ class ProbabilityDistribution:
             raise ValueError("outcomes and probs have different lengths")
         if len(set(outcomes)) != len(outcomes):
             raise ValueError("duplicate outcome labels")
-        if np.any(p < -SUPPORT_TOL):
-            raise ValueError(f"negative probability {p.min():g}")
-        if abs(p.sum() - 1.0) > SUM_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1")
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "probs", np.clip(p, 0.0, None))
+        object.__setattr__(self, "probs", _probabilities(p, "probability"))
 
     def support(self):
         """The outcomes above ``_rank_cut`` at ``Tolerances.rank_tol``: the diagonal state's."""
@@ -60,7 +57,8 @@ class ProbabilityDistribution:
 class ConditionalDistribution:
     """Table P(X=x | Y=y), column-stochastic in y.
 
-    ``table[x, y]`` indexes outcome x of X (rows) and y of Y (columns).
+    ``table[x, y]`` indexes outcome x of X (rows) and y of Y (columns), admitted as the
+    measurement of its rows' diagonals by ``linalg._probabilities``, else InvalidParameterError.
     """
 
     given_outcomes: tuple
@@ -75,14 +73,9 @@ class ConditionalDistribution:
             raise ValueError(f"table shape {t.shape} != (|X|, |Y|) = ({len(ox)}, {len(gy)})")
         if len(set(gy)) != len(gy) or len(set(ox)) != len(ox):
             raise ValueError("duplicate outcome labels")
-        if np.any(t < -SUPPORT_TOL):
-            raise ValueError("negative conditional probability")
-        colsums = t.sum(axis=0)
-        if np.any(np.abs(colsums - 1.0) > SUM_TOL):
-            raise ValueError(f"columns must sum to 1, got {colsums}")
         object.__setattr__(self, "given_outcomes", gy)
         object.__setattr__(self, "out_outcomes", ox)
-        object.__setattr__(self, "table", np.clip(t, 0.0, None))
+        object.__setattr__(self, "table", _probabilities(t, "conditional probability", table=True))
 
 
 @dataclass(frozen=True)
@@ -144,21 +137,20 @@ def verify_objective_classical(
 ) -> bool:
     """Check a witness for objective classical compatibility.
 
-    ``joint`` is P(Y, X1, X2) as an array of shape (|Y|, |X1|, |X2|) with Y
-    indexed in the order of ``q1.outcomes``.  True iff the joint weight of
-    (x1, x2) exceeds EXACT_TOL and both conditional slices P(Y | Xi=xi)
-    reproduce the respective assignment within EXACT_TOL: the answer of
-    ``verify_objective_quantum`` on the diagonal states, with blocks diag P(Y, a, b).
+    ``joint`` is P(Y, X1, X2) as an array of shape (|Y|, |X1|, |X2|) with Y indexed in
+    the order of ``q1.outcomes``, admitted as ``ProbabilityDistribution`` admits its
+    flattening.  True iff the joint weight of (x1, x2) exceeds EXACT_TOL and both
+    conditional slices P(Y | Xi=xi) reproduce the respective assignment within
+    EXACT_TOL: ``verify_objective_quantum`` on the diagonal states, blocks diag P(Y, a, b).
     """
     if q1.outcomes != q2.outcomes:
         raise InvalidParameterError("distributions are over different outcome sets")
-    p = np.asarray(joint, dtype=float)
+    p = _reals(joint, "joint probability")
     if p.ndim != 3 or p.shape[0] != len(q1.outcomes):
         raise DimensionMismatchError(f"joint must have shape (|Y|, |X1|, |X2|), got {p.shape}")
     if not (0 <= _integer(x1, "x1") < p.shape[1] and 0 <= _integer(x2, "x2") < p.shape[2]):
         raise InvalidParameterError(f"outcome ({x1}, {x2}) absent from joint of shape {p.shape}")
-    if abs(p.sum() - 1.0) > EXACT_TOL or np.any(p < -EXACT_TOL):
-        raise InvalidParameterError("joint is not a normalized distribution")
+    p = _probabilities(p, "joint probability")
     blocks = {(a, b): np.diag(p[:, a, b]) for a in range(p.shape[1]) for b in range(p.shape[2])}
     hybrid = HybridState(p.shape[1:], blocks, normalized=False)
     return verify_objective_quantum(np.diag(q1.probs), np.diag(q2.probs), hybrid, x1, x2)

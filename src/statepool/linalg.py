@@ -70,12 +70,12 @@ Conventions
 * An operand is admitted once, where it enters, by the rules here: ``as_matrix``
   (square, nonempty, finite), ``_hermitian`` (also Hermitian; symmetrized) and
   ``_psd`` (PSD; clamped), the last two naming it in their InvalidParameterError;
-  private cores (``_sqrt_psd``, ``regions._bayes``) trust it.  ``_checked_states``'
-  states and ``quantum_bayes``' likelihood stay raw, as their bits key the memo
-  and enter products.  What the library builds
-  itself (``Subspace.full``, eigenvector and principal-angle bases, Haar
-  unitaries) is orthonormal or unitary to O(d eps), far inside the
-  tolerances, and skips re-checks (``_trusted``).
+  private cores (``_sqrt_psd``, ``regions._bayes``) trust it; ``_probabilities`` admits a
+  distribution as its diagonal state, a conditional table as its diagonal measurement.
+  ``_checked_states``' states and ``quantum_bayes``' likelihood stay raw, as their bits
+  key the memo and enter products.  What the library builds itself (``Subspace.full``,
+  eigenvector and principal-angle bases, Haar unitaries) is orthonormal or unitary to
+  O(d eps), far inside the tolerances, and skips re-checks (``_trusted``).
 * ``pseudo_inverse``, ``sqrt_psd`` and ``support_projector`` stay public
   although no module here calls them: ``Spectrum`` is not exported, and each
   gives a caller one spectral result without its eigenvectors and rank cut.
@@ -93,15 +93,14 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidParameterError
 
-PSD_TOL = 1e-8  # eigenvalue floor of every PSD decision, relative to max(max|w|, 1)
-TRACE_TOL = 1e-8  # |Tr - 1| of a unit-trace operator
+PSD_TOL = 1e-8  # floor of every PSD decision, a probability's too, relative to max(max|w|, 1)
+TRACE_TOL = 1e-8  # |Tr - 1| of a unit-trace operator, |sum - 1| of a distribution or joint
 SUBSPACE_TOL = 1e-8  # orthonormality, principal-angle cut and containment of subspaces
-SUPPORT_TOL = 1e-12  # a probability below -this is invalid; a predictive probability (a
-# Bayes update's sum of L q, or Tr(L rho)) at most this is impossible.  It cuts no support.
-SUM_TOL = 1e-12  # |sum - 1| of a probability vector or a column of a conditional table
-EXACT_TOL = 1e-10  # slack of a relation exact for valid input: a witness's weights,
-# conditionals and normalization, a factorization, unitarity, Kraus trace preservation and
-# a measurement's sum to I, a hybrid joint's coherences across classical outcomes
+SUPPORT_TOL = 1e-12  # a predictive probability (a Bayes update's sum of L q, or Tr(L rho))
+# at most this is impossible.  It cuts no support.
+EXACT_TOL = 1e-10  # slack of a relation exact for valid input: a witness's weights and
+# conditionals, a factorization, unitarity, Kraus trace preservation, a measurement's sum to
+# I (a conditional table's column sums), a hybrid joint's coherences across classical outcomes
 PROPORTIONALITY_TOL = 1e-9  # max-norm between likelihoods after normalization
 _FOUR_EPS = 4 * float(np.finfo(float).eps)  # a power of two, so d * d * _FOUR_EPS is exact
 
@@ -304,14 +303,26 @@ def _psd(s: Spectrum | _FullRank, name: str) -> Spectrum | _FullRank:
     return s.clamped()
 
 
+def _probabilities(p: np.ndarray, what: str, table: bool = False) -> np.ndarray:
+    """``p`` clamped at 0, once admitted as diagonal operators (else InvalidParameterError): a
+    distribution or a flattened joint as a state, sorted entries ``_is_psd``, sum within TRACE_TOL
+    of 1; a ``table`` as the measurement of its rows' diagonals, sum_x L_x = I within EXACT_TOL."""
+    if table:  # the sums first, so a NaN or Inf entry fails here
+        if not np.all(np.abs((sums := p.sum(axis=0)) - 1.0) <= EXACT_TOL):
+            raise InvalidParameterError(f"columns must sum to 1, got {sums.tolist()}")
+    elif not abs((total := float(p.sum())) - 1.0) <= TRACE_TOL:
+        raise InvalidParameterError(f"total {what} {total!r}, expected 1")
+    for row in p if table else p.reshape(1, -1):
+        if row.size and not _is_psd(w := np.sort(row)):
+            raise InvalidParameterError(f"negative {what} {w[0]:g}")
+    return np.clip(p, 0.0, None)
+
+
 def tensor(*ops) -> np.ndarray:
     """Kronecker product of one or more matrices, left factor first."""
     if not ops:
         raise InvalidParameterError("tensor needs at least one matrix")
-    out = as_matrix(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, as_matrix(op))
-    return out
+    return functools.reduce(np.kron, map(as_matrix, ops))
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:

@@ -138,9 +138,8 @@ def _proportionality_classes(vectors, norm_of):
         n = norm_of(v)
         rep = None if n <= PROPORTIONALITY_TOL else v / n
         for r, keys in classes:
-            if (r is None and rep is None) or (
-                r is not None and rep is not None and max_norm(rep - r) <= PROPORTIONALITY_TOL
-            ):
+            if (r is None) == (rep is None) and (
+                    r is None or max_norm(rep - r) <= PROPORTIONALITY_TOL):
                 keys.add(k)
                 break
         else:
@@ -190,19 +189,15 @@ def check_conditional_independence(h1, h2, joint):
     operator.  Returns (ok, residual, reversed_residual) where residual is
     the max-norm defect of the written order (h1 left) and
     reversed_residual that of the reversed product, reported for
-    diagnostics.
-    """
+    diagnostics.  A class pair missing from ``joint`` is InvalidParameterError."""
     h1 = {k: as_matrix(m) for k, m in dict(h1).items()}
     h2 = {k: as_matrix(m) for k, m in dict(h2).items()}
     joint = {tuple(k): as_matrix(m) for k, m in dict(joint).items()}
-    residual = 0.0
-    reversed_residual = 0.0
+    residual = reversed_residual = 0.0
     for a in h1:
         for b in h2:
             if (a, b) not in joint:
-                raise KeyError(f"missing class pair ({a!r}, {b!r}) in joint")
+                raise InvalidParameterError(f"missing class pair ({a!r}, {b!r}) in joint")
             residual = max(residual, max_norm(joint[(a, b)] - h1[a] @ h2[b]))
-            reversed_residual = max(
-                reversed_residual, max_norm(joint[(a, b)] - h2[b] @ h1[a])
-            )
+            reversed_residual = max(reversed_residual, max_norm(joint[(a, b)] - h2[b] @ h1[a]))
     return residual <= EXACT_TOL, residual, reversed_residual

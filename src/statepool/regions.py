@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ImpossibleConditioningError
+from .errors import DimensionMismatchError, ImpossibleConditioningError, InvalidParameterError
 from .linalg import (
     EXACT_TOL, SUPPORT_TOL, TRACE_TOL, Spectrum, Tolerances, _checked_state, _hermitian, _integer,
     _psd, _sqrt_psd, as_matrix, check_hermitian, embed, max_norm, partial_trace,
@@ -87,17 +87,23 @@ class ConditionalState:
     op: np.ndarray = field(repr=False)
 
 
+def _positions(s: JointState, labels, what: str) -> list:
+    """The positions, in ``s``'s order, of the regions ``labels`` names, one name or an
+    iterable of them; anything else, or a name no region of ``s`` has, InvalidParameterError."""
+    labels = [labels] if isinstance(labels, str) else labels
+    if not np.iterable(labels):
+        raise InvalidParameterError(f"{what} {labels!r} is not a region name or a list of them")
+    labels, names = list(labels), [r.name for r in s.regions]
+    if unknown := [x for x in labels if x not in names]:
+        raise InvalidParameterError(f"unknown region labels {sorted(unknown, key=repr)}")
+    return [i for i, name in enumerate(names) if name in labels]
+
+
 def marginalize(s: JointState, keep) -> JointState:
-    """Trace out every region not named in ``keep``."""
-    keep_names = {keep} if isinstance(keep, str) else set(keep)
-    unknown = keep_names - {r.name for r in s.regions}
-    if unknown:
-        raise KeyError(f"unknown region labels {sorted(unknown)}")
-    idx = [i for i, r in enumerate(s.regions) if r.name in keep_names]
-    out = partial_trace(s.op, s.dims, idx)
-    return JointState(
-        tuple(s.regions[i] for i in idx), out, normalized=s.normalized
-    )
+    """Trace out every region not named in ``keep`` (one name or an iterable of them)."""
+    idx = _positions(s, keep, "keep")
+    return JointState(tuple(s.regions[i] for i in idx), partial_trace(s.op, s.dims, idx),
+                      normalized=s.normalized)
 
 
 def star_product(psi, phi, dims=None, apply_to=None) -> np.ndarray:
@@ -126,22 +132,21 @@ def star_product(psi, phi, dims=None, apply_to=None) -> np.ndarray:
 def condition(s: JointState, on) -> ConditionalState:
     """Conditional state of the remaining regions given the ones in ``on``.
 
-    Star product of the joint with the pseudo-inverse of the marginal on
-    ``on``; singular marginals condition on their support.  The marginal,
-    decomposed once and clamped (not PSD: InvalidParameterError naming it),
-    gives the root 1/sqrt(w) on its support, which is then embedded.
+    Star product of the joint with the pseudo-inverse of the marginal on ``on``
+    (named as ``marginalize``'s ``keep``); singular marginals condition on their
+    support.  The marginal, decomposed once and clamped (not PSD: InvalidParameterError
+    naming it), gives the root 1/sqrt(w) on its support, which is then embedded.
     """
-    on_names = {on} if isinstance(on, str) else set(on)
-    # the marginal and s.op are symmetrized JointState operands: decomposed and used as they are
-    marginal = _psd(Spectrum._of_hermitian(marginalize(s, on_names).op, Tolerances.rank_tol),
-                    f"marginal on {sorted(on_names)}")
+    pos = _positions(s, on, "on")
+    given = tuple(s.regions[i] for i in pos)
+    # s.op is symmetrized, so its partial trace is Hermitian bit for bit: both used as they are
+    marginal = _psd(Spectrum._of_hermitian(partial_trace(s.op, s.dims, pos), Tolerances.rank_tol),
+                    f"marginal on {sorted(r.name for r in given)}")
     if not marginal.kept.any():
         raise ImpossibleConditioningError("conditioning on impossible event (zero marginal)")
-    pos = [i for i, r in enumerate(s.regions) if r.name in on_names]
     w = np.where(marginal.kept, marginal.w, np.inf)  # 1/sqrt(inf) = 0 off the support
     root = embed((marginal.v / np.sqrt(w)) @ marginal.v.conj().T, s.dims, pos)
-    target = tuple(r for r in s.regions if r.name not in on_names)
-    given = tuple(r for r in s.regions if r.name in on_names)
+    target = tuple(r for i, r in enumerate(s.regions) if i not in pos)
     return ConditionalState(target=target, given=given, op=root @ s.op @ root)
 
 
@@ -198,16 +203,13 @@ class HybridState:
 
     def __post_init__(self):
         cdims = tuple(_integer(d, "classical dim") for d in self.classical_dims)
-        blocks = {}
-        qdim = None
+        blocks, qdim = {}, None
         for key, block in dict(self.blocks).items():
             key = tuple(_integer(k, "outcome") for k in _outcome(key))
             if len(key) != len(cdims) or any(not 0 <= k < d for k, d in zip(key, cdims)):
                 raise ValueError(f"outcome {key} out of range for registers {cdims}")
             h = _hermitian(block, name := f"block at outcome {key}")
-            if qdim is None:
-                qdim = h.shape[0]
-            elif h.shape[0] != qdim:
+            if h.shape[0] != (qdim := qdim or h.shape[0]):
                 raise DimensionMismatchError("blocks have differing quantum dims")
             _psd(Spectrum._of_hermitian(h, Tolerances.rank_tol), name)
             blocks[key] = h

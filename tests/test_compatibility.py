@@ -613,7 +613,7 @@ HALF = np.eye(2) / 2
      DimensionMismatchError, r"^joint must have shape \(\|Y\|, \|X1\|, \|X2\|\), got \(2, 2\)$"),
     (lambda: verify_objective_classical(dist(0.5, 0.5), dist(0.5, 0.5), np.full((2, 1, 1), 0.4),
                                         0, 0),
-     InvalidParameterError, "^joint is not a normalized distribution$"),
+     InvalidParameterError, "^total joint probability 0.8, expected 1$"),
     (lambda: verify_subjective_classical(
         dist(0.5, 0.5), ProbabilityDistribution(("a", "b"), [0.5, 0.5]),
         ConditionalDistribution((0, 1), (0, 1), np.eye(2)), 0),
@@ -624,7 +624,7 @@ HALF = np.eye(2) / 2
      InvalidParameterError, "^likelihoods do not sum to the identity$"),
 ], ids=["joint shape", "joint normalization", "Out(Y)", "two registers", "sum to I"])
 def test_a_verifier_raises_a_statepool_error_for_a_callers_mistake(call, error, message):
-    # each message as before, now a StatePoolError that is still a ValueError
+    # each a StatePoolError that is still a ValueError
     with pytest.raises(error, match=message) as exc:
         call()
     assert type(exc.value) is error and isinstance(exc.value, ValueError)

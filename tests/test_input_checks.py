@@ -586,6 +586,7 @@ def _rejections():
     """(id, call, error class, message regex) of the rejections no other test reaches."""
     a, b = regions.RegionLabel("A", 2), regions.RegionLabel("B", 2)
     quarter = np.eye(2) / 4
+    joint = regions.JointState((a, b), np.eye(4) / 4)
     return [
         ("region-dim", lambda: regions.RegionLabel("A", 0), ValueError, "has dim 0 < 1"),
         ("region-kind", lambda: regions.RegionLabel("A", 2, "hybrid"), ValueError,
@@ -600,6 +601,12 @@ def _rejections():
          ValueError, "apply_to is required when dims is given"),
         ("star-shape", lambda: regions.star_product(np.eye(3) / 3, HALF), DimensionMismatchError,
          r"embedded factor shape \(2, 2\) != state shape \(3, 3\)"),
+        ("condition-on-int", lambda: regions.condition(joint, 5), InvalidParameterError,
+         "^on 5 is not a region name or a list of them$"),
+        ("marginalize-none", lambda: regions.marginalize(joint, None), InvalidParameterError,
+         "^keep None is not a region name or a list of them$"),
+        ("marginalize-unknown", lambda: regions.marginalize(joint, {"C"}), InvalidParameterError,
+         r"^unknown region labels \['C'\]$"),
         ("hybrid-outcome", lambda: regions.HybridState((2,), {2: HALF}), ValueError,
          r"outcome \(2,\) out of range for registers \(2,\)"),
         ("hybrid-dims", lambda: regions.HybridState((2,), {0: HALF / 2, 1: np.eye(3) / 6}),

@@ -10,6 +10,7 @@ from statepool.compatibility import (
 from statepool.errors import (
     ImpossibleConditioningError,
     IncompatibleAssignmentsError,
+    InvalidParameterError,
     NonHermitianPoolingProductError,
     PriorSupportError,
 )
@@ -308,5 +309,5 @@ class TestConditionalIndependence:
         assert res == pytest.approx(0.05, rel=1e-9)
 
     def test_missing_pair(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidParameterError, match=r"^missing class pair \(0, 0\) in joint$"):
             check_conditional_independence({0: np.eye(2)}, {0: np.eye(2)}, {})

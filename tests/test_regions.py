@@ -65,7 +65,7 @@ class TestMarginalize:
     def test_unknown_region(self):
         rng = np.random.default_rng(3)
         _, _, s = product_joint(rng)
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidParameterError, match=r"^unknown region labels \['C'\]$"):
             marginalize(s, {"C"})
 
 

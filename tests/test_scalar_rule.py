@@ -85,6 +85,8 @@ REAL_SLOTS = {
     "ProbabilityDistribution entry": lambda v: ProbabilityDistribution((0, 1), [v, 0.5]),
     "ConditionalDistribution entry": lambda v: ConditionalDistribution((0,), (0, 1),
                                                                        [[v], [0.5]]),
+    "verify_objective_classical joint entry": lambda v: verify_objective_classical(
+        Q, Q, [[[v]], [[0.5]]], 0, 0),
 }
 
 NOT_REAL = {"True": True, "False": False, "str": "1", "None": None, "np.bool_": np.bool_(True),

@@ -401,9 +401,10 @@ class TestDecompositionCounts:
         (lambda: regions.JointState((regions.RegionLabel("A", 2),), np.eye(2) / 2), 1),
         (lambda: regions.HybridState((3,), {0: np.eye(2) / 8, 2: np.eye(2) / 8,
                                             1: np.eye(2) / 4}), 3),  # one per block
-        # the joint (partial trace), its marginal (JointState), the marginal's
-        # pseudo-inverse (embed) and its embedding (permute_factors)
-        (lambda: regions.condition(JOINT_2x3, "B"), 4),
+        # the joint (partial trace), the marginal's pseudo-inverse root (embed) and its
+        # embedding (permute_factors); the marginal, a partial trace of the checked
+        # joint, is not checked again
+        (lambda: regions.condition(JOINT_2x3, "B"), 3),
     ], ids=["quantum_pool", "quantum_compatible", "random_instance", "JointState",
             "HybridState", "condition"])
     def test_each_state_validated_once(self, monkeypatch, call, validations):

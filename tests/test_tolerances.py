@@ -1,4 +1,5 @@
-"""One Tolerances record, one Hermiticity rule, one PSD floor, one dim cap.
+"""One Tolerances record, one Hermiticity rule, one PSD floor, one probability rule,
+one dim cap.
 
 Each test pins an edge that moved when the tolerances were gathered into
 ``linalg.Tolerances`` and the fixed constants beside it, or an input the CLI
@@ -16,14 +17,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from statepool import io
 from statepool.cli import main
-from statepool.compatibility import _support_verdict
+from statepool.compatibility import (
+    ConditionalDistribution, ProbabilityDistribution, _support_verdict, verify_objective_classical,
+    verify_subjective_quantum,
+)
 from statepool.errors import InvalidParameterError, NotPSDError
 from statepool.linalg import (
-    PSD_TOL, Spectrum, Subspace, Tolerances, check_hermitian, max_norm, pseudo_inverse, sqrt_psd,
-    support_projector,
+    EXACT_TOL, PSD_TOL, TRACE_TOL, Spectrum, Subspace, Tolerances, check_hermitian, max_norm,
+    pseudo_inverse, sqrt_psd, support_projector,
 )
 from statepool.pooling import _pool, quantum_pool
 from statepool.regions import JointState, RegionLabel, star_product
@@ -32,6 +38,7 @@ from statepool.scenario import (
 )
 
 HALF = np.eye(2) / 2
+CERTAIN = ProbabilityDistribution((0, 1), [1.0, 0.0])
 
 
 # SHA-256s of scenario-run on `randgen --dim d --noise 0`, whatever its herm_tol:
@@ -100,6 +107,30 @@ class TestOnePSDFloor:
                            match=r"^(h|phi) is not PSD \(eigenvalue -1\.000e-07\)"):
             apply(np.diag([1.0, -1e-7]))
 
+    # each way a probability enters, as a function of e, the size of one negative entry
+    PROBABILITIES = {
+        "distribution": lambda e: ProbabilityDistribution((0, 1, 2), [0.5, 0.5 + e, -e]).probs,
+        "conditional table": lambda e: ConditionalDistribution(
+            (0, 1), (0, 1), [[1.0 + e, 0.5], [-e, 0.5]]).table,
+        "witness joint": lambda e: verify_objective_classical(
+            CERTAIN, CERTAIN, np.array([1.0 + e, -e]).reshape(2, 1, 1), 0, 0),
+    }
+
+    @pytest.mark.parametrize("caller", sorted(PROBABILITIES))
+    def test_a_probability_inside_the_floor_is_clamped(self, caller):
+        # -0.99e-8 lies above -PSD_TOL * max(max|p|, 1); the floor used to be -1e-12
+        out = self.PROBABILITIES[caller](0.99e-8)
+        if caller == "witness joint":  # its clamped slice P(Y | x1, x2) is CERTAIN itself
+            assert out is True
+        else:
+            assert out.min() == 0.0 and np.count_nonzero(out == 0.0) == 1
+
+    @pytest.mark.parametrize("caller, what", [
+        ("distribution", "probability"), ("conditional table", "conditional probability"),
+        ("witness joint", "joint probability")])
+    def test_a_probability_below_the_floor_is_rejected(self, caller, what):
+        with pytest.raises(InvalidParameterError, match=f"^negative {what} -1.01e-08$"):
+            self.PROBABILITIES[caller](1.01e-8)
 
     @pytest.mark.parametrize("excess, accepted", [(5e-17, True), (2e-16, False)])
     def test_pooled_state_uses_the_relative_floor(self, excess, accepted):
@@ -114,6 +145,116 @@ class TestOnePSDFloor:
         else:
             with pytest.raises(NotPSDError):
                 pool()
+
+
+def nudged(rng, shape, axis=None) -> np.ndarray:
+    """Probabilities of ``shape`` summing to 1 over ``axis`` (every entry when None), some
+    zero entries then moved 1e-12 to 1e-7 either side of 0 and each sum by up to 1e-7."""
+    p = rng.random(shape) * (rng.random(shape) < 0.6)
+    first = p.reshape(-1)[:1] if axis is None else p[0]  # a view: one entry of each sum
+    first += 1.0  # no empty sum
+    p /= p.sum(axis=axis, keepdims=axis is not None)
+    offset = lambda size: rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-12, -7, size)
+    moved = (p == 0.0) & (rng.random(shape) < 0.7)
+    p[moved] = offset(np.count_nonzero(moved))
+    first += offset(first.size)
+    return p
+
+
+def admitted(call, error=ValueError) -> bool:
+    try:
+        call()
+    except error:
+        return False
+    return True
+
+
+def floor_margin(rows) -> float:
+    """How far the lowest entry of each row lies from the row's PSD floor, at the least."""
+    return min(abs(r.min() + PSD_TOL * max(np.abs(r).max(), 1.0)) for r in rows)
+
+
+class TestOneProbabilityRule:
+    """A probability array is admitted as the diagonal operators it stands for: a
+    distribution as a state, a conditional table as a measurement, a witness joint as
+    the distribution of its entries.  Entries sit 1e-12 to 1e-7 either side of 0 and sums
+    up to 1e-7 off, around the PSD floor, TRACE_TOL and EXACT_TOL; a draw that rounding
+    could decide either way (within 1e-14 of an edge) is set aside."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_a_distribution_is_its_diagonal_state(self, seed):
+        rng = np.random.default_rng(seed)
+        p = nudged(rng, rng.integers(1, 6))
+        assume(min(floor_margin([p]), abs(abs(p.sum() - 1.0) - TRACE_TOL)) > 1e-14)
+        pipelines = (AgentPipeline("a"), AgentPipeline("b"))
+        assert (admitted(lambda: ProbabilityDistribution(tuple(range(p.size)), p))
+                is admitted(lambda: ScenarioConfig(np.diag(p), pipelines)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_a_conditional_table_is_its_diagonal_measurement(self, seed):
+        rng = np.random.default_rng(seed)
+        t = nudged(rng, (rng.integers(1, 5), rng.integers(1, 5)), axis=0)
+        sums = t.sum(axis=0)
+        assume(min(floor_margin(t), np.abs(np.abs(sums - 1.0) - EXACT_TOL).min()) > 1e-14)
+        n = t.shape[1]
+        effects = {x: np.diag(row) for x, row in enumerate(t)}
+        measurement = lambda: verify_subjective_quantum(np.eye(n) / n, np.eye(n) / n, effects, 0)
+        assert (admitted(lambda: ConditionalDistribution(tuple(range(n)), tuple(effects), t))
+                is admitted(measurement, InvalidParameterError))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_a_witness_joint_is_the_distribution_of_its_entries(self, seed):
+        rng = np.random.default_rng(seed)
+        joint = nudged(rng, (rng.integers(1, 5), rng.integers(1, 4), rng.integers(1, 4)))
+        flat = joint.reshape(-1)
+        assume(min(floor_margin([flat]), abs(abs(flat.sum() - 1.0) - TRACE_TOL)) > 1e-14)
+        q = ProbabilityDistribution.uniform(range(joint.shape[0]))
+        assert (admitted(lambda: verify_objective_classical(q, q, joint, 0, 0),
+                         InvalidParameterError)
+                is admitted(lambda: ProbabilityDistribution(tuple(range(flat.size)), flat)))
+
+    def test_compat_classical_admits_a_probability_inside_the_floor(self, tmp_path, capsys):
+        # rejected as "negative probability -1e-10" while the floor was -1e-12
+        q = write_distribution(tmp_path, "q.json", [0.5, 0.5 + 1e-10, -1e-10])
+        code, out = run_cli(capsys, "compat-classical", q, q)
+        assert code == 0 and json.loads(out.out)["compatible"] is True
+
+    def test_pool_classical_pools_it_into_a_distribution(self, tmp_path, capsys):
+        q = write_distribution(tmp_path, "q.json", [0.5, 0.5 + 1e-10, -1e-10])
+        code, out = run_cli(capsys, "pool-classical", q, q, q)
+        probs = np.array(json.loads(out.out)["pooled"]["probs"])
+        assert code == 0 and probs.min() == 0.0 and abs(probs.sum() - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("caller, message", [
+        ("distribution", "^total probability nan, expected 1$"),
+        ("conditional table", r"^columns must sum to 1, got \[nan, 1\.0\]$"),
+        ("witness joint", "^total joint probability nan, expected 1$")])
+    def test_a_nan_probability_is_rejected(self, caller, message):
+        # a NaN entry passed both old tests, each a comparison that NaN makes False
+        with pytest.raises(InvalidParameterError, match=message):
+            TestOnePSDFloor.PROBABILITIES[caller](math.nan)
+
+    @pytest.mark.parametrize("probs, message", [
+        ([0.5, 0.5 + 1e-7, -1e-7], "negative probability -1e-07"),
+        ([0.5, 0.625], "total probability 1.125, expected 1"),  # a float, no NumPy repr
+        ([math.nan, 1.0], "total probability nan, expected 1"),  # exit 1, "disjoint", before
+    ])
+    def test_a_rejected_distribution_is_exit_2_naming_its_value(self, tmp_path, capsys, probs,
+                                                                message):
+        q = write_distribution(tmp_path, "q.json", probs)
+        code, out = run_cli(capsys, "compat-classical", q, q)
+        assert code == 2
+        assert json.loads(out.out) == {"error": "malformed_input",
+                                       "message": f"bad distribution: {message}"}
+
+
+def write_distribution(tmp_path, name, probs) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps({"outcomes": list(range(len(probs))), "probs": probs}))
+    return str(path)
 
 
 class TestOneHermiticityRule:
